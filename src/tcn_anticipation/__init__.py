@@ -1,7 +1,7 @@
 """Multi-modal temporal convolutional networks for short-term action anticipation."""
 
 from .baseline import LstmConfig, LstmEncoderDecoder
-from .bench import BenchReport, bench_models, branch_macs, count_macs, lstm_macs
+from .bench import BenchReport, bench_models, branch_macs, lstm_macs
 from .branch import Branch, BranchConfig, BranchOutput, multitask_loss, required_input_length
 from .checkpoint import (CheckpointError, branch_checkpoint_tensors, branch_from_checkpoint,
                          fusion_checkpoint_tensors, fusion_from_checkpoint, load_checkpoint,

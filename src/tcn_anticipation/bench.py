@@ -6,9 +6,10 @@ ledger) and gate matmuls for the recurrent baseline. Heads, normalization,
 and elementwise work are excluded on both sides. Counts are per sample and
 batch-invariant.
 
-Wall-clock runs pin the process to a single CPU (restored afterwards), warm
-up, then record per-repetition times; the headline statistic is a
-median-of-means, which resists desk-machine jitter better than a plain mean.
+Wall-clock runs pin the calling thread to a single CPU (restored afterwards;
+BLAS worker threads stay unpinned), warm up, then record per-repetition
+times; the headline statistic is a median-of-means, which resists
+desk-machine jitter better than a plain mean.
 """
 
 from __future__ import annotations
@@ -50,14 +51,6 @@ def lstm_macs(config: LstmConfig) -> int:
     enc = config.encoder_steps * 4 * (h * d + h * h)
     dec = config.decoder_steps * 4 * (h * h + h * h)  # decoder input is h_enc
     return enc + dec
-
-
-def count_macs(config) -> int:
-    if isinstance(config, BranchConfig):
-        return branch_macs(config)
-    if isinstance(config, LstmConfig):
-        return lstm_macs(config)
-    raise TensorError(f"no MAC model for {type(config).__name__}")
 
 
 @dataclass
@@ -208,7 +201,8 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
         ModelTiming("lstm_baseline", lstm_macs(baseline.config),
                     *_stats(lstm_inf), *_stats(lstm_train)),
     ]
-    pin_note = "pinned to 1 CPU" if previous_affinity is not None else "no CPU pinning"
+    pin_note = ("calling thread pinned to 1 CPU" if previous_affinity is not None
+                else "no CPU pinning")
     note = f"{platform.machine()} {platform.system()}, {pin_note}, dtype={dtype}"
     return BenchReport(rows, batch, reps, warmup, note,
                        rows[1].inference_mom / rows[0].inference_mom,

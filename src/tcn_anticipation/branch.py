@@ -11,6 +11,7 @@ noun) read the final feature vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -57,10 +58,6 @@ class BranchConfig:
                 raise TensorError(f"{name} must be in [0, 1), got {p}")
 
     @property
-    def num_layers(self) -> int:
-        return len(self.dilations)
-
-    @property
     def required_length(self) -> int:
         return required_input_length(self.kernel, self.dilations)
 
@@ -99,12 +96,14 @@ class BranchConfig:
 
 @dataclass
 class BranchOutput:
+    """The final feature vector and, indexed by head name, the per-head logits."""
+
     feature: Tensor
     action: Tensor
     verb: Tensor
     noun: Tensor
 
-    def logits(self, head: str) -> Tensor:
+    def __getitem__(self, head: str) -> Tensor:
         return getattr(self, head)
 
 
@@ -260,15 +259,19 @@ class Branch:
         return grad_x
 
 
-def multitask_loss(outputs: BranchOutput, labels: dict[str, np.ndarray],
+def multitask_loss(logits: Mapping[str, Tensor] | BranchOutput,
+                   labels: dict[str, np.ndarray],
                    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
                    ) -> tuple[float, dict[str, Tensor]]:
-    """Weighted sum of per-head cross-entropies plus the logit gradients."""
+    """Weighted sum of per-head cross-entropies plus the logit gradients.
+
+    ``logits`` maps each head to its logits: a branch's output or the fused
+    heads of a :class:`~tcn_anticipation.fusion.FusionModel`.
+    """
     total = 0.0
     grads = {}
     for head, w in zip(HEADS, weights):
         ce = SoftmaxCrossEntropy()
-        loss = ce.forward(outputs.logits(head), labels[head])
-        total += w * loss
+        total += w * ce.forward(logits[head], labels[head])
         grads[head] = ce.backward(w)
     return total, grads

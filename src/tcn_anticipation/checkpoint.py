@@ -7,10 +7,9 @@ Layout (all integers little-endian):
                | u8 ndim | ndim x u32 dims | raw little-endian payload
     trailing u32 CRC32 of everything after the magic
 
-Training metadata (epoch, config hash, rng state, model config) rides as
-ordinary entries under the reserved ``meta.`` prefix: integers as exact f64
-values, the PCG64 state as uint64 words bit-reinterpreted into an f64 payload
-(payload bytes round-trip losslessly, so the reinterpretation is exact).
+Training metadata (model kind, epoch, config hash, model config) rides as
+ordinary entries under the reserved ``meta.`` prefix, every value stored as
+an exact f64.
 """
 
 from __future__ import annotations
@@ -131,29 +130,6 @@ def _scalar(v: float) -> np.ndarray:
     return np.array([float(v)], dtype=np.float64)
 
 
-def encode_rng_state(rng: Rng) -> np.ndarray:
-    st = rng.state()
-    words = []
-    for key in ("state", "inc"):
-        v = int(st["state"][key])
-        words += [v & 0xFFFFFFFFFFFFFFFF, v >> 64]
-    words += [int(st["has_uint32"]), int(st["uinteger"])]
-    return np.array(words, dtype=np.uint64).view(np.float64)
-
-
-def decode_rng_state(arr: np.ndarray, seed: int = 0) -> Rng:
-    words = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-    rng = Rng(seed)
-    rng.set_state({
-        "bit_generator": "PCG64",
-        "state": {"state": int(words[0]) | (int(words[1]) << 64),
-                  "inc": int(words[2]) | (int(words[3]) << 64)},
-        "has_uint32": int(words[4]),
-        "uinteger": int(words[5]),
-    })
-    return rng
-
-
 _BRANCH_SCALARS = ("input_dim", "num_actions", "num_verbs", "num_nouns",
                    "channels", "kernel", "input_dropout", "block_dropout",
                    "head_dropout")
@@ -184,21 +160,21 @@ def _branch_config_from_meta(meta: Mapping[str, Tensor], prefix: str) -> BranchC
         **kwargs)
 
 
-def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int,
-                              rng: Rng | None = None) -> dict[str, Tensor]:
+def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int) -> dict[str, Tensor]:
     tensors = dict(branch.named_state())
     tensors["meta.kind"] = _scalar(_KIND_CODE["branch"])
     tensors["meta.epoch"] = _scalar(epoch)
     tensors["meta.config_hash"] = _scalar(config_hash(branch.config))
     tensors["meta.modality"] = _scalar(_MODALITY_CODE[modality])
     tensors.update(_branch_config_meta(branch.config, "meta.config."))
-    if rng is not None:
-        tensors["meta.rng_state"] = encode_rng_state(rng)
     return tensors
 
 
 def branch_from_checkpoint(path) -> tuple[Branch, str, dict]:
-    tensors = load_checkpoint(path)
+    return _branch_from_tensors(load_checkpoint(path), path)
+
+
+def _branch_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[Branch, str, dict]:
     if "meta.kind" not in tensors or float(tensors["meta.kind"][0]) != _KIND_CODE["branch"]:
         raise CheckpointError(f"{path}: not a branch checkpoint")
     cfg = _branch_config_from_meta(tensors, "meta.config.")
@@ -210,8 +186,7 @@ def branch_from_checkpoint(path) -> tuple[Branch, str, dict]:
     return branch, info["modality"], info
 
 
-def fusion_checkpoint_tensors(model: FusionModel, epoch: int,
-                              rng: Rng | None = None) -> dict[str, Tensor]:
+def fusion_checkpoint_tensors(model: FusionModel, epoch: int) -> dict[str, Tensor]:
     tensors = dict(model.named_state())
     cfg = model.config
     tensors["meta.kind"] = _scalar(_KIND_CODE["fusion"])
@@ -224,13 +199,14 @@ def fusion_checkpoint_tensors(model: FusionModel, epoch: int,
     for mod in MODALITIES:
         tensors.update(_branch_config_meta(model.branches[mod].config,
                                            f"meta.config.branches.{mod}."))
-    if rng is not None:
-        tensors["meta.rng_state"] = encode_rng_state(rng)
     return tensors
 
 
 def fusion_from_checkpoint(path) -> tuple[FusionModel, dict]:
-    tensors = load_checkpoint(path)
+    return _fusion_from_tensors(load_checkpoint(path), path)
+
+
+def _fusion_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[FusionModel, dict]:
     if "meta.kind" not in tensors or float(tensors["meta.kind"][0]) != _KIND_CODE["fusion"]:
         raise CheckpointError(f"{path}: not a fusion checkpoint")
 
@@ -252,15 +228,15 @@ def fusion_from_checkpoint(path) -> tuple[FusionModel, dict]:
 
 
 def load_any_checkpoint(path):
-    """Return ("branch", Branch, info) or ("fusion", FusionModel, info)."""
+    """Return ("branch", Branch, info) or ("fusion", FusionModel, info) from one read."""
     tensors = load_checkpoint(path)
     if "meta.kind" not in tensors:
         raise CheckpointError(f"{path}: missing meta.kind entry")
     kind = _KIND_NAME.get(float(tensors["meta.kind"][0]))
     if kind == "branch":
-        branch, _, info = branch_from_checkpoint(path)
+        branch, _, info = _branch_from_tensors(tensors, path)
         return "branch", branch, info
     if kind == "fusion":
-        model, info = fusion_from_checkpoint(path)
+        model, info = _fusion_from_tensors(tensors, path)
         return "fusion", model, info
     raise CheckpointError(f"{path}: unknown model kind code")

@@ -133,24 +133,24 @@ def cmd_synth_gen(args, cfg) -> int:
     return 0
 
 
-def _branch_config_from_args(args, cfg, samples, modality: str) -> BranchConfig:
+# paper-scale defaults for train-branch; desk-scale ones for the ablation studies
+_PAPER_BRANCH = {"channels": 1024, "input_dropout": 0.3, "block_dropout": 0.5,
+                "head_dropout": 0.7}
+_DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1,
+               "head_dropout": 0.1}
+
+
+def _branch_config_from_args(args, cfg, samples, modality: str, defaults: dict,
+                             snippets: int | None = None) -> BranchConfig:
+    """Flags, then config keys, then ``defaults``; adapted to ``snippets`` if given."""
     counts = _class_counts(samples)
-    input_dim = samples[0].features[modality].shape[1]
-    kwargs = dict(
-        input_dim=input_dim,
+    base = BranchConfig(
+        input_dim=samples[0].features[modality].shape[1],
         num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        channels=_resolve(args, cfg, "channels", 1024),
         kernel=_resolve(args, cfg, "kernel", 3),
-        input_dropout=_resolve(args, cfg, "input_dropout", 0.3),
-        block_dropout=_resolve(args, cfg, "block_dropout", 0.5),
-        head_dropout=_resolve(args, cfg, "head_dropout", 0.7),
         dtype=_resolve(args, cfg, "dtype", "f32"),
-    )
-    base = BranchConfig(**kwargs)
-    snippets = _resolve(args, cfg, "snippets")
-    if snippets is not None:
-        base = base.for_snippets(snippets)
-    return base
+        **{key: _resolve(args, cfg, key, value) for key, value in defaults.items()})
+    return base if snippets is None else base.for_snippets(snippets)
 
 
 def _sgd_from_args(args, cfg, seed, default_lr, default_epochs, default_batch) -> SgdConfig:
@@ -182,10 +182,10 @@ def cmd_train_branch(args, cfg) -> int:
         raise CliError(f"unknown modality {modality!r}")
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val")
-    bcfg = _branch_config_from_args(args, cfg, train + val, modality)
+    snippets = _resolve(args, cfg, "snippets")
+    bcfg = _branch_config_from_args(args, cfg, train + val, modality, _PAPER_BRANCH, snippets)
     sgd = _sgd_from_args(args, cfg, seed, default_lr=0.005, default_epochs=80,
                          default_batch=64)
-    snippets = _resolve(args, cfg, "snippets")
     branch, result = train_branch(train, val, modality, bcfg, sgd,
                                   snippets=snippets, log=print)
     save_checkpoint(out / f"branch_{modality}.ckpt",
@@ -238,8 +238,9 @@ def cmd_train_fusion(args, cfg) -> int:
     snippets = _resolve(args, cfg, "snippets")
     model, result = train_fusion(branches, train, val, strategy, fcfg, sgd,
                                  snippets=snippets, log=print)
+    model.load_state(result.best_state)
     save_checkpoint(out / f"fusion_{strategy}.ckpt",
-                    fusion_checkpoint_tensors(model, sgd.epochs - 1))
+                    fusion_checkpoint_tensors(model, result.best_epoch))
     _write(out / f"train_log_fusion_{strategy}.csv", _history_csv(result.history))
     summary = (f"strategy={strategy} best_epoch={result.best_epoch} "
                f"best_val_top1={result.best_val_top1:.4f}\n")
@@ -260,7 +261,7 @@ def cmd_evaluate(args, cfg) -> int:
         modality = _resolve(args, cfg, "modality") or info["modality"]
         x, labels = stack_features(val, modality, snippets)
         output = model.eval().forward(x)
-        logits = {head: output.logits(head) for head in HEADS}
+        logits = {head: output[head] for head in HEADS}
     else:
         inputs = {}
         labels = None
@@ -311,8 +312,7 @@ def cmd_bench(args, cfg) -> int:
                         head_dropout=0.0, dtype=dtype).for_snippets(snippets)
     branch = Branch(bcfg, rng)
     lcfg = LstmConfig(input_dim=channels, hidden=channels, num_actions=100,
-                      encoder_steps=bcfg.required_length if snippets is None else snippets,
-                      dtype=dtype)
+                      encoder_steps=bcfg.required_length, dtype=dtype)
     baseline = LstmEncoderDecoder(lcfg, rng)
     report = bench_models(branch, baseline, batch, reps, warmup, seed)
     _write(out / "bench.csv", report.csv())
@@ -332,12 +332,12 @@ def cmd_ablate_obslen(args, cfg) -> int:
     max_n = train[0].num_snippets
     rows = ["snippets,obs_seconds,val_top1_action"]
     results = {}
+    sgd = _sgd_from_args(args, cfg, seed, default_lr=0.02, default_epochs=25,
+                         default_batch=32)
     for n in windows:
         if n > max_n:
             continue
-        base = _desk_branch_config(args, cfg, train + val, modality).for_snippets(n)
-        sgd = _sgd_from_args(args, cfg, seed, default_lr=0.02, default_epochs=25,
-                             default_batch=32)
+        base = _branch_config_from_args(args, cfg, train + val, modality, _DESK_BRANCH, n)
         _, result = train_branch(train, val, modality, base, sgd, snippets=n)
         results[n] = result.best_val_top1
         rows.append(f"{n},{n * 0.25:.2f},{result.best_val_top1:.6f}")
@@ -346,21 +346,6 @@ def cmd_ablate_obslen(args, cfg) -> int:
     _write(out / "summary.txt",
            "".join(f"N={n}: {acc:.4f}\n" for n, acc in results.items()))
     return 0
-
-
-def _desk_branch_config(args, cfg, samples, modality: str) -> BranchConfig:
-    """Desk-scale defaults for the ablation studies (overridable)."""
-    counts = _class_counts(samples)
-    return BranchConfig(
-        input_dim=samples[0].features[modality].shape[1],
-        num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        channels=_resolve(args, cfg, "channels", 64),
-        kernel=_resolve(args, cfg, "kernel", 3),
-        input_dropout=_resolve(args, cfg, "input_dropout", 0.1),
-        block_dropout=_resolve(args, cfg, "block_dropout", 0.1),
-        head_dropout=_resolve(args, cfg, "head_dropout", 0.1),
-        dtype=_resolve(args, cfg, "dtype", "f32"),
-    )
 
 
 def cmd_ablate_fusion(args, cfg) -> int:
@@ -374,13 +359,13 @@ def cmd_ablate_fusion(args, cfg) -> int:
     branches = {}
     rows = ["model,val_top1_action"]
     for mod in MODALITIES:
-        bcfg = _desk_branch_config(args, cfg, train + val, mod)
+        bcfg = _branch_config_from_args(args, cfg, train + val, mod, _DESK_BRANCH)
         branch, result = train_branch(train, val, mod, bcfg, sgd)
         branches[mod] = branch
         save_checkpoint(out / f"branch_{mod}.ckpt",
                         branch_checkpoint_tensors(branch, mod, sgd.epochs - 1))
-        rows.append(f"{mod},{result.final_val_top1:.6f}")
-        print(f"branch {mod}: val_top1={result.final_val_top1:.4f}")
+        rows.append(f"{mod},{result.best_val_top1:.6f}")
+        print(f"branch {mod}: val_top1={result.best_val_top1:.4f}")
     counts = _class_counts(train + val)
     for strategy in STRATEGIES:
         fcfg = FusionConfig(
@@ -390,12 +375,9 @@ def cmd_ablate_fusion(args, cfg) -> int:
             embed_dim=_resolve(args, cfg, "embed_dim", 64),
             head_dropout=_resolve(args, cfg, "fusion_dropout", 0.1),
         )
-        fsgd = _sgd_from_args(args, cfg, seed, default_lr=0.02, default_epochs=15,
-                              default_batch=32)
-        _, result = train_fusion(branches, train, val, strategy, fcfg, fsgd)
-        score = result.best_val_top1 if strategy != "late" else result.final_val_top1
-        rows.append(f"{strategy},{score:.6f}")
-        print(f"fusion {strategy}: val_top1={score:.4f}")
+        _, result = train_fusion(branches, train, val, strategy, fcfg, sgd)
+        rows.append(f"{strategy},{result.best_val_top1:.6f}")
+        print(f"fusion {strategy}: val_top1={result.best_val_top1:.4f}")
     _write(out / "fusion_ablation.csv", "\n".join(rows) + "\n")
     _write(out / "summary.txt", "\n".join(rows[1:]) + "\n")
     return 0

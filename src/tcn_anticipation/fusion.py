@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import HEADS, Branch
-from .layers import Linear, Parameter, SoftmaxCrossEntropy, SpatialDropout, softmax
+from .branch import HEADS, Branch, BranchOutput
+from .layers import Linear, Parameter, SpatialDropout, softmax
 from .tensor import Rng, Tensor, TensorError
 
 MODALITIES = ("rgb", "flow", "obj")
@@ -149,19 +149,11 @@ class FusionModel:
             if branch_states[mod]:
                 self.branches[mod].load_state(branch_states[mod])
 
-    # -- branch features --------------------------------------------------------
+    # -- branch pass ------------------------------------------------------------
 
-    def branch_features(self, inputs: dict[str, Tensor]) -> dict[str, Tensor]:
-        """Frozen eval-mode features F per modality."""
-        return {mod: self.branches[mod].eval().forward(inputs[mod]).feature
-                for mod in MODALITIES}
-
-    def branch_probs(self, inputs: dict[str, Tensor]) -> dict[str, dict[str, Tensor]]:
-        out = {}
-        for mod in MODALITIES:
-            o = self.branches[mod].eval().forward(inputs[mod])
-            out[mod] = {head: softmax(o.logits(head)) for head in HEADS}
-        return out
+    def branch_outputs(self, inputs: dict[str, Tensor]) -> dict[str, BranchOutput]:
+        """One frozen eval-mode forward per modality."""
+        return {mod: self.branches[mod].eval().forward(inputs[mod]) for mod in MODALITIES}
 
     # -- feature fusion (mutual / pairwise / mutual_pairwise) --------------------
 
@@ -247,31 +239,28 @@ class FusionModel:
     def predict_proba(self, inputs: dict[str, Tensor]) -> dict[str, Tensor]:
         """Eval-mode class distributions per head for the configured strategy."""
         strategy = self.config.strategy
+        outputs = self.branch_outputs(inputs)
         if strategy in FEATURE_STRATEGIES:
             was_training = self.training
             self.eval()
-            logits = self.fuse_forward(self.branch_features(inputs))
+            logits = self.fuse_forward(branch_features(outputs))
             if was_training:
                 self.train()
             return {head: softmax(logits[head]) for head in HEADS}
-        probs = self.branch_probs(inputs)
+        probs = branch_probs(outputs)
         if strategy == "late":
             return {head: late_fusion(probs["rgb"][head], probs["flow"][head],
                                       probs["obj"][head]) for head in HEADS}
-        return self.attention_forward(self.branch_features(inputs), probs)
+        return self.attention_forward(branch_features(outputs), probs)
 
 
-def fused_loss(logits: dict[str, Tensor], labels: dict[str, np.ndarray],
-               weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-               ) -> tuple[float, dict[str, Tensor]]:
-    """Per-head cross-entropy on fused logits; mirrors the branch loss."""
-    total = 0.0
-    grads = {}
-    for head, w in zip(HEADS, weights):
-        ce = SoftmaxCrossEntropy()
-        total += w * ce.forward(logits[head], labels[head])
-        grads[head] = ce.backward(w)
-    return total, grads
+def branch_features(outputs: dict[str, BranchOutput]) -> dict[str, Tensor]:
+    return {mod: out.feature for mod, out in outputs.items()}
+
+
+def branch_probs(outputs: dict[str, BranchOutput]) -> dict[str, dict[str, Tensor]]:
+    """Per-head softmax of each branch's logits, for the late and attention strategies."""
+    return {mod: {head: softmax(out[head]) for head in HEADS} for mod, out in outputs.items()}
 
 
 def mixed_probs_loss(mixed: dict[str, Tensor], labels: dict[str, np.ndarray],

@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .branch import Branch, BranchConfig, multitask_loss
-from .fusion import (FusionConfig, FusionModel, MODALITIES, fused_loss,
-                     mixed_probs_loss)
+from .fusion import FusionConfig, FusionModel, MODALITIES, mixed_probs_loss
 from .layers import (BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy,
                      SpatialDropout, softmax)
 from .tensor import Rng
@@ -254,7 +253,7 @@ def check_fusion(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
 
         def f():
             logits = model.fuse_forward(feats)
-            loss, _ = fused_loss(logits, labels)
+            loss, _ = multitask_loss(logits, labels)
             return loss
 
         params = model.named_fusion_parameters()
@@ -262,7 +261,7 @@ def check_fusion(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
         for _, p in params:
             p.zero_grad()
         logits = model.fuse_forward(feats)
-        _, grads = fused_loss(logits, labels)
+        _, grads = multitask_loss(logits, labels)
         model.fuse_backward(grads)
         for name, p in feature_params:
             numeric = finite_difference_grad(f, p.data, step)

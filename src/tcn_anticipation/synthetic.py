@@ -119,10 +119,6 @@ def action_table(spec: SyntheticSpec) -> list[tuple[int, int]]:
     return actions
 
 
-def confusable_partner(action: int) -> int:
-    return action + 1 if action % 2 == 0 else action - 1
-
-
 def _ramp(spec: SyntheticSpec) -> np.ndarray:
     n = spec.num_snippets
     if n == 1:

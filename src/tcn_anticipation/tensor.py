@@ -1,9 +1,8 @@
 """Dense tensor conventions and the deterministic RNG shared by the library.
 
 A "tensor" here is a plain numpy ndarray restricted to float32/float64 with a
-C-contiguous row-major layout. The ops below validate shapes and raise instead
-of propagating NaN/Inf, so callers can always assume finite values. All
-randomness flows through one explicitly threaded :class:`Rng` (PCG64), which
+C-contiguous row-major layout. The random draws are checked finite, so
+callers can always assume finite values. All randomness flows through one explicitly threaded :class:`Rng` (PCG64), which
 makes any seeded pipeline bit-reproducible on the same machine.
 """
 
@@ -16,7 +15,6 @@ import numpy as np
 Tensor: TypeAlias = np.ndarray
 
 DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
-_NAMES = {v: k for k, v in DTYPES.items()}
 
 
 class TensorError(ValueError):
@@ -34,23 +32,10 @@ def dtype_of(name: str) -> np.dtype:
         raise TensorError(f"unknown dtype {name!r}; expected one of {sorted(DTYPES)}") from None
 
 
-def dtype_name(dtype: np.dtype) -> str:
-    try:
-        return _NAMES[np.dtype(dtype)]
-    except KeyError:
-        raise TensorError(f"unsupported dtype {dtype!r}; only f32/f64 tensors exist") from None
-
-
 def check_finite(arr: Tensor, what: str = "operation") -> Tensor:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{what} produced non-finite values")
     return arr
-
-
-def as_tensor(data, dtype: str = "f32") -> Tensor:
-    """Coerce to a contiguous f32/f64 array, rejecting non-finite input."""
-    arr = np.ascontiguousarray(data, dtype=dtype_of(dtype))
-    return check_finite(arr, "as_tensor")
 
 
 class Rng:
@@ -83,73 +68,6 @@ class Rng:
     def keep_mask(self, shape, drop_prob: float) -> np.ndarray:
         """Boolean mask, True with probability 1 - drop_prob."""
         return self._gen.uniform(0.0, 1.0, size=shape) >= drop_prob
-
-    def state(self) -> dict:
-        return self._gen.bit_generator.state
-
-    def set_state(self, state: dict) -> None:
-        self._gen.bit_generator.state = state
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Row-major matrix product with sequential accumulation over the inner axis.
-
-    Accumulating rank-1 terms in ascending k reproduces a naive triple loop
-    bit-for-bit (BLAS kernels reorder partial sums and do not). Model layers
-    use BLAS matmul directly where only gradcheck-level agreement is needed.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise TensorError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise TensorError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    if a.dtype != b.dtype:
-        raise TensorError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(a.shape[1]):
-            out += a[:, k, None] * b[None, k, :]
-    return check_finite(out, "matmul")
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise TensorError(f"{op} requires identical shapes, got {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return check_finite(a + b, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return check_finite(a - b, "sub")
-
-
-def mul_scalar(a: Tensor, s: float) -> Tensor:
-    return check_finite(a * a.dtype.type(s), "mul_scalar")
-
-
-def relu(a: Tensor) -> Tensor:
-    return np.maximum(a, 0)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a)
-    return check_finite(out, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a)
-    return check_finite(out, "log")
-
-
-def sum_over_axis(a: Tensor, axis: int) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise TensorError(f"axis {axis} out of range for ndim {a.ndim}")
-    return check_finite(np.sum(a, axis=axis), "sum_over_axis")
 
 
 def argsort_desc(a: Tensor, axis: int = -1) -> np.ndarray:

@@ -1,8 +1,10 @@
 """SGD with momentum, the polynomial LR schedule, and the two-stage recipe.
 
 Stage one trains each uni-modal branch. Stage two freezes the branches and
-optimizes only the fusion layers on cached branch outputs; a parameter hash
-asserts at runtime that fusion training never mutates a branch tensor.
+optimizes only the fusion layers on branch outputs computed once per split;
+a parameter hash asserts at runtime that fusion training never mutates a
+branch tensor. Both stages share one epoch loop, which keeps the state of the
+best-validation epoch.
 
 Per-epoch log records carry: epoch, lr, train_loss, val_top1_action,
 val_top5_action, wall_seconds.
@@ -15,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch import Branch, BranchConfig, multitask_loss
+from .branch import Branch, BranchConfig, BranchOutput, multitask_loss
 from .checkpoint import parameter_hash
 from .data import Sample, stack_features
 from .fusion import (FEATURE_STRATEGIES, HEADS, MODALITIES, FusionConfig,
-                     FusionModel, fused_loss, late_fusion, mixed_probs_loss,
-                     softmax)
+                     FusionModel, branch_features, branch_probs, late_fusion,
+                     mixed_probs_loss)
 from .layers import Parameter
 from .metrics import top_k_accuracy
 from .tensor import NonFiniteError, Rng, Tensor, TensorError
@@ -107,10 +109,6 @@ class TrainResult:
     best_val_top1: float
     best_state: dict[str, Tensor] = field(repr=False)
 
-    @property
-    def final_val_top1(self) -> float:
-        return self.history[-1].val_top1_action if self.history else 0.0
-
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
     for start in range(0, n, batch_size):
@@ -142,59 +140,29 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
             f"{modality} features have dim {x_train.shape[1]}, "
             f"config expects {branch_config.input_dim}")
     opt = SgdOptimizer(branch.named_parameters(), sgd.momentum, sgd.weight_decay)
-    history: list[EpochRecord] = []
-    best_epoch, best_top1 = -1, -1.0
-    best_state: dict[str, Tensor] = {}
-    n = x_train.shape[0]
-    for epoch in range(sgd.epochs):
-        t0 = time.perf_counter()
-        lr = lr_at_epoch(sgd.lr0, epoch, sgd.epochs, sgd.power)
-        order = rng.permutation(n)
+
+    def step(idx):
         branch.train()
-        total_loss, seen = 0.0, 0
-        for idx in _batches(n, sgd.batch_size, order):
-            xb = np.ascontiguousarray(x_train[idx])
-            yb = {head: y_train[head][idx] for head in HEADS}
-            out = branch.forward(xb, rng)
-            loss, grads = multitask_loss(out, yb, loss_weights)
-            opt.zero_grad()
-            branch.backward(grads)
-            opt.step(lr)
-            total_loss += loss * len(idx)
-            seen += len(idx)
-        branch.eval()
-        logits = branch.forward(x_val).action
-        top1 = top_k_accuracy(logits, y_val["action"], 1)
-        top5 = top_k_accuracy(logits, y_val["action"], min(5, branch_config.num_actions))
-        rec = EpochRecord(epoch, lr, total_loss / seen, top1, top5,
-                          time.perf_counter() - t0)
-        history.append(rec)
-        if log:
-            log(rec.line())
-        if top1 > best_top1:
-            best_top1, best_epoch = top1, epoch
-            best_state = _copy_state(branch.named_state())
-    return branch, TrainResult(history, best_epoch, best_top1, best_state)
+        out = branch.forward(np.ascontiguousarray(x_train[idx]), rng)
+        loss, grads = multitask_loss(out, {head: y_train[head][idx] for head in HEADS},
+                                     loss_weights)
+        branch.backward(grads)
+        return loss
+
+    def val_scores():
+        return branch.eval().forward(x_val).action
+
+    result = _run_epochs(opt, rng, sgd, x_train.shape[0], step, val_scores, y_val["action"],
+                         branch_config.num_actions, branch.named_state, log)
+    return branch, result
 
 
-def _cached_features(branches: dict[str, Branch], samples: list[Sample],
-                     snippets: int | None) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
-    feats = {}
-    labels = None
+def _branch_pass(model: FusionModel, samples: list[Sample], snippets: int | None,
+                 ) -> tuple[dict[str, BranchOutput], dict[str, np.ndarray]]:
+    inputs = {}
     for mod in MODALITIES:
-        x, labels = stack_features(samples, mod, snippets)
-        feats[mod] = branches[mod].eval().forward(x).feature
-    return feats, labels
-
-
-def _cached_probs(branches: dict[str, Branch], samples: list[Sample],
-                  snippets: int | None) -> dict[str, dict[str, Tensor]]:
-    probs = {}
-    for mod in MODALITIES:
-        x, _ = stack_features(samples, mod, snippets)
-        out = branches[mod].eval().forward(x)
-        probs[mod] = {head: softmax(out.logits(head)) for head in HEADS}
-    return probs
+        inputs[mod], labels = stack_features(samples, mod, snippets)
+    return model.branch_outputs(inputs), labels
 
 
 def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
@@ -205,9 +173,11 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
                  log=None) -> tuple[FusionModel, TrainResult]:
     """Stage-two training: branches frozen, only fusion layers move.
 
-    Branch outputs are cached once up front (the branches are frozen
+    Each branch runs once per split up front (the branches are frozen
     eval-mode, so this is exact). Late fusion has nothing to train and yields
     a single evaluation record; attention trains only the weighting layer.
+    The model keeps its final weights; the result's best state holds the
+    fusion parameters of the best-validation epoch.
     """
     if not train_samples or not val_samples:
         raise TensorError("empty dataset")
@@ -215,43 +185,40 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
     model = FusionModel(branches, fusion_config, rng)
     frozen_before = parameter_hash({f"{m}.{k}": v for m in MODALITIES
                                     for k, v in branches[m].named_state().items()})
-    f_train, y_train = _cached_features(branches, train_samples, snippets)
-    f_val, y_val = _cached_features(branches, val_samples, snippets)
+    out_train, y_train = _branch_pass(model, train_samples, snippets)
+    out_val, y_val = _branch_pass(model, val_samples, snippets)
+    f_train, f_val = branch_features(out_train), branch_features(out_val)
 
-    def val_record(epoch: int, lr: float, train_loss: float, t0: float) -> EpochRecord:
-        logits_or_probs = _val_scores()
-        top1 = top_k_accuracy(logits_or_probs, y_val["action"], 1)
-        top5 = top_k_accuracy(logits_or_probs, y_val["action"],
-                              min(5, fusion_config.num_actions))
-        return EpochRecord(epoch, lr, train_loss, top1, top5,
-                           time.perf_counter() - t0)
+    def fusion_state():
+        return {name: p.data for name, p in model.named_fusion_parameters()}
+
+    def batch_labels(idx):
+        return {head: y_train[head][idx] for head in HEADS}
 
     if strategy in FEATURE_STRATEGIES:
         params = [(n, p) for n, p in model.named_fusion_parameters()
                   if "attention" not in n]
-        opt = SgdOptimizer(params, sgd.momentum, sgd.weight_decay)
 
-        def _val_scores():
+        def val_scores():
             model.eval()
             return model.fuse_forward(f_val, strategy=strategy)["action"]
 
         def step(idx):
             feats_b = {mod: f_train[mod][idx] for mod in MODALITIES}
-            yb = {head: y_train[head][idx] for head in HEADS}
             model.train()
             logits = model.fuse_forward(feats_b, rng, strategy=strategy)
-            loss, grads = fused_loss(logits, yb, loss_weights)
+            loss, grads = multitask_loss(logits, batch_labels(idx), loss_weights)
             model.fuse_backward(grads)
             return loss
 
-        history, best = _run_epochs(opt, rng, sgd, y_train, log, val_record, step)
+        result = _run_epochs(SgdOptimizer(params, sgd.momentum, sgd.weight_decay), rng, sgd,
+                             len(train_samples), step, val_scores, y_val["action"],
+                             fusion_config.num_actions, fusion_state, log)
     elif strategy == "attention":
-        p_train = _cached_probs(branches, train_samples, snippets)
-        p_val = _cached_probs(branches, val_samples, snippets)
-        opt = SgdOptimizer([(n, p) for n, p in model.named_fusion_parameters()
-                            if "attention" in n], sgd.momentum, sgd.weight_decay)
+        p_train, p_val = branch_probs(out_train), branch_probs(out_val)
+        params = [(n, p) for n, p in model.named_fusion_parameters() if "attention" in n]
 
-        def _val_scores():
+        def val_scores():
             model.eval()
             return model.attention_forward(f_val, p_val)["action"]
 
@@ -259,26 +226,26 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
             feats_b = {mod: f_train[mod][idx] for mod in MODALITIES}
             probs_b = {mod: {head: p_train[mod][head][idx] for head in HEADS}
                        for mod in MODALITIES}
-            yb = {head: y_train[head][idx] for head in HEADS}
             model.train()
             mixed = model.attention_forward(feats_b, probs_b)
-            loss, grads = mixed_probs_loss(mixed, yb, loss_weights)
+            loss, grads = mixed_probs_loss(mixed, batch_labels(idx), loss_weights)
             model.attention_backward(grads)
             return loss
 
-        history, best = _run_epochs(opt, rng, sgd, y_train, log, val_record, step)
+        result = _run_epochs(SgdOptimizer(params, sgd.momentum, sgd.weight_decay), rng, sgd,
+                             len(train_samples), step, val_scores, y_val["action"],
+                             fusion_config.num_actions, fusion_state, log)
     elif strategy == "late":
         t0 = time.perf_counter()
-        p_val = _cached_probs(branches, val_samples, snippets)
-
-        def _val_scores():
-            return late_fusion(p_val["rgb"]["action"], p_val["flow"]["action"],
-                               p_val["obj"]["action"])
-
-        rec = val_record(0, 0.0, 0.0, t0)
+        p_val = branch_probs(out_val)
+        scores = late_fusion(p_val["rgb"]["action"], p_val["flow"]["action"],
+                             p_val["obj"]["action"])
+        rec = EpochRecord(0, 0.0, 0.0, *_top1_top5(scores, y_val["action"],
+                                                    fusion_config.num_actions),
+                          time.perf_counter() - t0)
         if log:
             log(rec.line())
-        history, best = [rec], (0, rec.val_top1_action)
+        result = TrainResult([rec], 0, rec.val_top1_action, _copy_state(fusion_state()))
     else:
         raise TensorError(f"unknown fusion strategy {strategy!r}")
 
@@ -286,15 +253,26 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
                                    for k, v in branches[m].named_state().items()})
     if frozen_before != frozen_after:
         raise TensorError("fusion training mutated a frozen branch tensor")
-    best_epoch, best_top1 = best
-    return model, TrainResult(history, best_epoch, best_top1,
-                              _copy_state(model.named_state()))
+    return model, result
 
 
-def _run_epochs(opt, rng, sgd, y_train, log, val_record, step):
-    n = y_train["action"].shape[0]
+def _top1_top5(scores: Tensor, labels: np.ndarray, num_classes: int) -> tuple[float, float]:
+    return (top_k_accuracy(scores, labels, 1),
+            top_k_accuracy(scores, labels, min(5, num_classes)))
+
+
+def _run_epochs(opt, rng, sgd, n, step, val_scores, y_val, num_classes, state,
+                log) -> TrainResult:
+    """The epoch loop both trainers share.
+
+    Each epoch shuffles the n training rows, runs ``step(idx)`` (forward and
+    backward of one batch, returning its loss) between zero_grad and the SGD
+    step, then scores ``val_scores()`` against ``y_val``. The tensors that
+    ``state()`` returns are copied whenever validation top-1 improves.
+    """
     history: list[EpochRecord] = []
     best_epoch, best_top1 = -1, -1.0
+    best_state: dict[str, Tensor] = {}
     for epoch in range(sgd.epochs):
         t0 = time.perf_counter()
         lr = lr_at_epoch(sgd.lr0, epoch, sgd.epochs, sgd.power)
@@ -306,10 +284,12 @@ def _run_epochs(opt, rng, sgd, y_train, log, val_record, step):
             opt.step(lr)
             total += loss * len(idx)
             seen += len(idx)
-        rec = val_record(epoch, lr, total / seen, t0)
+        rec = EpochRecord(epoch, lr, total / seen, *_top1_top5(val_scores(), y_val, num_classes),
+                          time.perf_counter() - t0)
         history.append(rec)
         if log:
             log(rec.line())
         if rec.val_top1_action > best_top1:
             best_top1, best_epoch = rec.val_top1_action, epoch
-    return history, (best_epoch, best_top1)
+            best_state = _copy_state(state())
+    return TrainResult(history, best_epoch, best_top1, best_state)

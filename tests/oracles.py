@@ -10,20 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=a.dtype)
-    for i in range(m):
-        for j in range(n):
-            s = a.dtype.type(0)
-            for kk in range(k):
-                s += a[i, kk] * b[kk, j]
-            out[i, j] = s
-    return out
-
-
 def conv1d_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                  dilation: int, counter: "MacCounter | None" = None) -> np.ndarray:
     """Valid cross-correlation, scalar by scalar."""

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tcn_anticipation.baseline import LstmConfig, LstmEncoderDecoder
-from tcn_anticipation.bench import (BenchReport, bench_models, branch_macs, count_macs,
-                                    lstm_macs)
+from tcn_anticipation.bench import BenchReport, bench_models, branch_macs, lstm_macs
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.tensor import Rng, TensorError
 
@@ -41,13 +40,6 @@ class TestAnalyticCounts:
                             channels=1024)
         lcfg = LstmConfig(1024, 1024, 10, encoder_steps=21, decoder_steps=8)
         assert branch_macs(bcfg, 21) < lstm_macs(lcfg)
-
-    def test_count_macs_dispatch(self):
-        bcfg = BranchConfig(input_dim=8, num_actions=2, num_verbs=2, num_nouns=2,
-                            channels=4, dilations=(1,))
-        assert count_macs(bcfg) == branch_macs(bcfg)
-        with pytest.raises(TensorError):
-            count_macs(object())
 
     def test_below_receptive_field_rejected(self):
         cfg = BranchConfig(input_dim=4, num_actions=2, num_verbs=2, num_nouns=2,

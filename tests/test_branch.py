@@ -166,7 +166,7 @@ class TestLoss:
         out = self.branch.forward(self.x)
         labels = {"action": np.array([0, 1]), "verb": np.array([0, 1]), "noun": np.array([0, 1])}
         for head in ("action", "verb", "noun"):
-            logits = out.logits(head)
+            logits = out[head]
             logits[...] = -200.0
             logits[np.arange(2), labels[head]] = 200.0
         loss, _ = multitask_loss(out, labels)

@@ -3,12 +3,12 @@ import struct
 import numpy as np
 import pytest
 
+from tcn_anticipation import checkpoint
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import (CheckpointError, branch_checkpoint_tensors,
-                                         branch_from_checkpoint, decode_rng_state,
-                                         encode_rng_state, fusion_checkpoint_tensors,
-                                         fusion_from_checkpoint, load_checkpoint,
-                                         parameter_hash, save_checkpoint)
+                                         branch_from_checkpoint, fusion_checkpoint_tensors,
+                                         fusion_from_checkpoint, load_any_checkpoint,
+                                         load_checkpoint, parameter_hash, save_checkpoint)
 from tcn_anticipation.fusion import FusionConfig, FusionModel, MODALITIES
 from tcn_anticipation.tensor import Rng, TensorError
 
@@ -36,7 +36,7 @@ class TestRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         branch = small_branch()
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, branch_checkpoint_tensors(branch, "rgb", 3, Rng(1)))
+        save_checkpoint(p1, branch_checkpoint_tensors(branch, "rgb", 3))
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -61,13 +61,26 @@ class TestRoundTrip:
         assert restored.config.strategy == "pairwise" and info["epoch"] == 7
         assert parameter_hash(model.named_state()) == parameter_hash(restored.named_state())
 
-    def test_rng_state_survives(self, tmp_path):
-        rng = Rng(9)
-        rng.normal(0, 1, (100,))
-        encoded = encode_rng_state(rng)
-        upcoming = rng.normal(0, 1, (5,), "f64")
-        restored = decode_rng_state(encoded)
-        assert np.array_equal(restored.normal(0, 1, (5,), "f64"), upcoming)
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    def test_load_any_reads_the_file_once(self, kind, tmp_path, monkeypatch):
+        if kind == "branch":
+            tensors = branch_checkpoint_tensors(small_branch(), "obj", 2)
+        else:
+            branches = {mod: small_branch(seed=i) for i, mod in enumerate(MODALITIES)}
+            fcfg = FusionConfig(channels=6, num_actions=3, num_verbs=2, num_nouns=2,
+                                strategy="attention", embed_dim=5, head_dropout=0.2)
+            tensors = fusion_checkpoint_tensors(FusionModel(branches, fcfg, Rng(2)), 2)
+        path = tmp_path / "any.ckpt"
+        save_checkpoint(path, tensors)
+        reads = []
+        read = checkpoint.load_checkpoint
+        monkeypatch.setattr(checkpoint, "load_checkpoint",
+                            lambda p: reads.append(p) or read(p))
+        got_kind, model, info = load_any_checkpoint(path)
+        assert (got_kind, info["epoch"], reads) == (kind, 2, [path])
+        assert parameter_hash(model.named_state()) == parameter_hash(
+            {k: v for k, v in tensors.items() if not k.startswith("meta.")})
 
 
 class TestCorruption:

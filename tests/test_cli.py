@@ -4,6 +4,15 @@ import sys
 
 import pytest
 
+from tcn_anticipation.branch import BranchConfig
+from tcn_anticipation.checkpoint import (branch_checkpoint_tensors, fusion_from_checkpoint,
+                                         save_checkpoint)
+from tcn_anticipation.data import stack_features, write_dataset
+from tcn_anticipation.fusion import MODALITIES
+from tcn_anticipation.metrics import top_k_accuracy
+from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
+from tcn_anticipation.training import SgdConfig, train_branch
+
 CLI = [sys.executable, "-m", "tcn_anticipation"]
 
 
@@ -150,6 +159,37 @@ class TestTrainEvaluate:
         lines = (eval_out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "head,top1,top5,mean_top5_recall" and len(lines) == 4
 
+    def test_train_fusion_saves_best_epoch(self, tmp_path):
+        train, val = generate_synthetic(complementary_spec(train_per_class=40,
+                                                           val_per_class=15), 2024)
+        data = tmp_path / "data"
+        write_dataset(train, data / "train")
+        write_dataset(val, data / "val")
+        sgd = SgdConfig(lr0=0.02, epochs=4, batch_size=32, seed=7)
+        bcfg = BranchConfig(input_dim=32, num_actions=12, num_verbs=6, num_nouns=8,
+                            channels=32, input_dropout=0.1, block_dropout=0.1,
+                            head_dropout=0.1)
+        ckpts = []
+        for mod in MODALITIES:
+            branch, _ = train_branch(train, val, mod, bcfg, sgd)
+            save_checkpoint(tmp_path / f"{mod}.ckpt",
+                            branch_checkpoint_tensors(branch, mod, sgd.epochs - 1))
+            ckpts += [f"--{mod}-ckpt", str(tmp_path / f"{mod}.ckpt")]
+        out = tmp_path / "run"
+        run("train-fusion", "--data", str(data), "--out", str(out), "--strategy", "attention",
+            "--epochs", "4", "--lr", "0.02", "--batch", "32", "--seed", "7", *ckpts)
+        summary = dict(kv.split("=") for kv in (out / "summary.txt").read_text().split())
+        best_epoch = int(summary["best_epoch"])
+        assert best_epoch < sgd.epochs - 1  # the final state is not the best one
+        log = (out / "train_log_fusion_attention.csv").read_text().splitlines()
+        best_top1 = log[1 + best_epoch].split(",")[3]
+
+        model, info = fusion_from_checkpoint(out / "fusion_attention.ckpt")
+        inputs = {mod: stack_features(val, mod)[0] for mod in MODALITIES}
+        labels = stack_features(val, "rgb")[1]["action"]
+        top1 = top_k_accuracy(model.eval().predict_proba(inputs)["action"], labels, 1)
+        assert info["epoch"] == best_epoch and f"{top1:.6f}" == best_top1
+
     def test_mismatched_fusion_checkpoint_modality(self, synth_dir, trained_branch, tmp_path):
         proc = run("train-fusion", "--data", str(synth_dir), "--out", str(tmp_path / "o"),
                    "--strategy", "late",
@@ -187,6 +227,11 @@ class TestStudies:
         assert [r.split(",")[0] for r in rows[1:]] == \
             ["rgb", "flow", "obj", "late", "attention", "mutual", "pairwise",
              "mutual_pairwise"]
+
+    def test_bench_window_beyond_receptive_field(self, tmp_path):
+        proc = run("bench", "--out", str(tmp_path), "--channels", "8", "--snippets", "25")
+        assert "speedup" in proc.stdout
+        assert (tmp_path / "bench.csv").read_text().startswith("model,mac_count")
 
     def test_ablate_obslen_rows(self, tmp_path, tmp_path_factory):
         data = tmp_path / "data"

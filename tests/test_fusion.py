@@ -3,7 +3,7 @@ import pytest
 
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.fusion import (FusionConfig, FusionModel, HEADS, MODALITIES,
-                                     late_fusion)
+                                     STRATEGIES, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
 from tcn_anticipation.layers import softmax
 from tcn_anticipation.tensor import Rng, TensorError
@@ -148,3 +148,9 @@ class TestFrozenBranches:
         model.train()
         for mod in MODALITIES:
             assert model.branches[mod].training is False
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_predict_proba_forwards_each_branch_once(self, strategy, branch_forwards):
+        model, rng = make_model(strategy)
+        model.predict_proba({mod: rng.normal(0, 1, (2, 3, 4), "f64") for mod in MODALITIES})
+        assert branch_forwards == {id(model.branches[mod]): 1 for mod in MODALITIES}

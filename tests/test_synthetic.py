@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tcn_anticipation.synthetic import (SyntheticSpec, action_table, class_templates,
-                                        complementary_spec, confusable_partner,
-                                        generate_synthetic, learnable_spec,
-                                        long_range_spec)
+                                        complementary_spec, generate_synthetic,
+                                        learnable_spec, long_range_spec)
 from tcn_anticipation.tensor import TensorError
 
 from oracles import nearest_template_predict
@@ -38,9 +37,6 @@ class TestActionTable:
     def test_every_verb_appears(self):
         table = action_table(SyntheticSpec())
         assert {v for v, _ in table} == set(range(6))
-
-    def test_partner_helper(self):
-        assert confusable_partner(4) == 5 and confusable_partner(5) == 4
 
     def test_uncoverable_grid_rejected(self):
         with pytest.raises(TensorError, match="coverable"):

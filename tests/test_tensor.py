@@ -1,60 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tcn_anticipation import tensor
 from tcn_anticipation.tensor import NonFiniteError, Rng, TensorError
-
-from oracles import matmul_loops
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.eye(2)
-        b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(tensor.matmul(a, b), b)
-
-    def test_dot_product(self):
-        out = tensor.matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1) and out[0, 0] == 11.0
-
-    def test_against_loop_oracle_exact_f64(self):
-        rng = Rng(5)
-        a = rng.normal(0, 1, (5, 7), "f64")
-        b = rng.normal(0, 1, (7, 3), "f64")
-        assert np.array_equal(tensor.matmul(a, b), matmul_loops(a, b))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(TensorError):
-            tensor.matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_dtype_mismatch(self):
-        with pytest.raises(TensorError):
-            tensor.matmul(np.ones((2, 2), np.float32), np.ones((2, 2), np.float64))
-
-    def test_non_finite_result_raises(self):
-        big = np.full((2, 2), 1e300)
-        with pytest.raises(NonFiniteError):
-            tensor.matmul(big, big)
-
-    @settings(max_examples=30, deadline=None)
-    @given(m=st.integers(1, 16), k=st.integers(1, 16), n=st.integers(1, 16),
-           seed=st.integers(0, 1000))
-    def test_random_shapes_match_oracle(self, m, k, n, seed):
-        rng = Rng(seed)
-        a = rng.normal(0, 1, (m, k), "f64")
-        b = rng.normal(0, 1, (k, n), "f64")
-        assert np.array_equal(tensor.matmul(a, b), matmul_loops(a, b))
-
-    def test_f32_close_to_oracle(self):
-        rng = Rng(11)
-        a = rng.normal(0, 1, (9, 12), "f32")
-        b = rng.normal(0, 1, (12, 6), "f32")
-        got = tensor.matmul(a, b)
-        want = matmul_loops(a.astype(np.float64), b.astype(np.float64))
-        rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
-        assert rel.max() <= 1e-6
 
 
 class TestRng:
@@ -88,66 +36,14 @@ class TestRng:
         with pytest.raises(TensorError):
             Rng(0).normal(0.0, -1.0, (3,))
 
-    def test_state_roundtrip(self):
-        rng = Rng(3)
-        rng.normal(0, 1, (10,))
-        state = rng.state()
-        a = rng.normal(0, 1, (5,), "f64")
-        rng.set_state(state)
-        b = rng.normal(0, 1, (5,), "f64")
-        assert np.array_equal(a, b)
-
 
 class TestElementwise:
-    def test_relu(self):
-        assert np.array_equal(tensor.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
     def test_argsort_desc_tie_by_index(self):
         assert tensor.argsort_desc(np.array([0.3, 0.9, 0.3])).tolist() == [1, 0, 2]
 
-    def test_sum_over_axis(self):
-        out = tensor.sum_over_axis(np.ones((3, 4)), axis=0)
-        assert np.array_equal(out, np.full(4, 3.0))
-
-    def test_sum_axis_out_of_range(self):
-        with pytest.raises(TensorError):
-            tensor.sum_over_axis(np.ones((3, 4)), axis=2)
-
-    def test_add_sub_shape_checked(self):
-        a, b = np.ones(3), np.ones(4)
-        with pytest.raises(TensorError):
-            tensor.add(a, b)
-        with pytest.raises(TensorError):
-            tensor.sub(a, b)
-
-    def test_add_sub_mul_scalar(self):
-        a = np.array([1.0, 2.0])
-        assert np.array_equal(tensor.add(a, a), [2.0, 4.0])
-        assert np.array_equal(tensor.sub(a, a), [0.0, 0.0])
-        assert np.array_equal(tensor.mul_scalar(a, 3.0), [3.0, 6.0])
-
-    def test_log_of_nonpositive_raises(self):
-        with pytest.raises(NonFiniteError):
-            tensor.log(np.array([1.0, 0.0]))
-
-    def test_exp_overflow_raises(self):
-        with pytest.raises(NonFiniteError):
-            tensor.exp(np.array([1000.0]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(shape=st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16)),
-           axis=st.integers(0, 2), seed=st.integers(0, 500))
-    def test_sum_matches_loops(self, shape, axis, seed):
-        a = Rng(seed).normal(0, 1, shape, "f64")
-        got = tensor.sum_over_axis(a, axis)
-        want = np.apply_over_axes(np.sum, a, [axis]).squeeze(axis)
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_as_tensor_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
-            tensor.as_tensor([np.nan, 1.0])
-
-    def test_as_tensor_dtype(self):
-        assert tensor.as_tensor([1, 2], "f64").dtype == np.float64
-        with pytest.raises(TensorError):
-            tensor.as_tensor([1], "f16")
+    def test_check_finite_rejects_nan_and_inf(self):
+        finite = np.array([1.0, -2.0])
+        assert tensor.check_finite(finite) is finite
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError, match="draw"):
+                tensor.check_finite(np.array([1.0, bad]), "draw")

@@ -4,7 +4,7 @@ import pytest
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import parameter_hash
 from tcn_anticipation.data import Sample
-from tcn_anticipation.fusion import FusionConfig, MODALITIES
+from tcn_anticipation.fusion import FusionConfig, MODALITIES, STRATEGIES
 from tcn_anticipation.layers import Parameter
 from tcn_anticipation.tensor import NonFiniteError, Rng, TensorError
 from tcn_anticipation.training import (SgdConfig, SgdOptimizer, lr_at_epoch,
@@ -183,6 +183,18 @@ class TestTrainFusion:
                      SgdConfig(lr0=0.01, epochs=2, batch_size=4, seed=3))
         after = {mod: parameter_hash(branches[mod].named_state()) for mod in MODALITIES}
         assert before == after
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_branch_forwarded_once_per_split(self, strategy, branch_forwards):
+        rng = Rng(5)
+        data = tiny_dataset(rng)
+        branches = self.make_branches(data, SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=2))
+        branch_forwards.clear()
+        fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
+                            strategy=strategy, embed_dim=5, head_dropout=0.1)
+        train_fusion(branches, data, data[:4], strategy, fcfg,
+                     SgdConfig(lr0=0.01, epochs=2, batch_size=4, seed=3))
+        assert branch_forwards == {id(branches[mod]): 2 for mod in MODALITIES}
 
     def test_fusion_deterministic(self):
         rng = Rng(6)
