@@ -138,9 +138,8 @@ def _pin_single_cpu():
 
 
 def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
-                 reps: int = 30, warmup: int = 5, seed: int = 0,
-                 lr: float = 1e-3) -> BenchReport:
-    """Time eval-mode forwards and full optimizer steps for both models."""
+                 reps: int = 30, warmup: int = 5, seed: int = 0) -> BenchReport:
+    """Time eval-mode forwards and full optimizer steps (at lr 1e-3) for both models."""
     if reps < 30:
         raise TensorError("benchmark needs at least 30 repetitions")
     if warmup < 5:
@@ -172,7 +171,7 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
             _, grads = multitask_loss(out, labels)
             opt_b.zero_grad()
             branch.backward(grads)
-            opt_b.step(lr)
+            opt_b.step(1e-3)
 
         branch_train = _time_reps(branch_step, reps, warmup)
 
@@ -188,7 +187,7 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
             ce.forward(logits, labels["action"])
             opt_l.zero_grad()
             baseline.backward(ce.backward())
-            opt_l.step(lr)
+            opt_l.step(1e-3)
 
         lstm_train = _time_reps(lstm_step, reps, warmup)
     finally:

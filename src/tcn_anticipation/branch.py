@@ -15,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .layers import BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy, SpatialDropout
+from .layers import (BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy, SpatialDropout,
+                     Stateful)
 from .tensor import Rng, Tensor, TensorError
 
 HEADS = ("action", "verb", "noun")
@@ -44,7 +45,6 @@ class BranchConfig:
     block_dropout: float = 0.5
     head_dropout: float = 0.7
     dtype: str = "f32"
-    pad_to_receptive_field: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
@@ -65,9 +65,8 @@ class BranchConfig:
     def class_counts(self) -> dict[str, int]:
         return {"action": self.num_actions, "verb": self.num_verbs, "noun": self.num_nouns}
 
-    def block_lengths(self, n: int | None = None) -> list[int]:
+    def block_lengths(self, n: int) -> list[int]:
         """Temporal length after each residual block for an n-snippet input."""
-        n = self.required_length if n is None else n
         out = []
         for d in self.dilations:
             n = n - (self.kernel - 1) * d
@@ -81,17 +80,11 @@ class BranchConfig:
         fits within n; the remaining slack is absorbed by taking the most
         recent output timestep.
         """
-        if n < 1:
-            raise TensorError(f"snippet count must be positive, got {n}")
         for cut in range(len(self.dilations), 0, -1):
             prefix = self.dilations[:cut]
             if required_input_length(self.kernel, prefix) <= n:
                 return replace(self, dilations=prefix)
-        if self.pad_to_receptive_field:
-            return replace(self, dilations=self.dilations[:1])
-        raise TensorError(
-            f"{n} snippets cannot cover even one block (K={self.kernel}); "
-            "enable pad_to_receptive_field to left-pad with zeros")
+        raise TensorError(f"{n} snippets cannot cover even one block (K={self.kernel})")
 
 
 @dataclass
@@ -111,7 +104,7 @@ class _ResidualBlock:
     """conv -> BN -> spatial dropout, plus the truncated residual, then ReLU."""
 
     def __init__(self, channels: int, kernel: int, dilation: int, dropout: float,
-                 dtype: str, rng: Rng):
+                 dtype: str, rng: Rng | None):
         self.conv = Conv1d(channels, channels, kernel, dilation, dtype=dtype, rng=rng)
         self.bn = BatchNorm1d(channels, dtype=dtype)
         self.drop = SpatialDropout(dropout)
@@ -131,10 +124,11 @@ class _ResidualBlock:
         return grad_z
 
 
-class Branch:
-    """The uni-modal network. Single training writer; eval forwards are pure."""
+class Branch(Stateful):
+    """The uni-modal network. Single training writer; eval forwards are pure.
+    Without an ``rng`` the weights start at zero, for a caller that loads them."""
 
-    def __init__(self, config: BranchConfig, rng: Rng):
+    def __init__(self, config: BranchConfig, rng: Rng | None):
         self.config = config
         c = config
         self.input_drop = SpatialDropout(c.input_dropout)
@@ -149,7 +143,6 @@ class Branch:
         }
         self.training = False
         self._final_shape: tuple[int, ...] | None = None
-        self._padded = 0
 
     # -- mode & parameter plumbing ------------------------------------------------
 
@@ -178,39 +171,13 @@ class Branch:
             out += [(f"heads.{head}.{n}", p) for n, p in self.heads[head][1].parameters()]
         return out
 
-    def named_buffers(self) -> list[tuple[str, Tensor]]:
-        return [(f"blocks.{i}.bn.{n}", b)
-                for i, blk in enumerate(self.blocks)
-                for n, b in blk.bn.buffers()]
-
-    def named_state(self) -> dict[str, Tensor]:
-        state = {name: p.data for name, p in self.named_parameters()}
-        state.update(self.named_buffers())
-        return state
-
-    def load_state(self, state: dict[str, Tensor]) -> None:
-        targets = dict(self.named_parameters())
-        for name, arr in state.items():
-            if name in targets:
-                if targets[name].data.shape != arr.shape:
-                    raise TensorError(
-                        f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                        f"model expects {targets[name].data.shape}")
-                targets[name].data = arr.astype(targets[name].data.dtype, copy=True)
-            else:
-                self._load_buffer(name, arr)
-
-    def _load_buffer(self, name: str, arr: Tensor) -> None:
-        for bname, _ in self.named_buffers():
-            if bname == name:
-                idx = int(name.split(".")[1])
-                bn = self.blocks[idx].bn
-                attr = name.split(".")[-1]
-                if getattr(bn, attr).shape != arr.shape:
-                    raise TensorError(f"checkpoint tensor {name!r} shape mismatch")
-                setattr(bn, attr, arr.astype(getattr(bn, attr).dtype, copy=True))
-                return
-        raise TensorError(f"checkpoint tensor {name!r} has no destination in this model")
+    def state_slots(self) -> dict[str, tuple[object, str]]:
+        """Parameters, then each block's BN running statistics."""
+        slots = {name: (p, "data") for name, p in self.named_parameters()}
+        for i, blk in enumerate(self.blocks):
+            for attr in ("running_mean", "running_var"):
+                slots[f"blocks.{i}.bn.{attr}"] = (blk.bn, attr)
+        return slots
 
     # -- forward / backward -------------------------------------------------------
 
@@ -218,18 +185,10 @@ class Branch:
         c = self.config
         if x.ndim != 3 or x.shape[1] != c.input_dim:
             raise TensorError(f"branch expected (B, {c.input_dim}, N), got {x.shape}")
-        self._padded = 0
         if x.shape[2] < c.required_length:
-            if not c.pad_to_receptive_field:
-                raise TensorError(
-                    f"sequence of {x.shape[2]} snippets is shorter than the "
-                    f"receptive field {c.required_length}")
-            self._padded = c.required_length - x.shape[2]
-            pad = np.zeros((x.shape[0], x.shape[1], self._padded), dtype=x.dtype)
-            x = np.concatenate([pad, x], axis=2)
-        if self.training and rng is None and (
-                c.input_dropout or c.block_dropout or c.head_dropout):
-            raise TensorError("train-mode forward needs an Rng for dropout")
+            raise TensorError(
+                f"sequence of {x.shape[2]} snippets is shorter than the "
+                f"receptive field {c.required_length}")
         z = self.embed.forward(self.input_drop.forward(x, rng))
         for blk in self.blocks:
             z = blk.forward(z, rng)
@@ -253,25 +212,20 @@ class Branch:
         grad_z[:, :, -1] = grad_feature
         for blk in reversed(self.blocks):
             grad_z = blk.backward(grad_z)
-        grad_x = self.input_drop.backward(self.embed.backward(grad_z))
-        if self._padded:
-            grad_x = grad_x[:, :, self._padded:]
-        return grad_x
+        return self.input_drop.backward(self.embed.backward(grad_z))
 
 
 def multitask_loss(logits: Mapping[str, Tensor] | BranchOutput,
-                   labels: dict[str, np.ndarray],
-                   weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                   ) -> tuple[float, dict[str, Tensor]]:
-    """Weighted sum of per-head cross-entropies plus the logit gradients.
+                   labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
+    """Sum of the per-head cross-entropies plus the logit gradients.
 
     ``logits`` maps each head to its logits: a branch's output or the fused
     heads of a :class:`~tcn_anticipation.fusion.FusionModel`.
     """
     total = 0.0
     grads = {}
-    for head, w in zip(HEADS, weights):
+    for head in HEADS:
         ce = SoftmaxCrossEntropy()
-        total += w * ce.forward(logits[head], labels[head])
-        grads[head] = ce.backward(w)
+        total += ce.forward(logits[head], labels[head])
+        grads[head] = ce.backward()
     return total, grads

@@ -7,23 +7,28 @@ Layout (all integers little-endian):
                | u8 ndim | ndim x u32 dims | raw little-endian payload
     trailing u32 CRC32 of everything after the magic
 
-Training metadata (model kind, epoch, config hash, model config) rides as
+Training metadata (model kind, epoch, modality, model config) rides as
 ordinary entries under the reserved ``meta.`` prefix, every value stored as
-an exact f64.
+an exact f64. Loaders ignore metadata entries they do not read.
+
+Bad bytes and bad metadata raise CheckpointError. A stored weight whose shape
+disagrees with the metadata is a TensorError, raised before any model is built.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
+from contextlib import contextmanager
 from hashlib import sha256
 from typing import Mapping
 
 import numpy as np
 
 from .branch import Branch, BranchConfig
-from .fusion import MODALITIES, STRATEGIES, FusionConfig, FusionModel
-from .tensor import Rng, Tensor
+from .fusion import MODALITIES, PAIRS, STRATEGIES, FusionConfig, FusionModel
+from .tensor import Tensor, TensorError
 
 MAGIC = b"TCNA"
 VERSION = 1
@@ -33,6 +38,8 @@ _KIND_CODE = {"branch": 0.0, "fusion": 1.0}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
 _MODALITY_CODE = {"rgb": 0.0, "flow": 1.0, "obj": 2.0}
 _MODALITY_NAME = {v: k for k, v in _MODALITY_CODE.items()}
+_STRATEGY_CODE = {s: float(i) for i, s in enumerate(STRATEGIES)}
+_STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
 
 
 class CheckpointError(ValueError):
@@ -95,17 +102,20 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     tensors: dict[str, Tensor] = {}
     for i in range(count):
         name_len, = struct.unpack("<H", r.take(2, f"entry {i} name length"))
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        try:
+            name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry {i} name is not UTF-8") from None
         code, ndim = struct.unpack("<BB", r.take(2, f"{name} header"))
         if code not in _CODE_DTYPE:
             raise CheckpointError(f"{path}: entry {name!r} has unknown dtype code {code}")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"{name} dims"))
         dtype = _CODE_DTYPE[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        if ndim == 0:
-            dims = ()
-        payload = r.take(nbytes, f"{name} payload")
-        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        payload = r.take(math.prod(dims) * dtype.itemsize, f"{name} payload")
+        try:  # zero-size tensors whose other dims overflow numpy's shape limit
+            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError:
+            raise CheckpointError(f"{path}: entry {name!r} has unusable dims {dims}") from None
     if r.offset != len(r.data):
         raise CheckpointError(f"{path}: {len(r.data) - r.offset} trailing bytes after last entry")
     return tensors
@@ -120,14 +130,25 @@ def parameter_hash(state: Mapping[str, Tensor]) -> str:
     return h.hexdigest()
 
 
-def config_hash(config) -> float:
-    return float(zlib.crc32(repr(config).encode("utf-8")))
-
-
 # -- metadata encoding --------------------------------------------------------
 
 def _scalar(v: float) -> np.ndarray:
     return np.array([float(v)], dtype=np.float64)
+
+
+def _meta_value(tensors: Mapping[str, Tensor], key: str) -> float:
+    return float(tensors[key][0])
+
+
+@contextmanager
+def _reading_metadata(path):
+    """A missing, malformed or invalid ``meta.`` entry becomes a CheckpointError."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: bad metadata ({type(exc).__name__}: {exc})") from None
 
 
 _BRANCH_SCALARS = ("input_dim", "num_actions", "num_verbs", "num_nouns",
@@ -137,34 +158,57 @@ _FUSION_SCALARS = ("channels", "num_actions", "num_verbs", "num_nouns",
                    "embed_dim", "head_dropout")
 
 
+def _config_kwargs(meta: Mapping[str, Tensor], prefix: str, keys) -> dict:
+    """Dropouts as floats, sizes as ints."""
+    values = {k: _meta_value(meta, prefix + k) for k in keys}
+    return {k: v if "dropout" in k else int(v) for k, v in values.items()}
+
+
 def _branch_config_meta(cfg: BranchConfig, prefix: str) -> dict[str, np.ndarray]:
     meta = {f"{prefix}{k}": _scalar(getattr(cfg, k)) for k in _BRANCH_SCALARS}
     meta[f"{prefix}dilations"] = np.asarray(cfg.dilations, dtype=np.float64)
     meta[f"{prefix}dtype_f64"] = _scalar(1.0 if cfg.dtype == "f64" else 0.0)
-    meta[f"{prefix}pad"] = _scalar(1.0 if cfg.pad_to_receptive_field else 0.0)
     return meta
 
 
 def _branch_config_from_meta(meta: Mapping[str, Tensor], prefix: str) -> BranchConfig:
-    def scal(key):
-        return float(meta[f"{prefix}{key}"][0])
-
-    kwargs = {}
-    for k in _BRANCH_SCALARS:
-        v = scal(k)
-        kwargs[k] = v if "dropout" in k else int(v)
     return BranchConfig(
         dilations=tuple(int(d) for d in np.asarray(meta[f"{prefix}dilations"])),
-        dtype="f64" if scal("dtype_f64") else "f32",
-        pad_to_receptive_field=bool(scal("pad")),
-        **kwargs)
+        dtype="f64" if _meta_value(meta, f"{prefix}dtype_f64") else "f32",
+        **_config_kwargs(meta, prefix, _BRANCH_SCALARS))
+
+
+def _branch_weight_shapes(cfg: BranchConfig, prefix: str = "") -> dict[str, tuple]:
+    c = cfg.channels
+    shapes = {f"{prefix}embed.weight": (c, cfg.input_dim, 1)}
+    shapes.update({f"{prefix}blocks.{i}.conv.weight": (c, c, cfg.kernel)
+                   for i in range(len(cfg.dilations))})
+    shapes.update({f"{prefix}heads.{h}.weight": (k, c) for h, k in cfg.class_counts.items()})
+    return shapes
+
+
+def _fusion_weight_shapes(cfg: FusionConfig) -> dict[str, tuple]:
+    c, e = cfg.channels, cfg.embed_dim
+    shapes = {f"fusion.pairwise.{a}_{b}.weight": (e, 2 * c) for a, b in PAIRS}
+    shapes.update({"fusion.pairwise_merge.weight": (e, 3 * e), "fusion.mutual.weight": (e, 3 * c)})
+    shapes.update({f"fusion.heads.{h}.weight": (k, e) for h, k in cfg.class_counts.items()})
+    return shapes
+
+
+def _check_weight_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple], path) -> None:
+    """Run before a build: every weight the metadata sizes is stored with that shape."""
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise TensorError(f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
+                              f"model expects {shape}")
 
 
 def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int) -> dict[str, Tensor]:
     tensors = dict(branch.named_state())
     tensors["meta.kind"] = _scalar(_KIND_CODE["branch"])
     tensors["meta.epoch"] = _scalar(epoch)
-    tensors["meta.config_hash"] = _scalar(config_hash(branch.config))
     tensors["meta.modality"] = _scalar(_MODALITY_CODE[modality])
     tensors.update(_branch_config_meta(branch.config, "meta.config."))
     return tensors
@@ -175,14 +219,15 @@ def branch_from_checkpoint(path) -> tuple[Branch, str, dict]:
 
 
 def _branch_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[Branch, str, dict]:
-    if "meta.kind" not in tensors or float(tensors["meta.kind"][0]) != _KIND_CODE["branch"]:
-        raise CheckpointError(f"{path}: not a branch checkpoint")
-    cfg = _branch_config_from_meta(tensors, "meta.config.")
-    branch = Branch(cfg, rng=Rng(0))
+    with _reading_metadata(path):
+        if _meta_value(tensors, "meta.kind") != _KIND_CODE["branch"]:
+            raise CheckpointError(f"{path}: not a branch checkpoint")
+        cfg = _branch_config_from_meta(tensors, "meta.config.")
+        info = {"epoch": int(_meta_value(tensors, "meta.epoch")),
+                "modality": _MODALITY_NAME[_meta_value(tensors, "meta.modality")]}
+    _check_weight_shapes(tensors, _branch_weight_shapes(cfg), path)
+    branch = Branch(cfg, rng=None)
     branch.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
-    info = {"epoch": int(tensors["meta.epoch"][0]),
-            "modality": _MODALITY_NAME[float(tensors["meta.modality"][0])],
-            "config_hash": float(tensors["meta.config_hash"][0])}
     return branch, info["modality"], info
 
 
@@ -191,11 +236,9 @@ def fusion_checkpoint_tensors(model: FusionModel, epoch: int) -> dict[str, Tenso
     cfg = model.config
     tensors["meta.kind"] = _scalar(_KIND_CODE["fusion"])
     tensors["meta.epoch"] = _scalar(epoch)
-    tensors["meta.config_hash"] = _scalar(config_hash(cfg))
-    tensors["meta.config.strategy"] = _scalar(STRATEGIES.index(cfg.strategy))
+    tensors["meta.config.strategy"] = _scalar(_STRATEGY_CODE[cfg.strategy])
     for k in _FUSION_SCALARS:
         tensors[f"meta.config.{k}"] = _scalar(getattr(cfg, k))
-    tensors["meta.config.dtype_f64"] = _scalar(1.0 if cfg.dtype == "f64" else 0.0)
     for mod in MODALITIES:
         tensors.update(_branch_config_meta(model.branches[mod].config,
                                            f"meta.config.branches.{mod}."))
@@ -207,36 +250,30 @@ def fusion_from_checkpoint(path) -> tuple[FusionModel, dict]:
 
 
 def _fusion_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[FusionModel, dict]:
-    if "meta.kind" not in tensors or float(tensors["meta.kind"][0]) != _KIND_CODE["fusion"]:
-        raise CheckpointError(f"{path}: not a fusion checkpoint")
-
-    def scal(key):
-        return float(tensors[f"meta.config.{key}"][0])
-
-    branches = {}
+    with _reading_metadata(path):
+        if _meta_value(tensors, "meta.kind") != _KIND_CODE["fusion"]:
+            raise CheckpointError(f"{path}: not a fusion checkpoint")
+        bcfgs = {mod: _branch_config_from_meta(tensors, f"meta.config.branches.{mod}.")
+                 for mod in MODALITIES}
+        cfg = FusionConfig(
+            strategy=_STRATEGY_NAME[_meta_value(tensors, "meta.config.strategy")],
+            **_config_kwargs(tensors, "meta.config.", _FUSION_SCALARS))
+        info = {"epoch": int(_meta_value(tensors, "meta.epoch"))}
     for mod in MODALITIES:
-        bcfg = _branch_config_from_meta(tensors, f"meta.config.branches.{mod}.")
-        branches[mod] = Branch(bcfg, rng=Rng(0))
-    kwargs = {k: (scal(k) if k == "head_dropout" else int(scal(k))) for k in _FUSION_SCALARS}
-    cfg = FusionConfig(strategy=STRATEGIES[int(scal("strategy"))],
-                       dtype="f64" if scal("dtype_f64") else "f32", **kwargs)
-    model = FusionModel(branches, cfg, rng=Rng(0))
+        _check_weight_shapes(tensors, _branch_weight_shapes(bcfgs[mod], f"branches.{mod}."), path)
+    _check_weight_shapes(tensors, _fusion_weight_shapes(cfg), path)
+    model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg, rng=None)
     model.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
-    info = {"epoch": int(tensors["meta.epoch"][0]),
-            "config_hash": float(tensors["meta.config_hash"][0])}
     return model, info
 
 
 def load_any_checkpoint(path):
     """Return ("branch", Branch, info) or ("fusion", FusionModel, info) from one read."""
     tensors = load_checkpoint(path)
-    if "meta.kind" not in tensors:
-        raise CheckpointError(f"{path}: missing meta.kind entry")
-    kind = _KIND_NAME.get(float(tensors["meta.kind"][0]))
+    with _reading_metadata(path):
+        kind = _KIND_NAME[_meta_value(tensors, "meta.kind")]
     if kind == "branch":
         branch, _, info = _branch_from_tensors(tensors, path)
         return "branch", branch, info
-    if kind == "fusion":
-        model, info = _fusion_from_tensors(tensors, path)
-        return "fusion", model, info
-    raise CheckpointError(f"{path}: unknown model kind code")
+    model, info = _fusion_from_tensors(tensors, path)
+    return "fusion", model, info

@@ -91,10 +91,7 @@ def _out_dir(args, cfg: dict) -> Path:
 
 
 def _load_split(data_dir: Path, split: str):
-    index = data_dir / split / "index.csv"
-    if not index.exists():
-        raise CliError(f"no {split} split at {index}")
-    return read_dataset(index)
+    return read_dataset(data_dir / split / "index.csv")
 
 
 def _class_counts(samples) -> dict[str, int]:
@@ -153,6 +150,18 @@ def _branch_config_from_args(args, cfg, samples, modality: str, defaults: dict,
     return base if snippets is None else base.for_snippets(snippets)
 
 
+def _fusion_config_from_args(args, cfg, branches, samples, strategy: str,
+                             embed_dim: int, head_dropout: float) -> FusionConfig:
+    """Flags, then config keys, then the defaults given; channels come from the branches."""
+    counts = _class_counts(samples)
+    return FusionConfig(
+        channels=branches["rgb"].config.channels,
+        num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
+        strategy=strategy,
+        embed_dim=_resolve(args, cfg, "embed_dim", embed_dim),
+        head_dropout=_resolve(args, cfg, "fusion_dropout", head_dropout))
+
+
 def _sgd_from_args(args, cfg, seed, default_lr, default_epochs, default_batch) -> SgdConfig:
     return SgdConfig(
         lr0=_resolve(args, cfg, "lr", default_lr),
@@ -190,10 +199,9 @@ def cmd_train_branch(args, cfg) -> int:
                                   snippets=snippets, log=print)
     save_checkpoint(out / f"branch_{modality}.ckpt",
                     branch_checkpoint_tensors(branch, modality, sgd.epochs - 1))
-    best = Branch(bcfg, Rng(0))
-    best.load_state(result.best_state)
+    branch.load_state(result.best_state)
     save_checkpoint(out / f"branch_{modality}_best.ckpt",
-                    branch_checkpoint_tensors(best, modality, result.best_epoch))
+                    branch_checkpoint_tensors(branch, modality, result.best_epoch))
     _write(out / f"train_log_{modality}.csv", _history_csv(result.history))
     summary = (f"modality={modality} epochs={sgd.epochs} "
                f"best_epoch={result.best_epoch} best_val_top1={result.best_val_top1:.4f}\n")
@@ -211,8 +219,6 @@ def cmd_train_fusion(args, cfg) -> int:
     out = _out_dir(args, cfg)
     data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
     strategy = _resolve(args, cfg, "strategy", "mutual_pairwise")
-    if strategy not in STRATEGIES:
-        raise CliError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     branches = {}
     for mod in MODALITIES:
         path = getattr(args, f"{mod}_ckpt")
@@ -224,20 +230,12 @@ def cmd_train_fusion(args, cfg) -> int:
         branches[mod] = branch
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val")
-    counts = _class_counts(train + val)
-    fcfg = FusionConfig(
-        channels=branches["rgb"].config.channels,
-        num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        strategy=strategy,
-        embed_dim=_resolve(args, cfg, "embed_dim", 1024),
-        head_dropout=_resolve(args, cfg, "fusion_dropout", 0.8),
-        dtype=branches["rgb"].config.dtype,
-    )
+    fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy,
+                                    embed_dim=1024, head_dropout=0.8)
     sgd = _sgd_from_args(args, cfg, seed, default_lr=0.0005, default_epochs=80,
                          default_batch=64)
     snippets = _resolve(args, cfg, "snippets")
-    model, result = train_fusion(branches, train, val, strategy, fcfg, sgd,
-                                 snippets=snippets, log=print)
+    model, result = train_fusion(branches, train, val, fcfg, sgd, snippets=snippets, log=print)
     model.load_state(result.best_state)
     save_checkpoint(out / f"fusion_{strategy}.ckpt",
                     fusion_checkpoint_tensors(model, result.best_epoch))
@@ -366,16 +364,10 @@ def cmd_ablate_fusion(args, cfg) -> int:
                         branch_checkpoint_tensors(branch, mod, sgd.epochs - 1))
         rows.append(f"{mod},{result.best_val_top1:.6f}")
         print(f"branch {mod}: val_top1={result.best_val_top1:.4f}")
-    counts = _class_counts(train + val)
     for strategy in STRATEGIES:
-        fcfg = FusionConfig(
-            channels=branches["rgb"].config.channels,
-            num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-            strategy=strategy,
-            embed_dim=_resolve(args, cfg, "embed_dim", 64),
-            head_dropout=_resolve(args, cfg, "fusion_dropout", 0.1),
-        )
-        _, result = train_fusion(branches, train, val, strategy, fcfg, sgd)
+        fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy,
+                                        embed_dim=64, head_dropout=0.1)
+        _, result = train_fusion(branches, train, val, fcfg, sgd)
         rows.append(f"{strategy},{result.best_val_top1:.6f}")
         print(f"fusion {strategy}: val_top1={result.best_val_top1:.4f}")
     _write(out / "fusion_ablation.csv", "\n".join(rows) + "\n")

@@ -1,4 +1,4 @@
-"""Anticipation timeline math, samples, and the on-disk feature format.
+"""Samples and the on-disk feature format.
 
 A sample is one observed window: per-modality matrices of N snippet feature
 vectors plus action/verb/noun labels. Feature files use the FSEQ layout:
@@ -38,49 +38,13 @@ class DatasetError(ValueError):
     """Malformed dataset file or inconsistent sample."""
 
 
-@dataclass(frozen=True)
-class AnticipationWindow:
-    """Observed window preceding the action by the anticipation gap.
-
-    ``num_snippets`` chunks of ``snippet_seconds`` cover ``observation_seconds``.
-    """
-
-    anticipation_seconds: float = 1.0
-    observation_seconds: float = 5.25
-    snippet_seconds: float = 0.25
-
-    def __post_init__(self):
-        if self.snippet_seconds <= 0 or self.observation_seconds <= 0:
-            raise DatasetError("window durations must be positive")
-        n = round(self.observation_seconds / self.snippet_seconds)
-        if n < 1 or abs(n * self.snippet_seconds - self.observation_seconds) > 1e-9:
-            raise DatasetError(
-                f"observation time {self.observation_seconds}s is not a whole "
-                f"number of {self.snippet_seconds}s snippets")
-
-    @property
-    def num_snippets(self) -> int:
-        return round(self.observation_seconds / self.snippet_seconds)
-
-
-def snippet_locations(window: AnticipationWindow) -> list[float]:
-    """Seconds before the action of each snippet's last frame, earliest first.
-
-    Snippet i (1-indexed) sits at T_a + (N - i) * alpha; the sequence steps
-    down by alpha and ends exactly at the anticipation gap.
-    """
-    n = window.num_snippets
-    a = window.snippet_seconds
-    return [window.anticipation_seconds + (n - i) * a for i in range(1, n + 1)]
-
-
 @dataclass
 class Sample:
     sample_id: str
     features: dict[str, Tensor] = field(repr=False)  # modality -> (N, D) float32
-    action: int = 0
-    verb: int = 0
-    noun: int = 0
+    action: int
+    verb: int
+    noun: int
 
     def __post_init__(self):
         lengths = {mod: arr.shape[0] for mod, arr in self.features.items()}
@@ -162,28 +126,34 @@ def read_dataset(index_path) -> list[Sample]:
     if not index_path.exists():
         raise DatasetError(f"index file {index_path} does not exist")
     base = index_path.parent
+    try:
+        with open(index_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{index_path}: unreadable index: {exc}") from None
+    if rows[:1] != [INDEX_HEADER]:
+        raise DatasetError(f"{index_path}: unexpected header {rows[0] if rows else None}")
     samples = []
-    with open(index_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INDEX_HEADER:
-            raise DatasetError(f"{index_path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != len(INDEX_HEADER):
-                raise DatasetError(f"{index_path}: malformed row {row}")
-            sid, action, verb, noun = row[0], int(row[1]), int(row[2]), int(row[3])
-            features = {}
-            for mod, rel in zip(MODALITIES, row[4:7]):
-                path = base / rel
-                if not path.exists():
-                    raise DatasetError(
-                        f"sample {sid!r}: missing {mod} feature file {path}")
-                file_mod, arr = read_feature_file(path)
-                if file_mod != mod:
-                    raise DatasetError(
-                        f"sample {sid!r}: {path} holds {file_mod} features, index says {mod}")
-                features[mod] = arr
-            samples.append(Sample(sid, features, action, verb, noun))
+    for row in rows[1:]:
+        if len(row) != len(INDEX_HEADER):
+            raise DatasetError(f"{index_path}: malformed row {row}")
+        try:
+            labels = [int(v) for v in row[1:4]]
+        except ValueError:
+            raise DatasetError(f"{index_path}: non-integer label in row {row}") from None
+        sid = row[0]
+        features = {}
+        for mod, rel in zip(MODALITIES, row[4:7]):
+            path = base / rel
+            if not path.exists():
+                raise DatasetError(
+                    f"sample {sid!r}: missing {mod} feature file {path}")
+            file_mod, arr = read_feature_file(path)
+            if file_mod != mod:
+                raise DatasetError(
+                    f"sample {sid!r}: {path} holds {file_mod} features, index says {mod}")
+            features[mod] = arr
+        samples.append(Sample(sid, features, *labels))
     return samples
 
 

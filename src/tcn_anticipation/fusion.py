@@ -9,7 +9,7 @@ Five strategies combine the rgb/flow/obj branches:
 * ``mutual_pairwise`` - element-wise sum of the mutual and pairwise embeddings
 
 Branches are always evaluated frozen in eval mode; only fusion-layer and head
-parameters ever receive gradients.
+parameters ever receive gradients. The fusion layers take the branches' dtype.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import HEADS, Branch, BranchOutput
-from .layers import Linear, Parameter, SpatialDropout, softmax
+from .layers import Linear, Parameter, SpatialDropout, Stateful, softmax
 from .tensor import Rng, Tensor, TensorError
 
 MODALITIES = ("rgb", "flow", "obj")
@@ -38,7 +38,6 @@ class FusionConfig:
     strategy: str = "mutual_pairwise"
     embed_dim: int = 1024
     head_dropout: float = 0.8
-    dtype: str = "f32"
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -67,21 +66,24 @@ def late_fusion(probs_rgb: Tensor, probs_flow: Tensor, probs_obj: Tensor) -> Ten
     return (probs_rgb + probs_flow + probs_obj) / 3.0
 
 
-class FusionModel:
-    """Three frozen branches plus the trainable fusion layers and heads."""
+class FusionModel(Stateful):
+    """Three frozen branches plus the trainable fusion layers and heads.
+    Without an ``rng`` the fusion weights start at zero, for a caller that loads them."""
 
-    def __init__(self, branches: dict[str, Branch], config: FusionConfig, rng: Rng):
+    def __init__(self, branches: dict[str, Branch], config: FusionConfig, rng: Rng | None):
         if set(branches) != set(MODALITIES):
             raise TensorError(f"fusion needs branches for {MODALITIES}, got {sorted(branches)}")
+        dt = branches["rgb"].config.dtype
         for mod in MODALITIES:
-            if branches[mod].config.channels != config.channels:
+            bcfg = branches[mod].config
+            if (bcfg.channels, bcfg.dtype) != (config.channels, dt):
                 raise TensorError(
-                    f"{mod} branch has {branches[mod].config.channels} channels, "
-                    f"fusion expects {config.channels}")
+                    f"{mod} branch has {bcfg.channels} {bcfg.dtype} channels, "
+                    f"fusion expects {config.channels} {dt}")
             branches[mod].eval()
         self.branches = branches
         self.config = config
-        c, e, dt = config.channels, config.embed_dim, config.dtype
+        c, e = config.channels, config.embed_dim
         self.pairwise_fc = {pair: Linear(2 * c, e, dtype=dt, rng=rng) for pair in PAIRS}
         self.pairwise_merge = Linear(3 * e, e, dtype=dt, rng=rng)
         self.mutual_fc = Linear(3 * c, e, dtype=dt, rng=rng)
@@ -122,32 +124,13 @@ class FusionModel:
             out += [(f"fusion.heads.{head}.{n}", p) for n, p in self.heads[head][1].parameters()]
         return out
 
-    def named_state(self) -> dict[str, Tensor]:
-        state = {name: p.data for name, p in self.named_fusion_parameters()}
+    def state_slots(self) -> dict[str, tuple[object, str]]:
+        """Fusion parameters, then each branch's state under ``branches.{modality}.``."""
+        slots = {name: (p, "data") for name, p in self.named_fusion_parameters()}
         for mod in MODALITIES:
-            for name, arr in self.branches[mod].named_state().items():
-                state[f"branches.{mod}.{name}"] = arr
-        return state
-
-    def load_state(self, state: dict[str, Tensor]) -> None:
-        fusion_targets = dict(self.named_fusion_parameters())
-        branch_states: dict[str, dict[str, Tensor]] = {mod: {} for mod in MODALITIES}
-        for name, arr in state.items():
-            if name in fusion_targets:
-                p = fusion_targets[name]
-                if p.data.shape != arr.shape:
-                    raise TensorError(
-                        f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                        f"model expects {p.data.shape}")
-                p.data = arr.astype(p.data.dtype, copy=True)
-            elif name.startswith("branches."):
-                _, mod, rest = name.split(".", 2)
-                branch_states[mod][rest] = arr
-            else:
-                raise TensorError(f"checkpoint tensor {name!r} has no destination in this model")
-        for mod in MODALITIES:
-            if branch_states[mod]:
-                self.branches[mod].load_state(branch_states[mod])
+            for name, slot in self.branches[mod].state_slots().items():
+                slots[f"branches.{mod}.{name}"] = slot
+        return slots
 
     # -- branch pass ------------------------------------------------------------
 
@@ -157,9 +140,8 @@ class FusionModel:
 
     # -- feature fusion (mutual / pairwise / mutual_pairwise) --------------------
 
-    def fuse_forward(self, feats: dict[str, Tensor], rng: Rng | None = None,
-                     strategy: str | None = None) -> dict[str, Tensor]:
-        strategy = strategy or self.config.strategy
+    def fuse_forward(self, feats: dict[str, Tensor], rng: Rng | None = None) -> dict[str, Tensor]:
+        strategy = self.config.strategy
         if strategy not in FEATURE_STRATEGIES:
             raise TensorError(f"fuse_forward handles {FEATURE_STRATEGIES}, not {strategy!r}")
         f = [feats[mod] for mod in MODALITIES]
@@ -180,8 +162,8 @@ class FusionModel:
         self._cache = strategy
         return logits
 
-    def fuse_backward(self, grad_logits: dict[str, Tensor]) -> dict[str, Tensor]:
-        """Backprop into fusion parameters only; returns d(feature) per modality."""
+    def fuse_backward(self, grad_logits: dict[str, Tensor]) -> None:
+        """Backprop into fusion parameters only; the frozen features get no gradient."""
         if self._cache is None:
             raise TensorError("fuse_backward before fuse_forward")
         strategy = self._cache
@@ -191,19 +173,12 @@ class FusionModel:
             drop, fc = self.heads[head]
             g = drop.backward(fc.backward(grad_logits[head]))
             grad_h = g if grad_h is None else grad_h + g
-        c = self.config.channels
-        grad_f = {mod: 0.0 for mod in MODALITIES}
         if strategy in ("mutual", "mutual_pairwise"):
-            gcat = self.mutual_fc.backward(grad_h)
-            for i, mod in enumerate(MODALITIES):
-                grad_f[mod] = grad_f[mod] + gcat[:, i * c:(i + 1) * c]
+            self.mutual_fc.backward(grad_h)
         if strategy in ("pairwise", "mutual_pairwise"):
             gg = self.pairwise_merge.backward(grad_h)
-            for i, (a, b) in enumerate(PAIRS):
-                gpair = self.pairwise_fc[(a, b)].backward(gg[:, i * e:(i + 1) * e])
-                grad_f[a] = grad_f[a] + gpair[:, :c]
-                grad_f[b] = grad_f[b] + gpair[:, c:]
-        return grad_f
+            for i, pair in enumerate(PAIRS):
+                self.pairwise_fc[pair].backward(gg[:, i * e:(i + 1) * e])
 
     # -- attention fusion ---------------------------------------------------------
 
@@ -263,22 +238,21 @@ def branch_probs(outputs: dict[str, BranchOutput]) -> dict[str, dict[str, Tensor
     return {mod: {head: softmax(out[head]) for head in HEADS} for mod, out in outputs.items()}
 
 
-def mixed_probs_loss(mixed: dict[str, Tensor], labels: dict[str, np.ndarray],
-                     weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                     ) -> tuple[float, dict[str, Tensor]]:
+def mixed_probs_loss(mixed: dict[str, Tensor],
+                     labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
     """NLL of already-mixed probabilities (attention path) plus gradients."""
     total = 0.0
     grads = {}
     eps = 1e-12
-    for head, w in zip(HEADS, weights):
+    for head in HEADS:
         p = mixed[head]
         n, k = p.shape
         t = np.asarray(labels[head])
         if t.size and (t.min() < 0 or t.max() >= k):
             raise TensorError(f"label out of range [0, {k})")
         picked = np.clip(p[np.arange(n), t], eps, None)
-        total += w * float(-np.log(picked).mean())
+        total += float(-np.log(picked).mean())
         g = np.zeros_like(p)
-        g[np.arange(n), t] = -w / (picked * n)
+        g[np.arange(n), t] = -1.0 / (picked * n)
         grads[head] = g
     return total, grads

@@ -20,23 +20,22 @@ from .layers import (BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy,
                      SpatialDropout, softmax)
 from .tensor import Rng
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 
 
-def finite_difference_grad(f: Callable[[], float], x: np.ndarray,
-                           step: float = DEFAULT_STEP) -> np.ndarray:
+def finite_difference_grad(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar f with respect to array x in place."""
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         up = f()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         down = f()
         flat[i] = orig
-        gflat[i] = (up - down) / (2 * step)
+        gflat[i] = (up - down) / (2 * STEP)
     return grad
 
 
@@ -59,7 +58,7 @@ def _rand(rng: Rng, shape) -> np.ndarray:
     return rng.normal(0.0, 1.0, shape, "f64")
 
 
-def check_conv1d(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_conv1d(rng: Rng, configs: int = 20) -> float:
     worst = 0.0
     for _ in range(configs):
         b = int(rng.uniform(1, 4, ())) ; cin = int(rng.uniform(1, 5, ()))
@@ -78,11 +77,11 @@ def check_conv1d(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
         grad_x = layer.backward(gout_seed)
         analytic = [grad_x, layer.weight.grad.copy(), layer.bias.grad.copy()]
         for t, a in zip([x, layer.weight.data, layer.bias.data], analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t, step)))
+            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
     return worst
 
 
-def check_batchnorm(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_batchnorm(rng: Rng, configs: int = 20) -> float:
     worst = 0.0
     for _ in range(configs):
         b = 2 + int(rng.uniform(0, 3, ())) ; c = 1 + int(rng.uniform(0, 4, ()))
@@ -102,11 +101,11 @@ def check_batchnorm(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> 
         grad_x = layer.backward(gout)
         analytic = [grad_x, layer.gamma.grad.copy(), layer.beta.grad.copy()]
         for t, a in zip([x, layer.gamma.data, layer.beta.data], analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t, step)))
+            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
     return worst
 
 
-def check_spatial_dropout(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_spatial_dropout(rng: Rng, configs: int = 20) -> float:
     """Mask held fixed: the layer is then a constant elementwise scale."""
     worst = 0.0
     for _ in range(configs):
@@ -123,11 +122,11 @@ def check_spatial_dropout(rng: Rng, configs: int = 20, step: float = DEFAULT_STE
 
         f()
         grad_x = layer.backward(gout)
-        worst = max(worst, max_rel_error(grad_x, finite_difference_grad(f, x, step)))
+        worst = max(worst, max_rel_error(grad_x, finite_difference_grad(f, x)))
     return worst
 
 
-def check_linear(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_linear(rng: Rng, configs: int = 20) -> float:
     worst = 0.0
     for _ in range(configs):
         b = 1 + int(rng.uniform(0, 4, ()))
@@ -144,11 +143,11 @@ def check_linear(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
         grad_x = layer.backward(gout)
         analytic = [grad_x, layer.weight.grad.copy(), layer.bias.grad.copy()]
         for t, a in zip([x, layer.weight.data, layer.bias.data], analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t, step)))
+            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
     return worst
 
 
-def check_relu(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_relu(rng: Rng, configs: int = 20) -> float:
     worst = 0.0
     for _ in range(configs):
         shape = (1 + int(rng.uniform(0, 3, ())), 1 + int(rng.uniform(0, 6, ())))
@@ -162,11 +161,11 @@ def check_relu(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float
 
         f()
         grad_x = layer.backward(gout)
-        worst = max(worst, max_rel_error(grad_x, finite_difference_grad(f, x, step)))
+        worst = max(worst, max_rel_error(grad_x, finite_difference_grad(f, x)))
     return worst
 
 
-def check_softmax_ce(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_softmax_ce(rng: Rng, configs: int = 20) -> float:
     worst = 0.0
     for _ in range(configs):
         b = 1 + int(rng.uniform(0, 4, ())) ; k = 2 + int(rng.uniform(0, 6, ()))
@@ -179,11 +178,11 @@ def check_softmax_ce(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) ->
 
         f()
         grad = layer.backward()
-        worst = max(worst, max_rel_error(grad, finite_difference_grad(f, logits, step)))
+        worst = max(worst, max_rel_error(grad, finite_difference_grad(f, logits)))
     return worst
 
 
-def check_branch(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_branch(rng: Rng, configs: int = 20) -> float:
     """End-to-end loss gradient through the whole branch (dropout off, BN train).
 
     The first configuration is the full four-block network over a 21-snippet
@@ -220,11 +219,11 @@ def check_branch(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
         analytic = [grad_x] + [p.grad.copy() for _, p in params]
         tensors = [x] + [p.data for _, p in params]
         for t, a in zip(tensors, analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t, step)))
+            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
     return worst
 
 
-def check_fusion(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> float:
+def check_fusion(rng: Rng, configs: int = 20) -> float:
     """Fusion layers (branches frozen): feature path and attention path.
 
     The first configuration uses C=8, E=16, B=2; the rest draw random sizes.
@@ -243,8 +242,7 @@ def check_fusion(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
                             dtype="f64")
         branches = {mod: Branch(bcfg, rng) for mod in MODALITIES}
         fcfg = FusionConfig(channels=c, num_actions=3, num_verbs=2, num_nouns=2,
-                            strategy="mutual_pairwise", embed_dim=e,
-                            head_dropout=0.0, dtype="f64")
+                            strategy="mutual_pairwise", embed_dim=e, head_dropout=0.0)
         model = FusionModel(branches, fcfg, rng)
         model.attention_fc.weight.data = _rand(rng, model.attention_fc.weight.data.shape) * 0.3
         feats = {mod: _rand(rng, (b, c)) for mod in MODALITIES}
@@ -264,7 +262,7 @@ def check_fusion(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
         _, grads = multitask_loss(logits, labels)
         model.fuse_backward(grads)
         for name, p in feature_params:
-            numeric = finite_difference_grad(f, p.data, step)
+            numeric = finite_difference_grad(f, p.data)
             worst = max(worst, max_rel_error(p.grad, numeric))
 
         probs = {mod: {h: softmax(_rand(rng, (b, k)))
@@ -283,7 +281,7 @@ def check_fusion(rng: Rng, configs: int = 20, step: float = DEFAULT_STEP) -> flo
         model.attention_backward(gm)
         for tensor, grad in ((model.attention_fc.weight.data, model.attention_fc.weight.grad),
                              (model.attention_fc.bias.data, model.attention_fc.bias.grad)):
-            numeric = finite_difference_grad(f_att, tensor, step)
+            numeric = finite_difference_grad(f_att, tensor)
             worst = max(worst, max_rel_error(grad, numeric))
     return worst
 
@@ -300,7 +298,7 @@ STANDARD_CHECKS = (
 )
 
 
-def run_standard_suite(seed: int = 0, tol: float = 1e-4) -> list[GradcheckRow]:
+def run_standard_suite(seed: int = 0) -> list[GradcheckRow]:
     rows = []
     for name, fn, configs in STANDARD_CHECKS:
         rng = Rng(seed)

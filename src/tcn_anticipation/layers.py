@@ -11,6 +11,7 @@ at call time.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -30,12 +31,28 @@ class Parameter:
         self.grad = np.zeros_like(data)
         self.decay = decay
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def zero_grad(self) -> None:
         self.grad[...] = 0
+
+
+class Stateful:
+    """Named state over the (owner, attribute) slots that a subclass's ``state_slots`` lists;
+    ``load_state`` is the one shape-checked copy into them, cast to each slot's dtype."""
+
+    def named_state(self) -> dict[str, Tensor]:
+        return {name: getattr(owner, attr) for name, (owner, attr) in self.state_slots().items()}
+
+    def load_state(self, state: Mapping[str, Tensor]) -> None:
+        slots = self.state_slots()
+        for name, arr in state.items():
+            if name not in slots:
+                raise TensorError(f"checkpoint tensor {name!r} has no destination in this model")
+            owner, attr = slots[name]
+            current = getattr(owner, attr)
+            if current.shape != arr.shape:
+                raise TensorError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                                  f"model expects {current.shape}")
+            setattr(owner, attr, arr.astype(current.dtype, copy=True))
 
 
 def _init_uniform(rng: Rng | None, bound: float, shape, dtype: str) -> Tensor:
@@ -120,12 +137,11 @@ class BatchNorm1d:
     running estimates. Running stats are touched only in train mode.
     """
 
-    def __init__(self, channels: int, *, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype: str = "f32"):
+    def __init__(self, channels: int, *, dtype: str = "f32"):
         dt = dtype_of(dtype)
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
+        self.eps = 1e-5
+        self.momentum = 0.1
         self.gamma = Parameter(np.ones(channels, dtype=dt), decay=False)
         self.beta = Parameter(np.zeros(channels, dtype=dt), decay=False)
         self.running_mean = np.zeros(channels, dtype=dt)
@@ -166,9 +182,6 @@ class BatchNorm1d:
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
 
 class SpatialDropout:
     """Channel dropout: each (sample, channel) is zeroed across all time steps.
@@ -207,9 +220,6 @@ class SpatialDropout:
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
-
-    def parameters(self):
-        return []
 
 
 class Linear:
@@ -254,9 +264,6 @@ class ReLU:
             raise TensorError("relu backward before forward")
         return grad_out * self._mask
 
-    def parameters(self):
-        return []
-
 
 def softmax(logits: Tensor) -> Tensor:
     """Row-wise softmax, numerically shifted; rows sum to 1 within 1e-6."""
@@ -286,10 +293,10 @@ class SoftmaxCrossEntropy:
         self._cache = (np.exp(logp), targets)
         return loss
 
-    def backward(self, scale: float = 1.0) -> Tensor:
+    def backward(self) -> Tensor:
         if self._cache is None:
             raise TensorError("cross-entropy backward before forward")
         probs, targets = self._cache
         grad = probs.copy()
         grad[np.arange(targets.shape[0]), targets] -= 1
-        return grad * (scale / targets.shape[0])
+        return grad * (1.0 / targets.shape[0])  # not a divide: that rounds differently

@@ -121,7 +121,6 @@ def _copy_state(state: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def train_branch(train_samples: list[Sample], val_samples: list[Sample],
                  modality: str, branch_config: BranchConfig, sgd: SgdConfig,
-                 loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
                  snippets: int | None = None,
                  log=None) -> tuple[Branch, TrainResult]:
     """Stage-one training of one uni-modal branch; returns the trained branch.
@@ -144,8 +143,7 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
     def step(idx):
         branch.train()
         out = branch.forward(np.ascontiguousarray(x_train[idx]), rng)
-        loss, grads = multitask_loss(out, {head: y_train[head][idx] for head in HEADS},
-                                     loss_weights)
+        loss, grads = multitask_loss(out, {head: y_train[head][idx] for head in HEADS})
         branch.backward(grads)
         return loss
 
@@ -166,12 +164,10 @@ def _branch_pass(model: FusionModel, samples: list[Sample], snippets: int | None
 
 
 def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
-                 val_samples: list[Sample], strategy: str,
-                 fusion_config: FusionConfig, sgd: SgdConfig,
-                 loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
+                 val_samples: list[Sample], fusion_config: FusionConfig, sgd: SgdConfig,
                  snippets: int | None = None,
                  log=None) -> tuple[FusionModel, TrainResult]:
-    """Stage-two training: branches frozen, only fusion layers move.
+    """Stage-two training of ``fusion_config.strategy``: branches frozen, only fusion layers move.
 
     Each branch runs once per split up front (the branches are frozen
     eval-mode, so this is exact). Late fusion has nothing to train and yields
@@ -195,28 +191,21 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
     def batch_labels(idx):
         return {head: y_train[head][idx] for head in HEADS}
 
+    strategy = fusion_config.strategy
     if strategy in FEATURE_STRATEGIES:
-        params = [(n, p) for n, p in model.named_fusion_parameters()
-                  if "attention" not in n]
-
         def val_scores():
             model.eval()
-            return model.fuse_forward(f_val, strategy=strategy)["action"]
+            return model.fuse_forward(f_val)["action"]
 
         def step(idx):
             feats_b = {mod: f_train[mod][idx] for mod in MODALITIES}
             model.train()
-            logits = model.fuse_forward(feats_b, rng, strategy=strategy)
-            loss, grads = multitask_loss(logits, batch_labels(idx), loss_weights)
+            logits = model.fuse_forward(feats_b, rng)
+            loss, grads = multitask_loss(logits, batch_labels(idx))
             model.fuse_backward(grads)
             return loss
-
-        result = _run_epochs(SgdOptimizer(params, sgd.momentum, sgd.weight_decay), rng, sgd,
-                             len(train_samples), step, val_scores, y_val["action"],
-                             fusion_config.num_actions, fusion_state, log)
     elif strategy == "attention":
         p_train, p_val = branch_probs(out_train), branch_probs(out_val)
-        params = [(n, p) for n, p in model.named_fusion_parameters() if "attention" in n]
 
         def val_scores():
             model.eval()
@@ -228,14 +217,10 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
                        for mod in MODALITIES}
             model.train()
             mixed = model.attention_forward(feats_b, probs_b)
-            loss, grads = mixed_probs_loss(mixed, batch_labels(idx), loss_weights)
+            loss, grads = mixed_probs_loss(mixed, batch_labels(idx))
             model.attention_backward(grads)
             return loss
-
-        result = _run_epochs(SgdOptimizer(params, sgd.momentum, sgd.weight_decay), rng, sgd,
-                             len(train_samples), step, val_scores, y_val["action"],
-                             fusion_config.num_actions, fusion_state, log)
-    elif strategy == "late":
+    else:  # late: nothing to train
         t0 = time.perf_counter()
         p_val = branch_probs(out_val)
         scores = late_fusion(p_val["rgb"]["action"], p_val["flow"]["action"],
@@ -246,8 +231,12 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
         if log:
             log(rec.line())
         result = TrainResult([rec], 0, rec.val_top1_action, _copy_state(fusion_state()))
-    else:
-        raise TensorError(f"unknown fusion strategy {strategy!r}")
+    if strategy != "late":  # attention trains only its weighting layer, the others all but it
+        params = [(n, p) for n, p in model.named_fusion_parameters()
+                  if ("attention" in n) == (strategy == "attention")]
+        result = _run_epochs(SgdOptimizer(params, sgd.momentum, sgd.weight_decay), rng, sgd,
+                             len(train_samples), step, val_scores, y_val["action"],
+                             fusion_config.num_actions, fusion_state, log)
 
     frozen_after = parameter_hash({f"{m}.{k}": v for m in MODALITIES
                                    for k, v in branches[m].named_state().items()})

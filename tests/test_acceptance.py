@@ -96,7 +96,7 @@ def test_criterion_4_fusion_ablation_analog():
     for strategy in STRATEGIES:
         fcfg = FusionConfig(channels=64, num_actions=12, num_verbs=6, num_nouns=8,
                             strategy=strategy, embed_dim=64, head_dropout=0.1)
-        _, result = train_fusion(branches, train, val, strategy, fcfg,
+        _, result = train_fusion(branches, train, val, fcfg,
                                  SgdConfig(lr0=0.02, epochs=8, batch_size=32,
                                            seed=TRAIN_SEED))
         scores[strategy] = result.best_val_top1
@@ -214,7 +214,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     before = {m: parameter_hash(branches[m].named_state()) for m in MODALITIES}
     fcfg = FusionConfig(channels=16, num_actions=12, num_verbs=6, num_nouns=8,
                         strategy="mutual_pairwise", embed_dim=16, head_dropout=0.1)
-    train_fusion(branches, train, val, "mutual_pairwise", fcfg,
+    train_fusion(branches, train, val, fcfg,
                  SgdConfig(lr0=0.02, epochs=2, batch_size=16, seed=4))
     frozen = before == {m: parameter_hash(branches[m].named_state()) for m in MODALITIES}
 

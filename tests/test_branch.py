@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tcn_anticipation.branch import (Branch, BranchConfig, multitask_loss,
                                      required_input_length)
 from tcn_anticipation.gradcheck import check_branch
+from tcn_anticipation.layers import SoftmaxCrossEntropy
 from tcn_anticipation.tensor import Rng, TensorError
 
 
@@ -84,15 +85,6 @@ class TestForward:
         with pytest.raises(TensorError):
             branch.forward(rng.normal(0, 1, (1, 4, 6), "f64"))
 
-    def test_opt_in_left_padding(self):
-        rng = Rng(0)
-        branch = Branch(small_config(pad_to_receptive_field=True), rng).eval()
-        x = rng.normal(0, 1, (1, 4, 5), "f64")
-        out = branch.forward(x)
-        padded = np.concatenate([np.zeros((1, 4, 2)), x], axis=2)
-        want = Branch(small_config(pad_to_receptive_field=True), Rng(0)).eval().forward(padded)
-        assert np.allclose(out.action, want.action)
-
     def test_longer_window_takes_most_recent(self):
         # with valid convs, the final timestep depends only on the last R
         # inputs, so feeding extra history cannot change the feature vector
@@ -149,8 +141,7 @@ class TestLoss:
     def test_uniform_action_head_gives_ln4(self):
         out = self.branch.forward(self.x)
         out.action[...] = 0.0
-        labels = {"action": np.array([0, 1]), "verb": np.array([0, 1]), "noun": np.array([0, 1])}
-        loss, _ = multitask_loss(out, labels, weights=(1.0, 0.0, 0.0))
+        loss = SoftmaxCrossEntropy().forward(out.action, np.array([0, 1]))
         assert abs(loss - np.log(4)) < 1e-12
 
     def test_all_heads_uniform(self):

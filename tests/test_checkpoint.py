@@ -1,7 +1,10 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tcn_anticipation import checkpoint
 from tcn_anticipation.branch import Branch, BranchConfig
@@ -17,6 +20,38 @@ def small_branch(seed=0, dtype="f32"):
     cfg = BranchConfig(input_dim=4, num_actions=3, num_verbs=2, num_nouns=2,
                        channels=6, dilations=(1, 2), dtype=dtype)
     return Branch(cfg, Rng(seed))
+
+
+def small_fusion_tensors():
+    """An attention fusion checkpoint at epoch 2."""
+    branches = {mod: small_branch(seed=i) for i, mod in enumerate(MODALITIES)}
+    fcfg = FusionConfig(channels=6, num_actions=3, num_verbs=2, num_nouns=2,
+                        strategy="attention", embed_dim=5, head_dropout=0.2)
+    return fusion_checkpoint_tensors(FusionModel(branches, fcfg, Rng(2)), 2)
+
+
+def with_crc(raw: bytes) -> bytes:
+    """``raw`` with the trailing CRC32 recomputed, so only the parser can object."""
+    body = raw[4:-4]
+    return raw[:4] + body + struct.pack("<I", zlib.crc32(body))
+
+
+def write_broken_checkpoint(case: str, path) -> None:
+    """A CRC-valid checkpoint with one defect in its bytes or metadata."""
+    tensors = (small_fusion_tensors() if case == "strategy_index_9"
+               else branch_checkpoint_tensors(small_branch(), "rgb", 0))
+    if case == "missing_kernel":
+        del tensors["meta.config.kernel"]
+    elif case == "modality_code_7":
+        tensors["meta.modality"] = np.array([7.0])
+    elif case == "strategy_index_9":
+        tensors["meta.config.strategy"] = np.array([9.0])
+    save_checkpoint(path, tensors)
+    if case == "non_utf8_name":
+        path.write_bytes(with_crc(path.read_bytes().replace(b"embed.weight", b"embed.w\xffight")))
+
+
+BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "strategy_index_9")
 
 
 class TestRoundTrip:
@@ -64,13 +99,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", ["branch", "fusion"])
     def test_load_any_reads_the_file_once(self, kind, tmp_path, monkeypatch):
-        if kind == "branch":
-            tensors = branch_checkpoint_tensors(small_branch(), "obj", 2)
-        else:
-            branches = {mod: small_branch(seed=i) for i, mod in enumerate(MODALITIES)}
-            fcfg = FusionConfig(channels=6, num_actions=3, num_verbs=2, num_nouns=2,
-                                strategy="attention", embed_dim=5, head_dropout=0.2)
-            tensors = fusion_checkpoint_tensors(FusionModel(branches, fcfg, Rng(2)), 2)
+        tensors = (branch_checkpoint_tensors(small_branch(), "obj", 2) if kind == "branch"
+                   else small_fusion_tensors())
         path = tmp_path / "any.ckpt"
         save_checkpoint(path, tensors)
         reads = []
@@ -81,6 +111,35 @@ class TestRoundTrip:
         assert (got_kind, info["epoch"], reads) == (kind, 2, [path])
         assert parameter_hash(model.named_state()) == parameter_hash(
             {k: v for k, v in tensors.items() if not k.startswith("meta.")})
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    def test_load_any_draws_no_random_init(self, kind, tmp_path, monkeypatch):
+        tensors = (branch_checkpoint_tensors(small_branch(), "obj", 2) if kind == "branch"
+                   else small_fusion_tensors())
+        save_checkpoint(tmp_path / "any.ckpt", tensors)
+        draws = []
+        uniform = Rng.uniform
+        monkeypatch.setattr(Rng, "uniform", lambda *a: draws.append(a) or uniform(*a))
+        load_any_checkpoint(tmp_path / "any.ckpt")
+        assert draws == []
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    def test_retired_meta_entries_still_load(self, kind, tmp_path):
+        if kind == "branch":
+            tensors = branch_checkpoint_tensors(small_branch(), "obj", 2)
+            retired = {"meta.config_hash": 123.0, "meta.config.pad": 0.0}
+        else:
+            tensors = small_fusion_tensors()
+            retired = {"meta.config_hash": 123.0, "meta.config.dtype_f64": 0.0,
+                       **{f"meta.config.branches.{mod}.pad": 0.0 for mod in MODALITIES}}
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, {**tensors, **{k: np.array([v]) for k, v in retired.items()}})
+        _, model, info = load_any_checkpoint(path)
+        assert info["epoch"] == 2 and parameter_hash(model.named_state()) == parameter_hash(
+            {k: v for k, v in tensors.items() if not k.startswith("meta.")})
+        resaved = (branch_checkpoint_tensors(model, "obj", 2) if kind == "branch"
+                   else fusion_checkpoint_tensors(model, 2))
+        assert not set(retired) & set(resaved)
 
 
 class TestCorruption:
@@ -147,3 +206,37 @@ class TestCorruption:
         path = self.write_branch(tmp_path)
         with pytest.raises(CheckpointError, match="fusion"):
             fusion_from_checkpoint(path)
+
+    @pytest.mark.parametrize("case", BROKEN_CASES)
+    def test_bad_bytes_or_metadata_are_checkpoint_errors(self, case, tmp_path):
+        path = tmp_path / "broken.ckpt"
+        write_broken_checkpoint(case, path)
+        with pytest.raises(CheckpointError):
+            load_any_checkpoint(path)
+
+    def test_metadata_cannot_outgrow_stored_weights(self, tmp_path):
+        tensors = branch_checkpoint_tensors(small_branch(), "rgb", 0)
+        tensors["meta.config.channels"] = np.array([6.0 * 2 ** 16])
+        save_checkpoint(tmp_path / "big.ckpt", tensors)
+        with pytest.raises(TensorError, match="embed.weight"):
+            branch_from_checkpoint(tmp_path / "big.ckpt")
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(-2048, 1 << 16), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    def test_mutated_bytes_raise_only_typed_errors(self, kind, edits, tmp_path):
+        """Byte edits anywhere after the magic (the tail, where metadata sits, weighted
+        up) with the CRC recomputed: a load succeeds or raises a typed error."""
+        path = tmp_path / "fuzz.ckpt"
+        save_checkpoint(path, branch_checkpoint_tensors(small_branch(), "flow", 1)
+                        if kind == "branch" else small_fusion_tensors())
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos - 4 if pos < 0 else 4 + pos % (len(raw) - 8)] = value
+        path.write_bytes(with_crc(bytes(raw)))
+        try:
+            load_any_checkpoint(path)
+        except (CheckpointError, TensorError):
+            pass

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -12,6 +13,9 @@ from tcn_anticipation.fusion import MODALITIES
 from tcn_anticipation.metrics import top_k_accuracy
 from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
 from tcn_anticipation.training import SgdConfig, train_branch
+
+from test_checkpoint import BROKEN_CASES, write_broken_checkpoint
+from test_data import BAD_INDEX_ROWS, write_bad_index_row
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
 
@@ -189,6 +193,22 @@ class TestTrainEvaluate:
         labels = stack_features(val, "rgb")[1]["action"]
         top1 = top_k_accuracy(model.eval().predict_proba(inputs)["action"], labels, 1)
         assert info["epoch"] == best_epoch and f"{top1:.6f}" == best_top1
+
+    @pytest.mark.parametrize("case", BROKEN_CASES)
+    def test_evaluate_broken_checkpoint_exits_2(self, case, synth_dir, tmp_path):
+        write_broken_checkpoint(case, tmp_path / "broken.ckpt")
+        proc = run("evaluate", "--ckpt", str(tmp_path / "broken.ckpt"), "--data", str(synth_dir),
+                   "--out", str(tmp_path / "eval"), check=False)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("case", BAD_INDEX_ROWS)
+    def test_train_branch_broken_index_exits_2(self, case, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        write_bad_index_row(data / "train" / "index.csv", case)
+        proc = run("train-branch", "--data", str(data), "--out", str(tmp_path / "o"),
+                   "--epochs", "1", "--channels", "4", check=False)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
     def test_mismatched_fusion_checkpoint_modality(self, synth_dir, trained_branch, tmp_path):
         proc = run("train-fusion", "--data", str(synth_dir), "--out", str(tmp_path / "o"),

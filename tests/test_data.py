@@ -2,52 +2,19 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tcn_anticipation.data import (AnticipationWindow, DatasetError, Sample,
-                                   read_dataset, read_feature_file, snippet_locations,
+from tcn_anticipation.data import (DatasetError, Sample, read_dataset, read_feature_file,
                                    stack_features, write_dataset, write_feature_file)
 from tcn_anticipation.tensor import Rng
 
 
-class TestWindow:
-    def test_default_window_has_21_snippets(self):
-        w = AnticipationWindow()
-        assert w.num_snippets == 21
+BAD_INDEX_ROWS = {"non_integer_label": b"s0,x,1,2,", "non_utf8_index": b"s\xff0,1,1,2,"}
 
-    def test_locations_default(self):
-        locs = snippet_locations(AnticipationWindow())
-        assert len(locs) == 21
-        assert locs[0] == pytest.approx(6.0)
-        assert locs[1] == pytest.approx(5.75)
-        assert locs[-1] == pytest.approx(1.0)
 
-    def test_locations_three_snippets(self):
-        locs = snippet_locations(AnticipationWindow(observation_seconds=0.75))
-        assert locs == pytest.approx([1.5, 1.25, 1.0])
-
-    def test_single_snippet(self):
-        w = AnticipationWindow(observation_seconds=0.25)
-        assert snippet_locations(w) == pytest.approx([1.0])
-
-    def test_indivisible_window_rejected(self):
-        with pytest.raises(DatasetError):
-            AnticipationWindow(observation_seconds=1.1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 60), alpha=st.sampled_from([0.1, 0.25, 0.5]),
-           ta=st.sampled_from([0.5, 1.0, 2.0]))
-    def test_arithmetic_progression(self, n, alpha, ta):
-        w = AnticipationWindow(anticipation_seconds=ta,
-                               observation_seconds=round(n * alpha, 10),
-                               snippet_seconds=alpha)
-        locs = snippet_locations(w)
-        assert len(locs) == n
-        assert locs[0] == pytest.approx(ta + (n - 1) * alpha)
-        assert locs[-1] == pytest.approx(ta)
-        steps = np.diff(locs)
-        assert np.allclose(steps, -alpha)
+def write_bad_index_row(index, case: str) -> None:
+    """Replace the index's rows with one whose id and labels are ``BAD_INDEX_ROWS[case]``."""
+    header, row = index.read_bytes().splitlines()[:2]
+    index.write_bytes(header + b"\n" + BAD_INDEX_ROWS[case] + row.split(b",", 4)[4] + b"\n")
 
 
 def random_sample(rng, sid, n=5, dims=(4, 3, 2)):
@@ -129,6 +96,13 @@ class TestDatasetRoundTrip:
     def test_missing_index(self, tmp_path):
         with pytest.raises(DatasetError):
             read_dataset(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("case", BAD_INDEX_ROWS)
+    def test_bad_index_row_is_dataset_error(self, tmp_path, case):
+        index = write_dataset([random_sample(Rng(11), "s0")], tmp_path)
+        write_bad_index_row(index, case)
+        with pytest.raises(DatasetError):
+            read_dataset(index)
 
     def test_modality_mismatch_detected(self, tmp_path):
         rng = Rng(7)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,13 @@ def make_model(strategy="mutual_pairwise", channels=6, embed=10, rng_seed=0):
                         dtype="f64")
     branches = {mod: Branch(bcfg, rng) for mod in MODALITIES}
     fcfg = FusionConfig(channels=channels, num_actions=4, num_verbs=2, num_nouns=3,
-                        strategy=strategy, embed_dim=embed, head_dropout=0.0,
-                        dtype="f64")
+                        strategy=strategy, embed_dim=embed, head_dropout=0.0)
     return FusionModel(branches, fcfg, rng), rng
+
+
+def fuse_as(model, strategy, feats):
+    model.config = replace(model.config, strategy=strategy)
+    return model.fuse_forward(feats)
 
 
 def random_feats(rng, b=3, c=6):
@@ -35,8 +41,8 @@ class TestFeatureFusion:
             fc.bias.data[...] = 0
         model.pairwise_merge.weight.data[...] = 0
         model.pairwise_merge.bias.data[...] = 0
-        both = model.fuse_forward(feats, strategy="mutual_pairwise")
-        mutual = model.fuse_forward(feats, strategy="mutual")
+        both = fuse_as(model, "mutual_pairwise", feats)
+        mutual = fuse_as(model, "mutual", feats)
         for head in HEADS:
             assert np.array_equal(both[head], mutual[head])
 
@@ -45,8 +51,8 @@ class TestFeatureFusion:
         feats = random_feats(rng)
         model.mutual_fc.weight.data[...] = 0
         model.mutual_fc.bias.data[...] = 0
-        both = model.fuse_forward(feats, strategy="mutual_pairwise")
-        pairwise = model.fuse_forward(feats, strategy="pairwise")
+        both = fuse_as(model, "mutual_pairwise", feats)
+        pairwise = fuse_as(model, "pairwise", feats)
         for head in HEADS:
             assert np.array_equal(both[head], pairwise[head])
 
@@ -60,13 +66,13 @@ class TestFeatureFusion:
     def test_late_strategy_rejected_by_fuse_forward(self):
         model, rng = make_model()
         with pytest.raises(TensorError):
-            model.fuse_forward(random_feats(rng), strategy="late")
+            fuse_as(model, "late", random_feats(rng))
 
     def test_all_strategies_produce_distributions(self):
         model, rng = make_model()
         feats = random_feats(rng)
         for strategy in ("mutual", "pairwise", "mutual_pairwise"):
-            logits = model.fuse_forward(feats, strategy=strategy)
+            logits = fuse_as(model, strategy, feats)
             for head in HEADS:
                 p = softmax(logits[head])
                 assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-6
@@ -148,6 +154,22 @@ class TestFrozenBranches:
         model.train()
         for mod in MODALITIES:
             assert model.branches[mod].training is False
+
+    def test_fusion_dtype_follows_branches(self):
+        model, _ = make_model()  # f64 branches, no fusion dtype given
+        assert {p.data.dtype for _, p in model.named_fusion_parameters()} == {np.dtype("f8")}
+
+    def test_mixed_branch_dtypes_rejected(self):
+        model, _ = make_model()
+        branches = dict(model.branches)
+        branches["obj"] = Branch(replace(branches["obj"].config, dtype="f32"), Rng(1))
+        with pytest.raises(TensorError, match="obj"):
+            FusionModel(branches, model.config, Rng(2))
+
+    def test_load_state_unknown_branch_tensor_is_tensor_error(self):
+        model, _ = make_model()
+        with pytest.raises(TensorError, match="no destination"):
+            model.load_state({"branches.xyz.embed.weight": np.zeros((6, 3, 1))})
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_predict_proba_forwards_each_branch_once(self, strategy, branch_forwards):

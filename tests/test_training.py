@@ -179,7 +179,7 @@ class TestTrainFusion:
         before = {mod: parameter_hash(branches[mod].named_state()) for mod in MODALITIES}
         fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
                             strategy=strategy, embed_dim=5, head_dropout=0.1)
-        train_fusion(branches, data, data, strategy, fcfg,
+        train_fusion(branches, data, data, fcfg,
                      SgdConfig(lr0=0.01, epochs=2, batch_size=4, seed=3))
         after = {mod: parameter_hash(branches[mod].named_state()) for mod in MODALITIES}
         assert before == after
@@ -192,7 +192,7 @@ class TestTrainFusion:
         branch_forwards.clear()
         fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
                             strategy=strategy, embed_dim=5, head_dropout=0.1)
-        train_fusion(branches, data, data[:4], strategy, fcfg,
+        train_fusion(branches, data, data[:4], fcfg,
                      SgdConfig(lr0=0.01, epochs=2, batch_size=4, seed=3))
         assert branch_forwards == {id(branches[mod]): 2 for mod in MODALITIES}
 
@@ -204,6 +204,6 @@ class TestTrainFusion:
         fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
                             strategy="mutual_pairwise", embed_dim=5, head_dropout=0.1)
         fsgd = SgdConfig(lr0=0.01, epochs=2, batch_size=4, seed=8)
-        _, r1 = train_fusion(branches, data, data, "mutual_pairwise", fcfg, fsgd)
-        _, r2 = train_fusion(branches, data, data, "mutual_pairwise", fcfg, fsgd)
+        _, r1 = train_fusion(branches, data, data, fcfg, fsgd)
+        _, r2 = train_fusion(branches, data, data, fcfg, fsgd)
         assert [r.train_loss for r in r1.history] == [r.train_loss for r in r2.history]
