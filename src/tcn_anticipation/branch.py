@@ -214,6 +214,10 @@ class Branch(Stateful):
             grad_z = blk.backward(grad_z)
         return self.input_drop.backward(self.embed.backward(grad_z))
 
+    def loss(self, scores: BranchOutput,
+             labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
+        return multitask_loss(scores, labels)
+
 
 def multitask_loss(logits: Mapping[str, Tensor] | BranchOutput,
                    labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:

@@ -11,8 +11,9 @@ Training metadata (model kind, epoch, modality, model config) rides as
 ordinary entries under the reserved ``meta.`` prefix, every value stored as
 an exact f64. Loaders ignore metadata entries they do not read.
 
-Bad bytes and bad metadata raise CheckpointError. A stored weight whose shape
-disagrees with the metadata is a TensorError, raised before any model is built.
+Every reader error is a CheckpointError: bad bytes, bad metadata, a stored
+weight whose shape disagrees with the metadata (checked before any model is
+built), and a stored tensor that has no slot in the model built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .branch import Branch, BranchConfig
 from .fusion import MODALITIES, PAIRS, STRATEGIES, FusionConfig, FusionModel
-from .tensor import Tensor, TensorError
+from .tensor import Tensor
 
 MAGIC = b"TCNA"
 VERSION = 1
@@ -47,9 +48,8 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: Mapping[str, Tensor]) -> None:
-    body = bytearray()
-    body += struct.pack("<H", VERSION)
-    body += struct.pack("<I", len(tensors))
+    """Write each header and payload straight to the file, with the CRC running alongside."""
+    entries = []
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr)
         if arr.dtype not in _DTYPE_CODE:
@@ -57,24 +57,26 @@ def save_checkpoint(path, tensors: Mapping[str, Tensor]) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name[:40]}...")
-        body += struct.pack("<H", len(encoded))
-        body += encoded
-        body += struct.pack("<BB", _DTYPE_CODE[arr.dtype], arr.ndim)
-        body += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        body += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
+        header = (struct.pack("<H", len(encoded)) + encoded
+                  + struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODE[arr.dtype], arr.ndim, *arr.shape))
+        entries.append((header, arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(bytes(body))
+        crc = 0
+        for chunk in (struct.pack("<HI", VERSION, len(entries)),
+                      *(part for entry in entries for part in entry)):
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
+    def __init__(self, data: memoryview, path):
         self.data = data
         self.path = path
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.data):
             raise CheckpointError(
                 f"{self.path}: truncated while reading {what} at offset {self.offset}")
@@ -88,13 +90,13 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    body = raw[4:]
-    if len(body) < 4:
+    if len(raw) < 8:
         raise CheckpointError(f"{path}: truncated before checksum")
-    stored_crc, = struct.unpack("<I", body[-4:])
-    if zlib.crc32(body[:-4]) != stored_crc:
+    body = memoryview(raw)[4:-4]
+    stored_crc, = struct.unpack("<I", raw[-4:])
+    if zlib.crc32(body) != stored_crc:
         raise CheckpointError(f"{path}: CRC32 mismatch, file is corrupt")
-    r = _Reader(body[:-4], path)
+    r = _Reader(body, path)
     version, = struct.unpack("<H", r.take(2, "version"))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}, expected {VERSION}")
@@ -103,7 +105,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     for i in range(count):
         name_len, = struct.unpack("<H", r.take(2, f"entry {i} name length"))
         try:
-            name = r.take(name_len, f"entry {i} name").decode("utf-8")
+            name = str(r.take(name_len, f"entry {i} name"), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: entry {i} name is not UTF-8") from None
         code, ndim = struct.unpack("<BB", r.take(2, f"{name} header"))
@@ -142,7 +144,8 @@ def _meta_value(tensors: Mapping[str, Tensor], key: str) -> float:
 
 @contextmanager
 def _reading_metadata(path):
-    """A missing, malformed or invalid ``meta.`` entry becomes a CheckpointError."""
+    """A missing, malformed or invalid ``meta.`` entry, or a model that the
+    metadata and the stored tensors cannot build, becomes a CheckpointError."""
     try:
         yield
     except CheckpointError:
@@ -201,8 +204,8 @@ def _check_weight_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple]
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != shape:
-            raise TensorError(f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
-                              f"model expects {shape}")
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                                  f"metadata expects {shape}")
 
 
 def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int) -> dict[str, Tensor]:
@@ -225,9 +228,9 @@ def _branch_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[Branch, s
         cfg = _branch_config_from_meta(tensors, "meta.config.")
         info = {"epoch": int(_meta_value(tensors, "meta.epoch")),
                 "modality": _MODALITY_NAME[_meta_value(tensors, "meta.modality")]}
-    _check_weight_shapes(tensors, _branch_weight_shapes(cfg), path)
-    branch = Branch(cfg, rng=None)
-    branch.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
+        _check_weight_shapes(tensors, _branch_weight_shapes(cfg), path)
+        branch = Branch(cfg, rng=None)
+        branch.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
     return branch, info["modality"], info
 
 
@@ -259,11 +262,13 @@ def _fusion_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[FusionMod
             strategy=_STRATEGY_NAME[_meta_value(tensors, "meta.config.strategy")],
             **_config_kwargs(tensors, "meta.config.", _FUSION_SCALARS))
         info = {"epoch": int(_meta_value(tensors, "meta.epoch"))}
-    for mod in MODALITIES:
-        _check_weight_shapes(tensors, _branch_weight_shapes(bcfgs[mod], f"branches.{mod}."), path)
-    _check_weight_shapes(tensors, _fusion_weight_shapes(cfg), path)
-    model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg, rng=None)
-    model.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
+        for mod in MODALITIES:
+            _check_weight_shapes(tensors, _branch_weight_shapes(bcfgs[mod], f"branches.{mod}."),
+                                 path)
+        _check_weight_shapes(tensors, _fusion_weight_shapes(cfg), path)
+        model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg,
+                            rng=None)
+        model.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
     return model, info
 
 

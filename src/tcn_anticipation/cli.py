@@ -130,11 +130,27 @@ def cmd_synth_gen(args, cfg) -> int:
     return 0
 
 
-# paper-scale defaults for train-branch; desk-scale ones for the ablation studies
-_PAPER_BRANCH = {"channels": 1024, "input_dropout": 0.3, "block_dropout": 0.5,
-                "head_dropout": 0.7}
+# desk-scale branch settings for the ablation studies
 _DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1,
                "head_dropout": 0.1}
+
+# flag or config key -> config field
+_BRANCH_KEYS = {key: key for key in ("channels", "kernel", "dtype", "input_dropout",
+                                     "block_dropout", "head_dropout")}
+_FUSION_KEYS = {"embed_dim": "embed_dim", "fusion_dropout": "head_dropout"}
+_SGD_KEYS = {"lr": "lr0", "epochs": "epochs", "batch": "batch_size", "momentum": "momentum",
+             "weight_decay": "weight_decay", "power": "power"}
+
+
+def _settings(args, cfg, keys: dict[str, str], defaults: dict) -> dict:
+    """``defaults`` overridden by each key a flag or config key sets; flags win.
+    A field neither sets is left to its config class's default."""
+    out = dict(defaults)
+    for key, name in keys.items():
+        value = _resolve(args, cfg, key)
+        if value is not None:
+            out[name] = value
+    return out
 
 
 def _branch_config_from_args(args, cfg, samples, modality: str, defaults: dict,
@@ -144,34 +160,22 @@ def _branch_config_from_args(args, cfg, samples, modality: str, defaults: dict,
     base = BranchConfig(
         input_dim=samples[0].features[modality].shape[1],
         num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        kernel=_resolve(args, cfg, "kernel", 3),
-        dtype=_resolve(args, cfg, "dtype", "f32"),
-        **{key: _resolve(args, cfg, key, value) for key, value in defaults.items()})
+        **_settings(args, cfg, _BRANCH_KEYS, defaults))
     return base if snippets is None else base.for_snippets(snippets)
 
 
 def _fusion_config_from_args(args, cfg, branches, samples, strategy: str,
-                             embed_dim: int, head_dropout: float) -> FusionConfig:
-    """Flags, then config keys, then the defaults given; channels come from the branches."""
+                             defaults: dict) -> FusionConfig:
+    """Flags, then config keys, then ``defaults``; channels come from the branches."""
     counts = _class_counts(samples)
     return FusionConfig(
         channels=branches["rgb"].config.channels,
         num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        strategy=strategy,
-        embed_dim=_resolve(args, cfg, "embed_dim", embed_dim),
-        head_dropout=_resolve(args, cfg, "fusion_dropout", head_dropout))
+        strategy=strategy, **_settings(args, cfg, _FUSION_KEYS, defaults))
 
 
-def _sgd_from_args(args, cfg, seed, default_lr, default_epochs, default_batch) -> SgdConfig:
-    return SgdConfig(
-        lr0=_resolve(args, cfg, "lr", default_lr),
-        epochs=_resolve(args, cfg, "epochs", default_epochs),
-        batch_size=_resolve(args, cfg, "batch", default_batch),
-        momentum=_resolve(args, cfg, "momentum", 0.9),
-        weight_decay=_resolve(args, cfg, "weight_decay", 5e-4),
-        power=_resolve(args, cfg, "power", 0.99),
-        seed=seed,
-    )
+def _sgd_from_args(args, cfg, seed, defaults: dict) -> SgdConfig:
+    return SgdConfig(seed=seed, **_settings(args, cfg, _SGD_KEYS, defaults))
 
 
 def _history_csv(history) -> str:
@@ -192,9 +196,8 @@ def cmd_train_branch(args, cfg) -> int:
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val")
     snippets = _resolve(args, cfg, "snippets")
-    bcfg = _branch_config_from_args(args, cfg, train + val, modality, _PAPER_BRANCH, snippets)
-    sgd = _sgd_from_args(args, cfg, seed, default_lr=0.005, default_epochs=80,
-                         default_batch=64)
+    bcfg = _branch_config_from_args(args, cfg, train + val, modality, {}, snippets)
+    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.005})
     branch, result = train_branch(train, val, modality, bcfg, sgd,
                                   snippets=snippets, log=print)
     save_checkpoint(out / f"branch_{modality}.ckpt",
@@ -230,10 +233,8 @@ def cmd_train_fusion(args, cfg) -> int:
         branches[mod] = branch
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val")
-    fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy,
-                                    embed_dim=1024, head_dropout=0.8)
-    sgd = _sgd_from_args(args, cfg, seed, default_lr=0.0005, default_epochs=80,
-                         default_batch=64)
+    fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy, {})
+    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.0005})
     snippets = _resolve(args, cfg, "snippets")
     model, result = train_fusion(branches, train, val, fcfg, sgd, snippets=snippets, log=print)
     model.load_state(result.best_state)
@@ -258,16 +259,13 @@ def cmd_evaluate(args, cfg) -> int:
     if kind == "branch":
         modality = _resolve(args, cfg, "modality") or info["modality"]
         x, labels = stack_features(val, modality, snippets)
-        output = model.eval().forward(x)
-        logits = {head: output[head] for head in HEADS}
+        scores = model.eval().forward(x)
     else:
         inputs = {}
-        labels = None
         for mod in MODALITIES:
             inputs[mod], labels = stack_features(val, mod, snippets)
-        probs = model.eval().predict_proba(inputs)
-        logits = probs  # distributions rank identically to logits
-    report = evaluate_predictions(logits, labels)
+        scores = model.predict_proba(inputs)  # distributions rank identically to logits
+    report = evaluate_predictions(scores, labels)
     _write(out / "metrics.csv", report_csv(report))
     table = format_table(report)
     _write(out / "metrics.txt", table + "\n")
@@ -330,8 +328,7 @@ def cmd_ablate_obslen(args, cfg) -> int:
     max_n = train[0].num_snippets
     rows = ["snippets,obs_seconds,val_top1_action"]
     results = {}
-    sgd = _sgd_from_args(args, cfg, seed, default_lr=0.02, default_epochs=25,
-                         default_batch=32)
+    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.02, "epochs": 25, "batch_size": 32})
     for n in windows:
         if n > max_n:
             continue
@@ -352,8 +349,7 @@ def cmd_ablate_fusion(args, cfg) -> int:
     data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val")
-    sgd = _sgd_from_args(args, cfg, seed, default_lr=0.02, default_epochs=15,
-                         default_batch=32)
+    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.02, "epochs": 15, "batch_size": 32})
     branches = {}
     rows = ["model,val_top1_action"]
     for mod in MODALITIES:
@@ -366,7 +362,7 @@ def cmd_ablate_fusion(args, cfg) -> int:
         print(f"branch {mod}: val_top1={result.best_val_top1:.4f}")
     for strategy in STRATEGIES:
         fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy,
-                                        embed_dim=64, head_dropout=0.1)
+                                        {"embed_dim": 64, "head_dropout": 0.1})
         _, result = train_fusion(branches, train, val, fcfg, sgd)
         rows.append(f"{strategy},{result.best_val_top1:.6f}")
         print(f"fusion {strategy}: val_top1={result.best_val_top1:.4f}")

@@ -10,6 +10,14 @@ Five strategies combine the rgb/flow/obj branches:
 
 Branches are always evaluated frozen in eval mode; only fusion-layer and head
 parameters ever receive gradients. The fusion layers take the branches' dtype.
+
+``FusionModel`` offers the interface a ``Branch`` does, so one training step
+serves both: ``forward(outputs, rng)`` maps the branch outputs to per-head
+scores (fused logits for the feature strategies, mixed probabilities for late
+and attention), ``loss(scores, labels)`` returns the loss and its score
+gradients, ``backward(grads)`` fills the parameter gradients, and
+``trainable_parameters()`` lists the layers the strategy trains. These four,
+and ``predict_proba``'s softmax of fused logits, are where the strategy is read.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import HEADS, Branch, BranchOutput
+from .branch import HEADS, Branch, BranchOutput, multitask_loss
 from .layers import Linear, Parameter, SpatialDropout, Stateful, softmax
 from .tensor import Rng, Tensor, TensorError
 
@@ -209,33 +217,55 @@ class FusionModel(Stateful):
         grad_z = w * (grad_w - (grad_w * w).sum(axis=1, keepdims=True))
         self.attention_fc.backward(grad_z)
 
-    # -- one-stop prediction ---------------------------------------------------
+    # -- the interface both trainers and the predictor use ------------------------
+
+    def forward(self, outputs: dict[str, BranchOutput], rng: Rng | None = None
+                ) -> dict[str, Tensor]:
+        """Per-head scores from the branch outputs: fused logits for the feature
+        strategies, mixed class probabilities for late and attention."""
+        strategy = self.config.strategy
+        feats = {mod: out.feature for mod, out in outputs.items()}
+        if strategy in FEATURE_STRATEGIES:
+            return self.fuse_forward(feats, rng)
+        probs = {mod: {head: softmax(out[head]) for head in HEADS}
+                 for mod, out in outputs.items()}
+        if strategy == "late":
+            return {head: late_fusion(*(probs[mod][head] for mod in MODALITIES))
+                    for head in HEADS}
+        return self.attention_forward(feats, probs)
+
+    def loss(self, scores: dict[str, Tensor],
+             labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
+        if self.config.strategy in FEATURE_STRATEGIES:
+            return multitask_loss(scores, labels)
+        return mixed_probs_loss(scores, labels)
+
+    def backward(self, grads: dict[str, Tensor]) -> None:
+        strategy = self.config.strategy
+        if strategy in FEATURE_STRATEGIES:
+            self.fuse_backward(grads)
+        elif strategy == "attention":
+            self.attention_backward(grads)
+
+    def trainable_parameters(self) -> list[tuple[str, Parameter]]:
+        """None for late, the weighting layer for attention, every other fusion
+        layer for the feature strategies."""
+        strategy = self.config.strategy
+        if strategy == "late":
+            return []
+        attention = strategy == "attention"
+        return [(name, p) for name, p in self.named_fusion_parameters()
+                if name.startswith("fusion.attention.") == attention]
 
     def predict_proba(self, inputs: dict[str, Tensor]) -> dict[str, Tensor]:
         """Eval-mode class distributions per head for the configured strategy."""
-        strategy = self.config.strategy
-        outputs = self.branch_outputs(inputs)
-        if strategy in FEATURE_STRATEGIES:
-            was_training = self.training
-            self.eval()
-            logits = self.fuse_forward(branch_features(outputs))
-            if was_training:
-                self.train()
-            return {head: softmax(logits[head]) for head in HEADS}
-        probs = branch_probs(outputs)
-        if strategy == "late":
-            return {head: late_fusion(probs["rgb"][head], probs["flow"][head],
-                                      probs["obj"][head]) for head in HEADS}
-        return self.attention_forward(branch_features(outputs), probs)
-
-
-def branch_features(outputs: dict[str, BranchOutput]) -> dict[str, Tensor]:
-    return {mod: out.feature for mod, out in outputs.items()}
-
-
-def branch_probs(outputs: dict[str, BranchOutput]) -> dict[str, dict[str, Tensor]]:
-    """Per-head softmax of each branch's logits, for the late and attention strategies."""
-    return {mod: {head: softmax(out[head]) for head in HEADS} for mod, out in outputs.items()}
+        was_training = self.training
+        scores = self.eval().forward(self.branch_outputs(inputs))
+        if was_training:
+            self.train()
+        if self.config.strategy in FEATURE_STRATEGIES:
+            return {head: softmax(scores[head]) for head in HEADS}
+        return scores
 
 
 def mixed_probs_loss(mixed: dict[str, Tensor],

@@ -58,6 +58,20 @@ def _rand(rng: Rng, shape) -> np.ndarray:
     return rng.normal(0.0, 1.0, shape, "f64")
 
 
+def _layer_error(layer, x: np.ndarray, gout: np.ndarray, params=(), **forward_kw) -> float:
+    """Worst error of the input and ``params`` gradients of sum(layer(x) * gout)."""
+
+    def f():
+        return float((layer.forward(x, **forward_kw) * gout).sum())
+
+    for p in params:
+        p.zero_grad()
+    f()
+    analytic = [layer.backward(gout)] + [p.grad.copy() for p in params]
+    return max(max_rel_error(a, finite_difference_grad(f, t))
+               for t, a in zip([x] + [p.data for p in params], analytic))
+
+
 def check_conv1d(rng: Rng, configs: int = 20) -> float:
     worst = 0.0
     for _ in range(configs):
@@ -67,17 +81,8 @@ def check_conv1d(rng: Rng, configs: int = 20) -> float:
         n = (k - 1) * d + 1 + int(rng.uniform(0, 5, ()))
         layer = Conv1d(cin, cout, k, d, dtype="f64", rng=rng)
         x = _rand(rng, (b, cin, n))
-        gout_seed = _rand(rng, (b, cout, layer.out_length(n)))
-
-        def f():
-            return float((layer.forward(x) * gout_seed).sum())
-
-        layer.weight.zero_grad(); layer.bias.zero_grad()
-        f()
-        grad_x = layer.backward(gout_seed)
-        analytic = [grad_x, layer.weight.grad.copy(), layer.bias.grad.copy()]
-        for t, a in zip([x, layer.weight.data, layer.bias.data], analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
+        gout = _rand(rng, (b, cout, layer.out_length(n)))
+        worst = max(worst, _layer_error(layer, x, gout, (layer.weight, layer.bias)))
     return worst
 
 
@@ -92,16 +97,7 @@ def check_batchnorm(rng: Rng, configs: int = 20) -> float:
         layer.beta.data = _rand(rng, (c,)) * 0.1
         x = _rand(rng, (b, c, n))
         gout = _rand(rng, (b, c, n))
-
-        def f():
-            return float((layer.forward(x) * gout).sum())
-
-        layer.gamma.zero_grad(); layer.beta.zero_grad()
-        f()
-        grad_x = layer.backward(gout)
-        analytic = [grad_x, layer.gamma.grad.copy(), layer.beta.grad.copy()]
-        for t, a in zip([x, layer.gamma.data, layer.beta.data], analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
+        worst = max(worst, _layer_error(layer, x, gout, (layer.gamma, layer.beta)))
     return worst
 
 
@@ -116,13 +112,7 @@ def check_spatial_dropout(rng: Rng, configs: int = 20) -> float:
         mask = layer.sample_mask(b, c, rng, np.float64)
         x = _rand(rng, (b, c, n))
         gout = _rand(rng, (b, c, n))
-
-        def f():
-            return float((layer.forward(x, mask=mask) * gout).sum())
-
-        f()
-        grad_x = layer.backward(gout)
-        worst = max(worst, max_rel_error(grad_x, finite_difference_grad(f, x)))
+        worst = max(worst, _layer_error(layer, x, gout, mask=mask))
     return worst
 
 
@@ -134,16 +124,7 @@ def check_linear(rng: Rng, configs: int = 20) -> float:
         layer = Linear(din, dout, dtype="f64", rng=rng)
         x = _rand(rng, (b, din))
         gout = _rand(rng, (b, dout))
-
-        def f():
-            return float((layer.forward(x) * gout).sum())
-
-        layer.weight.zero_grad(); layer.bias.zero_grad()
-        f()
-        grad_x = layer.backward(gout)
-        analytic = [grad_x, layer.weight.grad.copy(), layer.bias.grad.copy()]
-        for t, a in zip([x, layer.weight.data, layer.bias.data], analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
+        worst = max(worst, _layer_error(layer, x, gout, (layer.weight, layer.bias)))
     return worst
 
 
@@ -155,13 +136,7 @@ def check_relu(rng: Rng, configs: int = 20) -> float:
         x = _rand(rng, shape)
         x[np.abs(x) < 0.1] += 0.2  # keep away from the kink
         gout = _rand(rng, shape)
-
-        def f():
-            return float((layer.forward(x) * gout).sum())
-
-        f()
-        grad_x = layer.backward(gout)
-        worst = max(worst, max_rel_error(grad_x, finite_difference_grad(f, x)))
+        worst = max(worst, _layer_error(layer, x, gout))
     return worst
 
 

@@ -3,8 +3,10 @@
 Stage one trains each uni-modal branch. Stage two freezes the branches and
 optimizes only the fusion layers on branch outputs computed once per split;
 a parameter hash asserts at runtime that fusion training never mutates a
-branch tensor. Both stages share one epoch loop, which keeps the state of the
-best-validation epoch.
+branch tensor. Both stages share one epoch loop over the model's ``forward``,
+``loss`` and ``backward``, which never looks at the fusion strategy and keeps
+the state of the best-validation epoch. A model with no trainable parameters
+(late fusion) gets one evaluation record.
 
 Per-epoch log records carry: epoch, lr, train_loss, val_top1_action,
 val_top5_action, wall_seconds.
@@ -13,16 +15,14 @@ val_top5_action, wall_seconds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .branch import Branch, BranchConfig, BranchOutput, multitask_loss
+from .branch import Branch, BranchConfig, BranchOutput
 from .checkpoint import parameter_hash
 from .data import Sample, stack_features
-from .fusion import (FEATURE_STRATEGIES, HEADS, MODALITIES, FusionConfig,
-                     FusionModel, branch_features, branch_probs, late_fusion,
-                     mixed_probs_loss)
+from .fusion import MODALITIES, FusionConfig, FusionModel
 from .layers import Parameter
 from .metrics import top_k_accuracy
 from .tensor import NonFiniteError, Rng, Tensor, TensorError
@@ -110,15 +110,6 @@ class TrainResult:
     best_state: dict[str, Tensor] = field(repr=False)
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
-def _copy_state(state: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: v.copy() for k, v in state.items()}
-
-
 def train_branch(train_samples: list[Sample], val_samples: list[Sample],
                  modality: str, branch_config: BranchConfig, sgd: SgdConfig,
                  snippets: int | None = None,
@@ -132,26 +123,9 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
         raise TensorError("empty dataset")
     rng = Rng(sgd.seed)
     branch = Branch(branch_config, rng)
-    x_train, y_train = stack_features(train_samples, modality, snippets)
-    x_val, y_val = stack_features(val_samples, modality, snippets)
-    if x_train.shape[1] != branch_config.input_dim:
-        raise TensorError(
-            f"{modality} features have dim {x_train.shape[1]}, "
-            f"config expects {branch_config.input_dim}")
-    opt = SgdOptimizer(branch.named_parameters(), sgd.momentum, sgd.weight_decay)
-
-    def step(idx):
-        branch.train()
-        out = branch.forward(np.ascontiguousarray(x_train[idx]), rng)
-        loss, grads = multitask_loss(out, {head: y_train[head][idx] for head in HEADS})
-        branch.backward(grads)
-        return loss
-
-    def val_scores():
-        return branch.eval().forward(x_val).action
-
-    result = _run_epochs(opt, rng, sgd, x_train.shape[0], step, val_scores, y_val["action"],
-                         branch_config.num_actions, branch.named_state, log)
+    result = _run_epochs(branch, branch.named_parameters(), branch.named_state,
+                         stack_features(train_samples, modality, snippets),
+                         stack_features(val_samples, modality, snippets), sgd, rng, log)
     return branch, result
 
 
@@ -170,115 +144,79 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
     """Stage-two training of ``fusion_config.strategy``: branches frozen, only fusion layers move.
 
     Each branch runs once per split up front (the branches are frozen
-    eval-mode, so this is exact). Late fusion has nothing to train and yields
-    a single evaluation record; attention trains only the weighting layer.
-    The model keeps its final weights; the result's best state holds the
-    fusion parameters of the best-validation epoch.
+    eval-mode, so this is exact). The model's trainable parameters are the
+    layers its strategy trains; late fusion has none and yields a single
+    evaluation record. The model keeps its final weights; the result's best
+    state holds the fusion parameters of the best-validation epoch.
     """
     if not train_samples or not val_samples:
         raise TensorError("empty dataset")
     rng = Rng(sgd.seed)
     model = FusionModel(branches, fusion_config, rng)
-    frozen_before = parameter_hash({f"{m}.{k}": v for m in MODALITIES
-                                    for k, v in branches[m].named_state().items()})
-    out_train, y_train = _branch_pass(model, train_samples, snippets)
-    out_val, y_val = _branch_pass(model, val_samples, snippets)
-    f_train, f_val = branch_features(out_train), branch_features(out_val)
 
-    def fusion_state():
-        return {name: p.data for name, p in model.named_fusion_parameters()}
+    def frozen_hash():
+        return parameter_hash({f"{m}.{k}": v for m in MODALITIES
+                               for k, v in branches[m].named_state().items()})
 
-    def batch_labels(idx):
-        return {head: y_train[head][idx] for head in HEADS}
-
-    strategy = fusion_config.strategy
-    if strategy in FEATURE_STRATEGIES:
-        def val_scores():
-            model.eval()
-            return model.fuse_forward(f_val)["action"]
-
-        def step(idx):
-            feats_b = {mod: f_train[mod][idx] for mod in MODALITIES}
-            model.train()
-            logits = model.fuse_forward(feats_b, rng)
-            loss, grads = multitask_loss(logits, batch_labels(idx))
-            model.fuse_backward(grads)
-            return loss
-    elif strategy == "attention":
-        p_train, p_val = branch_probs(out_train), branch_probs(out_val)
-
-        def val_scores():
-            model.eval()
-            return model.attention_forward(f_val, p_val)["action"]
-
-        def step(idx):
-            feats_b = {mod: f_train[mod][idx] for mod in MODALITIES}
-            probs_b = {mod: {head: p_train[mod][head][idx] for head in HEADS}
-                       for mod in MODALITIES}
-            model.train()
-            mixed = model.attention_forward(feats_b, probs_b)
-            loss, grads = mixed_probs_loss(mixed, batch_labels(idx))
-            model.attention_backward(grads)
-            return loss
-    else:  # late: nothing to train
-        t0 = time.perf_counter()
-        p_val = branch_probs(out_val)
-        scores = late_fusion(p_val["rgb"]["action"], p_val["flow"]["action"],
-                             p_val["obj"]["action"])
-        rec = EpochRecord(0, 0.0, 0.0, *_top1_top5(scores, y_val["action"],
-                                                    fusion_config.num_actions),
-                          time.perf_counter() - t0)
-        if log:
-            log(rec.line())
-        result = TrainResult([rec], 0, rec.val_top1_action, _copy_state(fusion_state()))
-    if strategy != "late":  # attention trains only its weighting layer, the others all but it
-        params = [(n, p) for n, p in model.named_fusion_parameters()
-                  if ("attention" in n) == (strategy == "attention")]
-        result = _run_epochs(SgdOptimizer(params, sgd.momentum, sgd.weight_decay), rng, sgd,
-                             len(train_samples), step, val_scores, y_val["action"],
-                             fusion_config.num_actions, fusion_state, log)
-
-    frozen_after = parameter_hash({f"{m}.{k}": v for m in MODALITIES
-                                   for k, v in branches[m].named_state().items()})
-    if frozen_before != frozen_after:
+    before = frozen_hash()
+    result = _run_epochs(model, model.trainable_parameters(),
+                         lambda: {name: p.data for name, p in model.named_fusion_parameters()},
+                         _branch_pass(model, train_samples, snippets),
+                         _branch_pass(model, val_samples, snippets), sgd, rng, log)
+    if frozen_hash() != before:
         raise TensorError("fusion training mutated a frozen branch tensor")
     return model, result
 
 
-def _top1_top5(scores: Tensor, labels: np.ndarray, num_classes: int) -> tuple[float, float]:
-    return (top_k_accuracy(scores, labels, 1),
-            top_k_accuracy(scores, labels, min(5, num_classes)))
+def _rows(x, idx):
+    """Rows ``idx`` of an array, or of every array in a mapping or branch output."""
+    if isinstance(x, dict):
+        return {key: _rows(value, idx) for key, value in x.items()}
+    if isinstance(x, BranchOutput):
+        return BranchOutput(**{f.name: getattr(x, f.name)[idx] for f in fields(x)})
+    return x[idx]
 
 
-def _run_epochs(opt, rng, sgd, n, step, val_scores, y_val, num_classes, state,
-                log) -> TrainResult:
+def _run_epochs(model, params, state, train, val, sgd, rng, log) -> TrainResult:
     """The epoch loop both trainers share.
 
-    Each epoch shuffles the n training rows, runs ``step(idx)`` (forward and
-    backward of one batch, returning its loss) between zero_grad and the SGD
-    step, then scores ``val_scores()`` against ``y_val``. The tensors that
-    ``state()`` returns are copied whenever validation top-1 improves.
+    ``train`` and ``val`` are (inputs, labels) pairs. Each epoch shuffles the
+    training rows and, per batch, runs ``model.forward`` in train mode,
+    ``model.loss`` and ``model.backward`` between zero_grad and the SGD step
+    over ``params``; then it scores the eval-mode forward of the val inputs.
+    With no ``params`` there is nothing to train, and one record at epoch 0
+    scores the model as it is. The tensors that ``state()`` returns are copied
+    whenever validation top-1 improves.
     """
+    (x_train, y_train), (x_val, y_val) = train, val
+    opt = SgdOptimizer(params, sgd.momentum, sgd.weight_decay)
+    n = len(y_train["action"])
     history: list[EpochRecord] = []
     best_epoch, best_top1 = -1, -1.0
     best_state: dict[str, Tensor] = {}
-    for epoch in range(sgd.epochs):
+    for epoch in range(sgd.epochs if params else 1):
         t0 = time.perf_counter()
-        lr = lr_at_epoch(sgd.lr0, epoch, sgd.epochs, sgd.power)
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        for idx in _batches(n, sgd.batch_size, order):
-            opt.zero_grad()
-            loss = step(idx)
-            opt.step(lr)
-            total += loss * len(idx)
-            seen += len(idx)
-        rec = EpochRecord(epoch, lr, total / seen, *_top1_top5(val_scores(), y_val, num_classes),
+        lr, total = 0.0, 0.0
+        if params:
+            lr = lr_at_epoch(sgd.lr0, epoch, sgd.epochs, sgd.power)
+            order = rng.permutation(n)
+            for start in range(0, n, sgd.batch_size):
+                idx = order[start:start + sgd.batch_size]
+                opt.zero_grad()
+                loss, grads = model.loss(model.train().forward(_rows(x_train, idx), rng),
+                                         _rows(y_train, idx))
+                model.backward(grads)
+                opt.step(lr)
+                total += loss * len(idx)
+            total /= n
+        scores = model.eval().forward(x_val)["action"]
+        rec = EpochRecord(epoch, lr, total, top_k_accuracy(scores, y_val["action"], 1),
+                          top_k_accuracy(scores, y_val["action"], min(5, scores.shape[1])),
                           time.perf_counter() - t0)
         history.append(rec)
         if log:
             log(rec.line())
         if rec.val_top1_action > best_top1:
             best_top1, best_epoch = rec.val_top1_action, epoch
-            best_state = _copy_state(state())
+            best_state = {k: v.copy() for k, v in state().items()}
     return TrainResult(history, best_epoch, best_top1, best_state)

@@ -13,7 +13,7 @@ from tcn_anticipation.checkpoint import (CheckpointError, branch_checkpoint_tens
                                          fusion_from_checkpoint, load_any_checkpoint,
                                          load_checkpoint, parameter_hash, save_checkpoint)
 from tcn_anticipation.fusion import FusionConfig, FusionModel, MODALITIES
-from tcn_anticipation.tensor import Rng, TensorError
+from tcn_anticipation.tensor import Rng
 
 
 def small_branch(seed=0, dtype="f32"):
@@ -38,7 +38,7 @@ def with_crc(raw: bytes) -> bytes:
 
 def write_broken_checkpoint(case: str, path) -> None:
     """A CRC-valid checkpoint with one defect in its bytes or metadata."""
-    tensors = (small_fusion_tensors() if case == "strategy_index_9"
+    tensors = (small_fusion_tensors() if case in ("strategy_index_9", "flipped_branch_dtype")
                else branch_checkpoint_tensors(small_branch(), "rgb", 0))
     if case == "missing_kernel":
         del tensors["meta.config.kernel"]
@@ -46,12 +46,17 @@ def write_broken_checkpoint(case: str, path) -> None:
         tensors["meta.modality"] = np.array([7.0])
     elif case == "strategy_index_9":
         tensors["meta.config.strategy"] = np.array([9.0])
+    elif case == "unknown_tensor":
+        tensors["blocks.9.conv.weight"] = np.zeros((6, 6, 3), np.float32)
+    elif case == "flipped_branch_dtype":
+        tensors["meta.config.branches.obj.dtype_f64"] = np.array([1.0])
     save_checkpoint(path, tensors)
     if case == "non_utf8_name":
         path.write_bytes(with_crc(path.read_bytes().replace(b"embed.weight", b"embed.w\xffight")))
 
 
-BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "strategy_index_9")
+BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "strategy_index_9",
+                "unknown_tensor", "flipped_branch_dtype")
 
 
 class TestRoundTrip:
@@ -67,6 +72,15 @@ class TestRoundTrip:
         for k in tensors:
             assert tensors[k].dtype == loaded[k].dtype
             assert tensors[k].tobytes() == loaded[k].tobytes()
+
+    def test_one_entry_golden_bytes(self, tmp_path):
+        path = tmp_path / "one.ckpt"
+        save_checkpoint(path, {"x": np.array([1.0, -2.0], np.float32)})
+        assert path.read_bytes() == bytes.fromhex(
+            "54434e41" "0100" "01000000"               # magic, version 1, one entry
+            "0100" "78" "00" "01" "02000000"          # name "x", f32, 1 dim of 2
+            "0000803f" "000000c0"                      # 1.0, -2.0
+            "432e72af")                                # CRC32 of all after the magic
 
     def test_save_load_save_byte_identical(self, tmp_path):
         branch = small_branch()
@@ -199,7 +213,7 @@ class TestCorruption:
         tensors = load_checkpoint(path)
         tensors["embed.weight"] = np.zeros((2, 2, 1), np.float32)
         save_checkpoint(path, tensors)
-        with pytest.raises(TensorError, match="embed.weight"):
+        with pytest.raises(CheckpointError, match="embed.weight"):
             branch_from_checkpoint(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
@@ -218,7 +232,7 @@ class TestCorruption:
         tensors = branch_checkpoint_tensors(small_branch(), "rgb", 0)
         tensors["meta.config.channels"] = np.array([6.0 * 2 ** 16])
         save_checkpoint(tmp_path / "big.ckpt", tensors)
-        with pytest.raises(TensorError, match="embed.weight"):
+        with pytest.raises(CheckpointError, match="embed.weight"):
             branch_from_checkpoint(tmp_path / "big.ckpt")
 
     @pytest.mark.parametrize("kind", ["branch", "fusion"])
@@ -228,7 +242,7 @@ class TestCorruption:
                           min_size=1, max_size=4))
     def test_mutated_bytes_raise_only_typed_errors(self, kind, edits, tmp_path):
         """Byte edits anywhere after the magic (the tail, where metadata sits, weighted
-        up) with the CRC recomputed: a load succeeds or raises a typed error."""
+        up) with the CRC recomputed: a load succeeds or raises a CheckpointError."""
         path = tmp_path / "fuzz.ckpt"
         save_checkpoint(path, branch_checkpoint_tensors(small_branch(), "flow", 1)
                         if kind == "branch" else small_fusion_tensors())
@@ -238,5 +252,5 @@ class TestCorruption:
         path.write_bytes(with_crc(bytes(raw)))
         try:
             load_any_checkpoint(path)
-        except (CheckpointError, TensorError):
+        except CheckpointError:
             pass

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tcn_anticipation.branch import Branch, BranchConfig
-from tcn_anticipation.fusion import (FusionConfig, FusionModel, HEADS, MODALITIES,
-                                     STRATEGIES, late_fusion)
+from tcn_anticipation.fusion import (FEATURE_STRATEGIES, FusionConfig, FusionModel, HEADS,
+                                     MODALITIES, STRATEGIES, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
 from tcn_anticipation.layers import softmax
 from tcn_anticipation.tensor import Rng, TensorError
@@ -176,3 +176,26 @@ class TestFrozenBranches:
         model, rng = make_model(strategy)
         model.predict_proba({mod: rng.normal(0, 1, (2, 3, 4), "f64") for mod in MODALITIES})
         assert branch_forwards == {id(model.branches[mod]): 1 for mod in MODALITIES}
+
+
+class TestOneInterface:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forward_of_branch_outputs_is_predict_proba(self, strategy):
+        model, rng = make_model(strategy)
+        model.attention_fc.weight.data = rng.normal(0, 1, (3, 18), "f64")
+        inputs = {mod: rng.normal(0, 1, (4, 3, 2), "f64") for mod in MODALITIES}
+        scores = model.eval().forward(model.branch_outputs(inputs))
+        if strategy in FEATURE_STRATEGIES:
+            scores = {head: softmax(scores[head]) for head in HEADS}
+        probs = model.predict_proba(inputs)
+        for head in HEADS:
+            assert scores[head].tobytes() == probs[head].tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_trainable_parameters_are_the_strategy_layers(self, strategy):
+        model, _ = make_model(strategy)
+        feature_layers = [*model.pairwise_fc.values(), model.pairwise_merge, model.mutual_fc,
+                          *(fc for _, fc in model.heads.values())]
+        layers = {"late": [], "attention": [model.attention_fc]}.get(strategy, feature_layers)
+        want = [id(p) for layer in layers for _, p in layer.parameters()]
+        assert sorted(id(p) for _, p in model.trainable_parameters()) == sorted(want)
