@@ -11,9 +11,10 @@ Training metadata (model kind, epoch, modality, model config) rides as
 ordinary entries under the reserved ``meta.`` prefix, every value stored as
 an exact f64. Loaders ignore metadata entries they do not read.
 
-Every reader error is a CheckpointError: bad bytes, bad metadata, a stored
-weight whose shape disagrees with the metadata (checked before any model is
-built), and a stored tensor that has no slot in the model built.
+Every reader error is a CheckpointError: bad bytes, an entry name stored
+twice, bad metadata, a stored weight whose shape disagrees with the metadata
+(checked before any model is built), a stored tensor that has no slot in the
+model built, and a slot of that model with no stored tensor.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def load_checkpoint(path) -> dict[str, Tensor]:
             name = str(r.take(name_len, f"entry {i} name"), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: entry {i} name is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: entry {name!r} is stored twice")
         code, ndim = struct.unpack("<BB", r.take(2, f"{name} header"))
         if code not in _CODE_DTYPE:
             raise CheckpointError(f"{path}: entry {name!r} has unknown dtype code {code}")
@@ -208,6 +211,15 @@ def _check_weight_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple]
                                   f"metadata expects {shape}")
 
 
+def _load_model_state(model, tensors: Mapping[str, Tensor], path) -> None:
+    """Fill every slot of ``model`` from its stored tensor."""
+    state = {k: v for k, v in tensors.items() if not k.startswith("meta.")}
+    missing = next((name for name in model.state_slots() if name not in state), None)
+    if missing is not None:
+        raise CheckpointError(f"{path}: missing tensor {missing!r}")
+    model.load_state(state)
+
+
 def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int) -> dict[str, Tensor]:
     tensors = dict(branch.named_state())
     tensors["meta.kind"] = _scalar(_KIND_CODE["branch"])
@@ -230,7 +242,7 @@ def _branch_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[Branch, s
                 "modality": _MODALITY_NAME[_meta_value(tensors, "meta.modality")]}
         _check_weight_shapes(tensors, _branch_weight_shapes(cfg), path)
         branch = Branch(cfg, rng=None)
-        branch.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
+        _load_model_state(branch, tensors, path)
     return branch, info["modality"], info
 
 
@@ -268,7 +280,7 @@ def _fusion_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[FusionMod
         _check_weight_shapes(tensors, _fusion_weight_shapes(cfg), path)
         model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg,
                             rng=None)
-        model.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
+        _load_model_state(model, tensors, path)
     return model, info
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: data generation, training, evaluation, studies.
 
-Every command reads an optional ``key = value`` config file; explicit flags
-override file values, and the TCNA_SEED environment variable is the seed
-fallback. Commands exit 0 on success and write machine-readable CSV artifacts
-plus a plain-text summary into the output directory.
+Every command reads one namespace. Its built-in defaults are stated once, in
+``build_parser``; an optional ``key = value`` config file replaces them, and
+explicit flags win over both. ``--seed`` falls back to the TCNA_SEED
+environment variable, then 0. Commands exit 0 on success and write
+machine-readable CSV artifacts plus a plain-text summary into the output
+directory.
 """
 
 from __future__ import annotations
@@ -64,34 +66,18 @@ def parse_config(path) -> dict:
     return values
 
 
-def _resolve(args, cfg: dict, key: str, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _resolve_seed(args, cfg: dict) -> int:
-    seed = _resolve(args, cfg, "seed")
-    if seed is None:
-        env = os.environ.get("TCNA_SEED")
-        seed = int(env) if env else 0
-    return int(seed)
-
-
-def _out_dir(args, cfg: dict) -> Path:
-    out = _resolve(args, cfg, "out")
-    if out is None:
+def _out_dir(args) -> Path:
+    if args.out is None:
         raise CliError("an output directory is required (--out or config key 'out')")
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _load_split(data_dir: Path, split: str):
-    return read_dataset(data_dir / split / "index.csv")
+def _load_split(args, split: str):
+    if args.data is None:
+        raise CliError("--data is required")
+    return read_dataset(Path(args.data) / split / "index.csv")
 
 
 def _class_counts(samples) -> dict[str, int]:
@@ -104,26 +90,15 @@ def _write(path: Path, text: str) -> None:
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_synth_gen(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    out = _out_dir(args, cfg)
-    preset = _resolve(args, cfg, "preset", "learnable")
-    if preset not in PRESETS:
-        raise CliError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    overrides = {}
-    if _resolve(args, cfg, "sigma") is not None:
-        overrides["sigma"] = _resolve(args, cfg, "sigma")
-    if _resolve(args, cfg, "snippets") is not None:
-        overrides["num_snippets"] = _resolve(args, cfg, "snippets")
-    if _resolve(args, cfg, "train_per_class") is not None:
-        overrides["train_per_class"] = _resolve(args, cfg, "train_per_class")
-    if _resolve(args, cfg, "val_per_class") is not None:
-        overrides["val_per_class"] = _resolve(args, cfg, "val_per_class")
-    spec = PRESETS[preset](**overrides)
-    train, val = generate_synthetic(spec, seed)
+def cmd_synth_gen(args) -> int:
+    out = _out_dir(args)
+    if args.preset not in PRESETS:
+        raise CliError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
+    spec = PRESETS[args.preset](**_settings(args, _SPEC_KEYS))
+    train, val = generate_synthetic(spec, args.seed)
     write_dataset(train, out / "train")
     write_dataset(val, out / "val")
-    summary = (f"preset={preset} seed={seed}\n{spec}\n"
+    summary = (f"preset={args.preset} seed={args.seed}\n{spec}\n"
                f"train samples={len(train)} val samples={len(val)}\n")
     _write(out / "summary.txt", summary)
     print(summary, end="")
@@ -135,6 +110,8 @@ _DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1,
                "head_dropout": 0.1}
 
 # flag or config key -> config field
+_SPEC_KEYS = {"sigma": "sigma", "snippets": "num_snippets", "train_per_class": "train_per_class",
+              "val_per_class": "val_per_class"}
 _BRANCH_KEYS = {key: key for key in ("channels", "kernel", "dtype", "input_dropout",
                                      "block_dropout", "head_dropout")}
 _FUSION_KEYS = {"embed_dim": "embed_dim", "fusion_dropout": "head_dropout"}
@@ -142,40 +119,34 @@ _SGD_KEYS = {"lr": "lr0", "epochs": "epochs", "batch": "batch_size", "momentum":
              "weight_decay": "weight_decay", "power": "power"}
 
 
-def _settings(args, cfg, keys: dict[str, str], defaults: dict) -> dict:
-    """``defaults`` overridden by each key a flag or config key sets; flags win.
-    A field neither sets is left to its config class's default."""
-    out = dict(defaults)
-    for key, name in keys.items():
-        value = _resolve(args, cfg, key)
-        if value is not None:
-            out[name] = value
-    return out
+def _settings(args, keys: dict[str, str]) -> dict:
+    """The fields whose key the namespace sets; any other field keeps its class's default."""
+    return {name: getattr(args, key) for key, name in keys.items()
+            if getattr(args, key, None) is not None}
 
 
-def _branch_config_from_args(args, cfg, samples, modality: str, defaults: dict,
+def _branch_config_from_args(args, samples, modality: str,
                              snippets: int | None = None) -> BranchConfig:
-    """Flags, then config keys, then ``defaults``; adapted to ``snippets`` if given."""
+    """Adapted to ``snippets`` if given."""
     counts = _class_counts(samples)
     base = BranchConfig(
         input_dim=samples[0].features[modality].shape[1],
         num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        **_settings(args, cfg, _BRANCH_KEYS, defaults))
+        **_settings(args, _BRANCH_KEYS))
     return base if snippets is None else base.for_snippets(snippets)
 
 
-def _fusion_config_from_args(args, cfg, branches, samples, strategy: str,
-                             defaults: dict) -> FusionConfig:
-    """Flags, then config keys, then ``defaults``; channels come from the branches."""
+def _fusion_config_from_args(args, branches, samples, strategy: str) -> FusionConfig:
+    """Channels come from the branches."""
     counts = _class_counts(samples)
     return FusionConfig(
         channels=branches["rgb"].config.channels,
         num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        strategy=strategy, **_settings(args, cfg, _FUSION_KEYS, defaults))
+        strategy=strategy, **_settings(args, _FUSION_KEYS))
 
 
-def _sgd_from_args(args, cfg, seed, defaults: dict) -> SgdConfig:
-    return SgdConfig(seed=seed, **_settings(args, cfg, _SGD_KEYS, defaults))
+def _sgd_from_args(args) -> SgdConfig:
+    return SgdConfig(seed=args.seed, **_settings(args, _SGD_KEYS))
 
 
 def _history_csv(history) -> str:
@@ -186,20 +157,15 @@ def _history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_train_branch(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    out = _out_dir(args, cfg)
-    data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
-    modality = _resolve(args, cfg, "modality", "rgb")
-    if modality not in MODALITIES:
-        raise CliError(f"unknown modality {modality!r}")
-    train = _load_split(data_dir, "train")
-    val = _load_split(data_dir, "val")
-    snippets = _resolve(args, cfg, "snippets")
-    bcfg = _branch_config_from_args(args, cfg, train + val, modality, {}, snippets)
-    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.005})
+def cmd_train_branch(args) -> int:
+    out = _out_dir(args)
+    modality = args.modality
+    train = _load_split(args, "train")
+    val = _load_split(args, "val")
+    bcfg = _branch_config_from_args(args, train + val, modality, args.snippets)
+    sgd = _sgd_from_args(args)
     branch, result = train_branch(train, val, modality, bcfg, sgd,
-                                  snippets=snippets, log=print)
+                                  snippets=args.snippets, log=print)
     save_checkpoint(out / f"branch_{modality}.ckpt",
                     branch_checkpoint_tensors(branch, modality, sgd.epochs - 1))
     branch.load_state(result.best_state)
@@ -213,15 +179,9 @@ def cmd_train_branch(args, cfg) -> int:
     return 0
 
 
-def _fail(msg: str):
-    raise CliError(msg)
-
-
-def cmd_train_fusion(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    out = _out_dir(args, cfg)
-    data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
-    strategy = _resolve(args, cfg, "strategy", "mutual_pairwise")
+def cmd_train_fusion(args) -> int:
+    out = _out_dir(args)
+    strategy = args.strategy
     branches = {}
     for mod in MODALITIES:
         path = getattr(args, f"{mod}_ckpt")
@@ -231,12 +191,12 @@ def cmd_train_fusion(args, cfg) -> int:
         if ck_mod != mod:
             raise CliError(f"{path} holds a {ck_mod} branch, expected {mod}")
         branches[mod] = branch
-    train = _load_split(data_dir, "train")
-    val = _load_split(data_dir, "val")
-    fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy, {})
-    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.0005})
-    snippets = _resolve(args, cfg, "snippets")
-    model, result = train_fusion(branches, train, val, fcfg, sgd, snippets=snippets, log=print)
+    train = _load_split(args, "train")
+    val = _load_split(args, "val")
+    fcfg = _fusion_config_from_args(args, branches, train + val, strategy)
+    sgd = _sgd_from_args(args)
+    model, result = train_fusion(branches, train, val, fcfg, sgd, snippets=args.snippets,
+                                 log=print)
     model.load_state(result.best_state)
     save_checkpoint(out / f"fusion_{strategy}.ckpt",
                     fusion_checkpoint_tensors(model, result.best_epoch))
@@ -248,22 +208,20 @@ def cmd_train_fusion(args, cfg) -> int:
     return 0
 
 
-def cmd_evaluate(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
+def cmd_evaluate(args) -> int:
+    out = _out_dir(args)
     if args.ckpt is None:
         raise CliError("--ckpt is required")
-    val = _load_split(data_dir, "val")
-    snippets = _resolve(args, cfg, "snippets")
+    val = _load_split(args, "val")
     kind, model, info = load_any_checkpoint(args.ckpt)
     if kind == "branch":
-        modality = _resolve(args, cfg, "modality") or info["modality"]
-        x, labels = stack_features(val, modality, snippets)
+        modality = args.modality or info["modality"]
+        x, labels = stack_features(val, modality, args.snippets)
         scores = model.eval().forward(x)
     else:
         inputs = {}
         for mod in MODALITIES:
-            inputs[mod], labels = stack_features(val, mod, snippets)
+            inputs[mod], labels = stack_features(val, mod, args.snippets)
         scores = model.predict_proba(inputs)  # distributions rank identically to logits
     report = evaluate_predictions(scores, labels)
     _write(out / "metrics.csv", report_csv(report))
@@ -273,12 +231,10 @@ def cmd_evaluate(args, cfg) -> int:
     return 0
 
 
-def cmd_gradcheck(args, cfg) -> int:
-    dtype = _resolve(args, cfg, "dtype", "f64")
-    if dtype != "f64":
+def cmd_gradcheck(args) -> int:
+    if args.dtype != "f64":
         raise CliError("gradient checking runs in f64; pass --dtype f64")
-    seed = _resolve_seed(args, cfg)
-    rows = run_standard_suite(seed)
+    rows = run_standard_suite(args.seed)
     lines = ["layer,configs,max_rel_error,pass"]
     ok = True
     print(f"{'layer':<18}{'configs':>8}{'max rel err':>14}  status")
@@ -288,51 +244,43 @@ def cmd_gradcheck(args, cfg) -> int:
         print(f"{row.name:<18}{row.configs:>8}{row.max_rel_error:>14.3e}  "
               f"{'ok' if passed else 'FAIL'}")
         lines.append(f"{row.name},{row.configs},{row.max_rel_error:.6e},{int(passed)}")
-    if getattr(args, "out", None) or cfg.get("out"):
-        _write(_out_dir(args, cfg) / "gradcheck.csv", "\n".join(lines) + "\n")
+    if args.out:
+        _write(_out_dir(args) / "gradcheck.csv", "\n".join(lines) + "\n")
     return 0 if ok else 3
 
 
-def cmd_bench(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    out = _out_dir(args, cfg)
-    channels = _resolve(args, cfg, "channels", 1024)
-    snippets = _resolve(args, cfg, "snippets", 21)
-    batch = _resolve(args, cfg, "batch", 4)
-    reps = _resolve(args, cfg, "reps", 30)
-    warmup = _resolve(args, cfg, "warmup", 5)
-    dtype = _resolve(args, cfg, "dtype", "f32")
-    rng = Rng(seed)
+def cmd_bench(args) -> int:
+    out = _out_dir(args)
+    channels, dtype = args.channels, args.dtype
+    rng = Rng(args.seed)
     bcfg = BranchConfig(input_dim=channels, num_actions=100, num_verbs=20, num_nouns=30,
                         channels=channels, input_dropout=0.0, block_dropout=0.0,
-                        head_dropout=0.0, dtype=dtype).for_snippets(snippets)
+                        head_dropout=0.0, dtype=dtype).for_snippets(args.snippets)
     branch = Branch(bcfg, rng)
     lcfg = LstmConfig(input_dim=channels, hidden=channels, num_actions=100,
                       encoder_steps=bcfg.required_length, dtype=dtype)
     baseline = LstmEncoderDecoder(lcfg, rng)
-    report = bench_models(branch, baseline, batch, reps, warmup, seed)
+    report = bench_models(branch, baseline, args.batch, args.reps, args.warmup, args.seed)
     _write(out / "bench.csv", report.csv())
     _write(out / "bench_summary.txt", report.summary())
     print(report.summary(), end="")
     return 0
 
 
-def cmd_ablate_obslen(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    out = _out_dir(args, cfg)
-    data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
-    train = _load_split(data_dir, "train")
-    val = _load_split(data_dir, "val")
-    modality = _resolve(args, cfg, "modality", "rgb")
+def cmd_ablate_obslen(args) -> int:
+    out = _out_dir(args)
+    train = _load_split(args, "train")
+    val = _load_split(args, "val")
+    modality = args.modality
     windows = (3, 7, 13, 21)
     max_n = train[0].num_snippets
     rows = ["snippets,obs_seconds,val_top1_action"]
     results = {}
-    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.02, "epochs": 25, "batch_size": 32})
+    sgd = _sgd_from_args(args)
     for n in windows:
         if n > max_n:
             continue
-        base = _branch_config_from_args(args, cfg, train + val, modality, _DESK_BRANCH, n)
+        base = _branch_config_from_args(args, train + val, modality, n)
         _, result = train_branch(train, val, modality, base, sgd, snippets=n)
         results[n] = result.best_val_top1
         rows.append(f"{n},{n * 0.25:.2f},{result.best_val_top1:.6f}")
@@ -343,17 +291,15 @@ def cmd_ablate_obslen(args, cfg) -> int:
     return 0
 
 
-def cmd_ablate_fusion(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    out = _out_dir(args, cfg)
-    data_dir = Path(_resolve(args, cfg, "data") or _fail("--data is required"))
-    train = _load_split(data_dir, "train")
-    val = _load_split(data_dir, "val")
-    sgd = _sgd_from_args(args, cfg, seed, {"lr0": 0.02, "epochs": 15, "batch_size": 32})
+def cmd_ablate_fusion(args) -> int:
+    out = _out_dir(args)
+    train = _load_split(args, "train")
+    val = _load_split(args, "val")
+    sgd = _sgd_from_args(args)
     branches = {}
     rows = ["model,val_top1_action"]
     for mod in MODALITIES:
-        bcfg = _branch_config_from_args(args, cfg, train + val, mod, _DESK_BRANCH)
+        bcfg = _branch_config_from_args(args, train + val, mod)
         branch, result = train_branch(train, val, mod, bcfg, sgd)
         branches[mod] = branch
         save_checkpoint(out / f"branch_{mod}.ckpt",
@@ -361,8 +307,7 @@ def cmd_ablate_fusion(args, cfg) -> int:
         rows.append(f"{mod},{result.best_val_top1:.6f}")
         print(f"branch {mod}: val_top1={result.best_val_top1:.4f}")
     for strategy in STRATEGIES:
-        fcfg = _fusion_config_from_args(args, cfg, branches, train + val, strategy,
-                                        {"embed_dim": 64, "head_dropout": 0.1})
+        fcfg = _fusion_config_from_args(args, branches, train + val, strategy)
         _, result = train_fusion(branches, train, val, fcfg, sgd)
         rows.append(f"{strategy},{result.best_val_top1:.6f}")
         print(f"fusion {strategy}: val_top1={result.best_val_top1:.4f}")
@@ -377,7 +322,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--data", help="dataset directory (train/ and val/ splits)")
     p.add_argument("--out", help="output directory for artifacts")
-    p.add_argument("--seed", type=int, help="RNG seed (fallback: TCNA_SEED, then 0)")
+    p.add_argument("--seed", type=int, default=os.environ.get("TCNA_SEED") or 0,
+                   help="RNG seed (fallback: TCNA_SEED, then 0)")
     p.add_argument("--modality", choices=MODALITIES)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--epochs", type=int)
@@ -389,59 +335,61 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command's built-in defaults; ``main`` lays a config file over them."""
     parser = argparse.ArgumentParser(
         prog="tcna",
         description="Temporal-convolutional action anticipation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-gen", help="generate a synthetic multi-modal dataset")
-    _add_common(p)
+    def command(name: str, func, help: str, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=func, parser=p, **defaults)
+        return p
+
+    p = command("synth-gen", cmd_synth_gen, "generate a synthetic multi-modal dataset",
+                preset="learnable")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.set_defaults(func=cmd_synth_gen)
 
-    p = sub.add_parser("train-branch", help="train one uni-modal branch")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_branch)
+    command("train-branch", cmd_train_branch, "train one uni-modal branch",
+            modality="rgb", lr=0.005)
 
-    p = sub.add_parser("train-fusion", help="train fusion layers over frozen branches")
-    _add_common(p)
+    p = command("train-fusion", cmd_train_fusion, "train fusion layers over frozen branches",
+                strategy="mutual_pairwise", lr=0.0005)
     p.add_argument("--embed-dim", dest="embed_dim", type=int)
     for mod in MODALITIES:
         p.add_argument(f"--{mod}-ckpt", dest=f"{mod}_ckpt",
                        help=f"checkpoint of the pre-trained {mod} branch")
-    p.set_defaults(func=cmd_train_fusion)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the val split")
-    _add_common(p)
+    p = command("evaluate", cmd_evaluate, "evaluate a checkpoint on the val split")
     p.add_argument("--ckpt", help="branch or fusion checkpoint")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, "finite-difference check of every layer", dtype="f64")
 
-    p = sub.add_parser("bench", help="speed study: conv branch vs recurrent baseline")
-    _add_common(p)
+    p = command("bench", cmd_bench, "speed study: conv branch vs recurrent baseline",
+                channels=1024, snippets=21, batch=4, reps=30, warmup=5, dtype="f32")
     p.add_argument("--reps", type=int)
     p.add_argument("--warmup", type=int)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("ablate-obslen", help="observation-length study")
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate_obslen)
+    command("ablate-obslen", cmd_ablate_obslen, "observation-length study",
+            lr=0.02, epochs=25, batch=32, modality="rgb", **_DESK_BRANCH)
 
-    p = sub.add_parser("ablate-fusion", help="uni-modal vs fusion-strategy study")
-    _add_common(p)
+    p = command("ablate-fusion", cmd_ablate_fusion, "uni-modal vs fusion-strategy study",
+                lr=0.02, epochs=15, batch=32, embed_dim=64, fusion_dropout=0.1, **_DESK_BRANCH)
     p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.set_defaults(func=cmd_ablate_fusion)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config else {}
-        return args.func(args, cfg)
+        if args.config:
+            args.parser.set_defaults(**parse_config(args.config))
+            args = parser.parse_args(argv)
+        if args.modality not in (None, *MODALITIES):  # a file value skips argparse's choices
+            raise CliError(f"unknown modality {args.modality!r}")
+        return args.func(args)
     except (CliError, TensorError, DatasetError, CheckpointError, NonFiniteError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,14 @@ gradients and absolutely for tiny ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .branch import Branch, BranchConfig, multitask_loss
-from .fusion import FusionConfig, FusionModel, MODALITIES, mixed_probs_loss
-from .layers import (BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy,
-                     SpatialDropout, softmax)
+from .branch import Branch, BranchConfig, BranchOutput
+from .fusion import HEADS, FusionConfig, FusionModel, MODALITIES
+from .layers import BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy, SpatialDropout
 from .tensor import Rng
 
 STEP = 1e-5
@@ -70,6 +69,22 @@ def _layer_error(layer, x: np.ndarray, gout: np.ndarray, params=(), **forward_kw
     analytic = [layer.backward(gout)] + [p.grad.copy() for p in params]
     return max(max_rel_error(a, finite_difference_grad(f, t))
                for t, a in zip([x] + [p.data for p in params], analytic))
+
+
+def _model_error(model, x, labels, params) -> float:
+    """Worst error of the ``params`` gradients of the model's own loss, and of the
+    input gradient when ``backward`` returns one."""
+
+    def f():
+        return model.loss(model.forward(x), labels)[0]
+
+    for _, p in params:
+        p.zero_grad()
+    grad_x = model.backward(model.loss(model.forward(x), labels)[1])
+    pairs = [(p.data, p.grad.copy()) for _, p in params]
+    if grad_x is not None:
+        pairs.insert(0, (x, grad_x))
+    return max(max_rel_error(a, finite_difference_grad(f, t)) for t, a in pairs)
 
 
 def check_conv1d(rng: Rng, configs: int = 20) -> float:
@@ -176,30 +191,15 @@ def check_branch(rng: Rng, configs: int = 20) -> float:
                            input_dropout=0.0, block_dropout=0.0, head_dropout=0.0,
                            dtype="f64")
         branch = Branch(cfg, rng).train()
-        b = 2
-        x = _rand(rng, (b, cfg.input_dim, cfg.required_length + int(rng.uniform(0, 3, ()))))
+        x = _rand(rng, (2, cfg.input_dim, cfg.required_length + int(rng.uniform(0, 3, ()))))
         labels = {"action": np.array([0, 2]), "verb": np.array([1, 0]), "noun": np.array([0, 1])}
-
-        def f():
-            out = branch.forward(x)
-            loss, _ = multitask_loss(out, labels)
-            return loss
-
-        params = branch.named_parameters()
-        for _, p in params:
-            p.zero_grad()
-        out = branch.forward(x)
-        _, grads = multitask_loss(out, labels)
-        grad_x = branch.backward(grads)
-        analytic = [grad_x] + [p.grad.copy() for _, p in params]
-        tensors = [x] + [p.data for _, p in params]
-        for t, a in zip(tensors, analytic):
-            worst = max(worst, max_rel_error(a, finite_difference_grad(f, t)))
+        worst = max(worst, _model_error(branch, x, labels, branch.named_parameters()))
     return worst
 
 
 def check_fusion(rng: Rng, configs: int = 20) -> float:
-    """Fusion layers (branches frozen): feature path and attention path.
+    """Fusion layers (branches frozen) through ``FusionModel.forward``: mutual_pairwise,
+    then attention over the same features.
 
     The first configuration uses C=8, E=16, B=2; the rest draw random sizes.
     """
@@ -223,41 +223,14 @@ def check_fusion(rng: Rng, configs: int = 20) -> float:
         feats = {mod: _rand(rng, (b, c)) for mod in MODALITIES}
         labels = {head: (rng.uniform(0, 1, (b,), "f64") * k).astype(np.int64)
                   for head, k in fcfg.class_counts.items()}
-
-        def f():
-            logits = model.fuse_forward(feats)
-            loss, _ = multitask_loss(logits, labels)
-            return loss
-
-        params = model.named_fusion_parameters()
-        feature_params = [(n, p) for n, p in params if "attention" not in n]
-        for _, p in params:
-            p.zero_grad()
-        logits = model.fuse_forward(feats)
-        _, grads = multitask_loss(logits, labels)
-        model.fuse_backward(grads)
-        for name, p in feature_params:
-            numeric = finite_difference_grad(f, p.data)
-            worst = max(worst, max_rel_error(p.grad, numeric))
-
-        probs = {mod: {h: softmax(_rand(rng, (b, k)))
-                       for h, k in fcfg.class_counts.items()}
-                 for mod in MODALITIES}
-
-        def f_att():
-            mixed = model.attention_forward(feats, probs)
-            loss, _ = mixed_probs_loss(mixed, labels)
-            return loss
-
-        for _, p in params:
-            p.zero_grad()
-        mixed = model.attention_forward(feats, probs)
-        _, gm = mixed_probs_loss(mixed, labels)
-        model.attention_backward(gm)
-        for tensor, grad in ((model.attention_fc.weight.data, model.attention_fc.weight.grad),
-                             (model.attention_fc.bias.data, model.attention_fc.bias.grad)):
-            numeric = finite_difference_grad(f_att, tensor)
-            worst = max(worst, max_rel_error(grad, numeric))
+        # mutual_pairwise reads only the features; attention also the logits drawn next
+        outputs = {mod: BranchOutput(feats[mod], **dict.fromkeys(HEADS)) for mod in MODALITIES}
+        worst = max(worst, _model_error(model, outputs, labels, model.trainable_parameters()))
+        for mod in MODALITIES:
+            for head, k in fcfg.class_counts.items():
+                setattr(outputs[mod], head, _rand(rng, (b, k)))
+        model.config = replace(fcfg, strategy="attention")
+        worst = max(worst, _model_error(model, outputs, labels, model.trainable_parameters()))
     return worst
 
 

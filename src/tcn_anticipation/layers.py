@@ -28,7 +28,7 @@ class Parameter:
 
     def __init__(self, data: Tensor, decay: bool = True):
         self.data = data
-        self.grad = np.zeros_like(data)
+        self.grad = np.zeros(data.shape, data.dtype)  # calloc'd: no pages until written
         self.decay = decay
 
     def zero_grad(self) -> None:

@@ -36,10 +36,11 @@ def with_crc(raw: bytes) -> bytes:
     return raw[:4] + body + struct.pack("<I", zlib.crc32(body))
 
 
-def write_broken_checkpoint(case: str, path) -> None:
-    """A CRC-valid checkpoint with one defect in its bytes or metadata."""
+def write_broken_checkpoint(case: str, path, branch_tensors=None) -> None:
+    """A CRC-valid checkpoint with one defect in its bytes or metadata; the branch
+    cases break a copy of ``branch_tensors`` when given."""
     tensors = (small_fusion_tensors() if case in ("strategy_index_9", "flipped_branch_dtype")
-               else branch_checkpoint_tensors(small_branch(), "rgb", 0))
+               else dict(branch_tensors or branch_checkpoint_tensors(small_branch(), "rgb", 0)))
     if case == "missing_kernel":
         del tensors["meta.config.kernel"]
     elif case == "modality_code_7":
@@ -50,13 +51,17 @@ def write_broken_checkpoint(case: str, path) -> None:
         tensors["blocks.9.conv.weight"] = np.zeros((6, 6, 3), np.float32)
     elif case == "flipped_branch_dtype":
         tensors["meta.config.branches.obj.dtype_f64"] = np.array([1.0])
+    elif case == "missing_bias":
+        del tensors["heads.action.bias"]
     save_checkpoint(path, tensors)
-    if case == "non_utf8_name":
-        path.write_bytes(with_crc(path.read_bytes().replace(b"embed.weight", b"embed.w\xffight")))
+    renamed = {"non_utf8_name": (b"embed.weight", b"embed.w\xffight"),
+               "duplicate_name": (b"blocks.0.bn.gamma", b"blocks.1.bn.gamma")}
+    if case in renamed:
+        path.write_bytes(with_crc(path.read_bytes().replace(*renamed[case])))
 
 
 BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "strategy_index_9",
-                "unknown_tensor", "flipped_branch_dtype")
+                "unknown_tensor", "flipped_branch_dtype", "missing_bias", "duplicate_name")
 
 
 class TestRoundTrip:
@@ -227,6 +232,31 @@ class TestCorruption:
         write_broken_checkpoint(case, path)
         with pytest.raises(CheckpointError):
             load_any_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    @pytest.mark.parametrize("name", ["embed.bias", "blocks.1.bn.gamma",
+                                      "blocks.0.bn.running_var"])
+    def test_every_slot_needs_a_stored_tensor(self, kind, name, tmp_path):
+        """Each loader names the slot with no stored tensor instead of keeping its
+        build value."""
+        if kind == "branch":
+            tensors, loaders = branch_checkpoint_tensors(small_branch(), "rgb", 0), (
+                branch_from_checkpoint, load_any_checkpoint)
+        else:
+            tensors, loaders = small_fusion_tensors(), (fusion_from_checkpoint,
+                                                        load_any_checkpoint)
+            name = f"branches.flow.{name}"
+        del tensors[name]
+        save_checkpoint(tmp_path / "c.ckpt", tensors)
+        for load in loaders:
+            with pytest.raises(CheckpointError, match=f"missing tensor '{name}'"):
+                load(tmp_path / "c.ckpt")
+
+    @pytest.mark.parametrize("loader", [load_checkpoint, branch_from_checkpoint])
+    def test_name_stored_twice_rejected(self, loader, tmp_path):
+        write_broken_checkpoint("duplicate_name", tmp_path / "d.ckpt")
+        with pytest.raises(CheckpointError, match="'blocks.1.bn.gamma' is stored twice"):
+            loader(tmp_path / "d.ckpt")
 
     def test_metadata_cannot_outgrow_stored_weights(self, tmp_path):
         tensors = branch_checkpoint_tensors(small_branch(), "rgb", 0)

@@ -7,7 +7,7 @@ import pytest
 
 from tcn_anticipation.branch import BranchConfig
 from tcn_anticipation.checkpoint import (branch_checkpoint_tensors, fusion_from_checkpoint,
-                                         save_checkpoint)
+                                         load_checkpoint, save_checkpoint)
 from tcn_anticipation.data import stack_features, write_dataset
 from tcn_anticipation.fusion import MODALITIES
 from tcn_anticipation.metrics import top_k_accuracy
@@ -110,6 +110,22 @@ class TestConfigHandling:
         assert (a / "train" / "features" / "train-000-00000_rgb.fseq").read_bytes() == \
             (b / "train" / "features" / "train-000-00000_rgb.fseq").read_bytes()
 
+    def test_bad_env_seed_is_a_usage_error(self, tmp_path, tmp_path_factory):
+        proc = run("synth-gen", "--out", str(tmp_path / "o"), "--config",
+                   _tiny_cfg(tmp_path_factory), env={"TCNA_SEED": "abc"}, check=False)
+        assert proc.returncode == 2 and "--seed" in proc.stderr
+
+    def test_config_value_replaces_command_default(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("preset = complementary\ntrain_per_class = 2\nval_per_class = 1\n",
+                       encoding="utf-8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        run("synth-gen", "--out", str(a), "--config", str(cfg))
+        run("synth-gen", "--out", str(b), "--preset", "complementary", "--config", str(cfg))
+        summary = (a / "summary.txt").read_text()
+        assert summary.startswith("preset=complementary ")
+        assert summary == (b / "summary.txt").read_text()
+
 
 class TestTrainEvaluate:
     def test_train_branch_artifacts(self, trained_branch):
@@ -195,8 +211,11 @@ class TestTrainEvaluate:
         assert info["epoch"] == best_epoch and f"{top1:.6f}" == best_top1
 
     @pytest.mark.parametrize("case", BROKEN_CASES)
-    def test_evaluate_broken_checkpoint_exits_2(self, case, synth_dir, tmp_path):
-        write_broken_checkpoint(case, tmp_path / "broken.ckpt")
+    def test_evaluate_broken_checkpoint_exits_2(self, case, synth_dir, trained_branch, tmp_path):
+        """A branch case breaks a checkpoint that fits the data, so only its defect
+        can stop the evaluation."""
+        write_broken_checkpoint(case, tmp_path / "broken.ckpt",
+                                load_checkpoint(trained_branch / "branch_rgb_best.ckpt"))
         proc = run("evaluate", "--ckpt", str(tmp_path / "broken.ckpt"), "--data", str(synth_dir),
                    "--out", str(tmp_path / "eval"), check=False)
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
@@ -209,6 +228,17 @@ class TestTrainEvaluate:
         proc = run("train-branch", "--data", str(data), "--out", str(tmp_path / "o"),
                    "--epochs", "1", "--channels", "4", check=False)
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate-obslen"])
+    def test_config_modality_outside_choices_exits_2(self, command, synth_dir, trained_branch,
+                                                      tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("modality = nope\n", encoding="utf-8")
+        ckpt = ["--ckpt", str(trained_branch / "branch_rgb_best.ckpt")] if command == "evaluate" \
+            else []
+        proc = run(command, *ckpt, "--data", str(synth_dir), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg), check=False)
+        assert proc.returncode == 2 and "unknown modality 'nope'" in proc.stderr
 
     def test_mismatched_fusion_checkpoint_modality(self, synth_dir, trained_branch, tmp_path):
         proc = run("train-fusion", "--data", str(synth_dir), "--out", str(tmp_path / "o"),
