@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Linear, Parameter
+from .layers import Layer, Layout, Linear, Model, Parameter, _init_uniform
 from .tensor import Rng, Tensor, TensorError, dtype_of
 
 
@@ -44,20 +44,29 @@ class LstmConfig:
             if getattr(self, name) < 1:
                 raise TensorError(f"{name} must be positive")
 
+    def layout(self, rng: Rng | None = None) -> Layout:
+        """Encoder, decoder and head with their constructor args, in weight draw order."""
+        h, dt = self.hidden, self.dtype
+        return {"encoder": (_Cell, (self.input_dim, h, dt, rng)),
+                "decoder": (_Cell, (h, h, dt, rng)),
+                "head": (Linear, (h, self.num_actions, dt, rng))}
 
-class _Cell:
+
+class _Cell(Layer):
     """One fused-gate LSTM cell with cached per-step state for BPTT."""
+
+    params = ("wx", "wh", "bias")
+
+    @staticmethod
+    def shapes(input_dim, hidden, *_):
+        return {"wx": (4 * hidden, input_dim), "wh": (4 * hidden, hidden), "bias": (4 * hidden,)}
 
     def __init__(self, input_dim: int, hidden: int, dtype: str, rng: Rng | None):
         h = hidden
-        bx = math.sqrt(1.0 / input_dim)
-        bh = math.sqrt(1.0 / h)
-        dt = dtype_of(dtype)
-        def init(bound, shape):
-            return rng.uniform(-bound, bound, shape, dtype) if rng else np.zeros(shape, dt)
-        self.wx = Parameter(init(bx, (4 * h, input_dim)))
-        self.wh = Parameter(init(bh, (4 * h, h)))
-        self.bias = Parameter(np.zeros(4 * h, dtype=dt))
+        self.wx = Parameter(_init_uniform(rng, math.sqrt(1.0 / input_dim), (4 * h, input_dim),
+                                          dtype))
+        self.wh = Parameter(_init_uniform(rng, math.sqrt(1.0 / h), (4 * h, h), dtype))
+        self.bias = Parameter(np.zeros(4 * h, dtype=dtype_of(dtype)))
         self.hidden = h
 
     def step(self, x: Tensor, h: Tensor, c: Tensor, cache: list | None):
@@ -95,32 +104,13 @@ class _Cell:
         dc_prev = dci * f
         return dx, dh_prev, dc_prev
 
-    def parameters(self):
-        return [("wx", self.wx), ("wh", self.wh), ("bias", self.bias)]
 
-
-class LstmEncoderDecoder:
+class LstmEncoderDecoder(Model):
     def __init__(self, config: LstmConfig, rng: Rng | None = None):
+        super().__init__(config.layout(rng))
         self.config = config
-        self.encoder = _Cell(config.input_dim, config.hidden, config.dtype, rng)
-        self.decoder = _Cell(config.hidden, config.hidden, config.dtype, rng)
-        self.head = Linear(config.hidden, config.num_actions, dtype=config.dtype, rng=rng)
-        self.training = False
+        self.encoder, self.decoder, self.head = self.layers.values()
         self._cache = None
-
-    def train(self) -> "LstmEncoderDecoder":
-        self.training = True
-        return self
-
-    def eval(self) -> "LstmEncoderDecoder":
-        self.training = False
-        return self
-
-    def named_parameters(self):
-        out = [(f"encoder.{n}", p) for n, p in self.encoder.parameters()]
-        out += [(f"decoder.{n}", p) for n, p in self.decoder.parameters()]
-        out += [(f"head.{n}", p) for n, p in self.head.parameters()]
-        return out
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.config

@@ -6,10 +6,10 @@ ledger) and gate matmuls for the recurrent baseline. Heads, normalization,
 and elementwise work are excluded on both sides. Counts are per sample and
 batch-invariant.
 
-Wall-clock runs pin the calling thread to a single CPU (restored afterwards;
-BLAS worker threads stay unpinned), warm up, then record per-repetition
-times; the headline statistic is a median-of-means, which resists
-desk-machine jitter better than a plain mean.
+Wall-clock runs warm up, then record per-repetition times; the headline
+statistic is a median-of-means, which resists desk-machine jitter better than
+a plain mean. Nothing is pinned; the hardware note reports the BLAS thread
+variables, which fix the BLAS thread count when the process starts.
 """
 
 from __future__ import annotations
@@ -129,14 +129,6 @@ def _stats(times: list[float]) -> tuple[float, float, float]:
             _median_of_means(times))
 
 
-def _pin_single_cpu():
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    previous = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(previous)})
-    return previous
-
-
 def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
                  reps: int = 30, warmup: int = 5, seed: int = 0) -> BenchReport:
     """Time eval-mode forwards and full optimizer steps (at lr 1e-3) for both models."""
@@ -152,47 +144,39 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
         raise TensorError("baseline hidden width must match the branch channels")
     dtype = branch.config.dtype
     x = rng.normal(0.0, 1.0, (batch, branch.config.input_dim, n), dtype)
-    labels = {
-        "action": (rng.uniform(0, 1, (batch,), "f64") * branch.config.num_actions).astype(np.int64),
-        "verb": (rng.uniform(0, 1, (batch,), "f64") * branch.config.num_verbs).astype(np.int64),
-        "noun": (rng.uniform(0, 1, (batch,), "f64") * branch.config.num_nouns).astype(np.int64),
-    }
+    labels = {head: (rng.uniform(0, 1, (batch,), "f64") * k).astype(np.int64)
+              for head, k in branch.config.class_counts.items()}
 
-    previous_affinity = _pin_single_cpu()
-    try:
-        branch.eval()
-        branch_inf = _time_reps(lambda: branch.forward(x), reps, warmup)
+    branch.eval()
+    branch_inf = _time_reps(lambda: branch.forward(x), reps, warmup)
 
-        opt_b = SgdOptimizer(branch.named_parameters())
+    opt_b = SgdOptimizer(branch.named_parameters())
 
-        def branch_step():
-            branch.train()
-            out = branch.forward(x, rng)
-            _, grads = multitask_loss(out, labels)
-            opt_b.zero_grad()
-            branch.backward(grads)
-            opt_b.step(1e-3)
+    def branch_step():
+        branch.train()
+        out = branch.forward(x, rng)
+        _, grads = multitask_loss(out, labels)
+        opt_b.zero_grad()
+        branch.backward(grads)
+        opt_b.step(1e-3)
 
-        branch_train = _time_reps(branch_step, reps, warmup)
+    branch_train = _time_reps(branch_step, reps, warmup)
 
-        baseline.eval()
-        lstm_inf = _time_reps(lambda: baseline.forward(x), reps, warmup)
+    baseline.eval()
+    lstm_inf = _time_reps(lambda: baseline.forward(x), reps, warmup)
 
-        opt_l = SgdOptimizer(baseline.named_parameters())
-        ce = SoftmaxCrossEntropy()
+    opt_l = SgdOptimizer(baseline.named_parameters())
+    ce = SoftmaxCrossEntropy()
 
-        def lstm_step():
-            baseline.train()
-            logits = baseline.forward(x)
-            ce.forward(logits, labels["action"])
-            opt_l.zero_grad()
-            baseline.backward(ce.backward())
-            opt_l.step(1e-3)
+    def lstm_step():
+        baseline.train()
+        logits = baseline.forward(x)
+        ce.forward(logits, labels["action"])
+        opt_l.zero_grad()
+        baseline.backward(ce.backward())
+        opt_l.step(1e-3)
 
-        lstm_train = _time_reps(lstm_step, reps, warmup)
-    finally:
-        if previous_affinity is not None:
-            os.sched_setaffinity(0, previous_affinity)
+    lstm_train = _time_reps(lstm_step, reps, warmup)
 
     rows = [
         ModelTiming("tcn_branch", branch_macs(branch.config, n),
@@ -200,9 +184,9 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
         ModelTiming("lstm_baseline", lstm_macs(baseline.config),
                     *_stats(lstm_inf), *_stats(lstm_train)),
     ]
-    pin_note = ("calling thread pinned to 1 CPU" if previous_affinity is not None
-                else "no CPU pinning")
-    note = f"{platform.machine()} {platform.system()}, {pin_note}, dtype={dtype}"
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    note = f"{platform.machine()} {platform.system()}, {threads}, no CPU pinning, dtype={dtype}"
     return BenchReport(rows, batch, reps, warmup, note,
                        rows[1].inference_mom / rows[0].inference_mom,
                        rows[1].train_step_mom / rows[0].train_step_mom)

@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .layers import (BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy, SpatialDropout,
-                     Stateful)
+from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, ReLU, SoftmaxCrossEntropy,
+                     SpatialDropout)
 from .tensor import Rng, Tensor, TensorError
 
 HEADS = ("action", "verb", "noun")
@@ -65,6 +65,21 @@ class BranchConfig:
     def class_counts(self) -> dict[str, int]:
         return {"action": self.num_actions, "verb": self.num_verbs, "noun": self.num_nouns}
 
+    def layout(self, rng: Rng | None = None) -> Layout:
+        """Every layer with its constructor args, in build order, which is also the
+        order of the initial weight draws from ``rng``."""
+        c, dt = self.channels, self.dtype
+        layout = {"input_drop": (SpatialDropout, (self.input_dropout,)),
+                  "embed": (Conv1d, (self.input_dim, c, 1, 1, dt, rng))}
+        for i, d in enumerate(self.dilations):
+            layout[f"blocks.{i}.conv"] = (Conv1d, (c, c, self.kernel, d, dt, rng))
+            layout[f"blocks.{i}.bn"] = (BatchNorm1d, (c, dt))
+            layout[f"blocks.{i}.drop"] = (SpatialDropout, (self.block_dropout,))
+        for head, k in self.class_counts.items():
+            layout[f"heads.{head}.drop"] = (SpatialDropout, (self.head_dropout,))
+            layout[f"heads.{head}"] = (Linear, (c, k, dt, rng))
+        return layout
+
     def block_lengths(self, n: int) -> list[int]:
         """Temporal length after each residual block for an n-snippet input."""
         out = []
@@ -103,11 +118,8 @@ class BranchOutput:
 class _ResidualBlock:
     """conv -> BN -> spatial dropout, plus the truncated residual, then ReLU."""
 
-    def __init__(self, channels: int, kernel: int, dilation: int, dropout: float,
-                 dtype: str, rng: Rng | None):
-        self.conv = Conv1d(channels, channels, kernel, dilation, dtype=dtype, rng=rng)
-        self.bn = BatchNorm1d(channels, dtype=dtype)
-        self.drop = SpatialDropout(dropout)
+    def __init__(self, layers: dict, prefix: str):
+        self.conv, self.bn, self.drop = (layers[prefix + p] for p in (".conv", ".bn", ".drop"))
         self.relu = ReLU()
         self._n_out = 0
 
@@ -124,60 +136,20 @@ class _ResidualBlock:
         return grad_z
 
 
-class Branch(Stateful):
-    """The uni-modal network. Single training writer; eval forwards are pure.
-    Without an ``rng`` the weights start at zero, for a caller that loads them."""
+class Branch(Model):
+    """The uni-modal network, built from ``config.layout(rng)``. Single training writer;
+    eval forwards are pure. Without an ``rng`` the weights start at zero, for a caller
+    that loads them."""
 
     def __init__(self, config: BranchConfig, rng: Rng | None):
+        super().__init__(config.layout(rng))
         self.config = config
-        c = config
-        self.input_drop = SpatialDropout(c.input_dropout)
-        self.embed = Conv1d(c.input_dim, c.channels, 1, 1, dtype=c.dtype, rng=rng)
-        self.blocks = [
-            _ResidualBlock(c.channels, c.kernel, d, c.block_dropout, c.dtype, rng)
-            for d in c.dilations
-        ]
-        self.heads = {
-            head: (SpatialDropout(c.head_dropout), Linear(c.channels, k, dtype=c.dtype, rng=rng))
-            for head, k in c.class_counts.items()
-        }
-        self.training = False
+        layers = self.layers
+        self.input_drop, self.embed = layers["input_drop"], layers["embed"]
+        self.blocks = [_ResidualBlock(layers, f"blocks.{i}") for i in range(len(config.dilations))]
+        self.heads = {head: (layers[f"heads.{head}.drop"], layers[f"heads.{head}"])
+                      for head in HEADS}
         self._final_shape: tuple[int, ...] | None = None
-
-    # -- mode & parameter plumbing ------------------------------------------------
-
-    def train(self) -> "Branch":
-        return self._set_mode(True)
-
-    def eval(self) -> "Branch":
-        return self._set_mode(False)
-
-    def _set_mode(self, training: bool) -> "Branch":
-        self.training = training
-        self.input_drop.training = training
-        for blk in self.blocks:
-            blk.bn.training = training
-            blk.drop.training = training
-        for drop, _ in self.heads.values():
-            drop.training = training
-        return self
-
-    def named_parameters(self) -> list[tuple[str, "Parameter"]]:
-        out = [(f"embed.{n}", p) for n, p in self.embed.parameters()]
-        for i, blk in enumerate(self.blocks):
-            out += [(f"blocks.{i}.conv.{n}", p) for n, p in blk.conv.parameters()]
-            out += [(f"blocks.{i}.bn.{n}", p) for n, p in blk.bn.parameters()]
-        for head in HEADS:
-            out += [(f"heads.{head}.{n}", p) for n, p in self.heads[head][1].parameters()]
-        return out
-
-    def state_slots(self) -> dict[str, tuple[object, str]]:
-        """Parameters, then each block's BN running statistics."""
-        slots = {name: (p, "data") for name, p in self.named_parameters()}
-        for i, blk in enumerate(self.blocks):
-            for attr in ("running_mean", "running_var"):
-                slots[f"blocks.{i}.bn.{attr}"] = (blk.bn, attr)
-        return slots
 
     # -- forward / backward -------------------------------------------------------
 

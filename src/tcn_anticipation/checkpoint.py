@@ -12,9 +12,10 @@ ordinary entries under the reserved ``meta.`` prefix, every value stored as
 an exact f64. Loaders ignore metadata entries they do not read.
 
 Every reader error is a CheckpointError: bad bytes, an entry name stored
-twice, bad metadata, a stored weight whose shape disagrees with the metadata
-(checked before any model is built), a stored tensor that has no slot in the
-model built, and a slot of that model with no stored tensor.
+twice, bad metadata, a slot of the model's layout with no stored tensor or
+with a stored shape other than the layout's (both checked before any model is
+built), and a stored tensor that has no slot in the model built. The model
+adopts the arrays that ``load_checkpoint`` copied out of the file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Mapping
 import numpy as np
 
 from .branch import Branch, BranchConfig
-from .fusion import MODALITIES, PAIRS, STRATEGIES, FusionConfig, FusionModel
+from .fusion import MODALITIES, STRATEGIES, FusionConfig, FusionModel
+from .layers import layout_shapes
 from .tensor import Tensor
 
 MAGIC = b"TCNA"
@@ -184,40 +186,14 @@ def _branch_config_from_meta(meta: Mapping[str, Tensor], prefix: str) -> BranchC
         **_config_kwargs(meta, prefix, _BRANCH_SCALARS))
 
 
-def _branch_weight_shapes(cfg: BranchConfig, prefix: str = "") -> dict[str, tuple]:
-    c = cfg.channels
-    shapes = {f"{prefix}embed.weight": (c, cfg.input_dim, 1)}
-    shapes.update({f"{prefix}blocks.{i}.conv.weight": (c, c, cfg.kernel)
-                   for i in range(len(cfg.dilations))})
-    shapes.update({f"{prefix}heads.{h}.weight": (k, c) for h, k in cfg.class_counts.items()})
-    return shapes
-
-
-def _fusion_weight_shapes(cfg: FusionConfig) -> dict[str, tuple]:
-    c, e = cfg.channels, cfg.embed_dim
-    shapes = {f"fusion.pairwise.{a}_{b}.weight": (e, 2 * c) for a, b in PAIRS}
-    shapes.update({"fusion.pairwise_merge.weight": (e, 3 * e), "fusion.mutual.weight": (e, 3 * c)})
-    shapes.update({f"fusion.heads.{h}.weight": (k, e) for h, k in cfg.class_counts.items()})
-    return shapes
-
-
-def _check_weight_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple], path) -> None:
-    """Run before a build: every weight the metadata sizes is stored with that shape."""
+def _check_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple], path) -> None:
+    """Run before a build: every slot the metadata lays out is stored with its shape."""
     for name, shape in shapes.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                                   f"metadata expects {shape}")
-
-
-def _load_model_state(model, tensors: Mapping[str, Tensor], path) -> None:
-    """Fill every slot of ``model`` from its stored tensor."""
-    state = {k: v for k, v in tensors.items() if not k.startswith("meta.")}
-    missing = next((name for name in model.state_slots() if name not in state), None)
-    if missing is not None:
-        raise CheckpointError(f"{path}: missing tensor {missing!r}")
-    model.load_state(state)
 
 
 def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int) -> dict[str, Tensor]:
@@ -240,9 +216,9 @@ def _branch_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[Branch, s
         cfg = _branch_config_from_meta(tensors, "meta.config.")
         info = {"epoch": int(_meta_value(tensors, "meta.epoch")),
                 "modality": _MODALITY_NAME[_meta_value(tensors, "meta.modality")]}
-        _check_weight_shapes(tensors, _branch_weight_shapes(cfg), path)
+        _check_shapes(tensors, layout_shapes(cfg.layout()), path)
         branch = Branch(cfg, rng=None)
-        _load_model_state(branch, tensors, path)
+        branch.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
     return branch, info["modality"], info
 
 
@@ -274,13 +250,14 @@ def _fusion_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[FusionMod
             strategy=_STRATEGY_NAME[_meta_value(tensors, "meta.config.strategy")],
             **_config_kwargs(tensors, "meta.config.", _FUSION_SCALARS))
         info = {"epoch": int(_meta_value(tensors, "meta.epoch"))}
+        shapes = layout_shapes(cfg.layout())
         for mod in MODALITIES:
-            _check_weight_shapes(tensors, _branch_weight_shapes(bcfgs[mod], f"branches.{mod}."),
-                                 path)
-        _check_weight_shapes(tensors, _fusion_weight_shapes(cfg), path)
+            shapes.update((f"branches.{mod}.{name}", shape)
+                          for name, shape in layout_shapes(bcfgs[mod].layout()).items())
+        _check_shapes(tensors, shapes, path)
         model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg,
                             rng=None)
-        _load_model_state(model, tensors, path)
+        model.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
     return model, info
 
 

@@ -215,7 +215,9 @@ def cmd_evaluate(args) -> int:
     val = _load_split(args, "val")
     kind, model, info = load_any_checkpoint(args.ckpt)
     if kind == "branch":
-        modality = args.modality or info["modality"]
+        modality = info["modality"]
+        if args.modality not in (None, modality):
+            raise CliError(f"{args.ckpt} holds a {modality} branch, expected {args.modality}")
         x, labels = stack_features(val, modality, args.snippets)
         scores = model.eval().forward(x)
     else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import HEADS, Branch, BranchOutput, multitask_loss
-from .layers import Linear, Parameter, SpatialDropout, Stateful, softmax
+from .layers import Layout, Linear, Model, Parameter, SpatialDropout, softmax
 from .tensor import Rng, Tensor, TensorError
 
 MODALITIES = ("rgb", "flow", "obj")
@@ -60,6 +60,20 @@ class FusionConfig:
     def class_counts(self) -> dict[str, int]:
         return {"action": self.num_actions, "verb": self.num_verbs, "noun": self.num_nouns}
 
+    def layout(self, dtype: str = "f32", rng: Rng | None = None) -> Layout:
+        """Every fusion layer with its constructor args, in build order, which is also
+        the order of the initial weight draws from ``rng``."""
+        c, e = self.channels, self.embed_dim
+        layout = {f"fusion.pairwise.{a}_{b}": (Linear, (2 * c, e, dtype, rng)) for a, b in PAIRS}
+        layout["fusion.pairwise_merge"] = (Linear, (3 * e, e, dtype, rng))
+        layout["fusion.mutual"] = (Linear, (3 * c, e, dtype, rng))
+        # no rng, so zero init: attention starts at uniform weights, i.e. exactly late fusion
+        layout["fusion.attention"] = (Linear, (3 * c, len(MODALITIES), dtype))
+        for head, k in self.class_counts.items():
+            layout[f"fusion.heads.{head}.drop"] = (SpatialDropout, (self.head_dropout,))
+            layout[f"fusion.heads.{head}"] = (Linear, (e, k, dtype, rng))
+        return layout
+
 
 def _check_probs(p: Tensor, who: str) -> None:
     sums = p.sum(axis=-1)
@@ -74,9 +88,10 @@ def late_fusion(probs_rgb: Tensor, probs_flow: Tensor, probs_obj: Tensor) -> Ten
     return (probs_rgb + probs_flow + probs_obj) / 3.0
 
 
-class FusionModel(Stateful):
-    """Three frozen branches plus the trainable fusion layers and heads.
-    Without an ``rng`` the fusion weights start at zero, for a caller that loads them."""
+class FusionModel(Model):
+    """Three frozen branches plus the trainable fusion layers and heads, built from
+    ``config.layout``. Without an ``rng`` the fusion weights start at zero, for a
+    caller that loads them."""
 
     def __init__(self, branches: dict[str, Branch], config: FusionConfig, rng: Rng | None):
         if set(branches) != set(MODALITIES):
@@ -89,55 +104,25 @@ class FusionModel(Stateful):
                     f"{mod} branch has {bcfg.channels} {bcfg.dtype} channels, "
                     f"fusion expects {config.channels} {dt}")
             branches[mod].eval()
+        super().__init__(config.layout(dt, rng))
         self.branches = branches
         self.config = config
-        c, e = config.channels, config.embed_dim
-        self.pairwise_fc = {pair: Linear(2 * c, e, dtype=dt, rng=rng) for pair in PAIRS}
-        self.pairwise_merge = Linear(3 * e, e, dtype=dt, rng=rng)
-        self.mutual_fc = Linear(3 * c, e, dtype=dt, rng=rng)
-        # zero init: attention starts at uniform weights, i.e. exactly late fusion
-        self.attention_fc = Linear(3 * c, len(MODALITIES), dtype=dt)
-        self.heads = {
-            head: (SpatialDropout(config.head_dropout), Linear(e, k, dtype=dt, rng=rng))
-            for head, k in config.class_counts.items()
-        }
-        self.training = False
+        layers = self.layers
+        self.pairwise_fc = {(a, b): layers[f"fusion.pairwise.{a}_{b}"] for a, b in PAIRS}
+        self.pairwise_merge = layers["fusion.pairwise_merge"]
+        self.mutual_fc = layers["fusion.mutual"]
+        self.attention_fc = layers["fusion.attention"]
+        self.heads = {head: (layers[f"fusion.heads.{head}.drop"], layers[f"fusion.heads.{head}"])
+                      for head in HEADS}
         self._cache = None
         self._att_cache = None
 
-    # -- plumbing -------------------------------------------------------------
-
-    def train(self) -> "FusionModel":
-        return self._set_mode(True)
-
-    def eval(self) -> "FusionModel":
-        return self._set_mode(False)
-
-    def _set_mode(self, training: bool) -> "FusionModel":
-        self.training = training
-        for drop, _ in self.heads.values():
-            drop.training = training
-        for mod in MODALITIES:
-            self.branches[mod].eval()  # branches stay frozen regardless
-        return self
-
-    def named_fusion_parameters(self) -> list[tuple[str, Parameter]]:
-        out = []
-        for (a, b), fc in self.pairwise_fc.items():
-            out += [(f"fusion.pairwise.{a}_{b}.{n}", p) for n, p in fc.parameters()]
-        out += [(f"fusion.pairwise_merge.{n}", p) for n, p in self.pairwise_merge.parameters()]
-        out += [(f"fusion.mutual.{n}", p) for n, p in self.mutual_fc.parameters()]
-        out += [(f"fusion.attention.{n}", p) for n, p in self.attention_fc.parameters()]
-        for head in HEADS:
-            out += [(f"fusion.heads.{head}.{n}", p) for n, p in self.heads[head][1].parameters()]
-        return out
-
     def state_slots(self) -> dict[str, tuple[object, str]]:
-        """Fusion parameters, then each branch's state under ``branches.{modality}.``."""
-        slots = {name: (p, "data") for name, p in self.named_fusion_parameters()}
+        """The fusion layers' slots, then each branch's under ``branches.{modality}.``."""
+        slots = super().state_slots()
         for mod in MODALITIES:
-            for name, slot in self.branches[mod].state_slots().items():
-                slots[f"branches.{mod}.{name}"] = slot
+            slots.update((f"branches.{mod}.{name}", slot)
+                         for name, slot in self.branches[mod].state_slots().items())
         return slots
 
     # -- branch pass ------------------------------------------------------------
@@ -254,15 +239,14 @@ class FusionModel(Stateful):
         if strategy == "late":
             return []
         attention = strategy == "attention"
-        return [(name, p) for name, p in self.named_fusion_parameters()
+        return [(name, p) for name, p in self.named_parameters()
                 if name.startswith("fusion.attention.") == attention]
 
     def predict_proba(self, inputs: dict[str, Tensor]) -> dict[str, Tensor]:
         """Eval-mode class distributions per head for the configured strategy."""
         was_training = self.training
         scores = self.eval().forward(self.branch_outputs(inputs))
-        if was_training:
-            self.train()
+        self.train(was_training)
         if self.config.strategy in FEATURE_STRATEGIES:
             return {head: softmax(scores[head]) for head in HEADS}
         return scores

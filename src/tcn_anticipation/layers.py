@@ -4,14 +4,19 @@ There is no autograd graph: each layer caches what its backward needs and
 accumulates parameter gradients until the optimizer zeroes them. Convolutions
 use the cross-correlation convention and valid (unpadded) windows, so the
 temporal axis shrinks by (K-1)*dilation per layer. Layers carrying train/eval
-behavior expose a ``training`` flag; stochastic layers take the trainer's Rng
+behavior read a ``training`` flag; stochastic layers take the trainer's Rng
 at call time.
+
+A model states its layers once, as a layout: name -> (layer class, constructor
+args), in build order, which is also the weight draw order. :class:`Model`
+derives parameters, state, loading and mode from the built layers, and
+:func:`layout_shapes` every slot's shape without building any.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, TypeAlias
 
 import numpy as np
 
@@ -35,9 +40,55 @@ class Parameter:
         self.grad[...] = 0
 
 
-class Stateful:
-    """Named state over the (owner, attribute) slots that a subclass's ``state_slots`` lists;
-    ``load_state`` is the one shape-checked copy into them, cast to each slot's dtype."""
+class Layer:
+    """What a model reads off a layer: the attributes holding its Parameters and its
+    buffers (state that is not trained), and the train/eval flag. A layer with either
+    also has a static ``shapes(*constructor_args)`` giving each one's shape."""
+
+    params: tuple[str, ...] = ()
+    buffers: tuple[str, ...] = ()
+    training = False
+
+
+Layout: TypeAlias = dict[str, tuple[type[Layer], tuple]]
+
+
+def layout_shapes(layout: Layout) -> dict[str, tuple[int, ...]]:
+    """Every state slot's shape, in :meth:`Model.state_slots` order, without building a layer."""
+    return {f"{name}.{attr}": cls.shapes(*args)[attr]
+            for kind in ("params", "buffers") for name, (cls, args) in layout.items()
+            for attr in getattr(cls, kind)}
+
+
+class Model:
+    """A network built from a layout; ``layers`` holds the built layers by name, in
+    layout order. ``load_state`` adopts each array it is given, cast to its slot's
+    dtype only when the dtypes differ, so a caller hands over arrays it owns."""
+
+    training = False
+
+    def __init__(self, layout: Layout):
+        self.layers = {name: cls(*args) for name, (cls, args) in layout.items()}
+
+    def train(self, mode: bool = True):
+        self.training = mode
+        for layer in self.layers.values():
+            layer.training = mode
+        return self
+
+    def eval(self):
+        return self.train(False)
+
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        return [(f"{name}.{attr}", getattr(layer, attr))
+                for name, layer in self.layers.items() for attr in layer.params]
+
+    def state_slots(self) -> dict[str, tuple[object, str]]:
+        """(owner, attribute) by name: the parameters, then the buffers."""
+        slots = {name: (p, "data") for name, p in self.named_parameters()}
+        slots.update((f"{name}.{attr}", (layer, attr))
+                     for name, layer in self.layers.items() for attr in layer.buffers)
+        return slots
 
     def named_state(self) -> dict[str, Tensor]:
         return {name: getattr(owner, attr) for name, (owner, attr) in self.state_slots().items()}
@@ -52,7 +103,7 @@ class Stateful:
             if current.shape != arr.shape:
                 raise TensorError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
                                   f"model expects {current.shape}")
-            setattr(owner, attr, arr.astype(current.dtype, copy=True))
+            setattr(owner, attr, arr.astype(current.dtype, copy=False))
 
 
 def _init_uniform(rng: Rng | None, bound: float, shape, dtype: str) -> Tensor:
@@ -61,14 +112,20 @@ def _init_uniform(rng: Rng | None, bound: float, shape, dtype: str) -> Tensor:
     return rng.uniform(-bound, bound, shape, dtype)
 
 
-class Conv1d:
+class Conv1d(Layer):
     """Dilated 1-D convolution over (batch, channels, time), valid windows.
 
     out[b, o, t] = bias[o] + sum_{i,k} weight[o, i, k] * x[b, i, t + k*dilation]
     """
 
+    params = ("weight", "bias")
+
+    @staticmethod
+    def shapes(in_channels, out_channels, kernel_size, *_):
+        return {"weight": (out_channels, in_channels, kernel_size), "bias": (out_channels,)}
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 dilation: int = 1, *, dtype: str = "f32", rng: Rng | None = None):
+                 dilation: int = 1, dtype: str = "f32", rng: Rng | None = None):
         if kernel_size < 1 or dilation < 1:
             raise TensorError("kernel_size and dilation must be positive")
         self.in_channels = in_channels
@@ -126,18 +183,22 @@ class Conv1d:
             grad_x[:, :, k * d:k * d + n_out] += gcols[:, k].transpose(1, 0, 2)
         return grad_x
 
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-
-class BatchNorm1d:
+class BatchNorm1d(Layer):
     """Per-channel batch normalization over (batch, channels, time).
 
     Train mode pools statistics over batch and time axes; eval mode uses the
     running estimates. Running stats are touched only in train mode.
     """
 
-    def __init__(self, channels: int, *, dtype: str = "f32"):
+    params = ("gamma", "beta")
+    buffers = ("running_mean", "running_var")
+
+    @staticmethod
+    def shapes(channels, *_):
+        return dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (channels,))
+
+    def __init__(self, channels: int, dtype: str = "f32"):
         dt = dtype_of(dtype)
         self.channels = channels
         self.eps = 1e-5
@@ -146,7 +207,6 @@ class BatchNorm1d:
         self.beta = Parameter(np.zeros(channels, dtype=dt), decay=False)
         self.running_mean = np.zeros(channels, dtype=dt)
         self.running_var = np.ones(channels, dtype=dt)
-        self.training = False
         self._cache = None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -179,11 +239,8 @@ class BatchNorm1d:
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
         return (inv[None, :, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
 
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-
-class SpatialDropout:
+class SpatialDropout(Layer):
     """Channel dropout: each (sample, channel) is zeroed across all time steps.
 
     Survivors are scaled by 1/(1-p) at train time so eval is the identity.
@@ -195,7 +252,6 @@ class SpatialDropout:
         if not 0.0 <= p < 1.0:
             raise TensorError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self.training = False
         self._mask: Tensor | None = None
 
     def sample_mask(self, batch: int, channels: int, rng: Rng, dtype) -> Tensor:
@@ -222,10 +278,16 @@ class SpatialDropout:
         return grad_out * self._mask
 
 
-class Linear:
+class Linear(Layer):
     """Affine map y = x @ W.T + b over (batch, features)."""
 
-    def __init__(self, in_features: int, out_features: int, *, dtype: str = "f32",
+    params = ("weight", "bias")
+
+    @staticmethod
+    def shapes(in_features, out_features, *_):
+        return {"weight": (out_features, in_features), "bias": (out_features,)}
+
+    def __init__(self, in_features: int, out_features: int, dtype: str = "f32",
                  rng: Rng | None = None):
         self.in_features = in_features
         self.out_features = out_features
@@ -246,9 +308,6 @@ class Linear:
         self.weight.grad += grad_out.T @ self._x
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data
-
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
 
 class ReLU:

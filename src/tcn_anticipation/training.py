@@ -160,7 +160,7 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
 
     before = frozen_hash()
     result = _run_epochs(model, model.trainable_parameters(),
-                         lambda: {name: p.data for name, p in model.named_fusion_parameters()},
+                         lambda: {name: p.data for name, p in model.named_parameters()},
                          _branch_pass(model, train_samples, snippets),
                          _branch_pass(model, val_samples, snippets), sgd, rng, log)
     if frozen_hash() != before:

@@ -3,7 +3,7 @@ import pytest
 
 from tcn_anticipation.baseline import LstmConfig, LstmEncoderDecoder, _sigmoid
 from tcn_anticipation.gradcheck import finite_difference_grad, max_rel_error
-from tcn_anticipation.layers import SoftmaxCrossEntropy
+from tcn_anticipation.layers import SoftmaxCrossEntropy, layout_shapes
 from tcn_anticipation.tensor import Rng, TensorError
 
 
@@ -22,6 +22,12 @@ class TestCellMath:
         model = LstmEncoderDecoder(cfg, rng)
         x = rng.normal(0, 1, (3, 5, 6))
         assert model.forward(x).shape == (3, 4)
+
+    def test_layout_shapes_are_the_built_parameters(self):
+        cfg = LstmConfig(input_dim=5, hidden=7, num_actions=4, encoder_steps=6)
+        model = LstmEncoderDecoder(cfg, Rng(0))
+        assert list(layout_shapes(cfg.layout()).items()) == [
+            (name, p.data.shape) for name, p in model.named_parameters()]
 
     def test_wrong_length_rejected(self):
         rng = Rng(0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tcn_anticipation.branch import (Branch, BranchConfig, multitask_loss,
                                      required_input_length)
 from tcn_anticipation.gradcheck import check_branch
-from tcn_anticipation.layers import SoftmaxCrossEntropy
+from tcn_anticipation.layers import SoftmaxCrossEntropy, layout_shapes
 from tcn_anticipation.tensor import Rng, TensorError
 
 
@@ -59,6 +59,30 @@ class TestLengthLedger:
         for blk, want in zip(branch.blocks, cfg.block_lengths(7)):
             z = blk.forward(z, None)
             assert z.shape[2] == want
+
+
+class TestLayout:
+    @pytest.mark.parametrize("cfg", [
+        small_config(),
+        small_config(dtype="f32", kernel=1, dilations=(1,)),
+        BranchConfig(input_dim=5, num_actions=7, num_verbs=3, num_nouns=4, channels=9),
+        BranchConfig(input_dim=5, num_actions=7, num_verbs=3, num_nouns=4, channels=9,
+                     dtype="f64").for_snippets(12),
+    ], ids=["two_blocks_f64", "pointwise_f32", "default_f32", "for_snippets_12_f64"])
+    def test_layout_shapes_are_the_built_state(self, cfg):
+        branch = Branch(cfg, Rng(0))
+        assert list(layout_shapes(cfg.layout()).items()) == [
+            (name, a.shape) for name, a in branch.named_state().items()]
+
+    def test_state_order_is_parameters_then_running_statistics(self):
+        assert list(Branch(small_config(), Rng(0)).named_state()) == [
+            "embed.weight", "embed.bias",
+            "blocks.0.conv.weight", "blocks.0.conv.bias", "blocks.0.bn.gamma", "blocks.0.bn.beta",
+            "blocks.1.conv.weight", "blocks.1.conv.bias", "blocks.1.bn.gamma", "blocks.1.bn.beta",
+            "heads.action.weight", "heads.action.bias", "heads.verb.weight", "heads.verb.bias",
+            "heads.noun.weight", "heads.noun.bias",
+            "blocks.0.bn.running_mean", "blocks.0.bn.running_var",
+            "blocks.1.bn.running_mean", "blocks.1.bn.running_var"]
 
 
 class TestForward:

@@ -132,6 +132,21 @@ class TestRoundTrip:
             {k: v for k, v in tensors.items() if not k.startswith("meta.")})
 
     @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    def test_loaded_model_adopts_the_arrays_read(self, kind, tmp_path, monkeypatch):
+        """Each weight is copied once, out of the file buffer, and the model keeps that copy."""
+        tensors = (branch_checkpoint_tensors(small_branch(), "obj", 2) if kind == "branch"
+                   else small_fusion_tensors())
+        save_checkpoint(tmp_path / "m.ckpt", tensors)
+        read = []
+        load = checkpoint.load_checkpoint
+        monkeypatch.setattr(checkpoint, "load_checkpoint",
+                            lambda p: read.append(load(p)) or read[-1])
+        _, model, _ = load_any_checkpoint(tmp_path / "m.ckpt")
+        state = model.named_state()
+        assert len(read) == 1 and state
+        assert all(state[name] is read[0][name] for name in state)
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
     def test_load_any_draws_no_random_init(self, kind, tmp_path, monkeypatch):
         tensors = (branch_checkpoint_tensors(small_branch(), "obj", 2) if kind == "branch"
                    else small_fusion_tensors())

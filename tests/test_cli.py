@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tcn_anticipation.branch import BranchConfig
@@ -178,6 +179,21 @@ class TestTrainEvaluate:
             "--data", str(synth_dir), "--out", str(eval_out))
         lines = (eval_out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "head,top1,top5,mean_top5_recall" and len(lines) == 4
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_evaluate_rejects_another_modality(self, via, trained_branch, synth_dir, tmp_path):
+        """A flow checkpoint is not scored on rgb features, whether a flag or a
+        config file (one shared with train-branch, say) names rgb."""
+        tensors = load_checkpoint(trained_branch / "branch_rgb_best.ckpt")
+        tensors["meta.modality"] = np.array([1.0])  # flow
+        ckpt = tmp_path / "branch_flow.ckpt"
+        save_checkpoint(ckpt, tensors)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("modality = rgb\n", encoding="utf-8")
+        rgb = ["--modality", "rgb"] if via == "flag" else ["--config", str(cfg)]
+        proc = run("evaluate", "--ckpt", str(ckpt), "--data", str(synth_dir),
+                   "--out", str(tmp_path / "eval"), *rgb, check=False)
+        assert proc.returncode == 2 and "holds a flow branch, expected rgb" in proc.stderr
 
     def test_train_fusion_saves_best_epoch(self, tmp_path):
         train, val = generate_synthetic(complementary_spec(train_per_class=40,

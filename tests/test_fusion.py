@@ -7,7 +7,7 @@ from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.fusion import (FEATURE_STRATEGIES, FusionConfig, FusionModel, HEADS,
                                      MODALITIES, STRATEGIES, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
-from tcn_anticipation.layers import softmax
+from tcn_anticipation.layers import layout_shapes, softmax
 from tcn_anticipation.tensor import Rng, TensorError
 
 
@@ -157,7 +157,16 @@ class TestFrozenBranches:
 
     def test_fusion_dtype_follows_branches(self):
         model, _ = make_model()  # f64 branches, no fusion dtype given
-        assert {p.data.dtype for _, p in model.named_fusion_parameters()} == {np.dtype("f8")}
+        assert {p.data.dtype for _, p in model.named_parameters()} == {np.dtype("f8")}
+
+    def test_layout_shapes_are_the_built_state(self):
+        """Fusion slots from the fusion layout, then each branch's from its own."""
+        model, _ = make_model()
+        want = layout_shapes(model.config.layout())
+        for mod in MODALITIES:
+            want.update((f"branches.{mod}.{name}", shape) for name, shape
+                        in layout_shapes(model.branches[mod].config.layout()).items())
+        assert list(want.items()) == [(name, a.shape) for name, a in model.named_state().items()]
 
     def test_mixed_branch_dtypes_rejected(self):
         model, _ = make_model()
@@ -197,5 +206,5 @@ class TestOneInterface:
         feature_layers = [*model.pairwise_fc.values(), model.pairwise_merge, model.mutual_fc,
                           *(fc for _, fc in model.heads.values())]
         layers = {"late": [], "attention": [model.attention_fc]}.get(strategy, feature_layers)
-        want = [id(p) for layer in layers for _, p in layer.parameters()]
+        want = [id(getattr(layer, attr)) for layer in layers for attr in layer.params]
         assert sorted(id(p) for _, p in model.trainable_parameters()) == sorted(want)
