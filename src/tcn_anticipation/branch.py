@@ -6,17 +6,28 @@ shrink the sequence until a single feature vector remains. Because block
 outputs are shorter than their inputs, the residual keeps only the most recent
 timesteps of the incoming sequence. Three classification heads (action, verb,
 noun) read the final feature vector.
+
+Only the last output column is read, so an eval-mode forward computes each conv
+only at the positions that column depends on (its cone: 21/17/9/3/1 of the
+21/19/15/9/1 positions at 21 snippets and the default schedule). A plan of
+those positions is cached per (kernel, dilations, snippets). Bias, BN with its
+running statistics, the residual and ReLU run on those positions in the
+train-mode order, so the cone gives the features of the full-window forward up
+to the GEMM's summation order; the positions outside it stay zero and are never
+read. Eval-mode forwards keep no caches, so ``backward`` needs a train-mode
+forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, ReLU, SoftmaxCrossEntropy,
-                     SpatialDropout)
+from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, ReLU, Runs,
+                     SoftmaxCrossEntropy, SpatialDropout, run_slices)
 from .tensor import Rng, Tensor, TensorError
 
 HEADS = ("action", "verb", "noun")
@@ -75,6 +86,7 @@ class BranchConfig:
             layout[f"blocks.{i}.conv"] = (Conv1d, (c, c, self.kernel, d, dt, rng))
             layout[f"blocks.{i}.bn"] = (BatchNorm1d, (c, dt))
             layout[f"blocks.{i}.drop"] = (SpatialDropout, (self.block_dropout,))
+            layout[f"blocks.{i}.relu"] = (ReLU, ())
         for head, k in self.class_counts.items():
             layout[f"heads.{head}.drop"] = (SpatialDropout, (self.head_dropout,))
             layout[f"heads.{head}"] = (Linear, (c, k, dt, rng))
@@ -115,19 +127,56 @@ class BranchOutput:
         return getattr(self, head)
 
 
+@lru_cache(maxsize=64)
+def _cone(kernel: int, dilations: tuple[int, ...], n: int) -> tuple[Runs, ...]:
+    """The output positions of the embedding conv and of each block that the last
+    output column of an n-snippet forward depends on, as runs."""
+    need = {n - 1 - (kernel - 1) * sum(dilations)}
+    plan = [need]
+    for d in reversed(dilations):  # output t reads t + k*d; the residual is the last tap
+        need = {t + k * d for t in need for k in range(kernel)}
+        plan.append(need)
+    return tuple(_runs(sorted(p)) for p in reversed(plan))
+
+
+def _runs(positions: list[int]) -> Runs:
+    runs = []
+    for t in positions:
+        if runs and runs[-1][1] == t:
+            runs[-1][1] = t + 1
+        else:
+            runs.append([t, t + 1])
+    return tuple((start, stop) for start, stop in runs)
+
+
+def _spread(y: Tensor, runs: Runs, n: int) -> Tensor:
+    """Packed columns ``y`` at their positions in a length-n sequence; zero elsewhere."""
+    if runs == ((0, n),):
+        return y
+    out = np.zeros(y.shape[:2] + (n,), dtype=y.dtype)
+    for src, (start, stop) in run_slices(runs):
+        out[:, :, start:stop] = y[:, :, src]
+    return out
+
+
 class _ResidualBlock:
     """conv -> BN -> spatial dropout, plus the truncated residual, then ReLU."""
 
     def __init__(self, layers: dict, prefix: str):
-        self.conv, self.bn, self.drop = (layers[prefix + p] for p in (".conv", ".bn", ".drop"))
-        self.relu = ReLU()
+        self.conv, self.bn, self.drop, self.relu = (
+            layers[prefix + p] for p in (".conv", ".bn", ".drop", ".relu"))
         self._n_out = 0
 
-    def forward(self, z: Tensor, rng: Rng | None) -> Tensor:
-        y = self.drop.forward(self.bn.forward(self.conv.forward(z)), rng)
-        self._n_out = y.shape[2]
-        residual = z[:, :, z.shape[2] - self._n_out:]
-        return self.relu.forward(y + residual)
+    def forward(self, z: Tensor, rng: Rng | None, runs: Runs | None = None) -> Tensor:
+        """The block's output at the positions in ``runs`` (all by default), spread
+        over the full output length."""
+        self._n_out = self.conv.out_length(z.shape[2])
+        runs = runs or ((0, self._n_out),)
+        y = self.drop.forward(self.bn.forward(self.conv.forward(z, runs)), rng)
+        offset = z.shape[2] - self._n_out
+        for dst, (start, stop) in run_slices(runs):
+            y[:, :, dst] += z[:, :, offset + start:offset + stop]
+        return _spread(self.relu.forward(y), runs, self._n_out)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         g = self.relu.backward(grad_out)
@@ -138,8 +187,8 @@ class _ResidualBlock:
 
 class Branch(Model):
     """The uni-modal network, built from ``config.layout(rng)``. Single training writer;
-    eval forwards are pure. Without an ``rng`` the weights start at zero, for a caller
-    that loads them."""
+    eval forwards compute only the last column's cone and keep nothing. Without an
+    ``rng`` the weights start at zero, for a caller that loads them."""
 
     def __init__(self, config: BranchConfig, rng: Rng | None):
         super().__init__(config.layout(rng))
@@ -161,10 +210,13 @@ class Branch(Model):
             raise TensorError(
                 f"sequence of {x.shape[2]} snippets is shorter than the "
                 f"receptive field {c.required_length}")
-        z = self.embed.forward(self.input_drop.forward(x, rng))
-        for blk in self.blocks:
-            z = blk.forward(z, rng)
-        self._final_shape = z.shape
+        n = x.shape[2]
+        plan = (tuple(((0, m),) for m in (n, *c.block_lengths(n))) if self.training
+                else _cone(c.kernel, c.dilations, n))
+        z = _spread(self.embed.forward(self.input_drop.forward(x, rng), plan[0]), plan[0], n)
+        for blk, runs in zip(self.blocks, plan[1:]):
+            z = blk.forward(z, rng, runs)
+        self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
         logits = {}
         for head in HEADS:

@@ -14,13 +14,20 @@ an exact f64. Loaders ignore metadata entries they do not read.
 Every reader error is a CheckpointError: bad bytes, an entry name stored
 twice, bad metadata, a slot of the model's layout with no stored tensor or
 with a stored shape other than the layout's (both checked before any model is
-built), and a stored tensor that has no slot in the model built. The model
-adopts the arrays that ``load_checkpoint`` copied out of the file.
+built), and a stored tensor that has no slot in the model built. A CRC
+mismatch is reported as such even when the corrupt bytes also break the
+parse.
+
+``load_checkpoint`` reads each payload straight into its own array, checking
+every length against the bytes left in the file before allocating and running
+the CRC over the bytes as they arrive, so a load peaks near one file size and
+returns nothing before the CRC is checked. The model adopts those arrays.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from contextlib import contextmanager
@@ -74,32 +81,76 @@ def save_checkpoint(path, tensors: Mapping[str, Tensor]) -> None:
 
 
 class _Reader:
-    def __init__(self, data: memoryview, path):
-        self.data = data
-        self.path = path
-        self.offset = 0
+    """Reads the body of an open checkpoint file: every read is checked against the
+    bytes left before the trailing CRC, and the CRC runs over each chunk read."""
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.offset + n > len(self.data):
-            raise CheckpointError(
-                f"{self.path}: truncated while reading {what} at offset {self.offset}")
-        chunk = self.data[self.offset:self.offset + n]
-        self.offset += n
+    def __init__(self, fh, body_size: int, path):
+        self.fh = fh
+        self.path = path
+        self.left = body_size
+        self.crc = 0
+
+    def _check(self, n: int, what: str) -> None:
+        if n > self.left:
+            raise CheckpointError(f"{self.path}: truncated while reading {what} at offset "
+                                  f"{self.fh.tell() - len(MAGIC)}")
+
+    def _count(self, chunk, got: int, n: int, what: str) -> None:
+        if got != n:
+            raise CheckpointError(f"{self.path}: file shrank while reading {what}")
+        self.left -= n
+        self.crc = zlib.crc32(chunk, self.crc)
+
+    def take(self, n: int, what: str) -> bytes:
+        self._check(n, what)
+        chunk = self.fh.read(n)
+        self._count(chunk, len(chunk), n, what)
         return chunk
+
+    def take_array(self, dims: tuple[int, ...], dtype: np.dtype, what: str) -> Tensor:
+        """A new array holding the next payload, read straight into it."""
+        self._check(math.prod(dims) * dtype.itemsize, what)
+        try:  # zero-size tensors whose other dims overflow numpy's shape limit
+            arr = np.empty(dims, dtype=dtype)
+        except ValueError:
+            raise CheckpointError(f"{self.path}: {what} has unusable dims {dims}") from None
+        self._count(arr, self.fh.readinto(arr), arr.nbytes, what)
+        return arr
+
+    def crc_matches(self) -> bool:
+        """Run the CRC over the rest of the body, then compare it with the stored one."""
+        while self.left:
+            chunk = self.fh.read(min(self.left, 1 << 20))
+            if not chunk:
+                return False
+            self.left -= len(chunk)
+            self.crc = zlib.crc32(chunk, self.crc)
+        return self.fh.read(4) == struct.pack("<I", self.crc)
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:
+    """Every stored tensor by name, each in its own array, once the CRC matches."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    if len(raw) < 8:
-        raise CheckpointError(f"{path}: truncated before checksum")
-    body = memoryview(raw)[4:-4]
-    stored_crc, = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(body) != stored_crc:
-        raise CheckpointError(f"{path}: CRC32 mismatch, file is corrupt")
-    r = _Reader(body, path)
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if size < len(MAGIC) + 4:
+            raise CheckpointError(f"{path}: truncated before checksum")
+        r = _Reader(fh, size - len(MAGIC) - 4, path)
+        corrupt = CheckpointError(f"{path}: CRC32 mismatch, file is corrupt")
+        try:
+            tensors = _read_entries(r, path)
+        except CheckpointError:
+            if r.crc_matches():
+                raise
+            raise corrupt from None
+        if not r.crc_matches():
+            raise corrupt
+    return tensors
+
+
+def _read_entries(r: _Reader, path) -> dict[str, Tensor]:
     version, = struct.unpack("<H", r.take(2, "version"))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}, expected {VERSION}")
@@ -117,14 +168,9 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         if code not in _CODE_DTYPE:
             raise CheckpointError(f"{path}: entry {name!r} has unknown dtype code {code}")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"{name} dims"))
-        dtype = _CODE_DTYPE[code]
-        payload = r.take(math.prod(dims) * dtype.itemsize, f"{name} payload")
-        try:  # zero-size tensors whose other dims overflow numpy's shape limit
-            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        except ValueError:
-            raise CheckpointError(f"{path}: entry {name!r} has unusable dims {dims}") from None
-    if r.offset != len(r.data):
-        raise CheckpointError(f"{path}: {len(r.data) - r.offset} trailing bytes after last entry")
+        tensors[name] = r.take_array(dims, _CODE_DTYPE[code], f"entry {name!r}")
+    if r.left:
+        raise CheckpointError(f"{path}: {r.left} trailing bytes after last entry")
     return tensors
 
 

@@ -17,12 +17,22 @@ scores (fused logits for the feature strategies, mixed probabilities for late
 and attention), ``loss(scores, labels)`` returns the loss and its score
 gradients, ``backward(grads)`` fills the parameter gradients, and
 ``trainable_parameters()`` lists the layers the strategy trains. These four,
-and ``predict_proba``'s softmax of fused logits, are where the strategy is read.
+``predict_proba``'s softmax of fused logits and the eval-mode fold are where
+the strategy is read.
+
+The feature strategies have no nonlinearity between the fusion layers and the
+heads, so in eval mode each head is one affine map of ``[f_rgb; f_flow; f_obj]``.
+The first eval-mode ``fuse_forward`` folds the layers into one (k_head, 3C)
+matrix and bias per head, heads first and accumulated in f64, and keeps the
+fold until ``train(True)``, ``load_state`` or a change of ``config.strategy``
+drops it; ``eval()`` never does. A weight edited in place in eval mode takes
+effect after ``train(); eval()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -116,6 +126,16 @@ class FusionModel(Model):
                       for head in HEADS}
         self._cache = None
         self._att_cache = None
+        self._fold: tuple[str, dict[str, tuple[Tensor, Tensor]]] | None = None
+
+    def train(self, mode: bool = True):
+        if mode:
+            self._fold = None
+        return super().train(mode)
+
+    def load_state(self, state: Mapping[str, Tensor]) -> None:
+        self._fold = None
+        super().load_state(state)
 
     def state_slots(self) -> dict[str, tuple[object, str]]:
         """The fusion layers' slots, then each branch's under ``branches.{modality}.``."""
@@ -140,6 +160,10 @@ class FusionModel(Model):
         f = [feats[mod] for mod in MODALITIES]
         if any(x.shape != f[0].shape for x in f):
             raise TensorError("branch features disagree in shape")
+        if not self.training:
+            self._cache = None
+            fcat = np.concatenate(f, axis=1)
+            return {head: fcat @ w.T + b for head, (w, b) in self._folded().items()}
         h = None
         if strategy in ("pairwise", "mutual_pairwise"):
             g = [self.pairwise_fc[(a, b)].forward(
@@ -155,10 +179,47 @@ class FusionModel(Model):
         self._cache = strategy
         return logits
 
+    def _folded(self) -> dict[str, tuple[Tensor, Tensor]]:
+        """Per head, the (k_head, 3C) matrix and the bias of the eval-mode map."""
+        strategy = self.config.strategy
+        if self._fold is None or self._fold[0] != strategy:
+            self._fold = (strategy, self._fold_layers(strategy))
+        return self._fold[1]
+
+    def _fold_layers(self, strategy: str) -> dict[str, tuple[Tensor, Tensor]]:
+        c, e = self.config.channels, self.config.embed_dim
+
+        def f64(a):
+            return a.astype(np.float64)
+
+        heads = np.concatenate([f64(self.heads[head][1].weight.data) for head in HEADS])
+        mat = np.zeros((heads.shape[0], 3 * c))
+        bias = np.concatenate([f64(self.heads[head][1].bias.data) for head in HEADS])
+        if strategy in ("pairwise", "mutual_pairwise"):
+            merged = heads @ f64(self.pairwise_merge.weight.data)
+            bias += heads @ f64(self.pairwise_merge.bias.data)
+            for i, (a, b) in enumerate(PAIRS):
+                fc, part = self.pairwise_fc[(a, b)], merged[:, i * e:(i + 1) * e]
+                w = part @ f64(fc.weight.data)
+                for mod, cols in ((a, w[:, :c]), (b, w[:, c:])):
+                    j = MODALITIES.index(mod) * c
+                    mat[:, j:j + c] += cols
+                bias += part @ f64(fc.bias.data)
+        if strategy in ("mutual", "mutual_pairwise"):
+            mat += heads @ f64(self.mutual_fc.weight.data)
+            bias += heads @ f64(self.mutual_fc.bias.data)
+        dt = self.mutual_fc.weight.data.dtype
+        fold, row = {}, 0
+        for head in HEADS:
+            k = self.heads[head][1].out_features
+            fold[head] = (mat[row:row + k].astype(dt), bias[row:row + k].astype(dt))
+            row += k
+        return fold
+
     def fuse_backward(self, grad_logits: dict[str, Tensor]) -> None:
         """Backprop into fusion parameters only; the frozen features get no gradient."""
         if self._cache is None:
-            raise TensorError("fuse_backward before fuse_forward")
+            raise TensorError("fuse_backward without a train-mode fuse_forward")
         strategy = self._cache
         e = self.config.embed_dim
         grad_h = None
@@ -187,12 +248,12 @@ class FusionModel(Model):
         for head in HEADS:
             mixed[head] = sum(w[:, i:i + 1] * probs[mod][head]
                               for i, mod in enumerate(MODALITIES))
-        self._att_cache = (w, probs)
+        self._att_cache = (w, probs) if self.training else None
         return mixed
 
     def attention_backward(self, grad_mixed: dict[str, Tensor]) -> None:
         if self._att_cache is None:
-            raise TensorError("attention_backward before attention_forward")
+            raise TensorError("attention_backward without a train-mode attention_forward")
         w, probs = self._att_cache
         grad_w = np.zeros_like(w)
         for head in HEADS:

@@ -58,7 +58,9 @@ def _rand(rng: Rng, shape) -> np.ndarray:
 
 
 def _layer_error(layer, x: np.ndarray, gout: np.ndarray, params=(), **forward_kw) -> float:
-    """Worst error of the input and ``params`` gradients of sum(layer(x) * gout)."""
+    """Worst error of the input and ``params`` gradients of sum(layer(x) * gout), in
+    train mode."""
+    layer.training = True
 
     def f():
         return float((layer.forward(x, **forward_kw) * gout).sum())
@@ -72,8 +74,9 @@ def _layer_error(layer, x: np.ndarray, gout: np.ndarray, params=(), **forward_kw
 
 
 def _model_error(model, x, labels, params) -> float:
-    """Worst error of the ``params`` gradients of the model's own loss, and of the
-    input gradient when ``backward`` returns one."""
+    """Worst error of the ``params`` gradients of the model's own train-mode loss, and
+    of the input gradient when ``backward`` returns one."""
+    model.train()
 
     def f():
         return model.loss(model.forward(x), labels)[0]
@@ -107,7 +110,6 @@ def check_batchnorm(rng: Rng, configs: int = 20) -> float:
         b = 2 + int(rng.uniform(0, 3, ())) ; c = 1 + int(rng.uniform(0, 4, ()))
         n = 2 + int(rng.uniform(0, 5, ()))
         layer = BatchNorm1d(c, dtype="f64")
-        layer.training = True
         layer.gamma.data = _rand(rng, (c,)) * 0.5 + 1.0
         layer.beta.data = _rand(rng, (c,)) * 0.1
         x = _rand(rng, (b, c, n))
@@ -123,7 +125,6 @@ def check_spatial_dropout(rng: Rng, configs: int = 20) -> float:
         b = 1 + int(rng.uniform(0, 3, ())) ; c = 1 + int(rng.uniform(0, 5, ()))
         n = 1 + int(rng.uniform(0, 5, ()))
         layer = SpatialDropout(0.5)
-        layer.training = True
         mask = layer.sample_mask(b, c, rng, np.float64)
         x = _rand(rng, (b, c, n))
         gout = _rand(rng, (b, c, n))
@@ -190,7 +191,7 @@ def check_branch(rng: Rng, configs: int = 20) -> float:
                            channels=channels, kernel=3, dilations=dilations,
                            input_dropout=0.0, block_dropout=0.0, head_dropout=0.0,
                            dtype="f64")
-        branch = Branch(cfg, rng).train()
+        branch = Branch(cfg, rng)
         x = _rand(rng, (2, cfg.input_dim, cfg.required_length + int(rng.uniform(0, 3, ()))))
         labels = {"action": np.array([0, 2]), "verb": np.array([1, 0]), "noun": np.array([0, 1])}
         worst = max(worst, _model_error(branch, x, labels, branch.named_parameters()))

@@ -1,11 +1,12 @@
 """Network layers with hand-written forward and backward passes.
 
-There is no autograd graph: each layer caches what its backward needs and
-accumulates parameter gradients until the optimizer zeroes them. Convolutions
-use the cross-correlation convention and valid (unpadded) windows, so the
-temporal axis shrinks by (K-1)*dilation per layer. Layers carrying train/eval
-behavior read a ``training`` flag; stochastic layers take the trainer's Rng
-at call time.
+There is no autograd graph: in train mode each layer caches what its backward
+needs and accumulates parameter gradients until the optimizer zeroes them.
+Eval-mode forwards keep nothing, so a backward after one raises TensorError.
+Convolutions use the cross-correlation convention and valid (unpadded)
+windows, so the temporal axis shrinks by (K-1)*dilation per layer, and compute
+the output positions they are given (all by default). Layers read their
+``training`` flag; stochastic layers take the trainer's Rng at call time.
 
 A model states its layers once, as a layout: name -> (layer class, constructor
 args), in build order, which is also the weight draw order. :class:`Model`
@@ -51,6 +52,16 @@ class Layer:
 
 
 Layout: TypeAlias = dict[str, tuple[type[Layer], tuple]]
+# output positions as increasing, disjoint (start, stop) ranges
+Runs: TypeAlias = tuple[tuple[int, int], ...]
+
+
+def run_slices(runs: Runs):
+    """Each run's slice of the packed positions, with the run."""
+    j = 0
+    for start, stop in runs:
+        yield slice(j, j + stop - start), (start, stop)
+        j += stop - start
 
 
 def layout_shapes(layout: Layout) -> dict[str, tuple[int, ...]]:
@@ -140,16 +151,20 @@ class Conv1d(Layer):
     def out_length(self, n_in: int) -> int:
         return n_in - (self.kernel_size - 1) * self.dilation
 
-    def _im2col(self, x: Tensor, n_out: int) -> Tensor:
-        """(I*K, B*n_out) window matrix so the conv becomes one large GEMM."""
+    def _im2col(self, x: Tensor, runs: Runs) -> Tensor:
+        """(I*K, B*n_sel) window matrix of the output positions in ``runs``, so the conv
+        becomes one large GEMM. Each run is one slice per tap."""
         b, c_in, _ = x.shape
         d = self.dilation
-        cols = np.empty((c_in, self.kernel_size, b, n_out), dtype=x.dtype)
+        n_sel = sum(stop - start for start, stop in runs)
+        cols = np.empty((c_in, self.kernel_size, b, n_sel), dtype=x.dtype)
         for k in range(self.kernel_size):
-            cols[:, k] = x[:, :, k * d:k * d + n_out].transpose(1, 0, 2)
-        return cols.reshape(c_in * self.kernel_size, b * n_out)
+            for dst, (start, stop) in run_slices(runs):
+                cols[:, k, :, dst] = x[:, :, start + k * d:stop + k * d].transpose(1, 0, 2)
+        return cols.reshape(c_in * self.kernel_size, -1)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, runs: Runs | None = None) -> Tensor:
+        """The output positions in ``runs``, in order (every position by default)."""
         b, c_in, n = x.shape
         if c_in != self.in_channels:
             raise TensorError(f"conv1d expected {self.in_channels} input channels, got {c_in}")
@@ -158,19 +173,23 @@ class Conv1d(Layer):
             raise TensorError(
                 f"input length {n} shorter than receptive field "
                 f"{(self.kernel_size - 1) * self.dilation + 1} (K={self.kernel_size}, d={self.dilation})")
-        cols = self._im2col(x, n_out)
-        self._cache = (x.shape, cols)
-        w2 = self.weight.data.reshape(self.out_channels, -1)
-        out = w2 @ cols + self.bias.data[:, None]
-        return np.ascontiguousarray(out.reshape(self.out_channels, b, n_out).transpose(1, 0, 2))
+        if runs is None:
+            runs = ((0, n_out),)
+        elif runs[0][0] < 0 or runs[-1][1] > n_out:
+            raise TensorError(f"conv1d output runs {runs} outside [0, {n_out})")
+        cols = self._im2col(x, runs)
+        self._cache = (x.shape, cols) if self.training else None
+        out = self.weight.data.reshape(self.out_channels, -1) @ cols
+        out += self.bias.data[:, None]
+        return np.ascontiguousarray(out.reshape(self.out_channels, b, -1).transpose(1, 0, 2))
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._cache is None:
-            raise TensorError("conv1d backward without a matching cached forward")
+            raise TensorError("conv1d backward without a train-mode forward")
         x_shape, cols = self._cache
         b, _, n = x_shape
         n_out = grad_out.shape[2]
-        if grad_out.shape[0] != b or n_out != self.out_length(n):
+        if grad_out.shape[0] != b or n_out != self.out_length(n) or cols.shape[1] != b * n_out:
             raise TensorError("conv1d grad_out shape inconsistent with cached input")
         d = self.dilation
         g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2)).reshape(self.out_channels, -1)
@@ -222,19 +241,23 @@ class BatchNorm1d(Layer):
             mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xhat = (x - mean[None, :, None]) * inv[None, :, None]
-        self._cache = (xhat, inv, x.shape[0] * x.shape[2], self.training)
+        xhat = x - mean[None, :, None]
+        xhat *= inv[None, :, None]
+        if not self.training:
+            self._cache = None
+            xhat *= self.gamma.data[None, :, None]
+            xhat += self.beta.data[None, :, None]
+            return xhat
+        self._cache = (xhat, inv, x.shape[0] * x.shape[2])
         return self.gamma.data[None, :, None] * xhat + self.beta.data[None, :, None]
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._cache is None:
-            raise TensorError("batchnorm backward before forward")
-        xhat, inv, m, was_training = self._cache
+            raise TensorError("batchnorm backward without a train-mode forward")
+        xhat, inv, m = self._cache
         self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
         self.beta.grad += grad_out.sum(axis=(0, 2))
         dxhat = grad_out * self.gamma.data[None, :, None]
-        if not was_training:
-            return dxhat * inv[None, :, None]
         sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
         return (inv[None, :, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
@@ -299,28 +322,28 @@ class Linear(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise TensorError(f"linear expected (B, {self.in_features}), got {x.shape}")
-        self._x = x
+        self._x = x if self.training else None
         return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._x is None:
-            raise TensorError("linear backward before forward")
+            raise TensorError("linear backward without a train-mode forward")
         self.weight.grad += grad_out.T @ self._x
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self):
         self._mask: Tensor | None = None
 
     def forward(self, x: Tensor) -> Tensor:
-        self._mask = x > 0
+        self._mask = x > 0 if self.training else None
         return np.maximum(x, 0)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._mask is None:
-            raise TensorError("relu backward before forward")
+            raise TensorError("relu backward without a train-mode forward")
         return grad_out * self._mask
 
 

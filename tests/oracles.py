@@ -91,3 +91,52 @@ def nearest_template_predict(sequences: np.ndarray, templates: np.ndarray,
     tem = templates if last_n is None else templates[:, -last_n:, :]
     d = ((seq[:, None, :, :] - tem[None, :, :, :]) ** 2).sum(axis=(2, 3))
     return d.argmin(axis=1)
+
+
+def branch_eval_loops(branch, x: np.ndarray) -> dict[str, np.ndarray]:
+    """Eval-mode branch forward over the full window: every conv position through
+    ``conv1d_loops``, BN from its running statistics, the residual and ReLU, then
+    the heads on the last column."""
+    z = conv1d_loops(x, branch.embed.weight.data, branch.embed.bias.data, 1)
+    for blk in branch.blocks:
+        conv, bn = blk.conv, blk.bn
+        y = conv1d_loops(z, conv.weight.data, conv.bias.data, conv.dilation)
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        y = (y - bn.running_mean[None, :, None]) * scale[None, :, None]
+        y = y + bn.beta.data[None, :, None]
+        z = np.maximum(y + z[:, :, z.shape[2] - y.shape[2]:], 0)
+    out = {"feature": z[:, :, -1]}
+    for head, (_, fc) in branch.heads.items():
+        out[head] = out["feature"] @ fc.weight.data.T + fc.bias.data
+    return out
+
+
+def fusion_logits_unfolded(model, feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The feature strategies' eval-mode logits, layer after layer from the weights."""
+    strategy = model.config.strategy
+
+    def affine(layer, v):
+        return v @ layer.weight.data.T + layer.bias.data
+
+    parts = []
+    if strategy in ("pairwise", "mutual_pairwise"):
+        g = [affine(fc, np.concatenate([feats[a], feats[b]], axis=1))
+             for (a, b), fc in model.pairwise_fc.items()]
+        parts.append(affine(model.pairwise_merge, np.concatenate(g, axis=1)))
+    if strategy in ("mutual", "mutual_pairwise"):
+        fcat = np.concatenate([feats[mod] for mod in ("rgb", "flow", "obj")], axis=1)
+        parts.append(affine(model.mutual_fc, fcat))
+    h = sum(parts)
+    return {head: affine(fc, h) for head, (_, fc) in model.heads.items()}
+
+
+def max_rel_prob_error(logits: np.ndarray, want_logits: np.ndarray, floor: float = 1e-6) -> float:
+    """Largest relative error of softmax(logits) against softmax(want_logits), over
+    the reference probabilities above ``floor``."""
+    def softmax(v):
+        e = np.exp(v - v.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    p, q = softmax(np.asarray(logits, np.float64)), softmax(np.asarray(want_logits, np.float64))
+    keep = q > floor
+    return float(np.max(np.abs(p - q)[keep] / q[keep], initial=0.0))

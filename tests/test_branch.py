@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcn_anticipation.branch import (Branch, BranchConfig, multitask_loss,
+from tcn_anticipation.branch import (HEADS, Branch, BranchConfig, multitask_loss,
                                      required_input_length)
 from tcn_anticipation.gradcheck import check_branch
 from tcn_anticipation.layers import SoftmaxCrossEntropy, layout_shapes
 from tcn_anticipation.tensor import Rng, TensorError
+
+from oracles import branch_eval_loops, max_rel_prob_error
 
 
 def small_config(**overrides):
@@ -139,6 +141,46 @@ class TestForward:
             bumped = x.copy()
             bumped[0, :, t] += 0.5
             assert not np.allclose(branch.forward(bumped).feature, base), f"step {t} ignored"
+
+
+class TestLeanEval:
+    """Eval forwards compute only the last column's cone and keep no caches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.integers(1, 3), dilations=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           extra=st.integers(0, 4), batch=st.sampled_from([1, 3]),
+           dtype=st.sampled_from(["f64", "f32"]), seed=st.integers(0, 1 << 16))
+    def test_matches_the_full_window_oracle(self, kernel, dilations, extra, batch, dtype, seed):
+        cfg = small_config(input_dim=3, channels=5, kernel=kernel, dilations=tuple(dilations),
+                           dtype=dtype)
+        rng = Rng(seed)
+        branch = Branch(cfg, rng).eval()
+        for blk in branch.blocks:  # statistics and offsets away from their initial values
+            blk.conv.bias.data = rng.normal(0, 0.5, (5,), dtype)
+            blk.bn.gamma.data = rng.uniform(0.5, 1.5, (5,), dtype)
+            blk.bn.beta.data = rng.normal(0, 0.5, (5,), dtype)
+            blk.bn.running_mean = rng.normal(0, 0.5, (5,), dtype)
+            blk.bn.running_var = rng.uniform(0.5, 2.0, (5,), dtype)
+        x = rng.normal(0, 1, (batch, 3, cfg.required_length + extra), dtype)
+        out = branch.forward(x)
+        want = branch_eval_loops(branch, x)
+        tol = 1e-10 if dtype == "f64" else 1e-5
+        for head in HEADS:
+            assert max_rel_prob_error(out[head], want[head]) <= tol
+        scale = max(1.0, float(np.abs(want["feature"]).max()))
+        assert np.abs(out.feature - want["feature"]).max() <= tol * scale
+
+    def test_eval_forward_keeps_no_cache(self):
+        rng = Rng(0)
+        branch = Branch(small_config(), rng).train()
+        x = rng.normal(0, 1, (2, 4, 7), "f64")
+        out = branch.forward(x, rng)  # fills every training cache
+        branch.eval().forward(x)
+        held = [f"{name}.{attr}" for name, layer in branch.layers.items()
+                for attr in ("_cache", "_x", "_mask") if getattr(layer, attr, None) is not None]
+        assert held == []
+        with pytest.raises(TensorError):
+            branch.backward({head: np.ones_like(out[head]) for head in HEADS})
 
 
 class TestSnippetAdaptation:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -116,6 +117,20 @@ class TestRoundTrip:
         assert parameter_hash(model.named_state()) == parameter_hash(restored.named_state())
 
 
+    def test_load_peak_stays_near_one_file_size(self, tmp_path):
+        rng = Rng(0)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, {f"w{i}": rng.normal(0, 1, (256, 1024), "f32") for i in range(8)})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in loaded.values()) == 8 * 256 * 1024 * 4
+        assert peak < 1.1 * size, f"peak {peak} B for a {size} B file"
+
     @pytest.mark.parametrize("kind", ["branch", "fusion"])
     def test_load_any_reads_the_file_once(self, kind, tmp_path, monkeypatch):
         tensors = (branch_checkpoint_tensors(small_branch(), "obj", 2) if kind == "branch"
@@ -213,6 +228,32 @@ class TestCorruption:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_claimed_payload_beyond_the_file_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(path, {"x": np.zeros((1, 1), np.float64)})
+        raw = path.read_bytes()
+        dims_at = 4 + 2 + 4 + 2 + 1 + 2  # magic, version, count, name length, name, code+ndim
+        raw = raw[:dims_at] + struct.pack("<II", 1 << 31, 1 << 31) + raw[dims_at + 8:]
+        path.write_bytes(with_crc(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_corrupt_header_reported_as_crc_mismatch(self, tmp_path):
+        """A flipped header byte breaks parsing too, but the CRC names the cause."""
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(path, {"x": np.zeros(2, np.float32)})
+        raw = bytearray(path.read_bytes())
+        raw[4 + 2 + 4 + 2 + 1] = 7  # the dtype code, CRC left as written
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="CRC32"):
             load_checkpoint(path)
 
     def test_unknown_dtype_code(self, tmp_path):

@@ -9,14 +9,17 @@ from tcn_anticipation.fusion import (FEATURE_STRATEGIES, FusionConfig, FusionMod
 from tcn_anticipation.gradcheck import check_fusion
 from tcn_anticipation.layers import layout_shapes, softmax
 from tcn_anticipation.tensor import Rng, TensorError
+from tcn_anticipation.training import SgdOptimizer
+
+from oracles import fusion_logits_unfolded, max_rel_prob_error
 
 
-def make_model(strategy="mutual_pairwise", channels=6, embed=10, rng_seed=0):
+def make_model(strategy="mutual_pairwise", channels=6, embed=10, rng_seed=0, dtype="f64"):
     rng = Rng(rng_seed)
     bcfg = BranchConfig(input_dim=3, num_actions=4, num_verbs=2, num_nouns=3,
                         channels=channels, kernel=1, dilations=(1,),
                         input_dropout=0.0, block_dropout=0.0, head_dropout=0.0,
-                        dtype="f64")
+                        dtype=dtype)
     branches = {mod: Branch(bcfg, rng) for mod in MODALITIES}
     fcfg = FusionConfig(channels=channels, num_actions=4, num_verbs=2, num_nouns=3,
                         strategy=strategy, embed_dim=embed, head_dropout=0.0)
@@ -28,8 +31,17 @@ def fuse_as(model, strategy, feats):
     return model.fuse_forward(feats)
 
 
-def random_feats(rng, b=3, c=6):
-    return {mod: rng.normal(0, 1, (b, c), "f64") for mod in MODALITIES}
+def random_feats(rng, b=3, c=6, dtype="f64"):
+    return {mod: rng.normal(0, 1, (b, c), dtype) for mod in MODALITIES}
+
+
+def assert_matches_unfolded(model, feats):
+    """The eval-mode (folded) logits against the layer-by-layer composition."""
+    tol = 1e-10 if model.mutual_fc.weight.data.dtype == np.float64 else 1e-5
+    got, want = model.eval().fuse_forward(feats), fusion_logits_unfolded(model, feats)
+    for head in HEADS:
+        assert got[head].dtype == feats["rgb"].dtype
+        assert max_rel_prob_error(got[head], want[head]) <= tol
 
 
 class TestFeatureFusion:
@@ -76,6 +88,92 @@ class TestFeatureFusion:
             for head in HEADS:
                 p = softmax(logits[head])
                 assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-6
+
+
+class TestFold:
+    """Eval mode folds the feature strategies into one affine map per head."""
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("strategy", FEATURE_STRATEGIES)
+    def test_fold_matches_the_unfolded_layers(self, strategy, dtype):
+        model, rng = make_model(strategy, dtype=dtype)
+        for _, p in model.named_parameters():  # biases away from zero
+            p.data = p.data + rng.normal(0, 0.2, p.data.shape, dtype)
+        for b in (1, 3):
+            assert_matches_unfolded(model, random_feats(rng, b=b, dtype=dtype))
+
+    @pytest.mark.parametrize("strategy", FEATURE_STRATEGIES)
+    def test_train_mode_is_the_unfolded_layers(self, strategy):
+        model, rng = make_model(strategy)
+        feats = random_feats(rng)
+        got, want = model.train().fuse_forward(feats), fusion_logits_unfolded(model, feats)
+        for head in HEADS:
+            assert np.allclose(got[head], want[head], rtol=0, atol=1e-12)
+
+    def test_eval_keeps_no_cache(self):
+        model, rng = make_model()
+        feats = random_feats(rng)
+        model.train().fuse_forward(feats)
+        model.eval().fuse_forward(feats)
+        with pytest.raises(TensorError, match="train-mode"):
+            model.fuse_backward({head: np.ones((3, k)) for head, k
+                                 in model.config.class_counts.items()})
+
+    def test_built_lazily_once_and_kept_by_eval(self, monkeypatch):
+        builds = []
+        fold_layers = FusionModel._fold_layers
+        monkeypatch.setattr(FusionModel, "_fold_layers",
+                            lambda self, strategy: builds.append(strategy)
+                            or fold_layers(self, strategy))
+        model, rng = make_model()
+        model.eval()
+        model.train(False)
+        assert builds == []
+        inputs = {mod: rng.normal(0, 1, (2, 3, 4), "f64") for mod in MODALITIES}
+        for _ in range(3):
+            model.predict_proba(inputs)
+            model.eval()
+        assert builds == ["mutual_pairwise"]
+
+    def test_rebuilt_after_an_sgd_step(self):
+        model, rng = make_model()
+        feats = random_feats(rng)
+        before = model.eval().fuse_forward(feats)
+        labels = {head: np.arange(3) % k for head, k in model.config.class_counts.items()}
+        _, grads = model.loss(model.train().fuse_forward(feats, rng), labels)
+        model.fuse_backward(grads)
+        SgdOptimizer(model.trainable_parameters()).step(0.5)
+        assert not np.array_equal(model.eval().fuse_forward(feats)["action"], before["action"])
+        assert_matches_unfolded(model, feats)
+
+    def test_rebuilt_after_load_state(self):
+        model, rng = make_model()
+        feats = random_feats(rng)
+        model.eval().fuse_forward(feats)
+        other, _ = make_model(rng_seed=1)
+        model.load_state({name: a.copy() for name, a in other.named_state().items()})
+        got = model.fuse_forward(feats)
+        want = other.eval().fuse_forward(feats)
+        for head in HEADS:
+            assert np.array_equal(got[head], want[head])
+        assert_matches_unfolded(model, feats)
+
+    def test_rebuilt_after_a_strategy_swap(self):
+        model, rng = make_model()
+        feats = random_feats(rng)
+        model.eval().fuse_forward(feats)
+        for strategy in ("mutual", "pairwise", "mutual_pairwise"):
+            model.config = replace(model.config, strategy=strategy)
+            assert_matches_unfolded(model, feats)
+
+    def test_in_place_edit_takes_effect_after_train_eval(self):
+        model, rng = make_model()
+        feats = random_feats(rng)
+        model.eval().fuse_forward(feats)
+        model.mutual_fc.weight.data *= 2.0
+        model.train()
+        model.eval()
+        assert_matches_unfolded(model, feats)
 
 
 class TestLateFusion:

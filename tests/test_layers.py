@@ -54,6 +54,7 @@ class TestConv1d:
     def test_grad_bias_is_sum_of_grad_out(self):
         rng = Rng(1)
         conv = Conv1d(2, 3, 3, dtype="f64", rng=rng)
+        conv.training = True
         x = rng.normal(0, 1, (2, 2, 8), "f64")
         conv.forward(x)
         gout = rng.normal(0, 1, (2, 3, 6), "f64")
@@ -63,6 +64,7 @@ class TestConv1d:
     def test_zero_grad_out_zero_grads(self):
         rng = Rng(2)
         conv = Conv1d(2, 2, 3, dtype="f64", rng=rng)
+        conv.training = True
         x = rng.normal(0, 1, (1, 2, 7), "f64")
         conv.forward(x)
         gx = conv.backward(np.zeros((1, 2, 5)))
@@ -72,6 +74,7 @@ class TestConv1d:
         # B=2, C=3, K=3, N=9, dilation=2: the spec-level random instance
         rng = Rng(6)
         conv = Conv1d(3, 3, 3, dilation=2, dtype="f64", rng=rng)
+        conv.training = True
         x = rng.normal(0, 1, (2, 3, 9), "f64")
         gout = rng.normal(0, 1, (2, 3, 5), "f64")
 
@@ -84,6 +87,20 @@ class TestConv1d:
         worst = max(worst, max_rel_error(conv.weight.grad, finite_difference_grad(f, conv.weight.data)))
         worst = max(worst, max_rel_error(conv.bias.grad, finite_difference_grad(f, conv.bias.data)))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("runs", [((0, 5),), ((0, 1), (3, 5)), ((2, 3),), ((1, 2), (4, 5))])
+    def test_runs_compute_those_output_positions(self, runs):
+        rng = Rng(4)
+        conv = Conv1d(3, 5, 3, dilation=2, dtype="f64", rng=rng)
+        x = rng.normal(0, 1, (2, 3, 9), "f64")
+        positions = [t for start, stop in runs for t in range(start, stop)]
+        want = conv1d_loops(x, conv.weight.data, conv.bias.data, 2)[:, :, positions]
+        assert np.allclose(conv.forward(x, runs), want, rtol=0, atol=1e-12)
+
+    def test_runs_outside_the_output_rejected(self):
+        conv = make_conv([[[1.0, 0.0, -1.0]]])
+        with pytest.raises(TensorError):
+            conv.forward(np.zeros((1, 1, 5)), ((2, 4),))
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), dils=st.lists(st.integers(1, 8), min_size=1, max_size=4))
@@ -208,6 +225,7 @@ class TestLinearRelu:
 
     def test_relu_forward_backward(self):
         relu = ReLU()
+        relu.training = True
         out = relu.forward(np.array([-1.0, 0.0, 2.0]))
         assert np.array_equal(out, [0.0, 0.0, 2.0])
         assert np.array_equal(relu.backward(np.ones(3)), [0.0, 0.0, 1.0])
@@ -260,3 +278,22 @@ class TestEvalDeterminism:
         a = drop.forward(bn.forward(conv.forward(x)))
         b = drop.forward(bn.forward(conv.forward(x)))
         assert a.tobytes() == b.tobytes()
+
+
+class TestEvalKeepsNothing:
+    @pytest.mark.parametrize("make, shape", [
+        (lambda rng: Conv1d(2, 3, 3, dtype="f64", rng=rng), (2, 2, 7)),
+        (lambda rng: BatchNorm1d(2, dtype="f64"), (2, 2, 7)),
+        (lambda rng: Linear(2, 3, dtype="f64", rng=rng), (2, 2)),
+        (lambda rng: ReLU(), (2, 3)),
+    ], ids=["conv1d", "batchnorm", "linear", "relu"])
+    def test_backward_after_eval_forward_raises(self, make, shape):
+        rng = Rng(0)
+        layer = make(rng)
+        x = rng.normal(0, 1, shape, "f64")
+        layer.training = True
+        out = layer.forward(x)
+        layer.training = False
+        layer.forward(x)
+        with pytest.raises(TensorError, match="train-mode forward"):
+            layer.backward(np.ones_like(out))
