@@ -4,9 +4,10 @@ MAC counts cover the sequence-processing core only: conv multiplies for the
 branch (embedding conv plus residual-block convs over the shrinking length
 ledger) and gate matmuls for the recurrent baseline. Heads, normalization,
 and elementwise work are excluded on both sides. Counts are per sample and
-batch-invariant, and cover the full window: an eval-mode branch forward
-computes only the positions its last output column depends on, so it does
-fewer MACs than the count.
+batch-invariant, and cover the full window: a B>1 eval-mode branch forward
+computes only the positions its last output column depends on, and a B=1 one
+that continues a stream computes one column per conv, so both do fewer MACs
+than the count.
 
 Wall-clock runs warm up, then record per-repetition times; the headline
 statistic is a median-of-means, which resists desk-machine jitter better than

@@ -7,8 +7,8 @@ outputs are shorter than their inputs, the residual keeps only the most recent
 timesteps of the incoming sequence. Three classification heads (action, verb,
 noun) read the final feature vector.
 
-Only the last output column is read, so an eval-mode forward computes each conv
-only at the positions that column depends on (its cone: 21/17/9/3/1 of the
+Only the last output column is read, so a B>1 eval-mode forward computes each
+conv only at the positions that column depends on (its cone: 21/17/9/3/1 of the
 21/19/15/9/1 positions at 21 snippets and the default schedule). A plan of
 those positions is cached per (kernel, dilations, snippets). Bias, BN with its
 running statistics, the residual and ReLU run on those positions in the
@@ -16,10 +16,26 @@ train-mode order, so the cone gives the features of the full-window forward up
 to the GEMM's summation order; the positions outside it stay zero and are never
 read. Eval-mode forwards keep no caches, so ``backward`` needs a train-mode
 forward.
+
+A B=1 eval-mode forward serves a stream of windows that slide one snippet at a
+time. The branch keeps a table of up to ``STREAMS`` streams, least recently
+served evicted first. Its key is a served window's last n-1 snippets as bytes,
+with the window's dtype and shape, and its value is each block's last
+(K-1)*d+1 input columns. A window whose first n-1 snippets give an equal key is
+a hit: the embedding conv runs on the newest snippet, and each block's queue
+drops its oldest column and takes the newest, so the block's valid conv over
+the queue yields exactly its newest output column. Any other window is a miss:
+every position is computed (the cone would leave queue columns zero) and the
+stream's queues start from it. Either way the heads run as for any window, and
+the features are the full-window ones up to the GEMV's summation order. B>1 and
+train-mode forwards never read or write the table. ``train(True)`` and
+``load_state`` drop it, so an in-place weight edit takes effect after
+``train(); eval()``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
@@ -31,6 +47,7 @@ from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, ReLU, Runs,
 from .tensor import Rng, Tensor, TensorError
 
 HEADS = ("action", "verb", "noun")
+STREAMS = 16  # streams a branch keeps queues for; the least recently served goes first
 
 
 def required_input_length(kernel: int, dilations) -> int:
@@ -165,6 +182,7 @@ class _ResidualBlock:
     def __init__(self, layers: dict, prefix: str):
         self.conv, self.bn, self.drop, self.relu = (
             layers[prefix + p] for p in (".conv", ".bn", ".drop", ".relu"))
+        self.span = (self.conv.kernel_size - 1) * self.conv.dilation + 1  # inputs per output
         self._n_out = 0
 
     def forward(self, z: Tensor, rng: Rng | None, runs: Runs | None = None) -> Tensor:
@@ -185,10 +203,15 @@ class _ResidualBlock:
         return grad_z
 
 
+def _window_key(x: Tensor, snippets: slice) -> tuple:
+    return x.dtype.str, x.shape, x[:, :, snippets].tobytes()
+
+
 class Branch(Model):
     """The uni-modal network, built from ``config.layout(rng)``. Single training writer;
-    eval forwards compute only the last column's cone and keep nothing. Without an
-    ``rng`` the weights start at zero, for a caller that loads them."""
+    B>1 eval forwards compute only the last column's cone, B=1 ones step a stream's
+    queues, and neither keeps a backward cache. Without an ``rng`` the weights start
+    at zero, for a caller that loads them."""
 
     def __init__(self, config: BranchConfig, rng: Rng | None):
         super().__init__(config.layout(rng))
@@ -199,6 +222,11 @@ class Branch(Model):
         self.heads = {head: (layers[f"heads.{head}.drop"], layers[f"heads.{head}"])
                       for head in HEADS}
         self._final_shape: tuple[int, ...] | None = None
+        # window key -> each block's last `span` input columns, least recently served first
+        self._streams: OrderedDict[tuple, list[Tensor]] = OrderedDict()
+
+    def drop_derived(self) -> None:
+        self._streams.clear()
 
     # -- forward / backward -------------------------------------------------------
 
@@ -210,12 +238,12 @@ class Branch(Model):
             raise TensorError(
                 f"sequence of {x.shape[2]} snippets is shorter than the "
                 f"receptive field {c.required_length}")
-        n = x.shape[2]
-        plan = (tuple(((0, m),) for m in (n, *c.block_lengths(n))) if self.training
-                else _cone(c.kernel, c.dilations, n))
-        z = _spread(self.embed.forward(self.input_drop.forward(x, rng), plan[0]), plan[0], n)
-        for blk, runs in zip(self.blocks, plan[1:]):
-            z = blk.forward(z, rng, runs)
+        if self.training:
+            z = self._run(x, self._every_position(x.shape[2]), rng)
+        elif x.shape[0] == 1:
+            z = self._step(x)
+        else:
+            z = self._run(x, _cone(c.kernel, c.dilations, x.shape[2]), rng)
         self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
         logits = {}
@@ -223,6 +251,40 @@ class Branch(Model):
             drop, fc = self.heads[head]
             logits[head] = fc.forward(drop.forward(feature, rng))
         return BranchOutput(feature=feature, **logits)
+
+    def _every_position(self, n: int) -> tuple[Runs, ...]:
+        return tuple(((0, m),) for m in (n, *self.config.block_lengths(n)))
+
+    def _run(self, x: Tensor, plan: tuple[Runs, ...], rng: Rng | None,
+             queues: list[Tensor] | None = None) -> Tensor:
+        """The last block's output at the positions in ``plan``. With ``queues``, also
+        appends each block input's last ``span`` columns to it."""
+        n = x.shape[2]
+        z = _spread(self.embed.forward(self.input_drop.forward(x, rng), plan[0]), plan[0], n)
+        for blk, runs in zip(self.blocks, plan[1:]):
+            if queues is not None:
+                queues.append(z[:, :, -blk.span:].copy())
+            z = blk.forward(z, rng, runs)
+        return z
+
+    def _step(self, x: Tensor) -> Tensor:
+        """The last block's output for a B=1 eval window: a hit steps its stream's
+        queues by one column, a miss computes every position and starts a stream."""
+        queues = self._streams.pop(_window_key(x, slice(None, -1)), None)
+        if queues is None:
+            queues = []
+            z = self._run(x, self._every_position(x.shape[2]), None, queues)
+        else:
+            z = self.embed.forward(x[:, :, -1:])
+            for i, blk in enumerate(self.blocks):
+                queues[i] = np.concatenate((queues[i][:, :, 1:], z), axis=2)
+                z = blk.forward(queues[i], None)
+        key = _window_key(x, slice(1, None))
+        self._streams[key] = queues
+        self._streams.move_to_end(key)
+        if len(self._streams) > STREAMS:
+            self._streams.popitem(last=False)
+        return z
 
     def backward(self, grad_logits: dict[str, Tensor]) -> Tensor:
         if self._final_shape is None:

@@ -25,14 +25,15 @@ heads, so in eval mode each head is one affine map of ``[f_rgb; f_flow; f_obj]``
 The first eval-mode ``fuse_forward`` folds the layers into one (k_head, 3C)
 matrix and bias per head, heads first and accumulated in f64, and keeps the
 fold until ``train(True)``, ``load_state`` or a change of ``config.strategy``
-drops it; ``eval()`` never does. A weight edited in place in eval mode takes
-effect after ``train(); eval()``.
+drops it; ``eval()`` never does. ``train(True)`` and ``load_state`` also drop
+each branch's table of B=1 streams (see :mod:`~tcn_anticipation.branch`),
+since ``load_state`` writes the branch slots without ``Branch.load_state``. A
+weight edited in place in eval mode takes effect after ``train(); eval()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -128,14 +129,12 @@ class FusionModel(Model):
         self._att_cache = None
         self._fold: tuple[str, dict[str, tuple[Tensor, Tensor]]] | None = None
 
-    def train(self, mode: bool = True):
-        if mode:
-            self._fold = None
-        return super().train(mode)
-
-    def load_state(self, state: Mapping[str, Tensor]) -> None:
+    def drop_derived(self) -> None:
+        """The fold, and each branch's stream table: ``load_state`` writes the branch
+        slots directly and never calls ``Branch.load_state``."""
         self._fold = None
-        super().load_state(state)
+        for branch in self.branches.values():
+            branch.drop_derived()
 
     def state_slots(self) -> dict[str, tuple[object, str]]:
         """The fusion layers' slots, then each branch's under ``branches.{modality}.``."""

@@ -82,10 +82,17 @@ class Model:
         self.layers = {name: cls(*args) for name, (cls, args) in layout.items()}
 
     def train(self, mode: bool = True):
+        if mode:
+            self.drop_derived()
         self.training = mode
         for layer in self.layers.values():
             layer.training = mode
         return self
+
+    def drop_derived(self) -> None:
+        """Forget what eval forwards derived from the weights. ``train(True)`` and
+        ``load_state`` call it, so an in-place weight edit takes effect after
+        ``train(); eval()``."""
 
     def eval(self):
         return self.train(False)
@@ -105,6 +112,7 @@ class Model:
         return {name: getattr(owner, attr) for name, (owner, attr) in self.state_slots().items()}
 
     def load_state(self, state: Mapping[str, Tensor]) -> None:
+        self.drop_derived()
         slots = self.state_slots()
         for name, arr in state.items():
             if name not in slots:
