@@ -2,7 +2,7 @@
 
 from .baseline import LstmConfig, LstmEncoderDecoder
 from .bench import BenchReport, bench_models, branch_macs, lstm_macs
-from .branch import Branch, BranchConfig, BranchOutput, multitask_loss, required_input_length
+from .branch import Branch, BranchConfig, multitask_loss, required_input_length
 from .checkpoint import (CheckpointError, branch_checkpoint_tensors, branch_from_checkpoint,
                          fusion_checkpoint_tensors, fusion_from_checkpoint, load_checkpoint,
                          parameter_hash, save_checkpoint)

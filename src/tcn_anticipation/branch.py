@@ -42,11 +42,11 @@ from typing import Mapping
 
 import numpy as np
 
+from .data import HEADS
 from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, ReLU, Runs,
                      SoftmaxCrossEntropy, SpatialDropout, run_slices)
 from .tensor import Rng, Tensor, TensorError
 
-HEADS = ("action", "verb", "noun")
 STREAMS = 16  # streams a branch keeps queues for; the least recently served goes first
 
 
@@ -129,19 +129,6 @@ class BranchConfig:
             if required_input_length(self.kernel, prefix) <= n:
                 return replace(self, dilations=prefix)
         raise TensorError(f"{n} snippets cannot cover even one block (K={self.kernel})")
-
-
-@dataclass
-class BranchOutput:
-    """The final feature vector and, indexed by head name, the per-head logits."""
-
-    feature: Tensor
-    action: Tensor
-    verb: Tensor
-    noun: Tensor
-
-    def __getitem__(self, head: str) -> Tensor:
-        return getattr(self, head)
 
 
 @lru_cache(maxsize=64)
@@ -230,7 +217,8 @@ class Branch(Model):
 
     # -- forward / backward -------------------------------------------------------
 
-    def forward(self, x: Tensor, rng: Rng | None = None) -> BranchOutput:
+    def forward(self, x: Tensor, rng: Rng | None = None) -> dict[str, Tensor]:
+        """The final feature vector under ``"feature"`` and each head's logits under its name."""
         c = self.config
         if x.ndim != 3 or x.shape[1] != c.input_dim:
             raise TensorError(f"branch expected (B, {c.input_dim}, N), got {x.shape}")
@@ -246,11 +234,11 @@ class Branch(Model):
             z = self._run(x, _cone(c.kernel, c.dilations, x.shape[2]), rng)
         self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
-        logits = {}
+        out = {"feature": feature}
         for head in HEADS:
             drop, fc = self.heads[head]
-            logits[head] = fc.forward(drop.forward(feature, rng))
-        return BranchOutput(feature=feature, **logits)
+            out[head] = fc.forward(drop.forward(feature, rng))
+        return out
 
     def _every_position(self, n: int) -> tuple[Runs, ...]:
         return tuple(((0, m),) for m in (n, *self.config.block_lengths(n)))
@@ -300,12 +288,12 @@ class Branch(Model):
             grad_z = blk.backward(grad_z)
         return self.input_drop.backward(self.embed.backward(grad_z))
 
-    def loss(self, scores: BranchOutput,
+    def loss(self, scores: dict[str, Tensor],
              labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
         return multitask_loss(scores, labels)
 
 
-def multitask_loss(logits: Mapping[str, Tensor] | BranchOutput,
+def multitask_loss(logits: Mapping[str, Tensor],
                    labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
     """Sum of the per-head cross-entropies plus the logit gradients.
 

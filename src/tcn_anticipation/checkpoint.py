@@ -7,9 +7,16 @@ Layout (all integers little-endian):
                | u8 ndim | ndim x u32 dims | raw little-endian payload
     trailing u32 CRC32 of everything after the magic
 
-Training metadata (model kind, epoch, modality, model config) rides as
-ordinary entries under the reserved ``meta.`` prefix, every value stored as
-an exact f64. Loaders ignore metadata entries they do not read.
+Training metadata rides as ordinary entries under the reserved ``meta.``
+prefix, every value stored as an exact f64: ``meta.kind``, ``meta.epoch``, a
+branch's ``meta.modality``, and every field of the model's config dataclass
+under ``meta.config.`` (a fusion model's branch configs under
+``meta.config.branches.{modality}.``). A name is stored as its position in the
+tuple of names the package defines: ``("branch", "fusion")``, ``MODALITIES``,
+``STRATEGIES``, and ``("f32", "f64")`` for the ``dtype`` field, whose entry is
+``dtype_f64``. A stored position that is not an integer in range is bad
+metadata. Loaders ignore metadata entries they do not read, and the order of
+the entries does not matter. One reader builds either model.
 
 Every reader error is a CheckpointError: bad bytes, an entry name stored
 twice, bad metadata, a slot of the model's layout with no stored tensor or
@@ -31,13 +38,15 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
+from dataclasses import fields
 from hashlib import sha256
 from typing import Mapping
 
 import numpy as np
 
 from .branch import Branch, BranchConfig
-from .fusion import MODALITIES, STRATEGIES, FusionConfig, FusionModel
+from .data import MODALITIES
+from .fusion import STRATEGIES, FusionConfig, FusionModel
 from .layers import layout_shapes
 from .tensor import Tensor
 
@@ -45,12 +54,6 @@ MAGIC = b"TCNA"
 VERSION = 1
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_KIND_CODE = {"branch": 0.0, "fusion": 1.0}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
-_MODALITY_CODE = {"rgb": 0.0, "flow": 1.0, "obj": 2.0}
-_MODALITY_NAME = {v: k for k, v in _MODALITY_CODE.items()}
-_STRATEGY_CODE = {s: float(i) for i, s in enumerate(STRATEGIES)}
-_STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
 
 
 class CheckpointError(ValueError):
@@ -185,6 +188,13 @@ def parameter_hash(state: Mapping[str, Tensor]) -> str:
 
 # -- metadata encoding --------------------------------------------------------
 
+_KINDS = ("branch", "fusion")
+# config fields holding a name: the entry it is stored under, and the names it takes
+_NAMED_FIELDS = {"dtype": ("dtype_f64", ("f32", "f64")), "strategy": ("strategy", STRATEGIES)}
+# scalar config fields by annotation, which the config modules leave as strings
+_SCALAR_FIELDS = {"int": int, "float": float}
+
+
 def _scalar(v: float) -> np.ndarray:
     return np.array([float(v)], dtype=np.float64)
 
@@ -193,127 +203,112 @@ def _meta_value(tensors: Mapping[str, Tensor], key: str) -> float:
     return float(tensors[key][0])
 
 
+def _meta_name(tensors: Mapping[str, Tensor], key: str, names: tuple[str, ...]) -> str:
+    """The name a stored position stands for; anything but an integer in range is an error."""
+    code = _meta_value(tensors, key)
+    if not (code.is_integer() and 0 <= code < len(names)):
+        raise CheckpointError(f"entry {key!r} holds {code}, not a position in {names}")
+    return names[int(code)]
+
+
+def _config_meta(cfg, prefix: str) -> dict[str, np.ndarray]:
+    """Every field of a config dataclass as an exact f64 entry, a name by its position."""
+    meta = {}
+    for f in fields(cfg):
+        key, names = _NAMED_FIELDS.get(f.name, (f.name, None))
+        value = getattr(cfg, f.name)
+        meta[prefix + key] = np.array(value if names is None else names.index(value),
+                                      dtype=np.float64).reshape(-1)
+    return meta
+
+
+def _config_from_meta(cls, tensors: Mapping[str, Tensor], prefix: str):
+    """The config dataclass ``cls`` that ``_config_meta`` wrote under ``prefix``."""
+    kwargs = {}
+    for f in fields(cls):
+        key, names = _NAMED_FIELDS.get(f.name, (f.name, None))
+        if names is not None:
+            kwargs[f.name] = _meta_name(tensors, prefix + key, names)
+        elif f.type in _SCALAR_FIELDS:
+            kwargs[f.name] = _SCALAR_FIELDS[f.type](_meta_value(tensors, prefix + key))
+        else:  # a tuple of ints
+            kwargs[f.name] = tuple(int(v) for v in np.asarray(tensors[prefix + key]))
+    return cls(**kwargs)
+
+
 @contextmanager
 def _reading_metadata(path):
     """A missing, malformed or invalid ``meta.`` entry, or a model that the
     metadata and the stored tensors cannot build, becomes a CheckpointError."""
     try:
         yield
-    except CheckpointError:
-        raise
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({type(exc).__name__}: {exc})") from None
 
 
-_BRANCH_SCALARS = ("input_dim", "num_actions", "num_verbs", "num_nouns",
-                   "channels", "kernel", "input_dropout", "block_dropout",
-                   "head_dropout")
-_FUSION_SCALARS = ("channels", "num_actions", "num_verbs", "num_nouns",
-                   "embed_dim", "head_dropout")
-
-
-def _config_kwargs(meta: Mapping[str, Tensor], prefix: str, keys) -> dict:
-    """Dropouts as floats, sizes as ints."""
-    values = {k: _meta_value(meta, prefix + k) for k in keys}
-    return {k: v if "dropout" in k else int(v) for k, v in values.items()}
-
-
-def _branch_config_meta(cfg: BranchConfig, prefix: str) -> dict[str, np.ndarray]:
-    meta = {f"{prefix}{k}": _scalar(getattr(cfg, k)) for k in _BRANCH_SCALARS}
-    meta[f"{prefix}dilations"] = np.asarray(cfg.dilations, dtype=np.float64)
-    meta[f"{prefix}dtype_f64"] = _scalar(1.0 if cfg.dtype == "f64" else 0.0)
-    return meta
-
-
-def _branch_config_from_meta(meta: Mapping[str, Tensor], prefix: str) -> BranchConfig:
-    return BranchConfig(
-        dilations=tuple(int(d) for d in np.asarray(meta[f"{prefix}dilations"])),
-        dtype="f64" if _meta_value(meta, f"{prefix}dtype_f64") else "f32",
-        **_config_kwargs(meta, prefix, _BRANCH_SCALARS))
-
-
-def _check_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple], path) -> None:
+def _check_shapes(tensors: Mapping[str, Tensor], shapes: dict[str, tuple]) -> None:
     """Run before a build: every slot the metadata lays out is stored with its shape."""
     for name, shape in shapes.items():
         if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
+            raise CheckpointError(f"missing tensor {name!r}")
         if tensors[name].shape != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+            raise CheckpointError(f"tensor {name!r} has shape {tensors[name].shape}, "
                                   f"metadata expects {shape}")
 
 
 def branch_checkpoint_tensors(branch: Branch, modality: str, epoch: int) -> dict[str, Tensor]:
-    tensors = dict(branch.named_state())
-    tensors["meta.kind"] = _scalar(_KIND_CODE["branch"])
-    tensors["meta.epoch"] = _scalar(epoch)
-    tensors["meta.modality"] = _scalar(_MODALITY_CODE[modality])
-    tensors.update(_branch_config_meta(branch.config, "meta.config."))
-    return tensors
-
-
-def branch_from_checkpoint(path) -> tuple[Branch, str, dict]:
-    return _branch_from_tensors(load_checkpoint(path), path)
-
-
-def _branch_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[Branch, str, dict]:
-    with _reading_metadata(path):
-        if _meta_value(tensors, "meta.kind") != _KIND_CODE["branch"]:
-            raise CheckpointError(f"{path}: not a branch checkpoint")
-        cfg = _branch_config_from_meta(tensors, "meta.config.")
-        info = {"epoch": int(_meta_value(tensors, "meta.epoch")),
-                "modality": _MODALITY_NAME[_meta_value(tensors, "meta.modality")]}
-        _check_shapes(tensors, layout_shapes(cfg.layout()), path)
-        branch = Branch(cfg, rng=None)
-        branch.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
-    return branch, info["modality"], info
+    return {**branch.named_state(), "meta.kind": _scalar(_KINDS.index("branch")),
+            "meta.epoch": _scalar(epoch), "meta.modality": _scalar(MODALITIES.index(modality)),
+            **_config_meta(branch.config, "meta.config.")}
 
 
 def fusion_checkpoint_tensors(model: FusionModel, epoch: int) -> dict[str, Tensor]:
-    tensors = dict(model.named_state())
-    cfg = model.config
-    tensors["meta.kind"] = _scalar(_KIND_CODE["fusion"])
-    tensors["meta.epoch"] = _scalar(epoch)
-    tensors["meta.config.strategy"] = _scalar(_STRATEGY_CODE[cfg.strategy])
-    for k in _FUSION_SCALARS:
-        tensors[f"meta.config.{k}"] = _scalar(getattr(cfg, k))
+    tensors = {**model.named_state(), "meta.kind": _scalar(_KINDS.index("fusion")),
+               "meta.epoch": _scalar(epoch), **_config_meta(model.config, "meta.config.")}
     for mod in MODALITIES:
-        tensors.update(_branch_config_meta(model.branches[mod].config,
-                                           f"meta.config.branches.{mod}."))
+        tensors.update(_config_meta(model.branches[mod].config, f"meta.config.branches.{mod}."))
     return tensors
 
 
-def fusion_from_checkpoint(path) -> tuple[FusionModel, dict]:
-    return _fusion_from_tensors(load_checkpoint(path), path)
-
-
-def _fusion_from_tensors(tensors: Mapping[str, Tensor], path) -> tuple[FusionModel, dict]:
+def _model_from_tensors(tensors: Mapping[str, Tensor], path, kind: str | None = None):
+    """(kind, model, info) from a checkpoint's tensors; with ``kind``, only that kind is
+    accepted. Branch info holds the epoch and modality, fusion info the epoch."""
     with _reading_metadata(path):
-        if _meta_value(tensors, "meta.kind") != _KIND_CODE["fusion"]:
-            raise CheckpointError(f"{path}: not a fusion checkpoint")
-        bcfgs = {mod: _branch_config_from_meta(tensors, f"meta.config.branches.{mod}.")
-                 for mod in MODALITIES}
-        cfg = FusionConfig(
-            strategy=_STRATEGY_NAME[_meta_value(tensors, "meta.config.strategy")],
-            **_config_kwargs(tensors, "meta.config.", _FUSION_SCALARS))
+        stored = _meta_name(tensors, "meta.kind", _KINDS)
+        if kind not in (None, stored):
+            raise CheckpointError(f"not a {kind} checkpoint")
         info = {"epoch": int(_meta_value(tensors, "meta.epoch"))}
-        shapes = layout_shapes(cfg.layout())
-        for mod in MODALITIES:
-            shapes.update((f"branches.{mod}.{name}", shape)
-                          for name, shape in layout_shapes(bcfgs[mod].layout()).items())
-        _check_shapes(tensors, shapes, path)
-        model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg,
-                            rng=None)
+        if stored == "branch":
+            info["modality"] = _meta_name(tensors, "meta.modality", MODALITIES)
+            cfg = _config_from_meta(BranchConfig, tensors, "meta.config.")
+            _check_shapes(tensors, layout_shapes(cfg.layout()))
+            model = Branch(cfg, rng=None)
+        else:
+            cfg = _config_from_meta(FusionConfig, tensors, "meta.config.")
+            bcfgs = {mod: _config_from_meta(BranchConfig, tensors, f"meta.config.branches.{mod}.")
+                     for mod in MODALITIES}
+            shapes = layout_shapes(cfg.layout())
+            for mod in MODALITIES:
+                shapes.update((f"branches.{mod}.{name}", shape)
+                              for name, shape in layout_shapes(bcfgs[mod].layout()).items())
+            _check_shapes(tensors, shapes)
+            model = FusionModel({mod: Branch(bcfgs[mod], rng=None) for mod in MODALITIES}, cfg,
+                                rng=None)
         model.load_state({k: v for k, v in tensors.items() if not k.startswith("meta.")})
-    return model, info
+    return stored, model, info
+
+
+def branch_from_checkpoint(path) -> tuple[Branch, str, dict]:
+    _, branch, info = _model_from_tensors(load_checkpoint(path), path, "branch")
+    return branch, info["modality"], info
+
+
+def fusion_from_checkpoint(path) -> tuple[FusionModel, dict]:
+    return _model_from_tensors(load_checkpoint(path), path, "fusion")[1:]
 
 
 def load_any_checkpoint(path):
     """Return ("branch", Branch, info) or ("fusion", FusionModel, info) from one read."""
-    tensors = load_checkpoint(path)
-    with _reading_metadata(path):
-        kind = _KIND_NAME[_meta_value(tensors, "meta.kind")]
-    if kind == "branch":
-        branch, _, info = _branch_from_tensors(tensors, path)
-        return "branch", branch, info
-    model, info = _fusion_from_tensors(tensors, path)
-    return "fusion", model, info
+    return _model_from_tensors(load_checkpoint(path), path)

@@ -26,9 +26,8 @@ import numpy as np
 
 from .tensor import Tensor
 
-MODALITIES = ("rgb", "flow", "obj")
-MODALITY_CODES = {"rgb": 0, "flow": 1, "obj": 2}
-_CODE_MODALITY = {v: k for k, v in MODALITY_CODES.items()}
+MODALITIES = ("rgb", "flow", "obj")  # a modality's FSEQ code is its position here
+HEADS = ("action", "verb", "noun")
 FSEQ_MAGIC = b"FSEQ"
 FSEQ_VERSION = 1
 INDEX_HEADER = ["id", "action", "verb", "noun", "rgb_path", "flow_path", "obj_path"]
@@ -62,12 +61,12 @@ class Sample:
 
 
 def write_feature_file(path, modality: str, features: Tensor) -> None:
-    if modality not in MODALITY_CODES:
+    if modality not in MODALITIES:
         raise DatasetError(f"unknown modality {modality!r}")
     arr = np.ascontiguousarray(features, dtype="<f4")
     if arr.ndim != 2:
         raise DatasetError(f"features must be (N, D), got shape {arr.shape}")
-    body = struct.pack("<HBII", FSEQ_VERSION, MODALITY_CODES[modality],
+    body = struct.pack("<HBII", FSEQ_VERSION, MODALITIES.index(modality),
                        arr.shape[0], arr.shape[1])
     body += arr.tobytes()
     with open(path, "wb") as fh:
@@ -86,7 +85,7 @@ def read_feature_file(path) -> tuple[str, Tensor]:
     version, code, n, d = struct.unpack("<HBII", raw[4:15])
     if version != FSEQ_VERSION:
         raise DatasetError(f"{path}: unsupported version {version}, expected {FSEQ_VERSION}")
-    if code not in _CODE_MODALITY:
+    if code >= len(MODALITIES):
         raise DatasetError(f"{path}: unknown modality code {code}")
     expected = 4 + 11 + n * d * 4 + 4
     if len(raw) < expected:
@@ -98,7 +97,7 @@ def read_feature_file(path) -> tuple[str, Tensor]:
     if zlib.crc32(body) != struct.unpack("<I", stored)[0]:
         raise DatasetError(f"{path}: CRC32 mismatch, file is corrupt")
     features = np.frombuffer(body[11:], dtype="<f4").reshape(n, d).copy()
-    return _CODE_MODALITY[code], features
+    return MODALITIES[code], features
 
 
 def write_dataset(samples: list[Sample], out_dir) -> Path:
@@ -170,8 +169,12 @@ def stack_features(samples: list[Sample], modality: str,
                 raise DatasetError(
                     f"sample {s.sample_id!r} has {arr.shape[0]} snippets, need {last_n}")
             arr = arr[arr.shape[0] - last_n:]
+        if mats and arr.shape != mats[0].T.shape:
+            raise DatasetError(
+                f"sample {s.sample_id!r} has {modality} features of shape {arr.shape}, "
+                f"sample {samples[0].sample_id!r} has {mats[0].T.shape}")
         mats.append(arr.T)
     x = np.ascontiguousarray(np.stack(mats))
     labels = {head: np.array([s.labels[head] for s in samples], dtype=np.int64)
-              for head in ("action", "verb", "noun")}
+              for head in HEADS}
     return x, labels

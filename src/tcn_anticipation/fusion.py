@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import HEADS, Branch, BranchOutput, multitask_loss
+from .branch import Branch, multitask_loss
+from .data import HEADS, MODALITIES
 from .layers import Layout, Linear, Model, Parameter, SpatialDropout, softmax
 from .tensor import Rng, Tensor, TensorError
 
-MODALITIES = ("rgb", "flow", "obj")
 PAIRS = (("rgb", "flow"), ("rgb", "obj"), ("flow", "obj"))
 STRATEGIES = ("late", "attention", "mutual", "pairwise", "mutual_pairwise")
 FEATURE_STRATEGIES = ("mutual", "pairwise", "mutual_pairwise")
@@ -146,7 +146,7 @@ class FusionModel(Model):
 
     # -- branch pass ------------------------------------------------------------
 
-    def branch_outputs(self, inputs: dict[str, Tensor]) -> dict[str, BranchOutput]:
+    def branch_outputs(self, inputs: dict[str, Tensor]) -> dict[str, dict[str, Tensor]]:
         """One frozen eval-mode forward per modality."""
         return {mod: self.branches[mod].eval().forward(inputs[mod]) for mod in MODALITIES}
 
@@ -264,12 +264,12 @@ class FusionModel(Model):
 
     # -- the interface both trainers and the predictor use ------------------------
 
-    def forward(self, outputs: dict[str, BranchOutput], rng: Rng | None = None
+    def forward(self, outputs: dict[str, dict[str, Tensor]], rng: Rng | None = None
                 ) -> dict[str, Tensor]:
         """Per-head scores from the branch outputs: fused logits for the feature
         strategies, mixed class probabilities for late and attention."""
         strategy = self.config.strategy
-        feats = {mod: out.feature for mod, out in outputs.items()}
+        feats = {mod: out["feature"] for mod, out in outputs.items()}
         if strategy in FEATURE_STRATEGIES:
             return self.fuse_forward(feats, rng)
         probs = {mod: {head: softmax(out[head]) for head in HEADS}

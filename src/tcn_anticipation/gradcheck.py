@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branch import Branch, BranchConfig, BranchOutput
+from .branch import Branch, BranchConfig
 from .fusion import HEADS, FusionConfig, FusionModel, MODALITIES
 from .layers import BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy, SpatialDropout
 from .tensor import Rng
@@ -225,11 +225,11 @@ def check_fusion(rng: Rng, configs: int = 20) -> float:
         labels = {head: (rng.uniform(0, 1, (b,), "f64") * k).astype(np.int64)
                   for head, k in fcfg.class_counts.items()}
         # mutual_pairwise reads only the features; attention also the logits drawn next
-        outputs = {mod: BranchOutput(feats[mod], **dict.fromkeys(HEADS)) for mod in MODALITIES}
+        outputs = {mod: {"feature": feats[mod], **dict.fromkeys(HEADS)} for mod in MODALITIES}
         worst = max(worst, _model_error(model, outputs, labels, model.trainable_parameters()))
         for mod in MODALITIES:
             for head, k in fcfg.class_counts.items():
-                setattr(outputs[mod], head, _rand(rng, (b, k)))
+                outputs[mod][head] = _rand(rng, (b, k))
         model.config = replace(fcfg, strategy="attention")
         worst = max(worst, _model_error(model, outputs, labels, model.trainable_parameters()))
     return worst

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import HEADS
 from .tensor import Tensor, TensorError, argsort_desc
-
-HEADS = ("action", "verb", "noun")
 
 
 def top_k_accuracy(logits: Tensor, labels, k: int) -> float:

@@ -9,7 +9,7 @@ that fusing them is genuinely necessary:
 
 Actions come in confusable pairs: partners share their late-window prototypes
 in every modality, and the component that tells the partners apart is emitted
-only in the earliest snippets (1..early_cutoff, farthest from the action).
+only in the earliest snippets (1..EARLY_CUTOFF, farthest from the action).
 Watching only the recent window therefore narrows a sample to its pair but
 never to the member, which creates a real long-range dependency: accuracy
 must grow with the observed window.
@@ -20,10 +20,10 @@ actions use partner verbs and partner nouns, so the late window is ambiguous
 consistently across modalities.
 
 Emission per snippet t: feature_t = prototype_t * ramp(t) + Normal(0, sigma),
-with ramp increasing linearly toward the action. ``rgb_member_scale`` scales
-the early distinguishing component in rgb only: at 1.0 rgb alone suffices to
-learn the action; at 0.0 rgb identifies only the pair, so no single modality
-determines the action while flow+obj jointly do.
+with ramp rising linearly from RAMP_START to 1 toward the action.
+``rgb_member_scale`` scales the early distinguishing component in rgb only: at
+1.0 rgb alone suffices to learn the action; at 0.0 rgb identifies only the
+pair, so no single modality determines the action while flow+obj jointly do.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ import numpy as np
 
 from .data import MODALITIES, Sample
 from .tensor import Rng, Tensor, TensorError
+
+EARLY_CUTOFF = 8  # snippets that carry the component telling partner actions apart
+RAMP_START = 0.5  # emission scale of the first snippet; the last is at 1
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,6 @@ class SyntheticSpec:
     num_snippets: int = 21
     sigma: float = 0.5
     rgb_member_scale: float = 1.0
-    early_cutoff: int = 8
-    ramp_start: float = 0.5
     train_per_class: int = 200
     val_per_class: int = 50
 
@@ -65,8 +66,8 @@ class SyntheticSpec:
                 f"{self.num_verbs} x {self.num_nouns} verb/noun grid of pairs")
         if self.sigma < 0:
             raise TensorError("sigma must be >= 0")
-        if not 0 <= self.early_cutoff <= self.num_snippets:
-            raise TensorError("early_cutoff must lie within the window")
+        if self.num_snippets < EARLY_CUTOFF:
+            raise TensorError(f"the window must cover the {EARLY_CUTOFF} early snippets")
         if not 0.0 <= self.rgb_member_scale <= 1.0:
             raise TensorError("rgb_member_scale must be in [0, 1]")
 
@@ -119,13 +120,6 @@ def action_table(spec: SyntheticSpec) -> list[tuple[int, int]]:
     return actions
 
 
-def _ramp(spec: SyntheticSpec) -> np.ndarray:
-    n = spec.num_snippets
-    if n == 1:
-        return np.ones(1)
-    return spec.ramp_start + (1.0 - spec.ramp_start) * np.arange(n) / (n - 1)
-
-
 class _Prototypes:
     """All prototype tables, drawn in a fixed order from one seeded stream."""
 
@@ -154,9 +148,10 @@ class _Prototypes:
             early = spec.rgb_member_scale * self.early_action[action]
         else:
             raise TensorError(f"unknown modality {modality!r}")
-        ramp = _ramp(spec)
-        seq = np.tile(late, (spec.num_snippets, 1))
-        seq[:spec.early_cutoff] += early
+        n = spec.num_snippets
+        ramp = RAMP_START + (1.0 - RAMP_START) * np.arange(n) / (n - 1)
+        seq = np.tile(late, (n, 1))
+        seq[:EARLY_CUTOFF] += early
         return seq * ramp[:, None]
 
 
@@ -168,15 +163,14 @@ def class_templates(spec: SyntheticSpec, seed: int, modality: str) -> np.ndarray
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Sample], list[Sample]]:
     """Seeded train/val sample lists; identical seeds give identical datasets."""
-    protos = _Prototypes(spec, seed)
+    actions = action_table(spec)
     rng = Rng(seed + 1)  # emission noise stream, separate from prototypes
-    templates = {mod: np.stack([protos.sequence(a, mod) for a in range(spec.num_actions)])
-                 for mod in MODALITIES}
+    templates = {mod: class_templates(spec, seed, mod) for mod in MODALITIES}
 
     def emit(split: str, per_class: int) -> list[Sample]:
         samples = []
         for action in range(spec.num_actions):
-            verb, noun = protos.actions[action]
+            verb, noun = actions[action]
             for i in range(per_class):
                 feats = {}
                 for mod in MODALITIES:

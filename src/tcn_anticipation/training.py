@@ -15,11 +15,11 @@ val_top5_action, wall_seconds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch import Branch, BranchConfig, BranchOutput
+from .branch import Branch, BranchConfig
 from .checkpoint import parameter_hash
 from .data import Sample, stack_features
 from .fusion import MODALITIES, FusionConfig, FusionModel
@@ -130,7 +130,7 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
 
 
 def _branch_pass(model: FusionModel, samples: list[Sample], snippets: int | None,
-                 ) -> tuple[dict[str, BranchOutput], dict[str, np.ndarray]]:
+                 ) -> tuple[dict[str, dict[str, Tensor]], dict[str, np.ndarray]]:
     inputs = {}
     for mod in MODALITIES:
         inputs[mod], labels = stack_features(samples, mod, snippets)
@@ -169,11 +169,9 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
 
 
 def _rows(x, idx):
-    """Rows ``idx`` of an array, or of every array in a mapping or branch output."""
+    """Rows ``idx`` of an array, or of every array in a (nested) mapping."""
     if isinstance(x, dict):
         return {key: _rows(value, idx) for key, value in x.items()}
-    if isinstance(x, BranchOutput):
-        return BranchOutput(**{f.name: getattr(x, f.name)[idx] for f in fields(x)})
     return x[idx]
 
 

@@ -43,7 +43,7 @@ def assert_matches_oracle(out, want, dtype):
     for head in HEADS:
         assert max_rel_prob_error(out[head], want[head]) <= tol
     scale = max(1.0, float(np.abs(want["feature"]).max()))
-    assert np.abs(out.feature - want["feature"]).max() <= tol * scale
+    assert np.abs(out["feature"] - want["feature"]).max() <= tol * scale
 
 
 class TestRequiredInputLength:
@@ -129,7 +129,7 @@ class TestForward:
         bn_scale = 1.0 / np.sqrt(1.0 + 1e-5)
         embedded = branch.embed.forward(x)
         want = np.maximum(np.maximum(bn_scale * 0 + embedded[:, :, -1], 0), 0)
-        assert np.allclose(out.feature, np.maximum(embedded[:, :, -1], 0))
+        assert np.allclose(out["feature"], np.maximum(embedded[:, :, -1], 0))
 
     def test_sequence_too_short(self):
         rng = Rng(0)
@@ -145,8 +145,8 @@ class TestForward:
         x = rng.normal(0, 1, (2, 4, 11), "f64")
         out_full = branch.forward(x)
         out_tail = branch.forward(np.ascontiguousarray(x[:, :, -7:]))
-        assert out_full.feature.shape == (2, 8)
-        assert np.allclose(out_full.feature, out_tail.feature, rtol=0, atol=1e-12)
+        assert out_full["feature"].shape == (2, 8)
+        assert np.allclose(out_full["feature"], out_tail["feature"], rtol=0, atol=1e-12)
 
     def test_train_mode_needs_rng(self):
         rng = Rng(0)
@@ -162,11 +162,11 @@ class TestForward:
                            block_dropout=0.0, head_dropout=0.0, dtype="f64")
         branch = Branch(cfg, rng).eval()
         x = rng.normal(0, 1, (1, 3, 21), "f64")
-        base = branch.forward(x).feature
+        base = branch.forward(x)["feature"]
         for t in range(21):
             bumped = x.copy()
             bumped[0, :, t] += 0.5
-            assert not np.allclose(branch.forward(bumped).feature, base), f"step {t} ignored"
+            assert not np.allclose(branch.forward(bumped)["feature"], base), f"step {t} ignored"
 
 
 class TestLeanEval:
@@ -421,15 +421,15 @@ class TestLoss:
 
     def test_uniform_action_head_gives_ln4(self):
         out = self.branch.forward(self.x)
-        out.action[...] = 0.0
-        loss = SoftmaxCrossEntropy().forward(out.action, np.array([0, 1]))
+        out["action"][...] = 0.0
+        loss = SoftmaxCrossEntropy().forward(out["action"], np.array([0, 1]))
         assert abs(loss - np.log(4)) < 1e-12
 
     def test_all_heads_uniform(self):
         out = self.branch.forward(self.x)
-        out.action[...] = 0.0
-        out.verb[...] = 0.0
-        out.noun[...] = 0.0
+        out["action"][...] = 0.0
+        out["verb"][...] = 0.0
+        out["noun"][...] = 0.0
         labels = {"action": np.array([0, 1]), "verb": np.array([0, 1]), "noun": np.array([0, 1])}
         loss, _ = multitask_loss(out, labels)
         assert abs(loss - (np.log(4) + np.log(2) + np.log(2))) < 1e-12

@@ -46,6 +46,10 @@ def write_broken_checkpoint(case: str, path, branch_tensors=None) -> None:
         del tensors["meta.config.kernel"]
     elif case == "modality_code_7":
         tensors["meta.modality"] = np.array([7.0])
+    elif case == "modality_code_minus_1":
+        tensors["meta.modality"] = np.array([-1.0])
+    elif case == "kind_code_half":
+        tensors["meta.kind"] = np.array([0.5])
     elif case == "strategy_index_9":
         tensors["meta.config.strategy"] = np.array([9.0])
     elif case == "unknown_tensor":
@@ -61,8 +65,26 @@ def write_broken_checkpoint(case: str, path, branch_tensors=None) -> None:
         path.write_bytes(with_crc(path.read_bytes().replace(*renamed[case])))
 
 
-BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "strategy_index_9",
-                "unknown_tensor", "flipped_branch_dtype", "missing_bias", "duplicate_name")
+BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "modality_code_minus_1",
+                "kind_code_half", "strategy_index_9", "unknown_tensor", "flipped_branch_dtype",
+                "missing_bias", "duplicate_name")
+
+# Every metadata entry of the small checkpoints, in the order the format's first
+# writer used: kind, epoch, modality (fusion: the strategy), the scalar fields,
+# then dilations and dtype_f64 per branch config.
+SMALL_BRANCH_CONFIG_META = {
+    "input_dim": [4.0], "num_actions": [3.0], "num_verbs": [2.0], "num_nouns": [2.0],
+    "channels": [6.0], "kernel": [3.0], "input_dropout": [0.3], "block_dropout": [0.5],
+    "head_dropout": [0.7], "dilations": [1.0, 2.0], "dtype_f64": [0.0]}
+GOLDEN_META = {
+    "branch": {"meta.kind": [0.0], "meta.epoch": [2.0], "meta.modality": [1.0],
+               **{f"meta.config.{k}": v for k, v in SMALL_BRANCH_CONFIG_META.items()}},
+    "fusion": {"meta.kind": [1.0], "meta.epoch": [2.0], "meta.config.strategy": [1.0],
+               "meta.config.channels": [6.0], "meta.config.num_actions": [3.0],
+               "meta.config.num_verbs": [2.0], "meta.config.num_nouns": [2.0],
+               "meta.config.embed_dim": [5.0], "meta.config.head_dropout": [0.2],
+               **{f"meta.config.branches.{mod}.{k}": v for mod in MODALITIES
+                  for k, v in SMALL_BRANCH_CONFIG_META.items()}}}
 
 
 class TestRoundTrip:
@@ -189,6 +211,42 @@ class TestRoundTrip:
         resaved = (branch_checkpoint_tensors(model, "obj", 2) if kind == "branch"
                    else fusion_checkpoint_tensors(model, 2))
         assert not set(retired) & set(resaved)
+
+
+def small_tensors(kind):
+    """A flow branch at epoch 2, or the attention fusion checkpoint at epoch 2."""
+    return (branch_checkpoint_tensors(small_branch(), "flow", 2) if kind == "branch"
+            else small_fusion_tensors())
+
+
+def meta_values(tensors):
+    assert all(v.dtype == np.float64 and v.ndim == 1
+               for k, v in tensors.items() if k.startswith("meta."))
+    return {k: v.tolist() for k, v in tensors.items() if k.startswith("meta.")}
+
+
+class TestMetadataFormat:
+    """The entries are derived from the config dataclasses, so these pin the format."""
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    def test_every_entry_name_and_value(self, kind):
+        assert meta_values(small_tensors(kind)) == GOLDEN_META[kind]
+
+    @pytest.mark.parametrize("kind", ["branch", "fusion"])
+    def test_first_writers_entry_order_loads(self, kind, tmp_path):
+        tensors = small_tensors(kind)
+        state = {k: v for k, v in tensors.items() if not k.startswith("meta.")}
+        path = tmp_path / "ordered.ckpt"
+        save_checkpoint(path, {**state, **{k: np.array(v) for k, v in GOLDEN_META[kind].items()}})
+        assert [k for k in load_checkpoint(path) if k.startswith("meta.")] == list(
+            GOLDEN_META[kind])
+        got_kind, model, info = load_any_checkpoint(path)
+        assert (got_kind, info) == (kind, {"epoch": 2, "modality": "flow"} if kind == "branch"
+                                    else {"epoch": 2})
+        assert parameter_hash(model.named_state()) == parameter_hash(state)
+        resaved = (branch_checkpoint_tensors(model, "flow", 2) if kind == "branch"
+                   else fusion_checkpoint_tensors(model, 2))
+        assert meta_values(resaved) == GOLDEN_META[kind]
 
 
 class TestCorruption:

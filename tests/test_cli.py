@@ -9,7 +9,8 @@ import pytest
 from tcn_anticipation.branch import BranchConfig
 from tcn_anticipation.checkpoint import (branch_checkpoint_tensors, fusion_from_checkpoint,
                                          load_checkpoint, save_checkpoint)
-from tcn_anticipation.data import stack_features, write_dataset
+from tcn_anticipation.data import (read_dataset, stack_features, write_dataset,
+                                   write_feature_file)
 from tcn_anticipation.fusion import MODALITIES
 from tcn_anticipation.metrics import top_k_accuracy
 from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
@@ -244,6 +245,18 @@ class TestTrainEvaluate:
         proc = run("train-branch", "--data", str(data), "--out", str(tmp_path / "o"),
                    "--epochs", "1", "--channels", "4", check=False)
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+    def test_train_branch_unequal_feature_widths_exit_2(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        val = read_dataset(data / "val" / "index.csv")
+        wide = val[1].features["rgb"]
+        write_feature_file(data / "val" / "features" / f"{val[1].sample_id}_rgb.fseq", "rgb",
+                           np.concatenate([wide, wide[:, :8]], axis=1))
+        proc = run("train-branch", "--data", str(data), "--out", str(tmp_path / "o"),
+                   "--epochs", "1", "--channels", "4", check=False)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+        assert f"{val[1].sample_id!r} has rgb features of shape (21, 40)" in proc.stderr
 
     @pytest.mark.parametrize("command", ["evaluate", "ablate-obslen"])
     def test_config_modality_outside_choices_exits_2(self, command, synth_dir, trained_branch,

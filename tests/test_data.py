@@ -142,3 +142,13 @@ class TestStackFeatures:
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             stack_features([], "rgb")
+
+    @pytest.mark.parametrize("last_n", [None, 3])
+    def test_unequal_shapes_name_the_sample_and_both_shapes(self, last_n):
+        rng = Rng(12)
+        samples = [random_sample(rng, f"s{i}") for i in range(3)]
+        samples[2].features["rgb"] = rng.normal(0, 1, (5, 6), "f32")
+        n = 5 if last_n is None else last_n
+        with pytest.raises(DatasetError, match=rf"'s2' has rgb features of shape \({n}, 6\), "
+                                               rf"sample 's0' has \({n}, 4\)"):
+            stack_features(samples, "rgb", last_n)
