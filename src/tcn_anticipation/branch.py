@@ -9,13 +9,14 @@ noun) read the final feature vector.
 
 Only the last output column is read, so a B>1 eval-mode forward computes each
 conv only at the positions that column depends on (its cone: 21/17/9/3/1 of the
-21/19/15/9/1 positions at 21 snippets and the default schedule). A plan of
-those positions is cached per (kernel, dilations, snippets). Bias, BN with its
-running statistics, the residual and ReLU run on those positions in the
-train-mode order, so the cone gives the features of the full-window forward up
-to the GEMM's summation order; the positions outside it stay zero and are never
-read. Eval-mode forwards keep no caches, so ``backward`` needs a train-mode
-forward.
+21/19/15/9/1 positions at 21 snippets and the default schedule), and each block
+reads and writes only those columns, packed. A plan per conv, cached per
+(kernel, dilations, snippets), gives its runs of outputs and where each tap's
+columns start in its packed input; the residual reads the last tap's columns.
+Bias, BN with its running statistics, the residual and ReLU run on those
+columns in the train-mode order, so the cone gives the features of the
+full-window forward up to the GEMM's summation order. Eval-mode forwards keep
+no caches, so ``backward`` needs a train-mode forward.
 
 A B=1 eval-mode forward serves a stream of windows that slide one snippet at a
 time. The branch keeps a table of up to ``STREAMS`` streams, least recently
@@ -43,8 +44,8 @@ from typing import Mapping
 import numpy as np
 
 from .data import HEADS
-from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, ReLU, Runs,
-                     SoftmaxCrossEntropy, SpatialDropout, run_slices)
+from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, Plan, ReLU,
+                     SoftmaxCrossEntropy, SpatialDropout)
 from .tensor import Rng, Tensor, TensorError
 
 STREAMS = 16  # streams a branch keeps queues for; the least recently served goes first
@@ -132,35 +133,31 @@ class BranchConfig:
 
 
 @lru_cache(maxsize=64)
-def _cone(kernel: int, dilations: tuple[int, ...], n: int) -> tuple[Runs, ...]:
-    """The output positions of the embedding conv and of each block that the last
-    output column of an n-snippet forward depends on, as runs."""
-    need = {n - 1 - (kernel - 1) * sum(dilations)}
-    plan = [need]
+def _cone(kernel: int, dilations: tuple[int, ...], n: int) -> tuple[Plan, ...]:
+    """The plans of the embedding conv and of each block for the last output column of
+    an n-snippet forward: each conv computes the outputs that column depends on, from
+    the columns the conv before it computed."""
+    need = [n - 1 - (kernel - 1) * sum(dilations)]
+    cone = [need]
     for d in reversed(dilations):  # output t reads t + k*d; the residual is the last tap
-        need = {t + k * d for t in need for k in range(kernel)}
-        plan.append(need)
-    return tuple(_runs(sorted(p)) for p in reversed(plan))
+        need = sorted({t + k * d for t in need for k in range(kernel)})
+        cone.insert(0, need)
+    return (_plan(cone[0], range(n), (0,)),
+            *(_plan(outs, ins, range(0, kernel * d, d))
+              for d, ins, outs in zip(dilations, cone, cone[1:])))
 
 
-def _runs(positions: list[int]) -> Runs:
+def _plan(outputs: list[int], inputs, taps) -> Plan:
+    """Runs of consecutive ``outputs``, each with where each tap's columns start among
+    the sorted positions ``inputs``."""
+    at = {t: j for j, t in enumerate(inputs)}
     runs = []
-    for t in positions:
+    for t in outputs:
         if runs and runs[-1][1] == t:
             runs[-1][1] = t + 1
         else:
             runs.append([t, t + 1])
-    return tuple((start, stop) for start, stop in runs)
-
-
-def _spread(y: Tensor, runs: Runs, n: int) -> Tensor:
-    """Packed columns ``y`` at their positions in a length-n sequence; zero elsewhere."""
-    if runs == ((0, n),):
-        return y
-    out = np.zeros(y.shape[:2] + (n,), dtype=y.dtype)
-    for src, (start, stop) in run_slices(runs):
-        out[:, :, start:stop] = y[:, :, src]
-    return out
+    return tuple((stop - start, tuple(at[start + tap] for tap in taps)) for start, stop in runs)
 
 
 class _ResidualBlock:
@@ -170,23 +167,21 @@ class _ResidualBlock:
         self.conv, self.bn, self.drop, self.relu = (
             layers[prefix + p] for p in (".conv", ".bn", ".drop", ".relu"))
         self.span = (self.conv.kernel_size - 1) * self.conv.dilation + 1  # inputs per output
-        self._n_out = 0
 
-    def forward(self, z: Tensor, rng: Rng | None, runs: Runs | None = None) -> Tensor:
-        """The block's output at the positions in ``runs`` (all by default), spread
-        over the full output length."""
-        self._n_out = self.conv.out_length(z.shape[2])
-        runs = runs or ((0, self._n_out),)
-        y = self.drop.forward(self.bn.forward(self.conv.forward(z, runs)), rng)
-        offset = z.shape[2] - self._n_out
-        for dst, (start, stop) in run_slices(runs):
-            y[:, :, dst] += z[:, :, offset + start:offset + stop]
-        return _spread(self.relu.forward(y), runs, self._n_out)
+    def forward(self, z: Tensor, rng: Rng | None, plan: Plan | None = None) -> Tensor:
+        """The block's outputs in ``plan``, packed (by default every output of ``z``,
+        whose residual is the last ``y.shape[2]`` columns)."""
+        y = self.drop.forward(self.bn.forward(self.conv.forward(z, plan)), rng)
+        j = 0
+        for length, starts in plan or ((y.shape[2], (z.shape[2] - y.shape[2],)),):
+            y[:, :, j:j + length] += z[:, :, starts[-1]:starts[-1] + length]
+            j += length
+        return self.relu.forward(y)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         g = self.relu.backward(grad_out)
         grad_z = self.conv.backward(self.bn.backward(self.drop.backward(g)))
-        grad_z[:, :, grad_z.shape[2] - self._n_out:] += g
+        grad_z[:, :, grad_z.shape[2] - g.shape[2]:] += g
         return grad_z
 
 
@@ -227,7 +222,7 @@ class Branch(Model):
                 f"sequence of {x.shape[2]} snippets is shorter than the "
                 f"receptive field {c.required_length}")
         if self.training:
-            z = self._run(x, self._every_position(x.shape[2]), rng)
+            z = self._run(x, None, rng)
         elif x.shape[0] == 1:
             z = self._step(x)
         else:
@@ -240,19 +235,17 @@ class Branch(Model):
             out[head] = fc.forward(drop.forward(feature, rng))
         return out
 
-    def _every_position(self, n: int) -> tuple[Runs, ...]:
-        return tuple(((0, m),) for m in (n, *self.config.block_lengths(n)))
-
-    def _run(self, x: Tensor, plan: tuple[Runs, ...], rng: Rng | None,
+    def _run(self, x: Tensor, plan: tuple[Plan, ...] | None, rng: Rng | None,
              queues: list[Tensor] | None = None) -> Tensor:
-        """The last block's output at the positions in ``plan``. With ``queues``, also
-        appends each block input's last ``span`` columns to it."""
-        n = x.shape[2]
-        z = _spread(self.embed.forward(self.input_drop.forward(x, rng), plan[0]), plan[0], n)
-        for blk, runs in zip(self.blocks, plan[1:]):
+        """The last block's outputs in ``plan``, one per conv (every position by
+        default). With ``queues``, also appends each block input's last ``span``
+        columns to it."""
+        plan = plan or (None,) * (1 + len(self.blocks))
+        z = self.embed.forward(self.input_drop.forward(x, rng), plan[0])
+        for blk, conv_plan in zip(self.blocks, plan[1:]):
             if queues is not None:
                 queues.append(z[:, :, -blk.span:].copy())
-            z = blk.forward(z, rng, runs)
+            z = blk.forward(z, rng, conv_plan)
         return z
 
     def _step(self, x: Tensor) -> Tensor:
@@ -261,7 +254,7 @@ class Branch(Model):
         queues = self._streams.pop(_window_key(x, slice(None, -1)), None)
         if queues is None:
             queues = []
-            z = self._run(x, self._every_position(x.shape[2]), None, queues)
+            z = self._run(x, None, None, queues)
         else:
             z = self.embed.forward(x[:, :, -1:])
             for i, blk in enumerate(self.blocks):

@@ -191,8 +191,6 @@ def parameter_hash(state: Mapping[str, Tensor]) -> str:
 _KINDS = ("branch", "fusion")
 # config fields holding a name: the entry it is stored under, and the names it takes
 _NAMED_FIELDS = {"dtype": ("dtype_f64", ("f32", "f64")), "strategy": ("strategy", STRATEGIES)}
-# scalar config fields by annotation, which the config modules leave as strings
-_SCALAR_FIELDS = {"int": int, "float": float}
 
 
 def _scalar(v: float) -> np.ndarray:
@@ -200,15 +198,25 @@ def _scalar(v: float) -> np.ndarray:
 
 
 def _meta_value(tensors: Mapping[str, Tensor], key: str) -> float:
+    """The value of a one-element entry; any other shape is an error."""
+    if tensors[key].shape != (1,):
+        raise CheckpointError(f"entry {key!r} has shape {tensors[key].shape}, not one value")
     return float(tensors[key][0])
+
+
+def _exact_int(value: float, key: str) -> int:
+    """A stored size, dilation, epoch or name position: anything but an integer is an error."""
+    if not float(value).is_integer():
+        raise CheckpointError(f"entry {key!r} holds {value}, not an integer")
+    return int(value)
 
 
 def _meta_name(tensors: Mapping[str, Tensor], key: str, names: tuple[str, ...]) -> str:
     """The name a stored position stands for; anything but an integer in range is an error."""
-    code = _meta_value(tensors, key)
-    if not (code.is_integer() and 0 <= code < len(names)):
+    code = _exact_int(_meta_value(tensors, key), key)
+    if not 0 <= code < len(names):
         raise CheckpointError(f"entry {key!r} holds {code}, not a position in {names}")
-    return names[int(code)]
+    return names[code]
 
 
 def _config_meta(cfg, prefix: str) -> dict[str, np.ndarray]:
@@ -229,10 +237,12 @@ def _config_from_meta(cls, tensors: Mapping[str, Tensor], prefix: str):
         key, names = _NAMED_FIELDS.get(f.name, (f.name, None))
         if names is not None:
             kwargs[f.name] = _meta_name(tensors, prefix + key, names)
-        elif f.type in _SCALAR_FIELDS:
-            kwargs[f.name] = _SCALAR_FIELDS[f.type](_meta_value(tensors, prefix + key))
+        elif f.type == "float":  # annotations stay strings in the config modules
+            kwargs[f.name] = _meta_value(tensors, prefix + key)
+        elif f.type == "int":
+            kwargs[f.name] = _exact_int(_meta_value(tensors, prefix + key), prefix + key)
         else:  # a tuple of ints
-            kwargs[f.name] = tuple(int(v) for v in np.asarray(tensors[prefix + key]))
+            kwargs[f.name] = tuple(_exact_int(v, prefix + key) for v in tensors[prefix + key])
     return cls(**kwargs)
 
 
@@ -279,7 +289,7 @@ def _model_from_tensors(tensors: Mapping[str, Tensor], path, kind: str | None = 
         stored = _meta_name(tensors, "meta.kind", _KINDS)
         if kind not in (None, stored):
             raise CheckpointError(f"not a {kind} checkpoint")
-        info = {"epoch": int(_meta_value(tensors, "meta.epoch"))}
+        info = {"epoch": _exact_int(_meta_value(tensors, "meta.epoch"), "meta.epoch")}
         if stored == "branch":
             info["modality"] = _meta_name(tensors, "meta.modality", MODALITIES)
             cfg = _config_from_meta(BranchConfig, tensors, "meta.config.")

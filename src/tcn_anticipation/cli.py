@@ -48,21 +48,25 @@ class CliError(ValueError):
 
 def parse_config(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _KEY_TYPES:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _KEY_TYPES[key](value)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _KEY_TYPES:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _KEY_TYPES[key](value)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return values
 
 
@@ -393,7 +397,7 @@ def main(argv=None) -> int:
             raise CliError(f"unknown modality {args.modality!r}")
         return args.func(args)
     except (CliError, TensorError, DatasetError, CheckpointError, NonFiniteError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,9 +144,9 @@ def read_dataset(index_path) -> list[Sample]:
         features = {}
         for mod, rel in zip(MODALITIES, row[4:7]):
             path = base / rel
-            if not path.exists():
+            if not path.is_file():
                 raise DatasetError(
-                    f"sample {sid!r}: missing {mod} feature file {path}")
+                    f"sample {sid!r}: {mod} feature file {path} is missing or not a file")
             file_mod, arr = read_feature_file(path)
             if file_mod != mod:
                 raise DatasetError(

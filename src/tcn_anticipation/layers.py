@@ -4,9 +4,11 @@ There is no autograd graph: in train mode each layer caches what its backward
 needs and accumulates parameter gradients until the optimizer zeroes them.
 Eval-mode forwards keep nothing, so a backward after one raises TensorError.
 Convolutions use the cross-correlation convention and valid (unpadded)
-windows, so the temporal axis shrinks by (K-1)*dilation per layer, and compute
-the output positions they are given (all by default). Layers read their
-``training`` flag; stochastic layers take the trainer's Rng at call time.
+windows, so the temporal axis shrinks by (K-1)*dilation per layer. By default a
+conv computes every output of its input; given a plan it computes runs of
+outputs from packed input columns, so a stack of convs can carry only the
+columns a later one reads. Layers read their ``training`` flag; stochastic
+layers take the trainer's Rng at call time.
 
 A model states its layers once, as a layout: name -> (layer class, constructor
 args), in build order, which is also the weight draw order. :class:`Model`
@@ -52,16 +54,9 @@ class Layer:
 
 
 Layout: TypeAlias = dict[str, tuple[type[Layer], tuple]]
-# output positions as increasing, disjoint (start, stop) ranges
-Runs: TypeAlias = tuple[tuple[int, int], ...]
-
-
-def run_slices(runs: Runs):
-    """Each run's slice of the packed positions, with the run."""
-    j = 0
-    for start, stop in runs:
-        yield slice(j, j + stop - start), (start, stop)
-        j += stop - start
+# a conv's outputs as runs of consecutive columns, each (length, where each tap's
+# input columns start); the outputs are packed in run order
+Plan: TypeAlias = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def layout_shapes(layout: Layout) -> dict[str, tuple[int, ...]]:
@@ -159,33 +154,34 @@ class Conv1d(Layer):
     def out_length(self, n_in: int) -> int:
         return n_in - (self.kernel_size - 1) * self.dilation
 
-    def _im2col(self, x: Tensor, runs: Runs) -> Tensor:
-        """(I*K, B*n_sel) window matrix of the output positions in ``runs``, so the conv
-        becomes one large GEMM. Each run is one slice per tap."""
+    def _im2col(self, x: Tensor, plan: Plan) -> Tensor:
+        """(I*K, B*n_sel) window matrix of the outputs in ``plan``, so the conv becomes
+        one large GEMM. Each run is one slice per tap."""
         b, c_in, _ = x.shape
-        d = self.dilation
-        n_sel = sum(stop - start for start, stop in runs)
+        n_sel = sum(length for length, _ in plan)
         cols = np.empty((c_in, self.kernel_size, b, n_sel), dtype=x.dtype)
-        for k in range(self.kernel_size):
-            for dst, (start, stop) in run_slices(runs):
-                cols[:, k, :, dst] = x[:, :, start + k * d:stop + k * d].transpose(1, 0, 2)
+        j = 0
+        for length, starts in plan:
+            for k, s in enumerate(starts):
+                cols[:, k, :, j:j + length] = x[:, :, s:s + length].transpose(1, 0, 2)
+            j += length
         return cols.reshape(c_in * self.kernel_size, -1)
 
-    def forward(self, x: Tensor, runs: Runs | None = None) -> Tensor:
-        """The output positions in ``runs``, in order (every position by default)."""
+    def forward(self, x: Tensor, plan: Plan | None = None) -> Tensor:
+        """The outputs in ``plan``, packed in order; by default every output of ``x``."""
         b, c_in, n = x.shape
         if c_in != self.in_channels:
             raise TensorError(f"conv1d expected {self.in_channels} input channels, got {c_in}")
-        n_out = self.out_length(n)
-        if n_out < 1:
-            raise TensorError(
-                f"input length {n} shorter than receptive field "
-                f"{(self.kernel_size - 1) * self.dilation + 1} (K={self.kernel_size}, d={self.dilation})")
-        if runs is None:
-            runs = ((0, n_out),)
-        elif runs[0][0] < 0 or runs[-1][1] > n_out:
-            raise TensorError(f"conv1d output runs {runs} outside [0, {n_out})")
-        cols = self._im2col(x, runs)
+        if plan is None:
+            n_out = self.out_length(n)
+            if n_out < 1:
+                raise TensorError(f"input length {n} shorter than receptive field "
+                                  f"{n - n_out + 1} (K={self.kernel_size}, d={self.dilation})")
+            plan = ((n_out, tuple(k * self.dilation for k in range(self.kernel_size))),)
+        elif any(length < 1 or len(starts) != self.kernel_size or min(starts) < 0
+                 or max(starts) + length > n for length, starts in plan):
+            raise TensorError(f"conv1d plan {plan} reads outside the {n} input columns")
+        cols = self._im2col(x, plan)
         self._cache = (x.shape, cols) if self.training else None
         out = self.weight.data.reshape(self.out_channels, -1) @ cols
         out += self.bias.data[:, None]

@@ -71,10 +71,6 @@ class SyntheticSpec:
         if not 0.0 <= self.rgb_member_scale <= 1.0:
             raise TensorError("rgb_member_scale must be in [0, 1]")
 
-    @property
-    def dims(self) -> dict[str, int]:
-        return {"rgb": self.rgb_dim, "flow": self.flow_dim, "obj": self.obj_dim}
-
 
 def learnable_spec(**overrides) -> SyntheticSpec:
     """Action fully decodable from rgb alone; moderate noise."""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcn_anticipation.branch import (HEADS, STREAMS, Branch, BranchConfig, multitask_loss,
-                                     required_input_length)
+from tcn_anticipation.branch import (HEADS, STREAMS, Branch, BranchConfig, _cone,
+                                     multitask_loss, required_input_length)
 from tcn_anticipation.fusion import MODALITIES, FusionConfig, FusionModel
 from tcn_anticipation.gradcheck import check_branch
 from tcn_anticipation.layers import SoftmaxCrossEntropy, layout_shapes
@@ -183,6 +183,24 @@ class TestLeanEval:
         branch = perturbed_branch(cfg, rng)
         x = rng.normal(0, 1, (batch, 3, cfg.required_length + extra), dtype)
         assert_matches_oracle(branch.forward(x), branch_eval_loops(branch, x), dtype)
+
+    def test_cone_packs_only_the_columns_the_last_one_reads(self):
+        """At 21 snippets and the default schedule the convs compute 21/17/9/3/1 packed
+        columns, and tap k of block output t reads the packed column of position
+        t + k*d, so the last tap reads the residual's column t + (K-1)*d."""
+        kernel, dilations, n = 3, (1, 2, 3, 4), 21
+        plans = _cone(kernel, dilations, n)
+        assert [sum(length for length, _ in plan) for plan in plans] == [21, 17, 9, 3, 1]
+        positions = [s + j for length, (s,) in plans[0] for j in range(length)]  # of the window
+        for d, plan in zip(dilations, plans[1:]):
+            outputs = []
+            for length, starts in plan:
+                for j in range(length):
+                    t = positions[starts[0] + j]
+                    assert [positions[s + j] for s in starts] == [t + k * d for k in range(kernel)]
+                    outputs.append(t)
+            positions = outputs
+        assert positions == [n - 1 - (kernel - 1) * sum(dilations)]
 
     def test_eval_forward_keeps_no_cache(self):
         rng = Rng(0)

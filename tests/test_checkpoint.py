@@ -58,6 +58,12 @@ def write_broken_checkpoint(case: str, path, branch_tensors=None) -> None:
         tensors["meta.config.branches.obj.dtype_f64"] = np.array([1.0])
     elif case == "missing_bias":
         del tensors["heads.action.bias"]
+    elif case == "fractional_channels":  # int() would drop the fraction
+        tensors["meta.config.channels"] = tensors["meta.config.channels"] + 0.9
+    elif case == "fractional_dilations":
+        tensors["meta.config.dilations"] = tensors["meta.config.dilations"] + 0.2
+    elif case == "two_element_epoch":
+        tensors["meta.epoch"] = np.repeat(tensors["meta.epoch"], 2)
     save_checkpoint(path, tensors)
     renamed = {"non_utf8_name": (b"embed.weight", b"embed.w\xffight"),
                "duplicate_name": (b"blocks.0.bn.gamma", b"blocks.1.bn.gamma")}
@@ -67,7 +73,8 @@ def write_broken_checkpoint(case: str, path, branch_tensors=None) -> None:
 
 BROKEN_CASES = ("non_utf8_name", "missing_kernel", "modality_code_7", "modality_code_minus_1",
                 "kind_code_half", "strategy_index_9", "unknown_tensor", "flipped_branch_dtype",
-                "missing_bias", "duplicate_name")
+                "missing_bias", "duplicate_name", "fractional_channels", "fractional_dilations",
+                "two_element_epoch")
 
 # Every metadata entry of the small checkpoints, in the order the format's first
 # writer used: kind, epoch, modality (fusion: the strategy), the scalar fields,

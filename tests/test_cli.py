@@ -258,6 +258,34 @@ class TestTrainEvaluate:
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
         assert f"{val[1].sample_id!r} has rgb features of shape (21, 40)" in proc.stderr
 
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                      "ckpt_is_a_directory", "out_is_a_file",
+                                      "feature_path_is_a_directory"])
+    def test_unusable_path_exits_2_naming_it(self, case, synth_dir, trained_branch, tmp_path):
+        bad = tmp_path / "bad"
+        ckpt = str(trained_branch / "branch_rgb_best.ckpt")
+        data, out = str(synth_dir), str(tmp_path / "o")
+        if case == "config_not_utf8":
+            bad.write_bytes(b"epochs = 1  # caf\xe9\n")
+        elif case == "out_is_a_file":
+            bad.write_bytes(b"")
+            out = str(bad)
+        elif case == "feature_path_is_a_directory":
+            data = str(tmp_path / "data")
+            shutil.copytree(synth_dir, data)
+            sample = read_dataset(synth_dir / "val" / "index.csv")[0].sample_id
+            bad = tmp_path / "data" / "val" / "features" / f"{sample}_flow.fseq"
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad.mkdir()
+        argv = {"config_is_a_directory": ["--config", str(bad)],
+                "config_not_utf8": ["--config", str(bad)],
+                "ckpt_is_a_directory": ["--ckpt", str(bad)]}.get(case, ["--ckpt", ckpt])
+        proc = run("evaluate", *argv, "--data", data, "--out", out, check=False)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+        assert str(bad) in proc.stderr
+
     @pytest.mark.parametrize("command", ["evaluate", "ablate-obslen"])
     def test_config_modality_outside_choices_exits_2(self, command, synth_dir, trained_branch,
                                                       tmp_path):

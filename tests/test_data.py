@@ -93,6 +93,14 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError, match="lost"):
             read_dataset(index)
 
+    def test_feature_path_that_is_a_directory_names_sample(self, tmp_path):
+        index = write_dataset([random_sample(Rng(6), "hollow")], tmp_path)
+        path = tmp_path / "features" / "hollow_obj.fseq"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(DatasetError, match="hollow"):
+            read_dataset(index)
+
     def test_missing_index(self, tmp_path):
         with pytest.raises(DatasetError):
             read_dataset(tmp_path / "absent.csv")

@@ -89,18 +89,27 @@ class TestConv1d:
         assert worst < 1e-6
 
     @pytest.mark.parametrize("runs", [((0, 5),), ((0, 1), (3, 5)), ((2, 3),), ((1, 2), (4, 5))])
-    def test_runs_compute_those_output_positions(self, runs):
+    def test_plan_computes_those_outputs(self, runs):
+        """Each (start, stop) run of output positions, read from the whole input and from
+        a packed one that holds only the columns the runs read."""
         rng = Rng(4)
         conv = Conv1d(3, 5, 3, dilation=2, dtype="f64", rng=rng)
         x = rng.normal(0, 1, (2, 3, 9), "f64")
         positions = [t for start, stop in runs for t in range(start, stop)]
         want = conv1d_loops(x, conv.weight.data, conv.bias.data, 2)[:, :, positions]
-        assert np.allclose(conv.forward(x, runs), want, rtol=0, atol=1e-12)
+        whole = tuple((stop - start, (start, start + 2, start + 4)) for start, stop in runs)
+        read = sorted({t + 2 * k for t in positions for k in range(3)})
+        packed = tuple((stop - start, tuple(read.index(start + 2 * k) for k in range(3)))
+                       for start, stop in runs)
+        assert np.allclose(conv.forward(x, whole), want, rtol=0, atol=1e-12)
+        assert np.allclose(conv.forward(x[:, :, read], packed), want, rtol=0, atol=1e-12)
 
-    def test_runs_outside_the_output_rejected(self):
+    @pytest.mark.parametrize("plan", [((2, (2, 3, 4)),), ((1, (-1, 0, 1)),), ((0, (0, 1, 2)),),
+                                      ((1, (0, 1)),), ((1, (0, 1, 2)), (1, (3, 4, 5)))])
+    def test_plan_reading_outside_x_rejected(self, plan):
         conv = make_conv([[[1.0, 0.0, -1.0]]])
         with pytest.raises(TensorError):
-            conv.forward(np.zeros((1, 1, 5)), ((2, 4),))
+            conv.forward(np.zeros((1, 1, 5)), plan)
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), dils=st.lists(st.integers(1, 8), min_size=1, max_size=4))
