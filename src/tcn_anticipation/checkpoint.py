@@ -133,7 +133,11 @@ class _Reader:
 
 def load_checkpoint(path) -> dict[str, Tensor]:
     """Every stored tensor by name, each in its own array, once the CRC matches."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:

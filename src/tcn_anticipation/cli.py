@@ -1,11 +1,12 @@
 """Command-line interface: data generation, training, evaluation, studies.
 
-Every command reads one namespace. Its built-in defaults are stated once, in
-``build_parser``; an optional ``key = value`` config file replaces them, and
-explicit flags win over both. ``--seed`` falls back to the TCNA_SEED
-environment variable, then 0. Commands exit 0 on success and write
-machine-readable CSV artifacts plus a plain-text summary into the output
-directory.
+``SETTINGS`` states every setting once. Each command in ``COMMANDS`` lists the
+settings it reads and its built-in defaults, and accepts exactly those, as
+flags and as config keys: any other flag or key is a usage error. A
+``key = value`` config file (``--config``) replaces the defaults, checked as
+flags are, and flags win over both. ``--seed`` falls back to the TCNA_SEED
+environment variable, then 0. Commands exit 0 on success and 2 on a usage or
+input error, and write CSV artifacts plus a plain-text summary into ``--out``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .baseline import LstmConfig, LstmEncoderDecoder
 from .bench import bench_models
@@ -31,14 +33,37 @@ from .training import SgdConfig, train_branch, train_fusion
 PRESETS = {"learnable": learnable_spec, "complementary": complementary_spec,
            "long-range": long_range_spec}
 
-_KEY_TYPES = {
-    "seed": int, "epochs": int, "lr": float, "batch": int, "dtype": str,
-    "snippets": int, "modality": str, "strategy": str, "data": str, "out": str,
-    "channels": int, "kernel": int, "embed_dim": int,
-    "input_dropout": float, "block_dropout": float, "head_dropout": float,
-    "fusion_dropout": float, "momentum": float, "weight_decay": float,
-    "power": float, "preset": str, "sigma": float, "train_per_class": int,
-    "val_per_class": int, "reps": int, "warmup": int,
+
+class Setting(NamedTuple):
+    type: type
+    help: str | None             # None: only a config file sets it
+    choices: tuple | None = None
+    config: bool = True          # False: only a flag sets it
+
+
+SETTINGS = {
+    "data": Setting(str, "dataset directory (train/ and val/ splits)"),
+    "out": Setting(str, "output directory for artifacts"),
+    "seed": Setting(int, "RNG seed (fallback: TCNA_SEED, then 0)"),
+    "preset": Setting(str, "synthetic dataset preset", tuple(sorted(PRESETS))),
+    "modality": Setting(str, "branch modality", MODALITIES),
+    "strategy": Setting(str, "fusion strategy", STRATEGIES),
+    "snippets": Setting(int, "observed window length in snippets"),
+    "channels": Setting(int, "branch width"),
+    "dtype": Setting(str, "floating-point precision", ("f32", "f64")),
+    "epochs": Setting(int, "training epochs"),
+    "lr": Setting(float, "initial learning rate"),
+    "batch": Setting(int, "batch size"),
+    "embed_dim": Setting(int, "fusion embedding width"),
+    "reps": Setting(int, "timed repetitions"),
+    "warmup": Setting(int, "untimed repetitions before them"),
+    "ckpt": Setting(str, "branch or fusion checkpoint", config=False),
+    **{f"{mod}_ckpt": Setting(str, f"checkpoint of the pre-trained {mod} branch", config=False)
+       for mod in MODALITIES},
+    **{key: Setting(int, None) for key in ("kernel", "train_per_class", "val_per_class")},
+    **{key: Setting(float, None) for key in ("sigma", "input_dropout", "block_dropout",
+                                             "head_dropout", "fusion_dropout", "momentum",
+                                             "weight_decay", "power")},
 }
 
 
@@ -46,7 +71,10 @@ class CliError(ValueError):
     pass
 
 
-def parse_config(path) -> dict:
+def parse_config(path, command: str) -> dict:
+    """The file's values, checked as argparse checks flags; a key ``command``
+    does not read is an error."""
+    keys = [key for key in COMMANDS[command][2] if SETTINGS[key].config]
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -61,12 +89,17 @@ def parse_config(path) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TYPES:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r} for {command}; "
+                           f"it reads {', '.join(keys)}")
+        setting = SETTINGS[key]
         try:
-            values[key] = _KEY_TYPES[key](value)
+            values[key] = setting.type(value)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+        if setting.choices and values[key] not in setting.choices:
+            raise CliError(f"{path}:{lineno}: unknown {key} {value!r}; "
+                           f"choose from {', '.join(setting.choices)}")
     return values
 
 
@@ -84,10 +117,6 @@ def _load_split(args, split: str):
     return read_dataset(Path(args.data) / split / "index.csv")
 
 
-def _class_counts(samples) -> dict[str, int]:
-    return {head: max(s.labels[head] for s in samples) + 1 for head in HEADS}
-
-
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
@@ -96,8 +125,6 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_synth_gen(args) -> int:
     out = _out_dir(args)
-    if args.preset not in PRESETS:
-        raise CliError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
     spec = PRESETS[args.preset](**_settings(args, _SPEC_KEYS))
     train, val = generate_synthetic(spec, args.seed)
     write_dataset(train, out / "train")
@@ -110,8 +137,7 @@ def cmd_synth_gen(args) -> int:
 
 
 # desk-scale branch settings for the ablation studies
-_DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1,
-               "head_dropout": 0.1}
+_DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1, "head_dropout": 0.1}
 
 # flag or config key -> config field
 _SPEC_KEYS = {"sigma": "sigma", "snippets": "num_snippets", "train_per_class": "train_per_class",
@@ -131,22 +157,18 @@ def _settings(args, keys: dict[str, str]) -> dict:
 
 def _branch_config_from_args(args, samples, modality: str,
                              snippets: int | None = None) -> BranchConfig:
-    """Adapted to ``snippets`` if given."""
-    counts = _class_counts(samples)
-    base = BranchConfig(
-        input_dim=samples[0].features[modality].shape[1],
-        num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        **_settings(args, _BRANCH_KEYS))
+    """Class counts from the labels; adapted to ``snippets`` if given."""
+    counts = {f"num_{head}s": max(s.labels[head] for s in samples) + 1 for head in HEADS}
+    base = BranchConfig(input_dim=samples[0].features[modality].shape[1], **counts,
+                        **_settings(args, _BRANCH_KEYS))
     return base if snippets is None else base.for_snippets(snippets)
 
 
-def _fusion_config_from_args(args, branches, samples, strategy: str) -> FusionConfig:
-    """Channels come from the branches."""
-    counts = _class_counts(samples)
-    return FusionConfig(
-        channels=branches["rgb"].config.channels,
-        num_actions=counts["action"], num_verbs=counts["verb"], num_nouns=counts["noun"],
-        strategy=strategy, **_settings(args, _FUSION_KEYS))
+def _fusion_config_from_args(args, branches, strategy: str) -> FusionConfig:
+    """Channels and class counts come from the branches."""
+    bcfg = branches["rgb"].config
+    return FusionConfig(bcfg.channels, bcfg.num_actions, bcfg.num_verbs, bcfg.num_nouns,
+                        strategy=strategy, **_settings(args, _FUSION_KEYS))
 
 
 def _sgd_from_args(args) -> SgdConfig:
@@ -161,6 +183,13 @@ def _history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _save_best(out: Path, branch, modality: str, result) -> None:
+    """Loads the best epoch's state into ``branch``, then saves it."""
+    branch.load_state(result.best_state)
+    save_checkpoint(out / f"branch_{modality}_best.ckpt",
+                    branch_checkpoint_tensors(branch, modality, result.best_epoch))
+
+
 def cmd_train_branch(args) -> int:
     out = _out_dir(args)
     modality = args.modality
@@ -172,9 +201,7 @@ def cmd_train_branch(args) -> int:
                                   snippets=args.snippets, log=print)
     save_checkpoint(out / f"branch_{modality}.ckpt",
                     branch_checkpoint_tensors(branch, modality, sgd.epochs - 1))
-    branch.load_state(result.best_state)
-    save_checkpoint(out / f"branch_{modality}_best.ckpt",
-                    branch_checkpoint_tensors(branch, modality, result.best_epoch))
+    _save_best(out, branch, modality, result)
     _write(out / f"train_log_{modality}.csv", _history_csv(result.history))
     summary = (f"modality={modality} epochs={sgd.epochs} "
                f"best_epoch={result.best_epoch} best_val_top1={result.best_val_top1:.4f}\n")
@@ -197,7 +224,7 @@ def cmd_train_fusion(args) -> int:
         branches[mod] = branch
     train = _load_split(args, "train")
     val = _load_split(args, "val")
-    fcfg = _fusion_config_from_args(args, branches, train + val, strategy)
+    fcfg = _fusion_config_from_args(args, branches, strategy)
     sgd = _sgd_from_args(args)
     model, result = train_fusion(branches, train, val, fcfg, sgd, snippets=args.snippets,
                                  log=print)
@@ -238,8 +265,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.dtype != "f64":
-        raise CliError("gradient checking runs in f64; pass --dtype f64")
     rows = run_standard_suite(args.seed)
     lines = ["layer,configs,max_rel_error,pass"]
     ok = True
@@ -257,8 +282,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     out = _out_dir(args)
-    channels, dtype = args.channels, args.dtype
-    rng = Rng(args.seed)
+    channels, dtype, rng = args.channels, args.dtype, Rng(args.seed)
     bcfg = BranchConfig(input_dim=channels, num_actions=100, num_verbs=20, num_nouns=30,
                         channels=channels, input_dropout=0.0, block_dropout=0.0,
                         head_dropout=0.0, dtype=dtype).for_snippets(args.snippets)
@@ -278,13 +302,11 @@ def cmd_ablate_obslen(args) -> int:
     train = _load_split(args, "train")
     val = _load_split(args, "val")
     modality = args.modality
-    windows = (3, 7, 13, 21)
-    max_n = train[0].num_snippets
     rows = ["snippets,obs_seconds,val_top1_action"]
     results = {}
     sgd = _sgd_from_args(args)
-    for n in windows:
-        if n > max_n:
+    for n in (3, 7, 13, 21):
+        if n > train[0].num_snippets:
             continue
         base = _branch_config_from_args(args, train + val, modality, n)
         _, result = train_branch(train, val, modality, base, sgd, snippets=n)
@@ -292,8 +314,7 @@ def cmd_ablate_obslen(args) -> int:
         rows.append(f"{n},{n * 0.25:.2f},{result.best_val_top1:.6f}")
         print(f"snippets={n:>2} obs={n * 0.25:.2f}s val_top1={result.best_val_top1:.4f}")
     _write(out / "obslen.csv", "\n".join(rows) + "\n")
-    _write(out / "summary.txt",
-           "".join(f"N={n}: {acc:.4f}\n" for n, acc in results.items()))
+    _write(out / "summary.txt", "".join(f"N={n}: {acc:.4f}\n" for n, acc in results.items()))
     return 0
 
 
@@ -307,13 +328,12 @@ def cmd_ablate_fusion(args) -> int:
     for mod in MODALITIES:
         bcfg = _branch_config_from_args(args, train + val, mod)
         branch, result = train_branch(train, val, mod, bcfg, sgd)
+        _save_best(out, branch, mod, result)  # the scored branch is the one fused
         branches[mod] = branch
-        save_checkpoint(out / f"branch_{mod}.ckpt",
-                        branch_checkpoint_tensors(branch, mod, sgd.epochs - 1))
         rows.append(f"{mod},{result.best_val_top1:.6f}")
         print(f"branch {mod}: val_top1={result.best_val_top1:.4f}")
     for strategy in STRATEGIES:
-        fcfg = _fusion_config_from_args(args, branches, train + val, strategy)
+        fcfg = _fusion_config_from_args(args, branches, strategy)
         _, result = train_fusion(branches, train, val, fcfg, sgd)
         rows.append(f"{strategy},{result.best_val_top1:.6f}")
         print(f"fusion {strategy}: val_top1={result.best_val_top1:.4f}")
@@ -324,65 +344,51 @@ def cmd_ablate_fusion(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--data", help="dataset directory (train/ and val/ splits)")
-    p.add_argument("--out", help="output directory for artifacts")
-    p.add_argument("--seed", type=int, default=os.environ.get("TCNA_SEED") or 0,
-                   help="RNG seed (fallback: TCNA_SEED, then 0)")
-    p.add_argument("--modality", choices=MODALITIES)
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--dtype", choices=("f32", "f64"))
-    p.add_argument("--snippets", type=int, help="observed window length in snippets")
-    p.add_argument("--channels", type=int)
+# command -> (function, help, the settings it reads, its built-in defaults)
+COMMANDS = {
+    "synth-gen": (cmd_synth_gen, "generate a synthetic multi-modal dataset",
+                  ("out", "seed", "preset", *_SPEC_KEYS), {"preset": "learnable"}),
+    "train-branch": (cmd_train_branch, "train one uni-modal branch",
+                     ("data", "out", "seed", "modality", "snippets", *_BRANCH_KEYS, *_SGD_KEYS),
+                     {"modality": "rgb", "lr": 0.005}),
+    "train-fusion": (cmd_train_fusion, "train fusion layers over frozen branches",
+                     ("data", "out", "seed", "strategy", "snippets", *_FUSION_KEYS, *_SGD_KEYS,
+                      *(f"{mod}_ckpt" for mod in MODALITIES)),
+                     {"strategy": "mutual_pairwise", "lr": 0.0005}),
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint on the val split",
+                 ("data", "out", "modality", "snippets", "ckpt"), {}),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of every layer in f64",
+                  ("out", "seed"), {}),
+    "bench": (cmd_bench, "speed study: conv branch vs recurrent baseline",
+              ("out", "seed", "channels", "dtype", "snippets", "batch", "reps", "warmup"),
+              {"channels": 1024, "snippets": 21, "batch": 4, "reps": 30, "warmup": 5,
+               "dtype": "f32"}),
+    "ablate-obslen": (cmd_ablate_obslen, "observation-length study",
+                      ("data", "out", "seed", "modality", *_BRANCH_KEYS, *_SGD_KEYS),
+                      {"lr": 0.02, "epochs": 25, "batch": 32, "modality": "rgb", **_DESK_BRANCH}),
+    "ablate-fusion": (cmd_ablate_fusion, "uni-modal vs fusion-strategy study",
+                      ("data", "out", "seed", *_BRANCH_KEYS, *_FUSION_KEYS, *_SGD_KEYS),
+                      {"lr": 0.02, "epochs": 15, "batch": 32, "embed_dim": 64,
+                       "fusion_dropout": 0.1, **_DESK_BRANCH}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command's built-in defaults; ``main`` lays a config file over them."""
+    """Each command's flags and built-in defaults; ``main`` lays a config file over them."""
     parser = argparse.ArgumentParser(
-        prog="tcna",
-        description="Temporal-convolutional action anticipation toolkit")
+        prog="tcna", description="Temporal-convolutional action anticipation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, help: str, **defaults) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        _add_common(p)
+    for name, (func, about, keys, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for key in keys:
+            setting = SETTINGS[key]
+            if setting.help is not None:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=setting.type,
+                               choices=setting.choices, help=setting.help)
+        if "seed" in keys:  # a string default, so argparse checks it as it checks --seed
+            defaults = {"seed": os.environ.get("TCNA_SEED") or 0, **defaults}
         p.set_defaults(func=func, parser=p, **defaults)
-        return p
-
-    p = command("synth-gen", cmd_synth_gen, "generate a synthetic multi-modal dataset",
-                preset="learnable")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-
-    command("train-branch", cmd_train_branch, "train one uni-modal branch",
-            modality="rgb", lr=0.005)
-
-    p = command("train-fusion", cmd_train_fusion, "train fusion layers over frozen branches",
-                strategy="mutual_pairwise", lr=0.0005)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    for mod in MODALITIES:
-        p.add_argument(f"--{mod}-ckpt", dest=f"{mod}_ckpt",
-                       help=f"checkpoint of the pre-trained {mod} branch")
-
-    p = command("evaluate", cmd_evaluate, "evaluate a checkpoint on the val split")
-    p.add_argument("--ckpt", help="branch or fusion checkpoint")
-
-    command("gradcheck", cmd_gradcheck, "finite-difference check of every layer", dtype="f64")
-
-    p = command("bench", cmd_bench, "speed study: conv branch vs recurrent baseline",
-                channels=1024, snippets=21, batch=4, reps=30, warmup=5, dtype="f32")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--warmup", type=int)
-
-    command("ablate-obslen", cmd_ablate_obslen, "observation-length study",
-            lr=0.02, epochs=25, batch=32, modality="rgb", **_DESK_BRANCH)
-
-    p = command("ablate-fusion", cmd_ablate_fusion, "uni-modal vs fusion-strategy study",
-                lr=0.02, epochs=15, batch=32, embed_dim=64, fusion_dropout=0.1, **_DESK_BRANCH)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
     return parser
 
 
@@ -391,10 +397,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args.parser.set_defaults(**parse_config(args.config))
+            args.parser.set_defaults(**parse_config(args.config, args.command))
             args = parser.parse_args(argv)
-        if args.modality not in (None, *MODALITIES):  # a file value skips argparse's choices
-            raise CliError(f"unknown modality {args.modality!r}")
         return args.func(args)
     except (CliError, TensorError, DatasetError, CheckpointError, NonFiniteError,
             OSError) as exc:

@@ -76,8 +76,11 @@ def write_feature_file(path, modality: str, features: Tensor) -> None:
 
 
 def read_feature_file(path) -> tuple[str, Tensor]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if raw[:4] != FSEQ_MAGIC:
         raise DatasetError(f"{path}: bad magic {raw[:4]!r}, expected {FSEQ_MAGIC!r}")
     if len(raw) < 4 + 11 + 4:
@@ -122,13 +125,13 @@ def write_dataset(samples: list[Sample], out_dir) -> Path:
 
 def read_dataset(index_path) -> list[Sample]:
     index_path = Path(index_path)
-    if not index_path.exists():
-        raise DatasetError(f"index file {index_path} does not exist")
+    if not index_path.is_file():
+        raise DatasetError(f"index file {index_path} is missing or not a file")
     base = index_path.parent
     try:
         with open(index_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{index_path}: unreadable index: {exc}") from None
     if rows[:1] != [INDEX_HEADER]:
         raise DatasetError(f"{index_path}: unexpected header {rows[0] if rows else None}")

@@ -114,6 +114,9 @@ class FusionModel(Model):
                 raise TensorError(
                     f"{mod} branch has {bcfg.channels} {bcfg.dtype} channels, "
                     f"fusion expects {config.channels} {dt}")
+            if bcfg.class_counts != config.class_counts:
+                raise TensorError(f"{mod} branch has class counts {bcfg.class_counts}, "
+                                  f"fusion expects {config.class_counts}")
             branches[mod].eval()
         super().__init__(config.layout(dt, rng))
         self.branches = branches

@@ -28,6 +28,7 @@ pair, so no single modality determines the action while flow+obj jointly do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,32 +89,15 @@ def long_range_spec(**overrides) -> SyntheticSpec:
 
 
 def action_table(spec: SyntheticSpec) -> list[tuple[int, int]]:
-    """(verb, noun) per action id; actions 2i and 2i+1 are confusable partners."""
+    """(verb, noun) per action id; actions 2i and 2i+1 are confusable partners.
+
+    Action pairs take verb/noun pair (j, k) first along the diagonal
+    (i % vp, i % np_), i < lcm(vp, np_), then the unused (j, k) in row-major order."""
     vp, np_ = spec.num_verbs // 2, spec.num_nouns // 2
-    combos: list[tuple[int, int]] = []
-    seen = set()
-    i = 0
-    while len(combos) < spec.num_actions // 2:
-        cand = (i % vp, i % np_)
-        if cand not in seen:
-            seen.add(cand)
-            combos.append(cand)
-        else:  # lcm(vp, np_) exhausted; fill row-major over unused combos
-            for j in range(vp):
-                for k in range(np_):
-                    if (j, k) not in seen:
-                        seen.add((j, k))
-                        combos.append((j, k))
-                        break
-                else:
-                    continue
-                break
-        i += 1
-    actions = []
-    for j, k in combos:
-        actions.append((2 * j, 2 * k))
-        actions.append((2 * j + 1, 2 * k + 1))
-    return actions
+    combos = [(i % vp, i % np_) for i in range(math.lcm(vp, np_))]
+    diagonal = set(combos)
+    combos += [(j, k) for j in range(vp) for k in range(np_) if (j, k) not in diagonal]
+    return [(2 * j + m, 2 * k + m) for j, k in combos[:spec.num_actions // 2] for m in (0, 1)]
 
 
 class _Prototypes:

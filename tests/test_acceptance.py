@@ -90,6 +90,7 @@ def test_criterion_4_fusion_ablation_analog():
     branches, uni = {}, {}
     for mod in MODALITIES:
         branches[mod], result = train_branch(train, val, mod, desk_branch_config(), sgd)
+        branches[mod].load_state(result.best_state)  # fuse the branch that is scored
         uni[mod] = result.best_val_top1
     best_uni = max(uni.values())
     scores = {}

@@ -347,6 +347,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="fusion"):
             fusion_from_checkpoint(path)
 
+    @pytest.mark.parametrize("case", ["directory", "missing"])
+    def test_unreadable_path_is_a_checkpoint_error_naming_it(self, case, tmp_path):
+        path = tmp_path / "x.ckpt"
+        if case == "directory":
+            path.mkdir()
+        for load in (load_checkpoint, load_any_checkpoint):
+            with pytest.raises(CheckpointError, match=str(path)):
+                load(path)
+
     @pytest.mark.parametrize("case", BROKEN_CASES)
     def test_bad_bytes_or_metadata_are_checkpoint_errors(self, case, tmp_path):
         path = tmp_path / "broken.ckpt"

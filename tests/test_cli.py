@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from tcn_anticipation.branch import BranchConfig
+from tcn_anticipation import cli
+from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import (branch_checkpoint_tensors, fusion_from_checkpoint,
                                          load_checkpoint, save_checkpoint)
 from tcn_anticipation.data import (read_dataset, stack_features, write_dataset,
@@ -14,12 +16,46 @@ from tcn_anticipation.data import (read_dataset, stack_features, write_dataset,
 from tcn_anticipation.fusion import MODALITIES
 from tcn_anticipation.metrics import top_k_accuracy
 from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
+from tcn_anticipation.tensor import Rng
 from tcn_anticipation.training import SgdConfig, train_branch
 
 from test_checkpoint import BROKEN_CASES, write_broken_checkpoint
 from test_data import BAD_INDEX_ROWS, write_bad_index_row
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
+
+_BRANCH = {"channels", "dtype"}
+_SGD = {"epochs", "lr", "batch"}
+# each command's flags: the settings it reads, less those only a config file sets
+FLAGS = {
+    "synth-gen": {"out", "seed", "preset", "snippets"},
+    "train-branch": {"data", "out", "seed", "modality", "snippets", *_BRANCH, *_SGD},
+    "train-fusion": {"data", "out", "seed", "strategy", "snippets", "embed-dim", *_SGD,
+                     "rgb-ckpt", "flow-ckpt", "obj-ckpt"},
+    "evaluate": {"data", "out", "modality", "snippets", "ckpt"},
+    "gradcheck": {"out", "seed"},
+    "bench": {"out", "seed", "channels", "dtype", "snippets", "batch", "reps", "warmup"},
+    "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD},
+    "ablate-fusion": {"data", "out", "seed", "embed-dim", *_BRANCH, *_SGD},
+}
+_BRANCH_FILE = {"kernel", "input_dropout", "block_dropout", "head_dropout"}
+_SGD_FILE = {"momentum", "weight_decay", "power"}
+# each command's config keys: the settings it reads, less the checkpoint paths
+CONFIG_KEYS = {
+    "synth-gen": {"out", "seed", "preset", "snippets", "sigma", "train_per_class",
+                  "val_per_class"},
+    "train-branch": {"data", "out", "seed", "modality", "snippets", *_BRANCH, *_SGD,
+                     *_BRANCH_FILE, *_SGD_FILE},
+    "train-fusion": {"data", "out", "seed", "strategy", "snippets", "embed_dim", *_SGD,
+                     "fusion_dropout", *_SGD_FILE},
+    "evaluate": {"data", "out", "modality", "snippets"},
+    "gradcheck": {"out", "seed"},
+    "bench": FLAGS["bench"],
+    "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD, *_BRANCH_FILE,
+                      *_SGD_FILE},
+    "ablate-fusion": {"data", "out", "seed", "embed_dim", *_BRANCH, *_SGD, *_BRANCH_FILE,
+                      "fusion_dropout", *_SGD_FILE},
+}
 
 
 def run(*argv, env=None, check=True):
@@ -297,6 +333,23 @@ class TestTrainEvaluate:
                    "--config", str(cfg), check=False)
         assert proc.returncode == 2 and "unknown modality 'nope'" in proc.stderr
 
+    def test_train_fusion_takes_class_counts_from_the_branches(self, synth_dir, tmp_path):
+        """Labels that never reach the last action do not shrink the fused heads."""
+        data = tmp_path / "data"
+        for split in ("train", "val"):
+            samples = read_dataset(synth_dir / split / "index.csv")
+            write_dataset([s for s in samples if s.action != 11], data / split)
+        bcfg = BranchConfig(input_dim=32, num_actions=12, num_verbs=6, num_nouns=8, channels=8)
+        ckpts = []
+        for mod in MODALITIES:
+            save_checkpoint(tmp_path / f"{mod}.ckpt",
+                            branch_checkpoint_tensors(Branch(bcfg, Rng(0)), mod, 0))
+            ckpts += [f"--{mod}-ckpt", str(tmp_path / f"{mod}.ckpt")]
+        run("train-fusion", "--data", str(data), "--out", str(tmp_path / "o"),
+            "--strategy", "mutual", "--epochs", "1", "--batch", "16", *ckpts)
+        model, _ = fusion_from_checkpoint(tmp_path / "o" / "fusion_mutual.ckpt")
+        assert model.config.class_counts == bcfg.class_counts
+
     def test_mismatched_fusion_checkpoint_modality(self, synth_dir, trained_branch, tmp_path):
         proc = run("train-fusion", "--data", str(synth_dir), "--out", str(tmp_path / "o"),
                    "--strategy", "late",
@@ -309,16 +362,16 @@ class TestTrainEvaluate:
 
 class TestGradcheckCommand:
     def test_exit_zero_and_table(self, tmp_path):
-        proc = run("gradcheck", "--dtype", "f64", "--seed", "0",
-                   "--out", str(tmp_path))
+        proc = run("gradcheck", "--seed", "0", "--out", str(tmp_path))
         assert "conv1d" in proc.stdout and "fusion" in proc.stdout
         csv = (tmp_path / "gradcheck.csv").read_text().splitlines()
         assert csv[0] == "layer,configs,max_rel_error,pass"
         assert all(row.endswith(",1") for row in csv[1:])
 
     def test_f32_rejected(self):
+        """It runs in f64 only and has no --dtype to ask for another precision."""
         proc = run("gradcheck", "--dtype", "f32", check=False)
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and "--dtype" in proc.stderr
 
 
 class TestStudies:
@@ -335,6 +388,25 @@ class TestStudies:
             ["rgb", "flow", "obj", "late", "attention", "mutual", "pairwise",
              "mutual_pairwise"]
 
+    def test_ablate_fusion_saves_the_branches_it_scores(self, tmp_path, tmp_path_factory):
+        """Each branch checkpoint scores the study's row for it, so it is the
+        best-epoch branch, the one the fusion rows fuse."""
+        data = tmp_path / "data"
+        run("synth-gen", "--out", str(data), "--seed", "2", "--preset", "complementary",
+            "--config", _tiny_cfg(tmp_path_factory))
+        out = tmp_path / "study"
+        run("ablate-fusion", "--data", str(data), "--out", str(out), "--seed", "1",
+            "--epochs", "4", "--channels", "12", "--batch", "16")
+        rows = dict(r.split(",") for r in (out / "fusion_ablation.csv").read_text().split()[1:])
+        epochs = []
+        for mod in MODALITIES:
+            ckpt = out / f"branch_{mod}_best.ckpt"
+            epochs.append(load_checkpoint(ckpt)["meta.epoch"][0])
+            run("evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out", str(tmp_path / mod))
+            metrics = (tmp_path / mod / "metrics.csv").read_text().splitlines()
+            assert metrics[1].split(",")[:2] == ["action", rows[mod]]
+        assert min(epochs) < 3  # some branch scored best before the final epoch
+
     def test_bench_window_beyond_receptive_field(self, tmp_path):
         proc = run("bench", "--out", str(tmp_path), "--channels", "8", "--snippets", "25")
         assert "speedup" in proc.stdout
@@ -350,3 +422,63 @@ class TestStudies:
         rows = (out / "obslen.csv").read_text().strip().splitlines()
         assert rows[0] == "snippets,obs_seconds,val_top1_action"
         assert [r.split(",")[0] for r in rows[1:]] == ["3", "7", "13", "21"]
+
+
+class TestSettingsPerCommand:
+    """Each command accepts exactly the settings it reads."""
+
+    def test_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {opt[2:] for action in p._actions for opt in action.option_strings
+                        if opt.startswith("--")} - {"help", "config"}
+                 for name, p in sub.choices.items()}
+        assert flags == FLAGS
+
+    @pytest.mark.parametrize("command", CONFIG_KEYS)
+    def test_config_keys(self, command, tmp_path):
+        accepted = set()
+        for key, setting in cli.SETTINGS.items():
+            value = setting.choices[0] if setting.choices else setting.type(1)
+            (tmp_path / "c.txt").write_text(f"{key} = {value}\n", encoding="utf-8")
+            try:
+                cli.parse_config(tmp_path / "c.txt", command)
+                accepted.add(key)
+            except cli.CliError as exc:
+                assert f"unknown config key {key!r}" in str(exc)
+        assert accepted == CONFIG_KEYS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate-fusion", "--snippets", "13"], ["ablate-obslen", "--snippets", "7"],
+        ["train-fusion", "--channels", "256"], ["train-fusion", "--dtype", "f64"],
+        ["gradcheck", "--dtype", "f64"], ["evaluate", "--seed", "3"],
+        ["synth-gen", "--data", "d"], ["bench", "--modality", "rgb"],
+        ["train-branch", "--embed-dim", "8"]], ids=" ".join)
+    def test_ignored_flag_is_a_usage_error_naming_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2 and argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,line", [
+        ("synth-gen", "channels = 12"), ("train-fusion", "channels = 256"),
+        ("evaluate", "seed = 3"), ("gradcheck", "dtype = f64"), ("evaluate", "ckpt = a.ckpt"),
+        ("train-fusion", "rgb_ckpt = a.ckpt"), ("train-branch", "fusion_dropout = 0.1")])
+    def test_unread_config_key_is_a_usage_error_naming_it(self, command, line, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert cli.main([command, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        key = line.split(" = ")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,line,error", [
+        ("bench", "dtype = f16", "unknown dtype 'f16'"),
+        ("train-fusion", "strategy = best", "unknown strategy 'best'"),
+        ("synth-gen", "preset = nope", "unknown preset 'nope'"),
+        ("train-branch", "epochs = 2.5", "bad value for 'epochs'")])
+    def test_config_values_checked_as_flags_are(self, command, line, error, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert cli.main([command, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert error in capsys.readouterr().err

@@ -105,6 +105,15 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError):
             read_dataset(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("reader", [read_dataset, read_feature_file])
+    @pytest.mark.parametrize("case", ["directory", "missing"])
+    def test_unreadable_path_is_a_dataset_error_naming_it(self, reader, case, tmp_path):
+        path = tmp_path / "x"
+        if case == "directory":
+            path.mkdir()
+        with pytest.raises(DatasetError, match=str(path)):
+            reader(path)
+
     @pytest.mark.parametrize("case", BAD_INDEX_ROWS)
     def test_bad_index_row_is_dataset_error(self, tmp_path, case):
         index = write_dataset([random_sample(Rng(11), "s0")], tmp_path)

@@ -273,6 +273,12 @@ class TestFrozenBranches:
         with pytest.raises(TensorError, match="obj"):
             FusionModel(branches, model.config, Rng(2))
 
+    def test_class_counts_unlike_the_branches_rejected(self):
+        """Else late fusion gives the branches' 4 action columns and the fused heads 5."""
+        model, _ = make_model()
+        with pytest.raises(TensorError, match="'action': 4.*'action': 5"):
+            FusionModel(model.branches, replace(model.config, num_actions=5), Rng(2))
+
     def test_load_state_unknown_branch_tensor_is_tensor_error(self):
         model, _ = make_model()
         with pytest.raises(TensorError, match="no destination"):
