@@ -7,6 +7,15 @@ outputs are shorter than their inputs, the residual keeps only the most recent
 timesteps of the incoming sequence. Three classification heads (action, verb,
 noun) read the final feature vector.
 
+Sequences are (batch, channels, snippets) at every layer boundary, but in
+channel-major memory: the embedding conv's im2col transposes the input once,
+and from there every activation and gradient is a C-contiguous (C, N, B) array
+seen through ``.transpose(2, 0, 1)`` (see :mod:`~tcn_anticipation.layers`). So
+a run of snippets, the residual's columns and the last column are contiguous
+blocks of B-wide columns, and only the last column's (B, C) feature is copied
+out. ``backward`` accumulates every parameter's gradient and skips the input's,
+which nothing reads.
+
 Only the last output column is read, so a B>1 eval-mode forward computes each
 conv only at the positions that column depends on (its cone: 21/17/9/3/1 of the
 21/19/15/9/1 positions at 21 snippets and the default schedule), and each block
@@ -172,16 +181,18 @@ class _ResidualBlock:
         """The block's outputs in ``plan``, packed (by default every output of ``z``,
         whose residual is the last ``y.shape[2]`` columns)."""
         y = self.drop.forward(self.bn.forward(self.conv.forward(z, plan)), rng)
+        yc, zc = y.transpose(1, 2, 0), z.transpose(1, 2, 0)
         j = 0
         for length, starts in plan or ((y.shape[2], (z.shape[2] - y.shape[2],)),):
-            y[:, :, j:j + length] += z[:, :, starts[-1]:starts[-1] + length]
+            yc[:, j:j + length] += zc[:, starts[-1]:starts[-1] + length]
             j += length
         return self.relu.forward(y)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         g = self.relu.backward(grad_out)
         grad_z = self.conv.backward(self.bn.backward(self.drop.backward(g)))
-        grad_z[:, :, grad_z.shape[2] - g.shape[2]:] += g
+        gzc, gc = grad_z.transpose(1, 2, 0), g.transpose(1, 2, 0)
+        gzc[:, gzc.shape[1] - gc.shape[1]:] += gc
         return grad_z
 
 
@@ -267,19 +278,22 @@ class Branch(Model):
             self._streams.popitem(last=False)
         return z
 
-    def backward(self, grad_logits: dict[str, Tensor]) -> Tensor:
+    def backward(self, grad_logits: dict[str, Tensor]) -> None:
+        """Accumulates every parameter's gradient; returns None, as nothing reads the
+        input's gradient."""
         if self._final_shape is None:
             raise TensorError("branch backward before forward")
-        b, ch, _ = self._final_shape
+        b, ch, n = self._final_shape
         grad_feature = np.zeros((b, ch), dtype=self.embed.weight.data.dtype)
         for head in HEADS:
             drop, fc = self.heads[head]
             grad_feature += drop.backward(fc.backward(grad_logits[head]))
-        grad_z = np.zeros(self._final_shape, dtype=grad_feature.dtype)
-        grad_z[:, :, -1] = grad_feature
+        grad_zc = np.zeros((ch, n, b), dtype=grad_feature.dtype)  # channel-major, as z
+        grad_zc[:, -1] = grad_feature.T
+        grad_z = grad_zc.transpose(2, 0, 1)
         for blk in reversed(self.blocks):
             grad_z = blk.backward(grad_z)
-        return self.input_drop.backward(self.embed.backward(grad_z))
+        return self.embed.backward(grad_z, input_grad=False)
 
     def loss(self, scores: dict[str, Tensor],
              labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:

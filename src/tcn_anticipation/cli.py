@@ -252,6 +252,9 @@ def cmd_evaluate(args) -> int:
         x, labels = stack_features(val, modality, args.snippets)
         scores = model.eval().forward(x)
     else:
+        if args.modality is not None:
+            raise CliError(f"--modality {args.modality}: {args.ckpt} holds a fusion model, "
+                           "which reads every modality")
         inputs = {}
         for mod in MODALITIES:
             inputs[mod], labels = stack_features(val, mod, args.snippets)

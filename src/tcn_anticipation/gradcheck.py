@@ -174,7 +174,8 @@ def check_softmax_ce(rng: Rng, configs: int = 20) -> float:
 
 
 def check_branch(rng: Rng, configs: int = 20) -> float:
-    """End-to-end loss gradient through the whole branch (dropout off, BN train).
+    """End-to-end loss gradient of every branch parameter (dropout off, BN train);
+    ``Branch.backward`` returns no input gradient, so none is checked.
 
     The first configuration is the full four-block network over a 21-snippet
     window (B=2, D=3, C=6); the rest draw random shallow stacks.

@@ -10,6 +10,16 @@ outputs from packed input columns, so a stack of convs can carry only the
 columns a later one reads. Layers read their ``training`` flag; stochastic
 layers take the trainer's Rng at call time.
 
+Sequences are (batch, channels, time) at every layer boundary, but the sequence
+layers compute in channel-major memory: conv, BN and dropout work on
+``x.transpose(1, 2, 0)``, a (C, N, B) view whose column ``t*B + b`` is step
+``t`` of sample ``b``, and return a C-contiguous (C, N, B) result as
+``.transpose(2, 0, 1)``; ReLU, elementwise, keeps its input's order. So a chain
+of them passes every activation and gradient on without a copy, a dilated tap
+over a run of outputs is one contiguous block per channel, and BN's statistics
+are row reductions. A C-order input gives the same values through a strided
+view.
+
 A model states its layers once, as a layout: name -> (layer class, constructor
 args), in build order, which is also the weight draw order. :class:`Model`
 derives parameters, state, loading and mode from the built layers, and
@@ -126,6 +136,17 @@ def _init_uniform(rng: Rng | None, bound: float, shape, dtype: str) -> Tensor:
     return rng.uniform(-bound, bound, shape, dtype)
 
 
+def _cm(x: Tensor) -> Tensor:
+    """The (C, N, B) channel-major view of a (B, C, N) sequence; free when ``x`` is
+    one layer's output."""
+    return x.transpose(1, 2, 0)
+
+
+def _bcn(y: Tensor) -> Tensor:
+    """The (B, C, N) view of a C-contiguous (C, N, B) result."""
+    return y.transpose(2, 0, 1)
+
+
 class Conv1d(Layer):
     """Dilated 1-D convolution over (batch, channels, time), valid windows.
 
@@ -154,16 +175,16 @@ class Conv1d(Layer):
     def out_length(self, n_in: int) -> int:
         return n_in - (self.kernel_size - 1) * self.dilation
 
-    def _im2col(self, x: Tensor, plan: Plan) -> Tensor:
-        """(I*K, B*n_sel) window matrix of the outputs in ``plan``, so the conv becomes
-        one large GEMM. Each run is one slice per tap."""
-        b, c_in, _ = x.shape
+    def _im2col(self, xc: Tensor, plan: Plan) -> Tensor:
+        """(I*K, n_sel*B) window matrix of the outputs in ``plan`` from the (I, N, B)
+        input, so the conv becomes one large GEMM. Each run is one block copy per tap."""
+        c_in, _, b = xc.shape
         n_sel = sum(length for length, _ in plan)
-        cols = np.empty((c_in, self.kernel_size, b, n_sel), dtype=x.dtype)
+        cols = np.empty((c_in, self.kernel_size, n_sel, b), dtype=xc.dtype)
         j = 0
         for length, starts in plan:
             for k, s in enumerate(starts):
-                cols[:, k, :, j:j + length] = x[:, :, s:s + length].transpose(1, 0, 2)
+                cols[:, k, j:j + length] = xc[:, s:s + length]
             j += length
         return cols.reshape(c_in * self.kernel_size, -1)
 
@@ -181,13 +202,15 @@ class Conv1d(Layer):
         elif any(length < 1 or len(starts) != self.kernel_size or min(starts) < 0
                  or max(starts) + length > n for length, starts in plan):
             raise TensorError(f"conv1d plan {plan} reads outside the {n} input columns")
-        cols = self._im2col(x, plan)
+        cols = self._im2col(_cm(x), plan)
         self._cache = (x.shape, cols) if self.training else None
         out = self.weight.data.reshape(self.out_channels, -1) @ cols
         out += self.bias.data[:, None]
-        return np.ascontiguousarray(out.reshape(self.out_channels, b, -1).transpose(1, 0, 2))
+        return _bcn(out.reshape(self.out_channels, -1, b))
 
-    def backward(self, grad_out: Tensor) -> Tensor:
+    def backward(self, grad_out: Tensor, input_grad: bool = True) -> Tensor | None:
+        """The gradient of the input, or None without ``input_grad`` (the parameter
+        gradients are accumulated either way)."""
         if self._cache is None:
             raise TensorError("conv1d backward without a train-mode forward")
         x_shape, cols = self._cache
@@ -195,23 +218,26 @@ class Conv1d(Layer):
         n_out = grad_out.shape[2]
         if grad_out.shape[0] != b or n_out != self.out_length(n) or cols.shape[1] != b * n_out:
             raise TensorError("conv1d grad_out shape inconsistent with cached input")
-        d = self.dilation
-        g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2)).reshape(self.out_channels, -1)
+        g2 = _cm(grad_out).reshape(self.out_channels, -1)
         self.bias.grad += g2.sum(axis=1)
         self.weight.grad += (g2 @ cols.T).reshape(self.weight.data.shape)
+        if not input_grad:
+            return None
         gcols = (self.weight.data.reshape(self.out_channels, -1).T @ g2)
-        gcols = gcols.reshape(self.in_channels, self.kernel_size, b, n_out)
-        grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+        gcols = gcols.reshape(self.in_channels, self.kernel_size, n_out, b)
+        grad_x = np.zeros((self.in_channels, n, b), dtype=grad_out.dtype)
+        d = self.dilation
         for k in range(self.kernel_size):
-            grad_x[:, :, k * d:k * d + n_out] += gcols[:, k].transpose(1, 0, 2)
-        return grad_x
+            grad_x[:, k * d:k * d + n_out] += gcols[:, k]
+        return _bcn(grad_x)
 
 
 class BatchNorm1d(Layer):
     """Per-channel batch normalization over (batch, channels, time).
 
-    Train mode pools statistics over batch and time axes; eval mode uses the
-    running estimates. Running stats are touched only in train mode.
+    Train mode pools statistics over batch and time axes, one contiguous row per
+    channel; eval mode uses the running estimates. Running stats are touched only
+    in train mode.
     """
 
     params = ("gamma", "beta")
@@ -235,9 +261,11 @@ class BatchNorm1d(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise TensorError(f"batchnorm expected (B, {self.channels}, N), got {x.shape}")
+        b, c, n = x.shape
+        rows = _cm(x).reshape(c, -1)
         if self.training:
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            mean = rows.mean(axis=1)
+            var = rows.var(axis=1)
             m = self.momentum
             self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
             self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
@@ -245,26 +273,29 @@ class BatchNorm1d(Layer):
             mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xhat = x - mean[None, :, None]
-        xhat *= inv[None, :, None]
+        xhat = rows - mean[:, None]
+        xhat *= inv[:, None]
         if not self.training:
             self._cache = None
-            xhat *= self.gamma.data[None, :, None]
-            xhat += self.beta.data[None, :, None]
-            return xhat
-        self._cache = (xhat, inv, x.shape[0] * x.shape[2])
-        return self.gamma.data[None, :, None] * xhat + self.beta.data[None, :, None]
+            xhat *= self.gamma.data[:, None]
+            xhat += self.beta.data[:, None]
+            return _bcn(xhat.reshape(c, n, b))
+        self._cache = (xhat, inv, x.shape)
+        return _bcn((self.gamma.data[:, None] * xhat + self.beta.data[:, None]).reshape(c, n, b))
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._cache is None:
             raise TensorError("batchnorm backward without a train-mode forward")
-        xhat, inv, m = self._cache
-        self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
-        self.beta.grad += grad_out.sum(axis=(0, 2))
-        dxhat = grad_out * self.gamma.data[None, :, None]
-        sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return (inv[None, :, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        xhat, inv, (b, c, n) = self._cache
+        m = xhat.shape[1]
+        g = _cm(grad_out).reshape(c, -1)
+        self.gamma.grad += (g * xhat).sum(axis=1)
+        self.beta.grad += g.sum(axis=1)
+        dxhat = g * self.gamma.data[:, None]
+        sum_dxhat = dxhat.sum(axis=1, keepdims=True)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=1, keepdims=True)
+        grad_x = (inv[:, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        return _bcn(grad_x.reshape(c, n, b))
 
 
 class SpatialDropout(Layer):
@@ -272,7 +303,8 @@ class SpatialDropout(Layer):
 
     Survivors are scaled by 1/(1-p) at train time so eval is the identity.
     Accepts (B, C, N) sequences or (B, C) vectors; for vectors spatial and
-    plain dropout coincide.
+    plain dropout coincide. The (B, C) mask scales a sequence's (C, N, B) view
+    as ``mask.T[:, None, :]``.
     """
 
     def __init__(self, p: float):
@@ -294,15 +326,18 @@ class SpatialDropout(Layer):
             if rng is None:
                 raise TensorError("spatial dropout needs an Rng in train mode")
             mask = self.sample_mask(x.shape[0], x.shape[1], rng, x.dtype)
-        if x.ndim == 3:
-            mask = mask[:, :, None] if mask.ndim == 2 else mask
         self._mask = mask
-        return x * mask
+        return self._scale(x)
+
+    def _scale(self, x: Tensor) -> Tensor:
+        if x.ndim == 2:
+            return x * self._mask
+        return _bcn(_cm(x) * self._mask.T[:, None, :])
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._mask is None:
             return grad_out
-        return grad_out * self._mask
+        return self._scale(grad_out)
 
 
 class Linear(Layer):
@@ -338,6 +373,9 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0). Elementwise over operands in one memory order, so a channel-major
+    sequence stays channel-major."""
+
     def __init__(self):
         self._mask: Tensor | None = None
 

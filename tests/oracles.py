@@ -111,6 +111,57 @@ def branch_eval_loops(branch, x: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
+def batchnorm_train_loops(y: np.ndarray, bn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train-mode BN of ``y`` from its batch statistics, pooled over batch and time
+    one scalar at a time, plus the running mean and variance the step leaves."""
+    b, c, n = y.shape
+    out = np.empty_like(y)
+    running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
+    for ch in range(c):
+        vals = [float(y[bi, ch, t]) for bi in range(b) for t in range(n)]
+        mean = sum(vals) / len(vals)
+        var = sum((v - mean) ** 2 for v in vals) / len(vals)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        for bi in range(b):
+            for t in range(n):
+                out[bi, ch, t] = (y[bi, ch, t] - mean) * inv * bn.gamma.data[ch] + bn.beta.data[ch]
+        running_mean[ch] = (1 - bn.momentum) * running_mean[ch] + bn.momentum * mean
+        running_var[ch] = (1 - bn.momentum) * running_var[ch] + bn.momentum * var
+    return out, running_mean, running_var
+
+
+def cross_entropy_loops(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-softmax of each row's label, one row at a time."""
+    total = 0.0
+    for row, label in zip(logits, labels):
+        top = max(row)
+        total += -(row[label] - top - np.log(sum(np.exp(v - top) for v in row)))
+    return total / len(labels)
+
+
+def branch_train_loops(branch, x: np.ndarray, labels: dict) -> dict:
+    """Train-mode branch forward with every dropout off: each conv through
+    ``conv1d_loops``, BN from the batch's statistics through ``batchnorm_train_loops``,
+    the residual and ReLU, then the heads on the last column. Returns the feature, each
+    head's logits, the summed loss under ``"loss"``, and each block's updated running
+    statistics under ``"running_mean"`` and ``"running_var"``; the branch is not
+    changed."""
+    z = conv1d_loops(x, branch.embed.weight.data, branch.embed.bias.data, 1)
+    means, variances = [], []
+    for blk in branch.blocks:
+        conv = blk.conv
+        y = conv1d_loops(z, conv.weight.data, conv.bias.data, conv.dilation)
+        y, mean, var = batchnorm_train_loops(y, blk.bn)
+        means.append(mean)
+        variances.append(var)
+        z = np.maximum(y + z[:, :, z.shape[2] - y.shape[2]:], 0)
+    out = {"feature": z[:, :, -1], "running_mean": means, "running_var": variances}
+    for head, (_, fc) in branch.heads.items():
+        out[head] = out["feature"] @ fc.weight.data.T + fc.bias.data
+    out["loss"] = sum(cross_entropy_loops(out[head], labels[head]) for head in branch.heads)
+    return out
+
+
 def fusion_logits_unfolded(model, feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The feature strategies' eval-mode logits, layer after layer from the weights."""
     strategy = model.config.strategy

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcn_anticipation.branch import (HEADS, STREAMS, Branch, BranchConfig, _cone,
-                                     multitask_loss, required_input_length)
+                                     _ResidualBlock, multitask_loss, required_input_length)
 from tcn_anticipation.fusion import MODALITIES, FusionConfig, FusionModel
 from tcn_anticipation.gradcheck import check_branch
-from tcn_anticipation.layers import SoftmaxCrossEntropy, layout_shapes
+from tcn_anticipation.layers import (BatchNorm1d, Conv1d, ReLU, SoftmaxCrossEntropy,
+                                     SpatialDropout, layout_shapes)
 from tcn_anticipation.tensor import Rng, TensorError
 
-from oracles import branch_eval_loops, fusion_logits_unfolded, max_rel_prob_error
+from oracles import (branch_eval_loops, branch_train_loops, fusion_logits_unfolded,
+                     max_rel_prob_error)
 
 
 def small_config(**overrides):
@@ -213,6 +215,136 @@ class TestLeanEval:
         assert held == []
         with pytest.raises(TensorError):
             branch.backward({head: np.ones_like(out[head]) for head in HEADS})
+
+
+def random_labels(rng, cfg, batch):
+    return {head: (rng.uniform(0, k, (batch,), "f64")).astype(np.int64)
+            for head, k in cfg.class_counts.items()}
+
+
+class TestTrainOracle:
+    """The train-mode forward (BN on batch statistics, dropout off) against a naive f64
+    one, so the training path has a check other than itself."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kernel=st.integers(1, 3), dilations=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           extra=st.integers(0, 3), batch=st.integers(1, 3), seed=st.integers(0, 1 << 16))
+    def test_matches_the_naive_train_forward(self, kernel, dilations, extra, batch, seed):
+        cfg = small_config(input_dim=3, channels=5, kernel=kernel, dilations=tuple(dilations))
+        rng = Rng(seed)
+        branch = perturbed_branch(cfg, rng).train()
+        x = rng.normal(0, 1, (batch, 3, cfg.required_length + extra), "f64")
+        labels = random_labels(rng, cfg, batch)
+        want = branch_train_loops(branch, x, labels)
+        out = branch.forward(x, rng)
+        loss, _ = multitask_loss(out, labels)
+        for key in ("feature", *HEADS):
+            assert np.abs(out[key] - want[key]).max() <= 1e-10 * max(1.0, np.abs(want[key]).max())
+        assert abs(loss - want["loss"]) <= 1e-10 * max(1.0, abs(want["loss"]))
+        for blk, mean, var in zip(branch.blocks, want["running_mean"], want["running_var"]):
+            assert np.abs(blk.bn.running_mean - mean).max() <= 1e-10
+            assert np.abs(blk.bn.running_var - var).max() <= 1e-10
+
+
+def channel_major(x):
+    """``x`` with the same values, in (C, N, B) memory."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def is_channel_major(x):
+    return x.transpose(1, 2, 0).flags.c_contiguous
+
+
+@st.composite
+def layer_cases(draw):
+    """Sizes, a conv and a plan for it (None: every output)."""
+    batch, channels = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    kernel, dilation = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = (kernel - 1) * dilation + 1 + draw(st.integers(0, 4))
+    plan = None
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+        plan = tuple((length, tuple(draw(st.integers(0, n - length)) for _ in range(kernel)))
+                     for length in lengths)
+    return batch, channels, kernel, dilation, n, plan, draw(st.integers(0, 1 << 16))
+
+
+class TestMemoryOrder:
+    """Sequence layers give a C-order input and one in channel-major memory the same
+    values (the same bits where the operations are the same), and return a
+    channel-major input's outputs and gradients channel-major, so the branch passes
+    every activation on without copying it to another order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=layer_cases())
+    def test_layers_give_the_same_values_in_either_order(self, case):
+        batch, channels, kernel, dilation, n, plan, seed = case
+        rng = Rng(seed)
+        x = rng.normal(0, 1, (batch, channels, n), "f64")
+        conv_args = (channels, channels + 1, kernel, dilation, "f64")
+        makers = {"conv": lambda: Conv1d(*conv_args, rng=Rng(seed)),
+                  "bn": lambda: BatchNorm1d(channels, "f64"),
+                  "drop": lambda: SpatialDropout(0.5), "relu": ReLU}
+        mask = SpatialDropout(0.5).sample_mask(batch, channels, rng, np.float64)
+        grads = {}  # by output shape, the same for both orders
+        for name, make in makers.items():
+            for training in (False, True):
+                results = []
+                for order in (np.ascontiguousarray, channel_major):
+                    layer = make()
+                    layer.training = training
+                    kw = {"mask": mask} if name == "drop" else {}
+                    if name == "conv" and not training:
+                        kw = {"plan": plan}
+                    out = layer.forward(order(x), **kw)
+                    assert is_channel_major(out) or order is np.ascontiguousarray
+                    got = [out]
+                    if training:
+                        if out.shape not in grads:
+                            grads[out.shape] = rng.normal(0, 1, out.shape, "f64")
+                        grad_x = layer.backward(order(grads[out.shape]))
+                        assert is_channel_major(grad_x) or order is np.ascontiguousarray
+                        got += [grad_x] + [getattr(layer, p).grad for p in layer.params]
+                        got += [getattr(layer, b) for b in layer.buffers]
+                    results.append(got)
+                for want, have in zip(*results):
+                    if name in ("drop", "relu"):  # elementwise: the same operations
+                        assert want.tobytes() == np.ascontiguousarray(have).tobytes()
+                    else:  # a GEMM or a reduction may sum a strided view in another order
+                        tol = 1e-12 * max(1.0, float(np.abs(want).max(initial=0.0)))
+                        assert np.abs(want - have).max(initial=0.0) <= tol, (name, training)
+
+    @pytest.mark.parametrize("mode, batch", [("train", 3), ("eval", 3), ("eval", 1)])
+    def test_every_sequence_the_branch_passes_on_is_channel_major(self, mode, batch):
+        """Each block's and each of its layers' outputs and gradients, and the embedding
+        conv's output: only the input arrives in another order."""
+        cfg = small_config(input_dropout=0.2, block_dropout=0.2, dilations=(1, 2, 1))
+        rng = Rng(5)
+        branch = Branch(cfg, rng).train(mode == "train")
+        seen = []
+
+        def recording(method):
+            def call(self, *args, **kwargs):
+                out = method(self, *args, **kwargs)
+                if self is not branch.input_drop and getattr(out, "ndim", 0) == 3:
+                    seen.append((type(self).__name__, method.__name__, out))
+                return out
+            return call
+
+        x = rng.normal(0, 1, (batch, cfg.input_dim, cfg.required_length + 2), "f64")
+        with contextlib.ExitStack() as stack:
+            for cls in (_ResidualBlock, Conv1d, BatchNorm1d, SpatialDropout, ReLU):
+                for name in ("forward", "backward"):
+                    stack.enter_context(
+                        mock.patch.object(cls, name, recording(getattr(cls, name))))
+            out = branch.forward(x, rng)
+            if mode == "train":
+                branch.backward(multitask_loss(out, random_labels(rng, cfg, batch))[1])
+        classes = ("_ResidualBlock", "Conv1d", "BatchNorm1d", "SpatialDropout", "ReLU")
+        methods = ("forward", "backward") if mode == "train" else ("forward",)
+        assert {(cls, name) for cls, name, _ in seen} == {(cls, name) for cls in classes
+                                                          for name in methods}
+        assert all(is_channel_major(z) for _, _, z in seen)
 
 
 @contextlib.contextmanager

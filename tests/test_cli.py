@@ -19,7 +19,7 @@ from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
 from tcn_anticipation.tensor import Rng
 from tcn_anticipation.training import SgdConfig, train_branch
 
-from test_checkpoint import BROKEN_CASES, write_broken_checkpoint
+from test_checkpoint import BROKEN_CASES, small_fusion_tensors, write_broken_checkpoint
 from test_data import BAD_INDEX_ROWS, write_bad_index_row
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
@@ -231,6 +231,21 @@ class TestTrainEvaluate:
         proc = run("evaluate", "--ckpt", str(ckpt), "--data", str(synth_dir),
                    "--out", str(tmp_path / "eval"), *rgb, check=False)
         assert proc.returncode == 2 and "holds a flow branch, expected rgb" in proc.stderr
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_evaluate_rejects_a_modality_for_a_fusion_checkpoint(self, via, synth_dir,
+                                                                 tmp_path):
+        """A fusion checkpoint reads every modality, so naming one is a usage error,
+        not a setting that is silently ignored."""
+        ckpt = tmp_path / "fusion_attention.ckpt"
+        save_checkpoint(ckpt, small_fusion_tensors())
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("modality = flow\n", encoding="utf-8")
+        flow = ["--modality", "flow"] if via == "flag" else ["--config", str(cfg)]
+        proc = run("evaluate", "--ckpt", str(ckpt), "--data", str(synth_dir),
+                   "--out", str(tmp_path / "eval"), *flow, check=False)
+        assert proc.returncode == 2 and "--modality flow" in proc.stderr
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
 
     def test_train_fusion_saves_best_epoch(self, tmp_path):
         train, val = generate_synthetic(complementary_spec(train_per_class=40,
