@@ -99,10 +99,9 @@ class _Cell(Layer):
         self.wx.grad += dz.T @ x
         self.wh.grad += dz.T @ h_prev
         self.bias.grad += dz.sum(axis=0)
-        dx = dz @ self.wx.data
         dh_prev = dz @ self.wh.data
         dc_prev = dci * f
-        return dx, dh_prev, dc_prev
+        return dz, dh_prev, dc_prev  # the gradient of the step's input is dz @ wx
 
 
 class LstmEncoderDecoder(Model):
@@ -129,22 +128,21 @@ class LstmEncoderDecoder(Model):
         for _ in range(cfg.decoder_steps):
             h, c = self.decoder.step(h_enc, h, c, dec_cache)
         if self.training:
-            self._cache = (enc_cache, dec_cache, x.shape)
+            self._cache = (enc_cache, dec_cache)
         return self.head.forward(h)
 
-    def backward(self, grad_logits: Tensor) -> Tensor:
+    def backward(self, grad_logits: Tensor) -> None:
+        """Accumulates every parameter's gradient; returns None, as nothing reads the
+        input's gradient."""
         if self._cache is None:
             raise TensorError("backward needs a train-mode forward first")
-        enc_cache, dec_cache, x_shape = self._cache
+        enc_cache, dec_cache = self._cache
         dh = self.head.backward(grad_logits)
         dc = np.zeros_like(dh)
         dh_enc = np.zeros_like(dh)
         for entry in reversed(dec_cache):
-            dx, dh, dc = self.decoder.step_backward(entry, dh, dc)
-            dh_enc += dx  # decoder input is h_enc at every step
+            dz, dh, dc = self.decoder.step_backward(entry, dh, dc)
+            dh_enc += dz @ self.decoder.wx.data  # decoder input is h_enc at every step
         dh = dh + dh_enc  # decoder initial h was h_enc as well
-        grad_x = np.zeros(x_shape, dtype=dh.dtype)
-        for t, entry in zip(reversed(range(x_shape[2])), reversed(enc_cache)):
-            dx, dh, dc = self.encoder.step_backward(entry, dh, dc)
-            grad_x[:, :, t] = dx
-        return grad_x
+        for entry in reversed(enc_cache):
+            _, dh, dc = self.encoder.step_backward(entry, dh, dc)

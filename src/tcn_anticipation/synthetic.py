@@ -65,8 +65,8 @@ class SyntheticSpec:
             raise TensorError(
                 f"{self.num_actions} actions are not coverable by a "
                 f"{self.num_verbs} x {self.num_nouns} verb/noun grid of pairs")
-        if self.sigma < 0:
-            raise TensorError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise TensorError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.num_snippets < EARLY_CUTOFF:
             raise TensorError(f"the window must cover the {EARLY_CUTOFF} early snippets")
         if not 0.0 <= self.rgb_member_scale <= 1.0:

@@ -14,6 +14,7 @@ val_top5_action, wall_seconds.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,8 +40,11 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise TensorError(f"lr0 must be positive, got {self.lr0}")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise TensorError(f"lr0 must be finite and positive, got {self.lr0}")
+        for name, value in (("weight_decay", self.weight_decay), ("power", self.power)):
+            if not (math.isfinite(value) and value >= 0):
+                raise TensorError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.momentum < 1.0:
             raise TensorError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:

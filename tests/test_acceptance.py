@@ -3,26 +3,30 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; plain ``pytest`` runs the same assertions. The heavier criteria train
 small models on the synthetic presets with fixed seeds, so every number here
-is reproducible bit-for-bit on the same machine.
+is reproducible bit-for-bit on the same machine. Criteria 4-6 are the paper's
+studies: they run the README's ``tcna`` study commands as written and read
+the CSVs those commands write.
 """
 
+import contextlib
+import csv
+import io
+import shlex
 import time
 
 import numpy as np
 import pytest
 
-from tcn_anticipation.baseline import LstmConfig, LstmEncoderDecoder
-from tcn_anticipation.bench import bench_models, branch_macs, lstm_macs
-from tcn_anticipation.branch import Branch, BranchConfig, required_input_length
+from tcn_anticipation import cli
+from tcn_anticipation.bench import branch_macs
+from tcn_anticipation.branch import BranchConfig, required_input_length
 from tcn_anticipation.checkpoint import (branch_checkpoint_tensors, load_checkpoint,
                                          parameter_hash, save_checkpoint)
 from tcn_anticipation.data import DatasetError, read_feature_file, write_feature_file
-from tcn_anticipation.fusion import MODALITIES, STRATEGIES, FusionConfig
+from tcn_anticipation.fusion import MODALITIES, FusionConfig
 from tcn_anticipation.gradcheck import run_standard_suite
 from tcn_anticipation.metrics import class_mean_top5_recall, top_k_accuracy
-from tcn_anticipation.synthetic import (class_templates, complementary_spec,
-                                        generate_synthetic, learnable_spec,
-                                        long_range_spec)
+from tcn_anticipation.synthetic import class_templates, generate_synthetic, learnable_spec
 from tcn_anticipation.tensor import Rng
 from tcn_anticipation.training import SgdConfig, train_branch, train_fusion
 
@@ -31,6 +35,18 @@ from oracles import (branch_mac_loops, class_mean_top5_recall_loops,
 
 DATA_SEED = 2024
 TRAIN_SEED = 7
+
+# The README's "Studies" block, line for line (test_readme checks that they
+# match): criteria 4-6 run these commands and read the CSVs they write.
+FUSION_STUDY = (
+    "tcna synth-gen --out data/complementary --preset complementary --seed 2024",
+    "tcna ablate-fusion --data data/complementary --out results/fusion --seed 7 --epochs 8",
+)
+OBSLEN_STUDY = (
+    "tcna synth-gen --out data/long_range --preset long-range --seed 2024",
+    "tcna ablate-obslen --data data/long_range --out results/obslen --seed 7",
+)
+SPEED_STUDY = ("tcna bench --out results/bench --batch 4",)
 
 
 def report(criterion: int, name: str, ok: bool, detail: str) -> None:
@@ -83,24 +99,27 @@ def test_criterion_3_synthetic_learnability():
     report(3, "synthetic-learnability", ok, detail)
 
 
-def test_criterion_4_fusion_ablation_analog():
-    spec = complementary_spec()
-    train, val = generate_synthetic(spec, DATA_SEED)
-    sgd = SgdConfig(lr0=0.02, epochs=8, batch_size=32, seed=TRAIN_SEED)
-    branches, uni = {}, {}
-    for mod in MODALITIES:
-        branches[mod], result = train_branch(train, val, mod, desk_branch_config(), sgd)
-        branches[mod].load_state(result.best_state)  # fuse the branch that is scored
-        uni[mod] = result.best_val_top1
+def run_studies(lines: tuple[str, ...], workdir, monkeypatch) -> None:
+    """Runs README "Studies" lines through ``cli.main`` in ``workdir``, their
+    per-model lines kept out of the test's output."""
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv("TCNA_SEED", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for line in lines:
+            assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def read_csv(path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_criterion_4_fusion_ablation_analog(tmp_path, monkeypatch):
+    run_studies(FUSION_STUDY, tmp_path, monkeypatch)
+    scores = {row["model"]: float(row["val_top1_action"])
+              for row in read_csv(tmp_path / "results/fusion/fusion_ablation.csv")}
+    uni = {mod: scores.pop(mod) for mod in MODALITIES}
     best_uni = max(uni.values())
-    scores = {}
-    for strategy in STRATEGIES:
-        fcfg = FusionConfig(channels=64, num_actions=12, num_verbs=6, num_nouns=8,
-                            strategy=strategy, embed_dim=64, head_dropout=0.1)
-        _, result = train_fusion(branches, train, val, fcfg,
-                                 SgdConfig(lr0=0.02, epochs=8, batch_size=32,
-                                           seed=TRAIN_SEED))
-        scores[strategy] = result.best_val_top1
     margin = min(scores.values()) - best_uni
     combined_gap = scores["mutual_pairwise"] - max(scores["mutual"], scores["pairwise"])
     ok = margin >= 0.05 and combined_gap >= -0.01
@@ -110,15 +129,10 @@ def test_criterion_4_fusion_ablation_analog():
     report(4, "fusion-ablation-analog", ok, detail)
 
 
-def test_criterion_5_observation_length_analog():
-    spec = long_range_spec()
-    train, val = generate_synthetic(spec, DATA_SEED)
-    accs = {}
-    for n in (3, 7, 13, 21):
-        cfg = desk_branch_config().for_snippets(n)
-        sgd = SgdConfig(lr0=0.02, epochs=25, batch_size=32, seed=TRAIN_SEED)
-        _, result = train_branch(train, val, "rgb", cfg, sgd, snippets=n)
-        accs[n] = result.best_val_top1
+def test_criterion_5_observation_length_analog(tmp_path, monkeypatch):
+    run_studies(OBSLEN_STUDY, tmp_path, monkeypatch)
+    accs = {int(row["snippets"]): float(row["val_top1_action"])
+            for row in read_csv(tmp_path / "results/obslen/obslen.csv")}
     values = [accs[n] for n in (3, 7, 13, 21)]
     non_decreasing = all(a <= b for a, b in zip(values, values[1:]))
     gap = accs[21] - accs[3]
@@ -128,15 +142,15 @@ def test_criterion_5_observation_length_analog():
     report(5, "observation-length-analog", ok, detail)
 
 
-def test_criterion_6_speed_analog():
-    bcfg = BranchConfig(input_dim=1024, num_actions=100, num_verbs=20, num_nouns=30,
-                        channels=1024, input_dropout=0.0, block_dropout=0.0,
-                        head_dropout=0.0)
-    lcfg = LstmConfig(input_dim=1024, hidden=1024, num_actions=100,
-                      encoder_steps=21, decoder_steps=8)
-    tcn_macs = branch_macs(bcfg, 21)
-    rnn_macs = lstm_macs(lcfg)
+def test_criterion_6_speed_analog(tmp_path, monkeypatch):
+    run_studies(SPEED_STUDY, tmp_path, monkeypatch)
+    tcn, rnn = read_csv(tmp_path / "results/bench/bench.csv")
+    assert (tcn["model"], rnn["model"]) == ("tcn_branch", "lstm_baseline")
+    tcn_macs, rnn_macs = int(tcn["mac_count"]), int(rnn["mac_count"])
     counts_ok = tcn_macs == 160_432_128 and rnn_macs == 243_269_632
+    # baseline time / branch time, as BenchReport computes its speedups
+    inference_speedup = float(rnn["inference_mom_s"]) / float(tcn["inference_mom_s"])
+    train_speedup = float(rnn["train_step_mom_s"]) / float(tcn["train_step_mom_s"])
 
     # instrumented-counter oracle: loop-counted MACs match analytically,
     # verified exactly over 10 random configurations at tractable sizes
@@ -153,15 +167,11 @@ def test_criterion_6_speed_analog():
         n = cfg.required_length + int(rng.uniform(0, 4, ()))
         oracle_ok &= branch_macs(cfg, n) == branch_mac_loops(d_in, c, k, dilations, n)
 
-    model_rng = Rng(1)
-    branch = Branch(bcfg, model_rng)
-    baseline = LstmEncoderDecoder(lcfg, model_rng)
-    bench = bench_models(branch, baseline, batch=4, reps=30, warmup=5, seed=0)
     ok = (counts_ok and oracle_ok and tcn_macs < rnn_macs
-          and bench.inference_speedup > 1.2 and bench.train_speedup > 1.2)
+          and inference_speedup > 1.2 and train_speedup > 1.2)
     detail = (f"MACs {tcn_macs} vs {rnn_macs}, loop-counter oracle "
               f"{'exact' if oracle_ok else 'MISMATCH'}, wall-clock speedup "
-              f"inference {bench.inference_speedup:.2f}x / train {bench.train_speedup:.2f}x")
+              f"inference {inference_speedup:.2f}x / train {train_speedup:.2f}x")
     report(6, "speed-analog", ok, detail)
 
 

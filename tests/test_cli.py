@@ -365,6 +365,27 @@ class TestTrainEvaluate:
         model, _ = fusion_from_checkpoint(tmp_path / "o" / "fusion_mutual.ckpt")
         assert model.config.class_counts == bcfg.class_counts
 
+    @pytest.mark.parametrize("command,setting,field", [
+        ("train-branch", "--lr nan", "lr0"), ("train-branch", "--lr inf", "lr0"),
+        ("train-branch", "power = nan", "power"),
+        ("train-branch", "weight_decay = -3", "weight_decay"),
+        ("synth-gen", "sigma = nan", "sigma")])
+    def test_non_finite_or_negative_setting_exits_2_naming_it(self, command, setting, field,
+                                                              synth_dir, tmp_path, capsys):
+        """NaN and inf pass a bare sign check; trained on, they give NaN weights."""
+        if "=" in setting:
+            (tmp_path / "c.txt").write_text(setting + "\n", encoding="utf-8")
+            extra = ["--config", str(tmp_path / "c.txt")]
+        else:
+            extra = setting.split()
+        data = ["--data", str(synth_dir), "--epochs", "1", "--channels", "8"] \
+            if command == "train-branch" else []
+        out = tmp_path / "o"
+        assert cli.main([command, "--out", str(out), *data, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not any(out.iterdir())  # no checkpoint, no dataset
+
     def test_mismatched_fusion_checkpoint_modality(self, synth_dir, trained_branch, tmp_path):
         proc = run("train-fusion", "--data", str(synth_dir), "--out", str(tmp_path / "o"),
                    "--strategy", "late",

@@ -46,6 +46,11 @@ class TestActionTable:
         with pytest.raises(TensorError):
             SyntheticSpec(num_verbs=5)
 
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(TensorError, match="sigma"):
+            SyntheticSpec(sigma=sigma)
+
 
 class TestNoiselessSeparability:
     def test_flow_obj_recover_verb_noun_exactly(self):

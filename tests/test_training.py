@@ -99,6 +99,15 @@ class TestSgdStep:
             SgdConfig(lr0=0.0)
         with pytest.raises(TensorError):
             SgdConfig(lr0=0.1, momentum=1.0)
+        # NaN and inf pass a bare sign check, and train to NaN weights
+        for field, value in [("lr0", float("nan")), ("lr0", float("inf")),
+                             ("weight_decay", -3.0), ("weight_decay", float("nan")),
+                             ("weight_decay", float("inf")), ("power", -1.0),
+                             ("power", float("nan")), ("power", float("inf")),
+                             ("momentum", float("nan"))]:
+            with pytest.raises(TensorError, match=field):
+                SgdConfig(**{"lr0": 0.1, field: value})
+        SgdConfig(lr0=0.1, weight_decay=0.0, power=0.0)  # zero is a valid decay and power
 
 
 def tiny_dataset(rng, n_per_class=6, num_actions=2, dim=4, snippets=7):
