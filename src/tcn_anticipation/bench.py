@@ -4,10 +4,9 @@ MAC counts cover the sequence-processing core only: conv multiplies for the
 branch (embedding conv plus residual-block convs over the shrinking length
 ledger) and gate matmuls for the recurrent baseline. Heads, normalization,
 and elementwise work are excluded on both sides. Counts are per sample and
-batch-invariant, and cover the full window: a B>1 eval-mode branch forward
-computes only the positions its last output column depends on, and a B=1 one
-that continues a stream computes one column per conv, so both do fewer MACs
-than the count.
+batch-invariant, and cover the full window: an eval-mode branch forward
+computes only the positions its last output column depends on, at every batch
+size, so it does fewer MACs than the count.
 
 Wall-clock runs warm up, then record per-repetition times; the headline
 statistic is a median-of-means, which resists desk-machine jitter better than
@@ -135,6 +134,8 @@ def _stats(times: list[float]) -> tuple[float, float, float]:
 def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
                  reps: int = 30, warmup: int = 5, seed: int = 0) -> BenchReport:
     """Time eval-mode forwards and full optimizer steps (at lr 1e-3) for both models."""
+    if batch < 1:
+        raise TensorError(f"benchmark needs a batch of at least 1, got {batch}")
     if reps < 30:
         raise TensorError("benchmark needs at least 30 repetitions")
     if warmup < 5:

@@ -16,36 +16,30 @@ blocks of B-wide columns, and only the last column's (B, C) feature is copied
 out. ``backward`` accumulates every parameter's gradient and skips the input's,
 which nothing reads.
 
-Only the last output column is read, so a B>1 eval-mode forward computes each
-conv only at the positions that column depends on (its cone: 21/17/9/3/1 of the
-21/19/15/9/1 positions at 21 snippets and the default schedule), and each block
-reads and writes only those columns, packed. A plan per conv, cached per
-(kernel, dilations, snippets), gives its runs of outputs and where each tap's
-columns start in its packed input; the residual reads the last tap's columns.
-Bias, BN with its running statistics, the residual and ReLU run on those
-columns in the train-mode order, so the cone gives the features of the
-full-window forward up to the GEMM's summation order. Eval-mode forwards keep
-no caches, so ``backward`` needs a train-mode forward.
+Only the last output column is read, so an eval-mode forward without a stream
+computes each conv only at the positions that column depends on (its cone:
+21/17/9/3/1 of the 21/19/15/9/1 positions at 21 snippets and the default
+schedule), at every batch size, and each block reads and writes only those
+columns, packed. A plan per conv, cached per (kernel, dilations, snippets),
+gives its runs of outputs and where each tap's columns start in its packed
+input; the residual reads the last tap's columns. Bias, BN with its running
+statistics, the residual and ReLU run on those columns in the train-mode order,
+so the cone gives the features of the full-window forward up to the GEMM's
+summation order. Eval-mode forwards keep no caches, so ``backward`` needs a
+train-mode forward.
 
-A B=1 eval-mode forward serves a stream of windows that slide one snippet at a
-time. The branch keeps a table of up to ``STREAMS`` streams, least recently
-served evicted first. Its key is a served window's last n-1 snippets as bytes,
-with the window's dtype and shape, and its value is each block's last
-(K-1)*d+1 input columns. A window whose first n-1 snippets give an equal key is
-a hit: the embedding conv runs on the newest snippet, and each block's queue
-drops its oldest column and takes the newest, so the block's valid conv over
-the queue yields exactly its newest output column. Any other window is a miss:
-every position is computed (the cone would leave queue columns zero) and the
-stream's queues start from it. Either way the heads run as for any window, and
-the features are the full-window ones up to the GEMV's summation order. B>1 and
-train-mode forwards never read or write the table. ``train(True)`` and
-``load_state`` drop it, so an in-place weight edit takes effect after
-``train(); eval()``.
+An eval-mode forward given a ``stream``, a list the caller keeps, serves windows
+that slide one snippet at a time. An empty stream is started: every position is
+computed and each block's last (K-1)*d+1 input columns are queued. A filled one
+is stepped, the window's first n-1 snippets being the last n-1 of the one before:
+the embedding conv reads the newest snippet, and each block's valid conv runs
+once over its queue, which drops its oldest column and takes the newest. The
+features are the full-window ones up to the GEMM's summation order. A branch
+holds nothing between eval forwards; the fusion model keeps B=1 requests' streams.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
@@ -56,8 +50,6 @@ from .data import HEADS
 from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, Plan, ReLU,
                      SoftmaxCrossEntropy, SpatialDropout)
 from .tensor import Rng, Tensor, TensorError
-
-STREAMS = 16  # streams a branch keeps queues for; the least recently served goes first
 
 
 def required_input_length(kernel: int, dilations) -> int:
@@ -196,14 +188,10 @@ class _ResidualBlock:
         return grad_z
 
 
-def _window_key(x: Tensor, snippets: slice) -> tuple:
-    return x.dtype.str, x.shape, x[:, :, snippets].tobytes()
-
-
 class Branch(Model):
     """The uni-modal network, built from ``config.layout(rng)``. Single training writer;
-    B>1 eval forwards compute only the last column's cone, B=1 ones step a stream's
-    queues, and neither keeps a backward cache. Without an ``rng`` the weights start
+    eval forwards compute only the last column's cone, or start or step the stream
+    they are given, and keep no backward cache. Without an ``rng`` the weights start
     at zero, for a caller that loads them."""
 
     def __init__(self, config: BranchConfig, rng: Rng | None):
@@ -215,16 +203,13 @@ class Branch(Model):
         self.heads = {head: (layers[f"heads.{head}.drop"], layers[f"heads.{head}"])
                       for head in HEADS}
         self._final_shape: tuple[int, ...] | None = None
-        # window key -> each block's last `span` input columns, least recently served first
-        self._streams: OrderedDict[tuple, list[Tensor]] = OrderedDict()
-
-    def drop_derived(self) -> None:
-        self._streams.clear()
 
     # -- forward / backward -------------------------------------------------------
 
-    def forward(self, x: Tensor, rng: Rng | None = None) -> dict[str, Tensor]:
-        """The final feature vector under ``"feature"`` and each head's logits under its name."""
+    def forward(self, x: Tensor, rng: Rng | None = None,
+                stream: list[Tensor] | None = None) -> dict[str, Tensor]:
+        """The final feature vector under ``"feature"`` and each head's logits under its name;
+        an eval-mode forward starts an empty ``stream`` and steps a filled one."""
         c = self.config
         if x.ndim != 3 or x.shape[1] != c.input_dim:
             raise TensorError(f"branch expected (B, {c.input_dim}, N), got {x.shape}")
@@ -234,8 +219,8 @@ class Branch(Model):
                 f"receptive field {c.required_length}")
         if self.training:
             z = self._run(x, None, rng)
-        elif x.shape[0] == 1:
-            z = self._step(x)
+        elif stream is not None:
+            z = self._step(x, stream)
         else:
             z = self._run(x, _cone(c.kernel, c.dilations, x.shape[2]), rng)
         self._final_shape = z.shape if self.training else None
@@ -259,23 +244,14 @@ class Branch(Model):
             z = blk.forward(z, rng, conv_plan)
         return z
 
-    def _step(self, x: Tensor) -> Tensor:
-        """The last block's output for a B=1 eval window: a hit steps its stream's
-        queues by one column, a miss computes every position and starts a stream."""
-        queues = self._streams.pop(_window_key(x, slice(None, -1)), None)
-        if queues is None:
-            queues = []
-            z = self._run(x, None, None, queues)
-        else:
-            z = self.embed.forward(x[:, :, -1:])
-            for i, blk in enumerate(self.blocks):
-                queues[i] = np.concatenate((queues[i][:, :, 1:], z), axis=2)
-                z = blk.forward(queues[i], None)
-        key = _window_key(x, slice(1, None))
-        self._streams[key] = queues
-        self._streams.move_to_end(key)
-        if len(self._streams) > STREAMS:
-            self._streams.popitem(last=False)
+    def _step(self, x: Tensor, stream: list[Tensor]) -> Tensor:
+        """The last block's output for an eval window continuing ``stream``."""
+        if not stream:
+            return self._run(x, None, None, stream)
+        z = self.embed.forward(x[:, :, -1:])
+        for i, blk in enumerate(self.blocks):
+            stream[i] = np.concatenate((stream[i][:, :, 1:], z), axis=2)
+            z = blk.forward(stream[i], None)
         return z
 
     def backward(self, grad_logits: dict[str, Tensor]) -> None:

@@ -114,7 +114,11 @@ def _out_dir(args) -> Path:
 def _load_split(args, split: str):
     if args.data is None:
         raise CliError("--data is required")
-    return read_dataset(Path(args.data) / split / "index.csv")
+    index = Path(args.data) / split / "index.csv"
+    samples = read_dataset(index)
+    if not samples:
+        raise DatasetError(f"{index}: the {split} split has no samples")
+    return samples
 
 
 def _write(path: Path, text: str) -> None:

@@ -25,14 +25,16 @@ heads, so in eval mode each head is one affine map of ``[f_rgb; f_flow; f_obj]``
 The first eval-mode ``fuse_forward`` folds the layers into one (k_head, 3C)
 matrix and bias per head, heads first and accumulated in f64, and keeps the
 fold until ``train(True)``, ``load_state`` or a change of ``config.strategy``
-drops it; ``eval()`` never does. ``train(True)`` and ``load_state`` also drop
-each branch's table of B=1 streams (see :mod:`~tcn_anticipation.branch`),
-since ``load_state`` writes the branch slots without ``Branch.load_state``. A
-weight edited in place in eval mode takes effect after ``train(); eval()``.
+drops it; ``eval()`` never does. ``branch_outputs`` steps B=1 windows as streams
+(see :mod:`~tcn_anticipation.branch`), up to ``STREAMS``, keyed on the three
+windows' last n-1 snippets, dtypes and shapes; the least recently served goes
+first. ``train(True)`` and ``load_state`` drop them with the fold, so a weight
+edited in place, a branch's too, takes effect after ``train(); eval()``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ PAIRS = (("rgb", "flow"), ("rgb", "obj"), ("flow", "obj"))
 STRATEGIES = ("late", "attention", "mutual", "pairwise", "mutual_pairwise")
 FEATURE_STRATEGIES = ("mutual", "pairwise", "mutual_pairwise")
 _PROB_TOL = 1e-6
+STREAMS = 16  # B=1 streams branch_outputs keeps; the least recently served goes first
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,10 @@ def _check_probs(p: Tensor, who: str) -> None:
         raise TensorError(f"{who} expects softmax distributions (rows summing to 1)")
 
 
+def _window_key(xs: list[Tensor], snippets: slice) -> tuple:
+    return tuple((x.dtype.str, x.shape, x[:, :, snippets].tobytes()) for x in xs)
+
+
 def late_fusion(probs_rgb: Tensor, probs_flow: Tensor, probs_obj: Tensor) -> Tensor:
     """Arithmetic mean of three per-class distributions."""
     for p in (probs_rgb, probs_flow, probs_obj):
@@ -131,13 +138,11 @@ class FusionModel(Model):
         self._cache = None
         self._att_cache = None
         self._fold: tuple[str, dict[str, tuple[Tensor, Tensor]]] | None = None
+        self._streams: OrderedDict[tuple, list[list[Tensor]]] = OrderedDict()
 
     def drop_derived(self) -> None:
-        """The fold, and each branch's stream table: ``load_state`` writes the branch
-        slots directly and never calls ``Branch.load_state``."""
         self._fold = None
-        for branch in self.branches.values():
-            branch.drop_derived()
+        self._streams.clear()
 
     def state_slots(self) -> dict[str, tuple[object, str]]:
         """The fusion layers' slots, then each branch's under ``branches.{modality}.``."""
@@ -150,8 +155,20 @@ class FusionModel(Model):
     # -- branch pass ------------------------------------------------------------
 
     def branch_outputs(self, inputs: dict[str, Tensor]) -> dict[str, dict[str, Tensor]]:
-        """One frozen eval-mode forward per modality."""
-        return {mod: self.branches[mod].eval().forward(inputs[mod]) for mod in MODALITIES}
+        """One frozen eval-mode forward per modality; windows of one sample each step
+        the stream they continue, or start one."""
+        xs = [inputs[mod] for mod in MODALITIES]
+        if not all(x.ndim == 3 and x.shape[0] == 1 for x in xs):
+            return {mod: self.branches[mod].eval().forward(x) for mod, x in zip(MODALITIES, xs)}
+        streams = self._streams.pop(_window_key(xs, slice(None, -1)), None) or [[], [], []]
+        outs = {mod: self.branches[mod].eval().forward(x, stream=stream)
+                for mod, x, stream in zip(MODALITIES, xs, streams)}
+        key = _window_key(xs, slice(1, None))
+        self._streams[key] = streams
+        self._streams.move_to_end(key)
+        if len(self._streams) > STREAMS:
+            self._streams.popitem(last=False)
+        return outs
 
     # -- feature fusion (mutual / pairwise / mutual_pairwise) --------------------
 

@@ -69,6 +69,9 @@ class SyntheticSpec:
             raise TensorError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.num_snippets < EARLY_CUTOFF:
             raise TensorError(f"the window must cover the {EARLY_CUTOFF} early snippets")
+        if self.train_per_class < 0 or self.val_per_class < 0:
+            raise TensorError(f"per-class counts must be >= 0, got train_per_class="
+                              f"{self.train_per_class}, val_per_class={self.val_per_class}")
         if not 0.0 <= self.rgb_member_scale <= 1.0:
             raise TensorError("rgb_member_scale must be in [0, 1]")
 

@@ -48,6 +48,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise TensorError(f"seed must be >= 0, got {seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, lo: float, hi: float, shape, dtype: str = "f32") -> Tensor:

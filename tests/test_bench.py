@@ -103,6 +103,9 @@ class TestBenchRun:
             bench_models(branch, baseline, batch=1, reps=10, warmup=5)
         with pytest.raises(TensorError):
             bench_models(branch, baseline, batch=1, reps=30, warmup=2)
+        for batch in (0, -2):
+            with pytest.raises(TensorError, match=f"got {batch}"):
+                bench_models(branch, baseline, batch=batch)
 
     def test_self_comparison_ratio_near_one(self):
         # time the same workload twice; the ratio is 1 up to timing noise

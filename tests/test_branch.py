@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcn_anticipation.branch import (HEADS, STREAMS, Branch, BranchConfig, _cone,
-                                     _ResidualBlock, multitask_loss, required_input_length)
-from tcn_anticipation.fusion import MODALITIES, FusionConfig, FusionModel
+from tcn_anticipation.branch import (HEADS, Branch, BranchConfig, _cone, _ResidualBlock,
+                                     multitask_loss, required_input_length)
+from tcn_anticipation.fusion import MODALITIES, STREAMS, FusionConfig, FusionModel
 from tcn_anticipation.gradcheck import check_branch
 from tcn_anticipation.layers import (BatchNorm1d, Conv1d, ReLU, SoftmaxCrossEntropy,
                                      SpatialDropout, layout_shapes)
@@ -204,6 +204,28 @@ class TestLeanEval:
             positions = outputs
         assert positions == [n - 1 - (kernel - 1) * sum(dilations)]
 
+    def test_one_sample_runs_the_cone_and_keeps_nothing(self):
+        """Without a stream a B=1 eval forward runs the cone, as any batch size does,
+        and the same window served twice is computed twice from scratch."""
+        rng = Rng(4)
+        cfg = small_config(dilations=(1, 2, 3))
+        branch = perturbed_branch(cfg, rng)
+        x = rng.normal(0, 1, (1, 4, cfg.required_length + 2), "f64")
+        before = dict(vars(branch))
+        calls, run = [], Branch._run
+
+        def recording(self, x, plan, rng, queues=None):
+            calls.append((plan, queues))
+            return run(self, x, plan, rng, queues)
+
+        with mock.patch.object(Branch, "_run", recording):
+            outs = [branch.forward(x) for _ in range(2)]
+        plan = _cone(cfg.kernel, cfg.dilations, x.shape[2])
+        assert calls == [(plan, None)] * 2
+        assert vars(branch) == before
+        for out in outs:
+            assert_matches_oracle(out, branch_eval_loops(branch, x), "f64")
+
     def test_eval_forward_keeps_no_cache(self):
         rng = Rng(0)
         branch = Branch(small_config(), rng).train()
@@ -349,7 +371,7 @@ class TestMemoryOrder:
 
 @contextlib.contextmanager
 def counted_misses():
-    """Counts, per branch id, the B=1 eval forwards that started a stream's queues."""
+    """Counts, per branch id, the eval forwards that started a stream's queues."""
     misses = {}
     run = Branch._run
 
@@ -381,7 +403,7 @@ def stream_order(steps):
 
 
 def sliding(seq, n):
-    """The n-snippet windows of a (1, dim, length) stream, one snippet apart."""
+    """The n-snippet windows of a (batch, dim, length) stream, one snippet apart."""
     return [np.ascontiguousarray(seq[:, :, p:p + n]) for p in range(seq.shape[2] - n + 1)]
 
 
@@ -393,7 +415,8 @@ def fusion_of(branches, rng):
 
 
 class TestStreaming:
-    """A B=1 eval window that overlaps a recently served one steps that stream's queues."""
+    """A B=1 request whose windows overlap a recently served request's steps that
+    stream's queues, which the fusion model's table holds."""
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.integers(1, 3), dilations=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -421,7 +444,7 @@ class TestStreaming:
                         for mod in MODALITIES}
                 for mod in MODALITIES:
                     assert_matches_oracle(outs[mod], want[mod], dtype)
-                    assert len(branches[mod]._streams) <= STREAMS
+                assert len(model._streams) <= STREAMS
                 fused = model.forward(outs)
                 want_fused = fusion_logits_unfolded(
                     model, {mod: want[mod]["feature"] for mod in MODALITIES})
@@ -433,20 +456,21 @@ class TestStreaming:
     def test_queues_hold_one_receptive_field_per_block(self):
         rng = Rng(0)
         cfg = small_config(dilations=(1, 2, 3))
-        branch = perturbed_branch(cfg, rng)
+        model = fusion_of({mod: perturbed_branch(cfg, rng) for mod in MODALITIES}, rng)
         want = [(1, cfg.channels, (cfg.kernel - 1) * d + 1) for d in cfg.dilations]
         for x in sliding(rng.normal(0, 1, (1, 4, cfg.required_length + 5), "f64"),
                          cfg.required_length + 3):  # one miss, then hits
-            branch.forward(x)
-            [queues] = branch._streams.values()
-            assert [q.shape for q in queues] == want
+            model.branch_outputs({mod: x for mod in MODALITIES})
+            [streams] = model._streams.values()
+            assert [[q.shape for q in stream] for stream in streams] == [want] * len(MODALITIES)
 
     def test_a_window_of_another_dtype_and_length_is_a_miss(self):
         # an f32 window whose first 2m snippets have the bytes of the last m snippets
         # of the f64 window served before it
         rng = Rng(1)
         cfg = small_config()
-        branch = perturbed_branch(cfg, rng)
+        branches = {mod: perturbed_branch(cfg, rng) for mod in MODALITIES}
+        model = fusion_of(branches, rng)
         m = cfg.required_length - 1
         y = (rng.uniform(0.5, 2.0, (1, 4, 2 * m), "f32")
              * np.where(rng.uniform(0, 1, (1, 4, 2 * m), "f64") < 0.5, -1, 1).astype(np.float32))
@@ -454,98 +478,117 @@ class TestStreaming:
         x = np.concatenate([y, rng.uniform(0.5, 2.0, (1, 4, 1), "f32")], axis=2)
         assert x[:, :, :-1].tobytes() == w[:, :, 1:].tobytes()
         with counted_misses() as misses:
-            branch.forward(w)
-            out = branch.forward(x)
-        assert misses == {id(branch): 2}
-        assert_matches_oracle(out, branch_eval_loops(branch, x.astype(np.float64)), "f64")
+            model.branch_outputs({mod: w for mod in MODALITIES})
+            outs = model.branch_outputs({mod: x for mod in MODALITIES})
+        assert misses == {id(b): 2 for b in branches.values()}
+        for mod in MODALITIES:
+            assert_matches_oracle(outs[mod], branch_eval_loops(branches[mod],
+                                                               x.astype(np.float64)), "f64")
 
     def test_at_most_streams_are_kept_least_recently_served_out_first(self):
         rng = Rng(2)
         cfg = small_config()
-        branch = perturbed_branch(cfg, rng)
+        branches = {mod: perturbed_branch(cfg, rng) for mod in MODALITIES}
+        model = fusion_of(branches, rng)
         n = cfg.required_length
         streams = [sliding(rng.normal(0, 1, (1, 4, n + 1), "f64"), n) for _ in range(STREAMS + 3)]
+
+        def serve(x):
+            model.branch_outputs({mod: x for mod in MODALITIES})
+
         with counted_misses() as misses:
             for windows in streams:
-                branch.forward(windows[0])
-            assert len(branch._streams) == STREAMS
+                serve(windows[0])
+            assert len(model._streams) == STREAMS
             for windows in reversed(streams[3:]):
-                branch.forward(windows[1])
-            assert misses == {id(branch): STREAMS + 3}
+                serve(windows[1])
+            assert misses == {id(b): STREAMS + 3 for b in branches.values()}
             for windows in streams[:3]:
-                branch.forward(windows[1])
-            assert misses == {id(branch): STREAMS + 6}
-        assert len(branch._streams) == STREAMS
+                serve(windows[1])
+            assert misses == {id(b): STREAMS + 6 for b in branches.values()}
+        assert len(model._streams) == STREAMS
+
+    def test_a_caller_held_stream_steps_at_any_batch_size(self):
+        """The branch's own stream API: an empty list is started, then every window
+        that slides one snippet on is stepped, for one sample or several."""
+        rng = Rng(6)
+        cfg = small_config(dilations=(1, 2, 1))
+        branch = perturbed_branch(cfg, rng)
+        for batch in (1, 3):
+            stream = []
+            windows = sliding(rng.normal(0, 1, (batch, 4, cfg.required_length + 4), "f64"),
+                              cfg.required_length + 1)
+            with counted_misses() as misses:
+                for x in windows:
+                    assert_matches_oracle(branch.forward(x, stream=stream),
+                                          branch_eval_loops(branch, x), "f64")
+            assert misses == {id(branch): 1}
+            assert [q.shape for q in stream] == [(batch, cfg.channels, (cfg.kernel - 1) * d + 1)
+                                                 for d in cfg.dilations]
 
 
 class TestStreamTable:
-    """What drops a branch's stream table, and what never touches it."""
+    """What drops the fusion model's table of B=1 streams, and what never touches it."""
 
     def setup_method(self):
         self.rng = Rng(3)
         self.cfg = small_config()
-        self.windows = sliding(self.rng.normal(0, 1, (1, 4, 12), "f64"), self.cfg.required_length)
+        self.branches = {mod: perturbed_branch(self.cfg, self.rng) for mod in MODALITIES}
+        self.model = fusion_of(self.branches, self.rng)
+        self.inputs = [{mod: x for mod in MODALITIES} for x in sliding(
+            self.rng.normal(0, 1, (1, 4, 12), "f64"), self.cfg.required_length)]
 
     def test_dropped_by_train_and_kept_by_eval(self):
-        branch = perturbed_branch(self.cfg, self.rng)
+        model = self.model
         with counted_misses() as misses:
-            branch.forward(self.windows[0])
-            branch.eval()
-            branch.train(False)
-            branch.forward(self.windows[1])
-            assert misses == {id(branch): 1}
-            branch.train()
-            assert len(branch._streams) == 0
-            branch.eval().forward(self.windows[2])
-            assert misses == {id(branch): 2}
+            model.branch_outputs(self.inputs[0])
+            model.eval()
+            model.train(False)
+            model.branch_outputs(self.inputs[1])
+            assert misses == {id(b): 1 for b in self.branches.values()}
+            model.train()
+            assert len(model._streams) == 0
+            model.eval().branch_outputs(self.inputs[2])
+            assert misses == {id(b): 2 for b in self.branches.values()}
 
     def test_in_place_edit_takes_effect_after_train_eval(self):
-        branch = perturbed_branch(self.cfg, self.rng)
-        branch.forward(self.windows[0])
-        for blk in branch.blocks:
-            blk.conv.weight.data *= 2.0
-        branch.train()
-        branch.eval()
-        out = branch.forward(self.windows[1])
-        assert_matches_oracle(out, branch_eval_loops(branch, self.windows[1]), "f64")
-
-    def test_dropped_by_branch_load_state(self):
-        branch = perturbed_branch(self.cfg, self.rng)
-        other = perturbed_branch(self.cfg, self.rng)
-        branch.forward(self.windows[0])
-        branch.load_state({name: a.copy() for name, a in other.named_state().items()})
-        assert len(branch._streams) == 0
-        out = branch.forward(self.windows[1])
-        assert_matches_oracle(out, branch_eval_loops(other, self.windows[1]), "f64")
+        self.model.branch_outputs(self.inputs[0])
+        for branch in self.branches.values():
+            for blk in branch.blocks:
+                blk.conv.weight.data *= 2.0
+        self.model.train()
+        self.model.eval()
+        outs = self.model.branch_outputs(self.inputs[1])
+        for mod, branch in self.branches.items():
+            assert_matches_oracle(outs[mod], branch_eval_loops(branch, self.inputs[1][mod]), "f64")
 
     @pytest.mark.parametrize("drop", ["load_state", "train"])
     def test_dropped_by_the_fusion_model(self, drop):
-        branches = {mod: perturbed_branch(self.cfg, self.rng) for mod in MODALITIES}
-        model = fusion_of(branches, self.rng)
+        model = self.model
         other = fusion_of({mod: perturbed_branch(self.cfg, self.rng) for mod in MODALITIES},
                           self.rng)
-        inputs = {mod: self.windows[0] for mod in MODALITIES}
-        model.predict_proba(inputs)
+        model.predict_proba(self.inputs[0])
         if drop == "load_state":
             model.load_state({name: a.copy() for name, a in other.named_state().items()})
         else:
             model.train()
-        assert all(len(b._streams) == 0 for b in branches.values())
+        assert len(model._streams) == 0
         if drop == "load_state":
-            got = model.predict_proba({mod: self.windows[1] for mod in MODALITIES})
-            want = other.predict_proba({mod: self.windows[1] for mod in MODALITIES})
+            got = model.predict_proba(self.inputs[1])
+            want = other.predict_proba(self.inputs[1])
             for head in HEADS:
                 assert np.array_equal(got[head], want[head])
 
     def test_batched_and_train_forwards_never_touch_it(self, monkeypatch):
-        branch = perturbed_branch(self.cfg, self.rng)
-        branch.forward(self.windows[0])
-        before = list(branch._streams.items())
-        monkeypatch.setattr(Branch, "_step", lambda self, x: pytest.fail("table touched"))
-        branch.forward(np.concatenate([self.windows[1]] * 3))
-        assert list(branch._streams.items()) == before
-        branch.train().forward(self.windows[1], self.rng)
-        assert len(branch._streams) == 0
+        model, branch = self.model, self.branches["rgb"]
+        model.branch_outputs(self.inputs[0])
+        before = list(model._streams.items())
+        monkeypatch.setattr(Branch, "_step", lambda *args: pytest.fail("a stream touched"))
+        model.branch_outputs({mod: np.concatenate([x] * 3) for mod, x in self.inputs[1].items()})
+        stream = []
+        branch.train().forward(self.inputs[1]["rgb"], self.rng, stream=stream)
+        assert stream == []  # a train-mode forward leaves a stream alone
+        assert list(model._streams.items()) == before
 
 
 class TestSnippetAdaptation:

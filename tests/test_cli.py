@@ -369,7 +369,8 @@ class TestTrainEvaluate:
         ("train-branch", "--lr nan", "lr0"), ("train-branch", "--lr inf", "lr0"),
         ("train-branch", "power = nan", "power"),
         ("train-branch", "weight_decay = -3", "weight_decay"),
-        ("synth-gen", "sigma = nan", "sigma")])
+        ("synth-gen", "sigma = nan", "sigma"),
+        ("synth-gen", "train_per_class = -2", "train_per_class")])
     def test_non_finite_or_negative_setting_exits_2_naming_it(self, command, setting, field,
                                                               synth_dir, tmp_path, capsys):
         """NaN and inf pass a bare sign check; trained on, they give NaN weights."""
@@ -385,6 +386,55 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not any(out.iterdir())  # no checkpoint, no dataset
+
+    @pytest.mark.parametrize("command,via", [("synth-gen", "flag"), ("gradcheck", "flag"),
+                                             ("train-branch", "config"), ("train-branch", "env")])
+    def test_negative_seed_exits_2_naming_it(self, command, via, synth_dir, tmp_path, capsys,
+                                             monkeypatch):
+        """numpy's generator takes no negative seed, and its ValueError is no usage error."""
+        extra = []
+        if via == "flag":
+            extra = ["--seed", "-1"]
+        elif via == "config":
+            (tmp_path / "c.txt").write_text("seed = -2\n", encoding="utf-8")
+            extra = ["--config", str(tmp_path / "c.txt")]
+        else:
+            monkeypatch.setenv("TCNA_SEED", "-3")
+        data = ["--data", str(synth_dir), "--epochs", "1", "--channels", "8"] \
+            if command == "train-branch" else []
+        out = tmp_path / "o"
+        assert cli.main([command, "--out", str(out), *data, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be >= 0, got -" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command,split", [
+        ("train-branch", "train"), ("train-branch", "val"), ("train-fusion", "train"),
+        ("evaluate", "val"), ("ablate-obslen", "train"), ("ablate-fusion", "train")])
+    def test_empty_split_exits_2_naming_it(self, command, split, trained_branch, tmp_path,
+                                           capsys):
+        """A split with no samples stops every command that reads it, before any training."""
+        data = tmp_path / "data"
+        counts = {"train_per_class": 1, "val_per_class": 1, f"{split}_per_class": 0}
+        (tmp_path / "c.txt").write_text("".join(f"{k} = {v}\n" for k, v in counts.items()),
+                                        encoding="utf-8")
+        assert cli.main(["synth-gen", "--out", str(data), "--config",
+                         str(tmp_path / "c.txt")]) == 0
+        extra = []
+        if command == "evaluate":
+            extra = ["--ckpt", str(trained_branch / "branch_rgb_best.ckpt")]
+        elif command == "train-fusion":
+            tensors = load_checkpoint(trained_branch / "branch_rgb_best.ckpt")
+            for code, mod in enumerate(MODALITIES):
+                tensors["meta.modality"] = np.array([float(code)])
+                save_checkpoint(tmp_path / f"{mod}.ckpt", tensors)
+                extra += [f"--{mod}-ckpt", str(tmp_path / f"{mod}.ckpt")]
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert cli.main([command, "--data", str(data), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(data / split / "index.csv") in err
+        assert not any(out.iterdir())
 
     def test_mismatched_fusion_checkpoint_modality(self, synth_dir, trained_branch, tmp_path):
         proc = run("train-fusion", "--data", str(synth_dir), "--out", str(tmp_path / "o"),

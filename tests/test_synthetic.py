@@ -46,6 +46,12 @@ class TestActionTable:
         with pytest.raises(TensorError):
             SyntheticSpec(num_verbs=5)
 
+    @pytest.mark.parametrize("field", ["train_per_class", "val_per_class"])
+    def test_negative_per_class_count_rejected(self, field):
+        with pytest.raises(TensorError, match=f"{field}=-2"):
+            SyntheticSpec(**{field: -2})
+        SyntheticSpec(**{field: 0})  # an empty split is a legal spec
+
     @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
     def test_negative_or_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(TensorError, match="sigma"):

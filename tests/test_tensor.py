@@ -36,6 +36,11 @@ class TestRng:
         with pytest.raises(TensorError):
             Rng(0).normal(0.0, -1.0, (3,))
 
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_seed_rejected_naming_it(self, seed):
+        with pytest.raises(TensorError, match=f"seed must be >= 0, got {seed}"):
+            Rng(seed)
+
 
 class TestElementwise:
     def test_argsort_desc_tie_by_index(self):
