@@ -248,6 +248,12 @@ class Branch(Model):
         """The last block's output for an eval window continuing ``stream``."""
         if not stream:
             return self._run(x, None, None, stream)
+        want = [(x.shape[0], self.config.channels, blk.span) for blk in self.blocks]
+        dtype = np.result_type(self.embed.weight.data, x)
+        if [q.shape for q in stream] != want or any(q.dtype != dtype for q in stream):
+            raise TensorError(
+                f"a stream of {stream[0].dtype} queues {[q.shape for q in stream]} cannot step "
+                f"a {x.dtype} window of shape {x.shape}: this branch needs {dtype} {want}")
         z = self.embed.forward(x[:, :, -1:])
         for i, blk in enumerate(self.blocks):
             stream[i] = np.concatenate((stream[i][:, :, 1:], z), axis=2)

@@ -1,22 +1,24 @@
-"""Samples and the on-disk feature format.
+"""Samples and the on-disk dataset layout.
 
 A sample is one observed window: per-modality matrices of N snippet feature
-vectors plus action/verb/noun labels. Feature files use the FSEQ layout:
+vectors plus action/verb/noun labels. A split of W windows is a directory of
+``index.csv``, a UTF-8 CSV with header ``id,action,verb,noun`` and
+non-negative integer labels, and one FSEQ file per modality (``rgb.fseq``,
+``flow.fseq``, ``obj.fseq``) whose k-th window the index's k-th row labels:
 
-    magic "FSEQ" | u16 version | u8 modality code | u32 N | u32 D
-    | N*D float32 little-endian row-major | trailing u32 CRC32 of everything
+    magic "FSEQ" | u16 version (2) | u8 modality code | u32 W | u32 N | u32 D
+    | W*N*D float32 little-endian row-major | trailing u32 CRC32 of everything
     after the magic
 
-The dataset index is a UTF-8 CSV with header
-``id,action,verb,noun,rgb_path,flow_path,obj_path``; paths are relative to the
-index file. Adapters for external feature dumps are out of scope: to import
-data, write one FSEQ file per (sample, modality) with `write_feature_file` and
-list them in such an index.
+Adapters for external feature dumps are out of scope: to import data, write
+each modality's (W, N, D) array, rows in index order, with
+`write_feature_file` beside such an index.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -29,8 +31,9 @@ from .tensor import Tensor
 MODALITIES = ("rgb", "flow", "obj")  # a modality's FSEQ code is its position here
 HEADS = ("action", "verb", "noun")
 FSEQ_MAGIC = b"FSEQ"
-FSEQ_VERSION = 1
-INDEX_HEADER = ["id", "action", "verb", "noun", "rgb_path", "flow_path", "obj_path"]
+FSEQ_VERSION = 2
+FSEQ_HEADER = struct.Struct("<HBIII")  # version, modality code, W, N, D
+INDEX_HEADER = ["id", *HEADS]
 
 
 class DatasetError(ValueError):
@@ -61,73 +64,69 @@ class Sample:
 
 
 def write_feature_file(path, modality: str, features: Tensor) -> None:
+    """Writes one split's (W, N, D) features of one modality."""
     if modality not in MODALITIES:
         raise DatasetError(f"unknown modality {modality!r}")
     arr = np.ascontiguousarray(features, dtype="<f4")
-    if arr.ndim != 2:
-        raise DatasetError(f"features must be (N, D), got shape {arr.shape}")
-    body = struct.pack("<HBII", FSEQ_VERSION, MODALITIES.index(modality),
-                       arr.shape[0], arr.shape[1])
-    body += arr.tobytes()
+    if arr.ndim != 3:
+        raise DatasetError(f"features must be (W, N, D), got shape {arr.shape}")
+    header = FSEQ_HEADER.pack(FSEQ_VERSION, MODALITIES.index(modality), *arr.shape)
     with open(path, "wb") as fh:
-        fh.write(FSEQ_MAGIC)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+        fh.write(FSEQ_MAGIC + header)
+        fh.write(arr)
+        fh.write(struct.pack("<I", zlib.crc32(arr, zlib.crc32(header))))
 
 
 def read_feature_file(path) -> tuple[str, Tensor]:
+    """The modality and (W, N, D) features of one file, a view of the one buffer it is
+    read into."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            # the features start 4 + 15 bytes in: read to offset 1 to align them
+            raw = np.empty(os.fstat(fh.fileno()).st_size + 1, np.uint8)[1:]
+            raw = raw[:fh.readinto(raw)]
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    if raw[:4] != FSEQ_MAGIC:
-        raise DatasetError(f"{path}: bad magic {raw[:4]!r}, expected {FSEQ_MAGIC!r}")
-    if len(raw) < 4 + 11 + 4:
+    if raw[:4].tobytes() != FSEQ_MAGIC:
+        raise DatasetError(f"{path}: bad magic {raw[:4].tobytes()!r}, expected {FSEQ_MAGIC!r}")
+    start = 4 + FSEQ_HEADER.size
+    if len(raw) < start + 4:
         raise DatasetError(f"{path}: truncated header at offset {len(raw)}")
-    version, code, n, d = struct.unpack("<HBII", raw[4:15])
+    version, code, w, n, d = FSEQ_HEADER.unpack_from(raw, 4)
     if version != FSEQ_VERSION:
         raise DatasetError(f"{path}: unsupported version {version}, expected {FSEQ_VERSION}")
     if code >= len(MODALITIES):
         raise DatasetError(f"{path}: unknown modality code {code}")
-    expected = 4 + 11 + n * d * 4 + 4
+    expected = start + w * n * d * 4 + 4
     if len(raw) < expected:
-        raise DatasetError(
-            f"{path}: truncated at offset {len(raw)}, expected {expected} bytes")
+        raise DatasetError(f"{path}: truncated at offset {len(raw)}, expected {expected} bytes")
     if len(raw) > expected:
         raise DatasetError(f"{path}: {len(raw) - expected} trailing bytes")
-    body, stored = raw[4:-4], raw[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", stored)[0]:
+    if zlib.crc32(raw[4:-4]) != struct.unpack_from("<I", raw, expected - 4)[0]:
         raise DatasetError(f"{path}: CRC32 mismatch, file is corrupt")
-    features = np.frombuffer(body[11:], dtype="<f4").reshape(n, d).copy()
-    return MODALITIES[code], features
+    return MODALITIES[code], raw[start:-4].view("<f4").reshape(w, n, d)
 
 
 def write_dataset(samples: list[Sample], out_dir) -> Path:
-    """Write one FSEQ file per (sample, modality) plus the CSV index."""
+    """Writes the CSV index and one FSEQ file per modality, rows in sample order."""
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for mod in MODALITIES:
+        rows = _rows(samples, mod)
+        write_feature_file(out_dir / f"{mod}.fseq", mod,
+                           np.stack(rows) if rows else np.empty((0, 0, 0)))
     index_path = out_dir / "index.csv"
     with open(index_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INDEX_HEADER)
-        for s in samples:
-            paths = {}
-            for mod in MODALITIES:
-                rel = f"features/{s.sample_id}_{mod}.fseq"
-                write_feature_file(out_dir / rel, mod, s.features[mod])
-                paths[mod] = rel
-            writer.writerow([s.sample_id, s.action, s.verb, s.noun,
-                             paths["rgb"], paths["flow"], paths["obj"]])
+        csv.writer(fh).writerows([INDEX_HEADER, *([s.sample_id, s.action, s.verb, s.noun]
+                                                  for s in samples)])
     return index_path
 
 
 def read_dataset(index_path) -> list[Sample]:
+    """A split's samples, each one's features a row of its modality's file."""
     index_path = Path(index_path)
     if not index_path.is_file():
         raise DatasetError(f"index file {index_path} is missing or not a file")
-    base = index_path.parent
     try:
         with open(index_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -135,36 +134,27 @@ def read_dataset(index_path) -> list[Sample]:
         raise DatasetError(f"{index_path}: unreadable index: {exc}") from None
     if rows[:1] != [INDEX_HEADER]:
         raise DatasetError(f"{index_path}: unexpected header {rows[0] if rows else None}")
-    samples = []
-    for row in rows[1:]:
-        if len(row) != len(INDEX_HEADER):
-            raise DatasetError(f"{index_path}: malformed row {row}")
-        try:
-            labels = [int(v) for v in row[1:4]]
-        except ValueError:
-            raise DatasetError(f"{index_path}: non-integer label in row {row}") from None
-        sid = row[0]
-        features = {}
-        for mod, rel in zip(MODALITIES, row[4:7]):
-            path = base / rel
-            if not path.is_file():
-                raise DatasetError(
-                    f"sample {sid!r}: {mod} feature file {path} is missing or not a file")
-            file_mod, arr = read_feature_file(path)
-            if file_mod != mod:
-                raise DatasetError(
-                    f"sample {sid!r}: {path} holds {file_mod} features, index says {mod}")
-            features[mod] = arr
-        samples.append(Sample(sid, features, *labels))
-    return samples
+    rows = rows[1:]
+    for row in rows:
+        if len(row) != len(INDEX_HEADER) or not all(v.isdecimal() for v in row[1:]):
+            raise DatasetError(
+                f"{index_path}: row {row} is not an id and three non-negative integer labels")
+    features = {}
+    for mod in MODALITIES:
+        path = index_path.parent / f"{mod}.fseq"
+        file_mod, features[mod] = read_feature_file(path)
+        if file_mod != mod:
+            raise DatasetError(f"{path} holds {file_mod} features, expected {mod}")
+        if len(features[mod]) != len(rows):
+            raise DatasetError(
+                f"{path} holds {len(features[mod])} windows, {index_path} has {len(rows)} rows")
+    return [Sample(row[0], {mod: features[mod][i] for mod in MODALITIES}, *map(int, row[1:]))
+            for i, row in enumerate(rows)]
 
 
-def stack_features(samples: list[Sample], modality: str,
-                   last_n: int | None = None) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """(B, D, N) batch of one modality plus label arrays, most recent N kept."""
-    if not samples:
-        raise DatasetError("empty dataset")
-    mats = []
+def _rows(samples: list[Sample], modality: str, last_n: int | None = None) -> list[Tensor]:
+    """Each sample's (N, D) features of one modality, the most recent ``last_n`` kept."""
+    rows = []
     for s in samples:
         arr = s.features[modality]
         if last_n is not None:
@@ -172,12 +162,20 @@ def stack_features(samples: list[Sample], modality: str,
                 raise DatasetError(
                     f"sample {s.sample_id!r} has {arr.shape[0]} snippets, need {last_n}")
             arr = arr[arr.shape[0] - last_n:]
-        if mats and arr.shape != mats[0].T.shape:
+        if rows and arr.shape != rows[0].shape:
             raise DatasetError(
                 f"sample {s.sample_id!r} has {modality} features of shape {arr.shape}, "
-                f"sample {samples[0].sample_id!r} has {mats[0].T.shape}")
-        mats.append(arr.T)
-    x = np.ascontiguousarray(np.stack(mats))
+                f"sample {samples[0].sample_id!r} has {rows[0].shape}")
+        rows.append(arr)
+    return rows
+
+
+def stack_features(samples: list[Sample], modality: str,
+                   last_n: int | None = None) -> tuple[Tensor, dict[str, np.ndarray]]:
+    """(B, D, N) batch of one modality plus label arrays, most recent N kept."""
+    if not samples:
+        raise DatasetError("empty dataset")
+    x = np.ascontiguousarray(np.stack([arr.T for arr in _rows(samples, modality, last_n)]))
     labels = {head: np.array([s.labels[head] for s in samples], dtype=np.int64)
               for head in HEADS}
     return x, labels

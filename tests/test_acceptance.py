@@ -239,17 +239,18 @@ def test_criterion_9_file_format(tmp_path):
     rng = Rng(17)
     lossless = True
     for i in range(1000):
+        w = int(rng.uniform(0, 5, ()))
         n = 1 + int(rng.uniform(0, 8, ()))
         d = 1 + int(rng.uniform(0, 6, ()))
         mod = ("rgb", "flow", "obj")[i % 3]
-        arr = rng.normal(0, 1, (n, d), "f32")
+        arr = rng.normal(0, 1, (w, n, d), "f32")
         path = tmp_path / f"s{i:04d}.fseq"
         write_feature_file(path, mod, arr)
         got_mod, got = read_feature_file(path)
-        lossless &= got_mod == mod and arr.tobytes() == got.tobytes()
+        lossless &= got_mod == mod and got.shape == arr.shape and arr.tobytes() == got.tobytes()
 
     sample = tmp_path / "victim.fseq"
-    write_feature_file(sample, "rgb", rng.normal(0, 1, (6, 5), "f32"))
+    write_feature_file(sample, "rgb", rng.normal(0, 1, (2, 6, 5), "f32"))
     raw = bytearray(sample.read_bytes())
     raw[25] ^= 0x40
     (tmp_path / "corrupt.fseq").write_bytes(bytes(raw))

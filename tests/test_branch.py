@@ -526,6 +526,23 @@ class TestStreaming:
             assert [q.shape for q in stream] == [(batch, cfg.channels, (cfg.kernel - 1) * d + 1)
                                                  for d in cfg.dilations]
 
+    @pytest.mark.parametrize("case", ["batch", "width", "dtype"])
+    def test_a_window_the_stream_does_not_fit_is_a_tensor_error(self, case):
+        """A stream started at B=3, by a branch of another width, or on f32 windows is
+        not stepped with a B=1 f64 window: the error names the stream and the window."""
+        rng = Rng(7)
+        overrides = {"width": {"channels": 10}, "dtype": {"dtype": "f32"}}.get(case, {})
+        starter = perturbed_branch(small_config(**overrides), rng)
+        branch = perturbed_branch(small_config(), rng) if case == "width" else starter
+        n = starter.config.required_length
+        window = rng.normal(0, 1, (3 if case == "batch" else 1, 4, n + 1), starter.config.dtype)
+        stream = []
+        starter.forward(window[:, :, :-1], stream=stream)
+        x = window[:1, :, 1:].astype(np.float64)
+        with pytest.raises(TensorError, match=r"a stream of float(32|64) queues \[\(.* cannot "
+                                              r"step a float64 window of shape \(1, 4, "):
+            branch.forward(x, stream=stream)
+
 
 class TestStreamTable:
     """What drops the fusion model's table of B=1 streams, and what never touches it."""

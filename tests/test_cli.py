@@ -11,8 +11,8 @@ from tcn_anticipation import cli
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import (branch_checkpoint_tensors, fusion_from_checkpoint,
                                          load_checkpoint, save_checkpoint)
-from tcn_anticipation.data import (read_dataset, stack_features, write_dataset,
-                                   write_feature_file)
+from tcn_anticipation.data import (read_dataset, read_feature_file, stack_features,
+                                   write_dataset, write_feature_file)
 from tcn_anticipation.fusion import MODALITIES
 from tcn_anticipation.metrics import top_k_accuracy
 from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
@@ -20,7 +20,8 @@ from tcn_anticipation.tensor import Rng
 from tcn_anticipation.training import SgdConfig, train_branch
 
 from test_checkpoint import BROKEN_CASES, small_fusion_tensors, write_broken_checkpoint
-from test_data import BAD_INDEX_ROWS, write_bad_index_row
+from test_data import (BAD_INDEX_ROWS, SPLIT_FILE_CORRUPTIONS, corrupt_split_file,
+                       write_bad_index_row)
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
 
@@ -104,9 +105,9 @@ class TestSynthGen:
         run("synth-gen", "--out", str(b), "--seed", "9", "--config", cfg)
         assert (a / "train" / "index.csv").read_bytes() == \
             (b / "train" / "index.csv").read_bytes()
-        sample = "train-000-00000_rgb.fseq"
-        assert (a / "train" / "features" / sample).read_bytes() == \
-            (b / "train" / "features" / sample).read_bytes()
+        for mod in MODALITIES:
+            assert (a / "train" / f"{mod}.fseq").read_bytes() == \
+                (b / "train" / f"{mod}.fseq").read_bytes()
 
     def test_unknown_preset_fails(self, tmp_path):
         proc = run("synth-gen", "--out", str(tmp_path / "x"), "--preset", "nope",
@@ -145,8 +146,7 @@ class TestConfigHandling:
         a, b = tmp_path / "a", tmp_path / "b"
         run("synth-gen", "--out", str(a), "--config", cfg, env={"TCNA_SEED": "77"})
         run("synth-gen", "--out", str(b), "--seed", "77", "--config", cfg)
-        assert (a / "train" / "features" / "train-000-00000_rgb.fseq").read_bytes() == \
-            (b / "train" / "features" / "train-000-00000_rgb.fseq").read_bytes()
+        assert (a / "train" / "rgb.fseq").read_bytes() == (b / "train" / "rgb.fseq").read_bytes()
 
     def test_bad_env_seed_is_a_usage_error(self, tmp_path, tmp_path_factory):
         proc = run("synth-gen", "--out", str(tmp_path / "o"), "--config",
@@ -300,14 +300,39 @@ class TestTrainEvaluate:
     def test_train_branch_unequal_feature_widths_exit_2(self, synth_dir, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
-        val = read_dataset(data / "val" / "index.csv")
-        wide = val[1].features["rgb"]
-        write_feature_file(data / "val" / "features" / f"{val[1].sample_id}_rgb.fseq", "rgb",
-                           np.concatenate([wide, wide[:, :8]], axis=1))
+        _, wide = read_feature_file(data / "val" / "rgb.fseq")
+        write_feature_file(data / "val" / "rgb.fseq", "rgb",
+                           np.concatenate([wide, wide[:, :, :8]], axis=2))
         proc = run("train-branch", "--data", str(data), "--out", str(tmp_path / "o"),
                    "--epochs", "1", "--channels", "4", check=False)
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
-        assert f"{val[1].sample_id!r} has rgb features of shape (21, 40)" in proc.stderr
+        assert "branch expected (B, 32, N), got (48, 40, 21)" in proc.stderr
+
+    @pytest.mark.parametrize("case", SPLIT_FILE_CORRUPTIONS)
+    def test_corrupt_split_file_exits_2_naming_it(self, case, synth_dir, trained_branch,
+                                                  tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        corrupt_split_file(data / "val" / "obj.fseq", case)
+        assert cli.main(["evaluate", "--ckpt", str(trained_branch / "branch_rgb_best.ckpt"),
+                         "--data", str(data), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(data / "val" / "obj.fseq") in err
+
+    def test_evaluate_label_outside_the_heads_exits_2(self, synth_dir, trained_branch, tmp_path):
+        """An action the 12-way head cannot score is no silent miss in the metrics."""
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        index = data / "val" / "index.csv"
+        header, first, *rows = index.read_text(encoding="utf-8").splitlines()
+        sid, _, verb, noun = first.split(",")
+        index.write_text("\n".join([header, f"{sid},50,{verb},{noun}", *rows]) + "\n",
+                         encoding="utf-8")
+        proc = run("evaluate", "--ckpt", str(trained_branch / "branch_rgb_best.ckpt"),
+                   "--data", str(data), "--out", str(tmp_path / "eval"), check=False)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+        assert "labels 0 to 50 leave [0, 12)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
                                       "ckpt_is_a_directory", "out_is_a_file",
@@ -324,8 +349,7 @@ class TestTrainEvaluate:
         elif case == "feature_path_is_a_directory":
             data = str(tmp_path / "data")
             shutil.copytree(synth_dir, data)
-            sample = read_dataset(synth_dir / "val" / "index.csv")[0].sample_id
-            bad = tmp_path / "data" / "val" / "features" / f"{sample}_flow.fseq"
+            bad = tmp_path / "data" / "val" / "flow.fseq"
             bad.unlink()
             bad.mkdir()
         else:

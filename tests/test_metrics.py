@@ -54,6 +54,11 @@ class TestTopK:
             top_k_accuracy(np.zeros((2, 3)), np.array([0, 1]), 0)
         with pytest.raises(TensorError):
             top_k_accuracy(np.zeros((0, 3)), np.array([]), 1)
+        for label in (-1, 3):  # a class the logits cannot rank is no miss to count
+            for metric in (lambda lo, la: top_k_accuracy(lo, la, 1), class_mean_top5_recall):
+                with pytest.raises(TensorError, match=rf"labels {min(0, label)} to "
+                                                      rf"{max(0, label)} leave \[0, 3\)"):
+                    metric(np.zeros((2, 3)), np.array([0, label]))
 
 
 class TestClassMeanRecall:
