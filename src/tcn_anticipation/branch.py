@@ -211,12 +211,7 @@ class Branch(Model):
         """The final feature vector under ``"feature"`` and each head's logits under its name;
         an eval-mode forward starts an empty ``stream`` and steps a filled one."""
         c = self.config
-        if x.ndim != 3 or x.shape[1] != c.input_dim:
-            raise TensorError(f"branch expected (B, {c.input_dim}, N), got {x.shape}")
-        if x.shape[2] < c.required_length:
-            raise TensorError(
-                f"sequence of {x.shape[2]} snippets is shorter than the "
-                f"receptive field {c.required_length}")
+        self.check_input(x)
         if self.training:
             z = self._run(x, None, rng)
         elif stream is not None:
@@ -230,6 +225,16 @@ class Branch(Model):
             drop, fc = self.heads[head]
             out[head] = fc.forward(drop.forward(feature, rng))
         return out
+
+    def check_input(self, x: Tensor) -> None:
+        """Raises unless ``x`` is a (B, input_dim, N) batch of at least the receptive field."""
+        c = self.config
+        if x.ndim != 3 or x.shape[1] != c.input_dim:
+            raise TensorError(f"branch expected (B, {c.input_dim}, N), got {x.shape}")
+        if x.shape[2] < c.required_length:
+            raise TensorError(
+                f"sequence of {x.shape[2]} snippets is shorter than the "
+                f"receptive field {c.required_length}")
 
     def _run(self, x: Tensor, plan: tuple[Plan, ...] | None, rng: Rng | None,
              queues: list[Tensor] | None = None) -> Tensor:

@@ -2,8 +2,8 @@
 
 A sample is one observed window: per-modality matrices of N snippet feature
 vectors plus action/verb/noun labels. A split of W windows is a directory of
-``index.csv``, a UTF-8 CSV with header ``id,action,verb,noun`` and
-non-negative integer labels, and one FSEQ file per modality (``rgb.fseq``,
+``index.csv``, a UTF-8 CSV with header ``id,action,verb,noun`` and integer
+labels in [0, 2**63), and one FSEQ file per modality (``rgb.fseq``,
 ``flow.fseq``, ``obj.fseq``) whose k-th window the index's k-th row labels:
 
     magic "FSEQ" | u16 version (2) | u8 modality code | u32 W | u32 N | u32 D
@@ -34,6 +34,7 @@ FSEQ_MAGIC = b"FSEQ"
 FSEQ_VERSION = 2
 FSEQ_HEADER = struct.Struct("<HBIII")  # version, modality code, W, N, D
 INDEX_HEADER = ["id", *HEADS]
+LABEL_MAX = 2**63 - 1  # labels are stacked as int64
 
 
 class DatasetError(ValueError):
@@ -135,10 +136,15 @@ def read_dataset(index_path) -> list[Sample]:
     if rows[:1] != [INDEX_HEADER]:
         raise DatasetError(f"{index_path}: unexpected header {rows[0] if rows else None}")
     rows = rows[1:]
+    labels = []
     for row in rows:
         if len(row) != len(INDEX_HEADER) or not all(v.isdecimal() for v in row[1:]):
             raise DatasetError(
                 f"{index_path}: row {row} is not an id and three non-negative integer labels")
+        labels.append([int(v) for v in row[1:]])
+        if max(labels[-1]) > LABEL_MAX:
+            raise DatasetError(f"{index_path}: row {row} has a label above {LABEL_MAX}, "
+                               "the largest int64")
     features = {}
     for mod in MODALITIES:
         path = index_path.parent / f"{mod}.fseq"
@@ -148,8 +154,8 @@ def read_dataset(index_path) -> list[Sample]:
         if len(features[mod]) != len(rows):
             raise DatasetError(
                 f"{path} holds {len(features[mod])} windows, {index_path} has {len(rows)} rows")
-    return [Sample(row[0], {mod: features[mod][i] for mod in MODALITIES}, *map(int, row[1:]))
-            for i, row in enumerate(rows)]
+    return [Sample(row[0], {mod: features[mod][i] for mod in MODALITIES}, *row_labels)
+            for i, (row, row_labels) in enumerate(zip(rows, labels))]
 
 
 def _rows(samples: list[Sample], modality: str, last_n: int | None = None) -> list[Tensor]:

@@ -127,9 +127,11 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
         raise TensorError("empty dataset")
     rng = Rng(sgd.seed)
     branch = Branch(branch_config, rng)
-    result = _run_epochs(branch, branch.named_parameters(), branch.named_state,
-                         stack_features(train_samples, modality, snippets),
-                         stack_features(val_samples, modality, snippets), sgd, rng, log)
+    train, val = (stack_features(s, modality, snippets) for s in (train_samples, val_samples))
+    for x, _ in (train, val):  # val is first forwarded after a whole epoch of steps
+        branch.check_input(x)
+    result = _run_epochs(branch, branch.named_parameters(), branch.named_state, train, val,
+                         sgd, rng, log)
     return branch, result
 
 

@@ -296,6 +296,7 @@ class TestTrainEvaluate:
         proc = run("train-branch", "--data", str(data), "--out", str(tmp_path / "o"),
                    "--epochs", "1", "--channels", "4", check=False)
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr and not list(tmp_path.glob("o/*.ckpt"))
 
     def test_train_branch_unequal_feature_widths_exit_2(self, synth_dir, tmp_path):
         data = tmp_path / "data"
@@ -307,6 +308,7 @@ class TestTrainEvaluate:
                    "--epochs", "1", "--channels", "4", check=False)
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
         assert "branch expected (B, 32, N), got (48, 40, 21)" in proc.stderr
+        assert "Traceback" not in proc.stderr and not list(tmp_path.glob("o/*.ckpt"))
 
     @pytest.mark.parametrize("case", SPLIT_FILE_CORRUPTIONS)
     def test_corrupt_split_file_exits_2_naming_it(self, case, synth_dir, trained_branch,

@@ -14,7 +14,8 @@ from tcn_anticipation.tensor import Rng
 
 
 BAD_INDEX_ROWS = {"non_integer_label": b"s0,x,1,2", "non_utf8_index": b"s\xff0,1,1,2",
-                  "negative_label": b"s0,-1,1,2"}
+                  "negative_label": b"s0,-1,1,2",
+                  "label_beyond_int64": b"s0,1,9223372036854775808,2"}
 
 
 def write_bad_index_row(index, case: str) -> None:
@@ -214,6 +215,19 @@ class TestDatasetRoundTrip:
         write_bad_index_row(index, case)
         with pytest.raises(DatasetError, match=re.escape(f"{index}: ")):
             read_dataset(index)
+
+    def test_a_label_beyond_int64_names_the_row_and_the_largest_fits(self, tmp_path):
+        rng = Rng(12)
+        index = write_dataset([random_sample(rng, "s0"), random_sample(rng, "s1")], tmp_path)
+        write_bad_index_row(index, "label_beyond_int64")
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{index}: row ['s0', '1', '9223372036854775808', '2'] has a label above "
+                "9223372036854775807")):
+            read_dataset(index)
+        header, _, row = index.read_text(encoding="utf-8").splitlines()
+        index.write_text(f"{header}\ns0,1,{2**63 - 1},2\n{row}\n", encoding="utf-8")
+        _, labels = stack_features(read_dataset(index), "rgb")
+        assert labels["verb"][0] == 2**63 - 1
 
     def test_modality_mismatch_detected(self, tmp_path):
         rng = Rng(7)

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tcn_anticipation.branch import Branch, BranchConfig
-from tcn_anticipation.fusion import (FEATURE_STRATEGIES, FusionConfig, FusionModel, HEADS,
-                                     MODALITIES, STRATEGIES, late_fusion)
+from tcn_anticipation.fusion import (CONCURRENT_CHANNELS, FEATURE_STRATEGIES, FusionConfig,
+                                     FusionModel, HEADS, MODALITIES, STRATEGIES, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
 from tcn_anticipation.layers import layout_shapes, softmax
 from tcn_anticipation.tensor import Rng, TensorError
@@ -312,3 +318,193 @@ class TestOneInterface:
         layers = {"late": [], "attention": [model.attention_fc]}.get(strategy, feature_layers)
         want = [id(getattr(layer, attr)) for layer in layers for attr in layer.params]
         assert sorted(id(p) for _, p in model.trainable_parameters()) == sorted(want)
+
+
+# GEMMs sum in an order that depends on the BLAS thread count, so a pass is bitwise
+# reproducible only at a fixed count; CI runs this file's oracles at one thread too.
+ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
+
+def wide_model(strategy="mutual_pairwise", dtype="f32", channels=CONCURRENT_CHANNELS, seed=0):
+    """Two-block branches as wide as the cutoff from which the branch pass is concurrent,
+    and an attention layer away from uniform weights."""
+    rng = Rng(seed)
+    bcfg = BranchConfig(input_dim=3, num_actions=4, num_verbs=2, num_nouns=3,
+                        channels=channels, kernel=2, dilations=(1, 2), input_dropout=0.0,
+                        block_dropout=0.0, head_dropout=0.0, dtype=dtype)
+    fcfg = FusionConfig(channels=channels, num_actions=4, num_verbs=2, num_nouns=3,
+                        strategy=strategy, embed_dim=8, head_dropout=0.0)
+    model = FusionModel({mod: Branch(bcfg, rng) for mod in MODALITIES}, fcfg, rng)
+    model.attention_fc.weight.data = rng.normal(0, 0.1, (3, 3 * channels), dtype)
+    return model.eval(), rng
+
+
+def assert_same(got, want, dtype, probabilities=False):
+    """Bitwise at one BLAS thread; otherwise within the eval tolerance, relative over
+    probabilities above 1e-6 or to the largest feature."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if ONE_BLAS_THREAD:
+        assert got.tobytes() == want.tobytes()
+        return
+    tol = 1e-10 if dtype == "f64" else 1e-5
+    if probabilities:
+        keep = want > 1e-6
+        assert np.all(np.abs(got - want)[keep] <= tol * want[keep])
+    else:
+        assert np.abs(got - want).max() <= tol * max(1.0, float(np.abs(want).max()))
+
+
+def serial_probs(model, outs):
+    """``predict_proba``'s fusion of branch outputs computed outside the model."""
+    scores = model.forward(outs)
+    if model.config.strategy in FEATURE_STRATEGIES:
+        return {head: softmax(scores[head]) for head in HEADS}
+    return scores
+
+
+class TestConcurrentBranchPass:
+    """From ``CONCURRENT_CHANNELS`` wide, rgb's forward runs on the caller while flow's
+    and obj's run on two worker threads."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_equals_three_serial_forwards(self, strategy, dtype):
+        """Four B=1 streams served in turn (each one's first window a table miss, the
+        rest hits), then a B=3 cone, against direct forwards that step their own streams."""
+        model, rng = wide_model(strategy, dtype)
+        branches = model.branches
+        n = branches["rgb"].config.required_length + 1
+        seqs = [{mod: rng.normal(0, 1, (1, 3, n + 3), dtype) for mod in MODALITIES}
+                for _ in range(4)]
+        held = [[[] for _ in MODALITIES] for _ in seqs]
+        for p in range(4):
+            for seq, streams in zip(seqs, held):
+                x = {mod: np.ascontiguousarray(seq[mod][:, :, p:p + n]) for mod in MODALITIES}
+                want = {mod: branches[mod].eval().forward(x[mod], stream=stream)
+                        for mod, stream in zip(MODALITIES, streams)}
+                got, want = model.predict_proba(x), serial_probs(model, want)
+                for head in HEADS:
+                    assert_same(got[head], want[head], dtype, probabilities=True)
+        assert len(model._streams) == len(seqs)
+        x = {mod: rng.normal(0, 1, (3, 3, n), dtype) for mod in MODALITIES}
+        want = {mod: branches[mod].eval().forward(x[mod]) for mod in MODALITIES}
+        got = model.branch_outputs(x)
+        for mod in MODALITIES:
+            assert got[mod].keys() == want[mod].keys()
+            for key in want[mod]:
+                assert_same(got[mod][key], want[mod][key], dtype)
+        got, want = model.predict_proba(x), serial_probs(model, want)
+        for head in HEADS:
+            assert_same(got[head], want[head], dtype, probabilities=True)
+
+    @pytest.mark.parametrize("channels", [CONCURRENT_CHANNELS, CONCURRENT_CHANNELS - 1])
+    def test_flow_and_obj_leave_the_calling_thread_from_the_cutoff(self, channels,
+                                                                    monkeypatch):
+        model, rng = wide_model(channels=channels)
+        threads = {mod: set() for mod in MODALITIES}
+        mods = {id(model.branches[mod]): mod for mod in MODALITIES}
+        forward = Branch.forward
+
+        def recording(self, *args, **kwargs):
+            threads[mods[id(self)]].add(threading.get_ident())
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Branch, "forward", recording)
+        n = model.branches["rgb"].config.required_length
+        for batch in (1, 3, 1):
+            model.branch_outputs({mod: rng.normal(0, 1, (batch, 3, n), "f32")
+                                  for mod in MODALITIES})
+        here = threading.get_ident()
+        concurrent = channels >= CONCURRENT_CHANNELS
+        assert threads["rgb"] == {here}
+        for mod in ("flow", "obj"):
+            assert threads[mod] and (here in threads[mod]) != concurrent
+
+    @pytest.mark.parametrize("failing", ["rgb", "flow"])
+    def test_an_error_is_raised_after_every_forward_has_finished(self, failing, monkeypatch):
+        """A window of the wrong width in ``failing`` and in obj, whose forward starts late:
+        the first error in modality order is raised once obj's forward has returned, the
+        table keeps nothing of the request, and the next window is served."""
+        model, rng = wide_model()
+        branches = model.branches
+        finished = []
+        mods = {id(branches[mod]): mod for mod in MODALITIES}
+        forward = Branch.forward
+
+        def recording(self, *args, **kwargs):
+            if mods[id(self)] == "obj":
+                time.sleep(0.2)
+            try:
+                return forward(self, *args, **kwargs)
+            finally:
+                finished.append(mods[id(self)])
+
+        n = branches["rgb"].config.required_length
+        seq = {mod: rng.normal(0, 1, (1, 3, n + 1), "f32") for mod in MODALITIES}
+        windows = [{mod: np.ascontiguousarray(seq[mod][:, :, p:p + n]) for mod in MODALITIES}
+                   for p in (0, 1)]
+        held = [[] for _ in MODALITIES]
+        for x in windows[:1]:
+            for mod, stream in zip(MODALITIES, held):
+                branches[mod].eval().forward(x[mod], stream=stream)
+        model.branch_outputs(windows[0])
+        bad = {**windows[1], failing: rng.normal(0, 1, (1, 5, n), "f32"),
+               "obj": rng.normal(0, 1, (1, 6, n), "f32")}
+        monkeypatch.setattr(Branch, "forward", recording)
+        with pytest.raises(TensorError, match=r"branch expected \(B, 3, N\), got \(1, 5, "):
+            model.branch_outputs(bad)
+        assert sorted(finished) == sorted(MODALITIES)
+        assert len(model._streams) == 1
+        got = model.branch_outputs(windows[1])
+        monkeypatch.undo()
+        for mod, stream in zip(MODALITIES, held):
+            want = branches[mod].eval().forward(windows[1][mod], stream=stream)
+            for key in want:
+                assert_same(got[mod][key], want[key], "f32")
+
+    def test_repeated_passes_start_no_more_than_the_two_workers(self):
+        model, rng = wide_model()
+        n = model.branches["rgb"].config.required_length
+        seq = {mod: rng.normal(0, 1, (1, 3, n + 49), "f32") for mod in MODALITIES}
+        before = threading.active_count()
+        for p in range(50):
+            model.branch_outputs({mod: np.ascontiguousarray(seq[mod][:, :, p:p + n])
+                                  for mod in MODALITIES})
+        assert threading.active_count() <= before + 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_a_concurrent_pass(self):
+        """The child inherits a pool whose threads did not survive the fork; it must
+        start its own rather than wait for them."""
+        model, rng = wide_model()
+        x = {mod: rng.normal(0, 1, (2, 3, model.branches["rgb"].config.required_length),
+                             "f32") for mod in MODALITIES}
+        want = model.branch_outputs(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = model.branch_outputs(x)
+                code = 0 if all(np.array_equal(got[mod]["feature"], want[mod]["feature"])
+                                for mod in MODALITIES) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if status[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's branch pass did not finish within 30 s")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_a_cold_import_loads_no_pool_machinery(self):
+        """``concurrent.futures`` pulls in ``logging``; a cold ``import
+        tcn_anticipation.cli``, which the CLI pays on every run, loads neither."""
+        code = ("import sys, tcn_anticipation.cli; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[]"

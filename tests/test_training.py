@@ -158,6 +158,15 @@ class TestTrainBranch:
         with pytest.raises(TensorError):
             train_branch(data, data, "rgb", cfg, SgdConfig(lr0=0.1, epochs=1))
 
+    def test_a_val_split_of_another_width_is_rejected_before_any_step(self, monkeypatch):
+        """Val is first forwarded after a whole epoch, so its width is checked up front."""
+        rng = Rng(2)
+        train, val = tiny_dataset(rng, dim=32), tiny_dataset(rng, dim=40)
+        monkeypatch.setattr(SgdOptimizer, "step", lambda *args: pytest.fail("an SGD step ran"))
+        with pytest.raises(TensorError, match=r"branch expected \(B, 32, N\), got \(12, 40, 7\)"):
+            train_branch(train, val, "rgb", tiny_branch_config(input_dim=32),
+                         SgdConfig(lr0=0.01, epochs=2, batch_size=4))
+
     def test_log_records_have_expected_fields(self):
         rng = Rng(1)
         data = tiny_dataset(rng)
