@@ -5,7 +5,8 @@ a pointwise conv, then applies L residual blocks whose dilated valid convs
 shrink the sequence until a single feature vector remains. Because block
 outputs are shorter than their inputs, the residual keeps only the most recent
 timesteps of the incoming sequence. Three classification heads (action, verb,
-noun) read the final feature vector.
+noun) read the final feature vector. ``multitask_loss``, the sum of the heads'
+cross-entropies, is the one loss: a fusion model's logits train with it too.
 
 Sequences are (batch, channels, snippets) at every layer boundary, but in
 channel-major memory: the embedding conv's im2col transposes the input once,
@@ -282,17 +283,13 @@ class Branch(Model):
             grad_z = blk.backward(grad_z)
         return self.embed.backward(grad_z, input_grad=False)
 
-    def loss(self, scores: dict[str, Tensor],
-             labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
-        return multitask_loss(scores, labels)
-
 
 def multitask_loss(logits: Mapping[str, Tensor],
                    labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
     """Sum of the per-head cross-entropies plus the logit gradients.
 
-    ``logits`` maps each head to its logits: a branch's output or the fused
-    heads of a :class:`~tcn_anticipation.fusion.FusionModel`.
+    ``logits`` maps each head to its logits: a branch's output, or a
+    :class:`~tcn_anticipation.fusion.FusionModel`'s for any strategy.
     """
     total = 0.0
     grads = {}

@@ -80,7 +80,7 @@ def write_feature_file(path, modality: str, features: Tensor) -> None:
 
 def read_feature_file(path) -> tuple[str, Tensor]:
     """The modality and (W, N, D) features of one file, a view of the one buffer it is
-    read into."""
+    read into; a NaN or infinite feature is a ``DatasetError``."""
     try:
         with open(path, "rb") as fh:
             # the features start 4 + 15 bytes in: read to offset 1 to align them
@@ -105,7 +105,13 @@ def read_feature_file(path) -> tuple[str, Tensor]:
         raise DatasetError(f"{path}: {len(raw) - expected} trailing bytes")
     if zlib.crc32(raw[4:-4]) != struct.unpack_from("<I", raw, expected - 4)[0]:
         raise DatasetError(f"{path}: CRC32 mismatch, file is corrupt")
-    return MODALITIES[code], raw[start:-4].view("<f4").reshape(w, n, d)
+    features = raw[start:-4].view("<f4").reshape(w, n, d)
+    finite = np.isfinite(features)
+    if not finite.all():  # the CRC guards the bytes, not whether they are numbers
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise DatasetError(f"{path}: non-finite feature {features[at]} at "
+                           f"(window, snippet, dim) {at}")
+    return MODALITIES[code], features
 
 
 def write_dataset(samples: list[Sample], out_dir) -> Path:

@@ -13,12 +13,14 @@ parameters ever receive gradients. The fusion layers take the branches' dtype.
 
 ``FusionModel`` offers the interface a ``Branch`` does, so one training step
 serves both: ``forward(outputs, rng)`` maps the branch outputs to per-head
-scores (fused logits for the feature strategies, mixed probabilities for late
-and attention), ``loss(scores, labels)`` returns the loss and its score
-gradients, ``backward(grads)`` fills the parameter gradients, and
-``trainable_parameters()`` lists the layers the strategy trains. These four,
-``predict_proba``'s softmax of fused logits and the eval-mode fold are where
-the strategy is read.
+logits, ``backward(grads)`` fills the parameter gradients from the logit
+gradients of :func:`~tcn_anticipation.branch.multitask_loss`, and
+``trainable_parameters()`` lists the layers the strategy trains. Late and
+attention score the log of their mixed probabilities, clipped below at the
+dtype's smallest normal so that a class that underflows scores about -87 (f32)
+and the loss stays finite. Softmax undoes the log, so ``predict_proba`` is the
+softmax of every strategy's logits. These three and the eval-mode fold are
+where the strategy is read.
 
 The feature strategies have no nonlinearity between the fusion layers and the
 heads, so in eval mode each head is one affine map of ``[f_rgb; f_flow; f_obj]``.
@@ -50,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .branch import Branch, multitask_loss
+from .branch import Branch
 from .data import HEADS, MODALITIES
 from .layers import Layout, Linear, Model, Parameter, SpatialDropout, softmax
 from .tensor import Rng, Tensor, TensorError
@@ -139,6 +141,11 @@ def _check_probs(p: Tensor, who: str) -> None:
     sums = p.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > _PROB_TOL) or np.any(p < 0):
         raise TensorError(f"{who} expects softmax distributions (rows summing to 1)")
+
+
+def _clipped(p: Tensor) -> Tensor:
+    """Probabilities raised to the dtype's smallest normal, whose log is finite."""
+    return np.maximum(p, np.finfo(p.dtype).tiny)
 
 
 def _window_key(xs: list[Tensor], snippets: slice) -> tuple:
@@ -329,17 +336,19 @@ class FusionModel(Model):
         for head in HEADS:
             mixed[head] = sum(w[:, i:i + 1] * probs[mod][head]
                               for i, mod in enumerate(MODALITIES))
-        self._att_cache = (w, probs) if self.training else None
+        self._att_cache = (w, probs, mixed) if self.training else None
         return mixed
 
-    def attention_backward(self, grad_mixed: dict[str, Tensor]) -> None:
+    def attention_backward(self, grad_log_mixed: dict[str, Tensor]) -> None:
+        """From the gradients of ``forward``'s log of the clipped mixture."""
         if self._att_cache is None:
             raise TensorError("attention_backward without a train-mode attention_forward")
-        w, probs = self._att_cache
+        w, probs, mixed = self._att_cache
         grad_w = np.zeros_like(w)
         for head in HEADS:
+            grad_mixed = grad_log_mixed[head] / _clipped(mixed[head])
             for i, mod in enumerate(MODALITIES):
-                grad_w[:, i] += (grad_mixed[head] * probs[mod][head]).sum(axis=1)
+                grad_w[:, i] += (grad_mixed * probs[mod][head]).sum(axis=1)
         # softmax jacobian: dz = w * (gw - sum(gw * w))
         grad_z = w * (grad_w - (grad_w * w).sum(axis=1, keepdims=True))
         self.attention_fc.backward(grad_z)
@@ -348,8 +357,8 @@ class FusionModel(Model):
 
     def forward(self, outputs: dict[str, dict[str, Tensor]], rng: Rng | None = None
                 ) -> dict[str, Tensor]:
-        """Per-head scores from the branch outputs: fused logits for the feature
-        strategies, mixed class probabilities for late and attention."""
+        """Per-head logits from the branch outputs: fused logits for the feature
+        strategies, the log of the mixed class probabilities for late and attention."""
         strategy = self.config.strategy
         feats = {mod: out["feature"] for mod, out in outputs.items()}
         if strategy in FEATURE_STRATEGIES:
@@ -357,15 +366,11 @@ class FusionModel(Model):
         probs = {mod: {head: softmax(out[head]) for head in HEADS}
                  for mod, out in outputs.items()}
         if strategy == "late":
-            return {head: late_fusion(*(probs[mod][head] for mod in MODALITIES))
-                    for head in HEADS}
-        return self.attention_forward(feats, probs)
-
-    def loss(self, scores: dict[str, Tensor],
-             labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
-        if self.config.strategy in FEATURE_STRATEGIES:
-            return multitask_loss(scores, labels)
-        return mixed_probs_loss(scores, labels)
+            mixed = {head: late_fusion(*(probs[mod][head] for mod in MODALITIES))
+                     for head in HEADS}
+        else:
+            mixed = self.attention_forward(feats, probs)
+        return {head: np.log(_clipped(p)) for head, p in mixed.items()}
 
     def backward(self, grads: dict[str, Tensor]) -> None:
         strategy = self.config.strategy
@@ -385,30 +390,8 @@ class FusionModel(Model):
                 if name.startswith("fusion.attention.") == attention]
 
     def predict_proba(self, inputs: dict[str, Tensor]) -> dict[str, Tensor]:
-        """Eval-mode class distributions per head for the configured strategy."""
+        """Eval-mode class distributions per head: the softmax of ``forward``'s logits."""
         was_training = self.training
         scores = self.eval().forward(self.branch_outputs(inputs))
         self.train(was_training)
-        if self.config.strategy in FEATURE_STRATEGIES:
-            return {head: softmax(scores[head]) for head in HEADS}
-        return scores
-
-
-def mixed_probs_loss(mixed: dict[str, Tensor],
-                     labels: dict[str, np.ndarray]) -> tuple[float, dict[str, Tensor]]:
-    """NLL of already-mixed probabilities (attention path) plus gradients."""
-    total = 0.0
-    grads = {}
-    eps = 1e-12
-    for head in HEADS:
-        p = mixed[head]
-        n, k = p.shape
-        t = np.asarray(labels[head])
-        if t.size and (t.min() < 0 or t.max() >= k):
-            raise TensorError(f"label out of range [0, {k})")
-        picked = np.clip(p[np.arange(n), t], eps, None)
-        total += float(-np.log(picked).mean())
-        g = np.zeros_like(p)
-        g[np.arange(n), t] = -1.0 / (picked * n)
-        grads[head] = g
-    return total, grads
+        return {head: softmax(scores[head]) for head in HEADS}

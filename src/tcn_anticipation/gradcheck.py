@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branch import Branch, BranchConfig
+from .branch import Branch, BranchConfig, multitask_loss
 from .fusion import HEADS, FusionConfig, FusionModel, MODALITIES
 from .layers import BatchNorm1d, Conv1d, Linear, ReLU, SoftmaxCrossEntropy, SpatialDropout
 from .tensor import Rng
@@ -74,15 +74,16 @@ def _layer_error(layer, x: np.ndarray, gout: np.ndarray, params=(), **forward_kw
 
 
 def _model_error(model, x, labels, params) -> float:
-    """Worst error of the ``params`` gradients of the model's own train-mode loss."""
+    """Worst error of the ``params`` gradients of the train-mode loss of the model's
+    logits."""
     model.train()
 
     def f():
-        return model.loss(model.forward(x), labels)[0]
+        return multitask_loss(model.forward(x), labels)[0]
 
     for _, p in params:
         p.zero_grad()
-    model.backward(model.loss(model.forward(x), labels)[1])
+    model.backward(multitask_loss(model.forward(x), labels)[1])
     return max(max_rel_error(p.grad, finite_difference_grad(f, p.data)) for _, p in params)
 
 

@@ -17,24 +17,25 @@ def top_k_accuracy(logits: Tensor, labels, k: int) -> float:
     Ties are broken by ascending class index (stable sort), so results are
     deterministic for equal scores.
     """
-    if k < 1:
-        raise TensorError(f"k must be >= 1, got {k}")
-    labels = _checked(logits, labels)
+    labels = _checked(logits, labels, k)
     topk = argsort_desc(logits, axis=1)[:, :k]
     return float((topk == labels[:, None]).any(axis=1).mean())
 
 
 def class_mean_top5_recall(logits: Tensor, labels, k: int = 5) -> float:
     """Per-class top-k recall averaged over classes present in the labels."""
-    labels = _checked(logits, labels)
+    labels = _checked(logits, labels, k)
     topk = argsort_desc(logits, axis=1)[:, :k]
     hit = (topk == labels[:, None]).any(axis=1)
     recalls = [float(hit[labels == c].mean()) for c in np.unique(labels)]
     return float(np.mean(recalls))
 
 
-def _checked(logits: Tensor, labels) -> np.ndarray:
-    """``labels`` as an array: one class index in ``[0, logits.shape[1])`` per row."""
+def _checked(logits: Tensor, labels, k: int) -> np.ndarray:
+    """``labels`` as an array: one class index in ``[0, logits.shape[1])`` per row,
+    scored over the top ``k >= 1``."""
+    if k < 1:
+        raise TensorError(f"k must be >= 1, got {k}")
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.ndim != 1 or logits.shape[0] != labels.shape[0]:
         raise TensorError(f"bad metric shapes: {logits.shape} vs {labels.shape}")

@@ -3,10 +3,10 @@
 Stage one trains each uni-modal branch. Stage two freezes the branches and
 optimizes only the fusion layers on branch outputs computed once per split;
 a parameter hash asserts at runtime that fusion training never mutates a
-branch tensor. Both stages share one epoch loop over the model's ``forward``,
-``loss`` and ``backward``, which never looks at the fusion strategy and keeps
-the state of the best-validation epoch. A model with no trainable parameters
-(late fusion) gets one evaluation record.
+branch tensor. Both stages share one epoch loop over the model's ``forward``
+and ``backward`` and the one loss, ``multitask_loss`` of the logits; it never
+looks at the fusion strategy and keeps the state of the best-validation epoch.
+A model with no trainable parameters (late fusion) gets one evaluation record.
 
 Per-epoch log records carry: epoch, lr, train_loss, val_top1_action,
 val_top5_action, wall_seconds.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch import Branch, BranchConfig
+from .branch import Branch, BranchConfig, multitask_loss
 from .checkpoint import parameter_hash
 from .data import Sample, stack_features
 from .fusion import MODALITIES, FusionConfig, FusionModel
@@ -186,7 +186,7 @@ def _run_epochs(model, params, state, train, val, sgd, rng, log) -> TrainResult:
 
     ``train`` and ``val`` are (inputs, labels) pairs. Each epoch shuffles the
     training rows and, per batch, runs ``model.forward`` in train mode,
-    ``model.loss`` and ``model.backward`` between zero_grad and the SGD step
+    ``multitask_loss`` and ``model.backward`` between zero_grad and the SGD step
     over ``params``; then it scores the eval-mode forward of the val inputs.
     With no ``params`` there is nothing to train, and one record at epoch 0
     scores the model as it is. The tensors that ``state()`` returns are copied
@@ -207,8 +207,8 @@ def _run_epochs(model, params, state, train, val, sgd, rng, log) -> TrainResult:
             for start in range(0, n, sgd.batch_size):
                 idx = order[start:start + sgd.batch_size]
                 opt.zero_grad()
-                loss, grads = model.loss(model.train().forward(_rows(x_train, idx), rng),
-                                         _rows(y_train, idx))
+                loss, grads = multitask_loss(model.train().forward(_rows(x_train, idx), rng),
+                                             _rows(y_train, idx))
                 model.backward(grads)
                 opt.step(lr)
                 total += loss * len(idx)

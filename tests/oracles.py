@@ -191,3 +191,36 @@ def max_rel_prob_error(logits: np.ndarray, want_logits: np.ndarray, floor: float
     p, q = softmax(np.asarray(logits, np.float64)), softmax(np.asarray(want_logits, np.float64))
     keep = q > floor
     return float(np.max(np.abs(p - q)[keep] / q[keep], initial=0.0))
+
+
+def attention_grads_of_mixed_probs(model, outputs: dict, labels: dict
+                                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Attention fusion scored as the mixed probabilities themselves, in f64: the loss
+    is each head's mean negative log of the label's mixed probability, clipped at
+    1e-12, and the gradient runs back through the mixture and the softmax of the
+    weights by hand. Returns the loss and the attention layer's weight and bias
+    gradients."""
+    def softmax(v):
+        e = np.exp(v - v.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    mods = ("rgb", "flow", "obj")
+    fc = model.attention_fc
+    fcat = np.concatenate([np.asarray(outputs[m]["feature"], np.float64) for m in mods], axis=1)
+    w = softmax(fcat @ fc.weight.data.astype(np.float64).T + fc.bias.data.astype(np.float64))
+    b = fcat.shape[0]
+    loss, grad_w = 0.0, np.zeros_like(w)
+    for head, label in labels.items():
+        probs = [softmax(np.asarray(outputs[m][head], np.float64)) for m in mods]
+        for r in range(b):
+            t = int(label[r])
+            picked = max(sum(w[r, i] * probs[i][r, t] for i in range(3)), 1e-12)
+            loss -= np.log(picked) / b
+            for i in range(3):  # d(-log picked / b) / dw_i
+                grad_w[r, i] -= probs[i][r, t] / (picked * b)
+    grad_z = np.zeros_like(w)
+    for r in range(b):
+        for j in range(3):
+            grad_z[r, j] = w[r, j] * (grad_w[r, j] - sum(grad_w[r, i] * w[r, i]
+                                                         for i in range(3)))
+    return loss, grad_z.T @ fcat, grad_z.sum(axis=0)

@@ -21,7 +21,7 @@ from tcn_anticipation.training import SgdConfig, train_branch
 
 from test_checkpoint import BROKEN_CASES, small_fusion_tensors, write_broken_checkpoint
 from test_data import (BAD_INDEX_ROWS, SPLIT_FILE_CORRUPTIONS, corrupt_split_file,
-                       write_bad_index_row)
+                       put_non_finite, write_bad_index_row)
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
 
@@ -320,6 +320,20 @@ class TestTrainEvaluate:
                          "--data", str(data), "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(data / "val" / "obj.fseq") in err
+
+    def test_a_non_finite_feature_exits_2_naming_it(self, synth_dir, trained_branch, tmp_path):
+        """Both commands exited 0 on a val split with a NaN feature, and wrote their CSVs."""
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        put_non_finite(data / "val" / "rgb.fseq", np.nan)
+        want = f"{data / 'val' / 'rgb.fseq'}: non-finite feature nan at (window, snippet, dim)"
+        for argv, out in ((["evaluate", "--ckpt", str(trained_branch / "branch_rgb_best.ckpt")],
+                           tmp_path / "eval"),
+                          (["train-branch", "--epochs", "1", "--channels", "4"], tmp_path / "o")):
+            proc = run(*argv, "--data", str(data), "--out", str(out), check=False)
+            assert proc.returncode == 2 and proc.stderr.startswith("error:")
+            assert want in proc.stderr and "Traceback" not in proc.stderr
+            assert not list(out.glob("*.ckpt")) and not list(out.glob("*.csv"))
 
     def test_evaluate_label_outside_the_heads_exits_2(self, synth_dir, trained_branch, tmp_path):
         """An action the 12-way head cannot score is no silent miss in the metrics."""

@@ -62,6 +62,16 @@ def corrupt_split_file(path, case: str) -> None:
         write_version_1_file(path, mod, arr[0])
 
 
+def put_non_finite(path, value, at=(3, 5, 2)) -> None:
+    """Rewrite a feature file, CRC and all, with ``value`` at (window, snippet, dim) ``at``
+    and at a later place, so that only the first can be named."""
+    mod, arr = read_feature_file(path)
+    arr = arr.copy()
+    arr[at] = value
+    arr[at[0], -1, -1] = value
+    write_feature_file(path, mod, arr)
+
+
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         rng = Rng(0)
@@ -109,6 +119,16 @@ class TestFeatureFiles:
         path = tmp_path / "x.fseq"
         write_version_1_file(path, "rgb", Rng(3).normal(0, 1, (2, 2), "f32"))
         with pytest.raises(DatasetError, match="x.fseq: unsupported version 1, expected 2"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_the_file_and_the_first_place(self, value, tmp_path):
+        """The CRC of a file written with a NaN holds; the value is still no feature."""
+        path = tmp_path / "x.fseq"
+        write_feature_file(path, "rgb", Rng(6).normal(0, 1, (4, 7, 5), "f32"))
+        put_non_finite(path, value)
+        with pytest.raises(DatasetError, match=re.escape(
+                f"x.fseq: non-finite feature {value} at (window, snippet, dim) (3, 5, 2)")):
             read_feature_file(path)
 
     def test_one_window_matrix_rejected(self, tmp_path):

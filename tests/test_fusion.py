@@ -9,15 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tcn_anticipation.branch import Branch, BranchConfig
+from tcn_anticipation.branch import Branch, BranchConfig, multitask_loss
 from tcn_anticipation.fusion import (CONCURRENT_CHANNELS, FEATURE_STRATEGIES, FusionConfig,
                                      FusionModel, HEADS, MODALITIES, STRATEGIES, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
 from tcn_anticipation.layers import layout_shapes, softmax
-from tcn_anticipation.tensor import Rng, TensorError
+from tcn_anticipation.tensor import DTYPES, Rng, TensorError
 from tcn_anticipation.training import SgdOptimizer
 
-from oracles import fusion_logits_unfolded, max_rel_prob_error
+from oracles import attention_grads_of_mixed_probs, fusion_logits_unfolded, max_rel_prob_error
 
 
 def make_model(strategy="mutual_pairwise", channels=6, embed=10, rng_seed=0, dtype="f64"):
@@ -146,7 +146,7 @@ class TestFold:
         feats = random_feats(rng)
         before = model.eval().fuse_forward(feats)
         labels = {head: np.arange(3) % k for head, k in model.config.class_counts.items()}
-        _, grads = model.loss(model.train().fuse_forward(feats, rng), labels)
+        _, grads = multitask_loss(model.train().fuse_forward(feats, rng), labels)
         model.fuse_backward(grads)
         SgdOptimizer(model.trainable_parameters()).step(0.5)
         assert not np.array_equal(model.eval().fuse_forward(feats)["action"], before["action"])
@@ -247,6 +247,79 @@ class TestAttentionFusion:
             assert mixed[head].min() >= 0
 
 
+def attention_case(rng, dtype, b=5):
+    """An attention model away from uniform weights, branch outputs and labels."""
+    model, _ = make_model("attention", dtype=dtype)
+    model.attention_fc.weight.data = rng.normal(0, 0.5, (3, 18), dtype)
+    model.attention_fc.bias.data = rng.normal(0, 0.5, (3,), dtype)
+    outputs = {mod: {"feature": rng.normal(0, 1, (b, 6), dtype),
+                     **{head: rng.normal(0, 2, (b, k), dtype)
+                        for head, k in model.config.class_counts.items()}}
+               for mod in MODALITIES}
+    labels = {head: (rng.uniform(0, 1, (b,), "f64") * k).astype(np.int64)
+              for head, k in model.config.class_counts.items()}
+    return model, outputs, labels
+
+
+class TestLogProbabilityScores:
+    """Late and attention score the log of their mixture, so cross-entropy is their loss."""
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_attention_gradients_equal_the_mixed_probability_loss(self, dtype):
+        """Through ``multitask_loss`` and ``backward``, against the NLL of the mixed
+        probabilities and its hand-derived chain, in f64."""
+        tol = 1e-12 if dtype == "f64" else 1e-5
+        rng = Rng(11)
+        for b in (1, 2, 5, 9):
+            model, outputs, labels = attention_case(rng, dtype, b)
+            loss, grads = multitask_loss(model.train().forward(outputs), labels)
+            for _, p in model.trainable_parameters():
+                p.zero_grad()
+            model.backward(grads)
+            want_loss, want_w, want_b = attention_grads_of_mixed_probs(model, outputs, labels)
+            assert abs(loss - want_loss) <= tol * abs(want_loss)
+            for got, want in ((model.attention_fc.weight.grad, want_w),
+                              (model.attention_fc.bias.grad, want_b)):
+                assert got.dtype == DTYPES[dtype]
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_late_predict_proba_is_the_mean_of_the_branch_softmaxes(self, dtype):
+        model, rng = make_model("late", dtype=dtype)
+        inputs = {mod: rng.normal(0, 1, (4, 3, 2), dtype) for mod in MODALITIES}
+        outputs = model.eval().branch_outputs(inputs)
+        probs = model.predict_proba(inputs)
+        for head in HEADS:
+            want = sum(softmax(outputs[mod][head].astype(np.float64))
+                       for mod in MODALITIES) / 3
+            assert probs[head].dtype == DTYPES[dtype]
+            assert np.abs(probs[head] - want).max() <= (1e-12 if dtype == "f64" else 1e-6)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("strategy", ["late", "attention"])
+    def test_a_label_no_branch_gives_any_probability_scores_finitely(self, strategy, dtype):
+        """Each branch gives the action label a probability that underflows to 0: its
+        log-mixture is the log of the dtype's smallest normal, not -inf."""
+        rng = Rng(12)
+        model, outputs, labels = attention_case(rng, dtype)
+        model.config = replace(model.config, strategy=strategy)
+        rows = np.arange(len(labels["action"]))
+        for mod in MODALITIES:
+            outputs[mod]["action"][rows, labels["action"]] = -1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = model.train().forward(outputs)
+            assert np.all(softmax(outputs["rgb"]["action"])[rows, labels["action"]] == 0)
+            assert np.all(scores["action"][rows, labels["action"]]
+                          == np.log(np.finfo(DTYPES[dtype]).tiny))
+            loss, grads = multitask_loss(scores, labels)
+            for _, p in model.trainable_parameters():
+                p.zero_grad()
+            model.backward(grads)
+        assert np.isfinite(loss) and loss >= -0.99 * np.log(np.finfo(DTYPES[dtype]).tiny)
+        assert all(np.isfinite(p.grad).all() for _, p in model.trainable_parameters())
+
+
 class TestFusionGradcheck:
     def test_fusion_layer_gradients(self):
         assert check_fusion(Rng(0), 3) < 1e-4
@@ -304,11 +377,9 @@ class TestOneInterface:
         model.attention_fc.weight.data = rng.normal(0, 1, (3, 18), "f64")
         inputs = {mod: rng.normal(0, 1, (4, 3, 2), "f64") for mod in MODALITIES}
         scores = model.eval().forward(model.branch_outputs(inputs))
-        if strategy in FEATURE_STRATEGIES:
-            scores = {head: softmax(scores[head]) for head in HEADS}
         probs = model.predict_proba(inputs)
         for head in HEADS:
-            assert scores[head].tobytes() == probs[head].tobytes()
+            assert softmax(scores[head]).tobytes() == probs[head].tobytes()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_trainable_parameters_are_the_strategy_layers(self, strategy):
@@ -341,7 +412,8 @@ def wide_model(strategy="mutual_pairwise", dtype="f32", channels=CONCURRENT_CHAN
 
 def assert_same(got, want, dtype, probabilities=False):
     """Bitwise at one BLAS thread; otherwise within the eval tolerance, relative over
-    probabilities above 1e-6 or to the largest feature."""
+    probabilities above 1e-6 or to the largest feature. Every row of k probabilities
+    holds one of at least 1/k, so a row with none above 1e-6 is no distribution."""
     assert got.dtype == want.dtype and got.shape == want.shape
     if ONE_BLAS_THREAD:
         assert got.tobytes() == want.tobytes()
@@ -349,6 +421,7 @@ def assert_same(got, want, dtype, probabilities=False):
     tol = 1e-10 if dtype == "f64" else 1e-5
     if probabilities:
         keep = want > 1e-6
+        assert keep.any(axis=-1).all(), "no probability above 1e-6 to compare in a row"
         assert np.all(np.abs(got - want)[keep] <= tol * want[keep])
     else:
         assert np.abs(got - want).max() <= tol * max(1.0, float(np.abs(want).max()))
@@ -356,10 +429,7 @@ def assert_same(got, want, dtype, probabilities=False):
 
 def serial_probs(model, outs):
     """``predict_proba``'s fusion of branch outputs computed outside the model."""
-    scores = model.forward(outs)
-    if model.config.strategy in FEATURE_STRATEGIES:
-        return {head: softmax(scores[head]) for head in HEADS}
-    return scores
+    return {head: softmax(scores) for head, scores in model.forward(outs).items()}
 
 
 class TestConcurrentBranchPass:
