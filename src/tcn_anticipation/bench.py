@@ -11,7 +11,10 @@ size, so it does fewer MACs than the count.
 Wall-clock runs warm up, then record per-repetition times; the headline
 statistic is a median-of-means, which resists desk-machine jitter better than
 a plain mean. Nothing is pinned; the hardware note reports the BLAS thread
-variables, which fix the BLAS thread count when the process starts.
+variables, which fix the BLAS thread count when the process starts, and how
+many threads call BLAS in each timed step: from ``CONCURRENT_CHANNELS`` wide
+the branch's train step splits its conv GEMMs between the caller and a pool
+worker, while the LSTM's train step and both eval forwards stay on the caller.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .baseline import LstmConfig, LstmEncoderDecoder
 from .branch import Branch, BranchConfig, multitask_loss
-from .layers import SoftmaxCrossEntropy
+from .layers import CONCURRENT_CHANNELS, SoftmaxCrossEntropy, concurrent_at
 from .tensor import Rng, TensorError
 from .training import SgdOptimizer
 
@@ -190,7 +193,11 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
     ]
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
                         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    note = f"{platform.machine()} {platform.system()}, {threads}, no CPU pinning, dtype={dtype}"
+    callers = (f"2 ({CONCURRENT_CHANNELS}+ channels: conv GEMMs split with a pool worker)"
+               if concurrent_at(branch.config.channels) else "1")
+    note = (f"{platform.machine()} {platform.system()}, {threads}, no CPU pinning, "
+            f"dtype={dtype}, threads calling BLAS: branch train step {callers}, "
+            f"LSTM train step 1, eval forwards 1")
     return BenchReport(rows, batch, reps, warmup, note,
                        rows[1].inference_mom / rows[0].inference_mom,
                        rows[1].train_step_mom / rows[0].train_step_mom)

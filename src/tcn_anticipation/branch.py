@@ -48,7 +48,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import HEADS
-from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, Plan, ReLU,
+from .layers import (BatchNorm1d, Conv1d, DeferredGrads, Layout, Linear, Model, Plan, ReLU,
                      SoftmaxCrossEntropy, SpatialDropout)
 from .tensor import Rng, Tensor, TensorError
 
@@ -268,7 +268,10 @@ class Branch(Model):
 
     def backward(self, grad_logits: dict[str, Tensor]) -> None:
         """Accumulates every parameter's gradient; returns None, as nothing reads the
-        input's gradient."""
+        input's gradient. From ``CONCURRENT_CHANNELS`` wide each block conv's weight and
+        bias gradients go to a pool worker while this thread computes the block's input
+        gradient and goes on down the chain; every one has been accumulated before this
+        returns or raises (see :class:`~tcn_anticipation.layers.DeferredGrads`)."""
         if self._final_shape is None:
             raise TensorError("branch backward before forward")
         b, ch, n = self._final_shape
@@ -279,9 +282,10 @@ class Branch(Model):
         grad_zc = np.zeros((ch, n, b), dtype=grad_feature.dtype)  # channel-major, as z
         grad_zc[:, -1] = grad_feature.T
         grad_z = grad_zc.transpose(2, 0, 1)
-        for blk in reversed(self.blocks):
-            grad_z = blk.backward(grad_z)
-        return self.embed.backward(grad_z, input_grad=False)
+        with DeferredGrads():
+            for blk in reversed(self.blocks):
+                grad_z = blk.backward(grad_z)
+            self.embed.backward(grad_z, input_grad=False)
 
 
 def multitask_loss(logits: Mapping[str, Tensor],

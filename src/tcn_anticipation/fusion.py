@@ -34,18 +34,16 @@ first. ``train(True)`` and ``load_state`` drop them with the fold, so a weight
 edited in place, a branch's too, takes effect after ``train(); eval()``.
 
 The three branches are independent until the fusion layers, so from
-``CONCURRENT_CHANNELS`` wide (paper width included) ``branch_outputs`` runs the
-flow and obj forwards on two worker threads while the caller runs rgb's: numpy
-releases the GIL in the GEMMs, copies and ufuncs that make up a forward. Each
-branch runs the arithmetic it runs serially, so the outputs are the serial ones
-bitwise at a fixed BLAS thread count; with more than one BLAS thread the three
-callers share the cores. The pool starts with the first such pass, and a forked
-child starts its own.
+:data:`~tcn_anticipation.layers.CONCURRENT_CHANNELS` wide (paper width
+included) ``branch_outputs`` runs the flow and obj forwards on the two workers
+of the package's pool (see :mod:`~tcn_anticipation.layers`) while the caller
+runs rgb's. Each branch runs the arithmetic it runs serially, so the outputs
+are the serial ones bitwise at a fixed BLAS thread count; with more than one
+BLAS thread the three callers share the cores.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
@@ -54,7 +52,8 @@ import numpy as np
 
 from .branch import Branch
 from .data import HEADS, MODALITIES
-from .layers import Layout, Linear, Model, Parameter, SpatialDropout, softmax
+from .layers import (Layout, Linear, Model, Parameter, SpatialDropout, concurrent_at,
+                     run_concurrently, softmax)
 from .tensor import Rng, Tensor, TensorError
 
 PAIRS = (("rgb", "flow"), ("rgb", "obj"), ("flow", "obj"))
@@ -62,41 +61,6 @@ STRATEGIES = ("late", "attention", "mutual", "pairwise", "mutual_pairwise")
 FEATURE_STRATEGIES = ("mutual", "pairwise", "mutual_pairwise")
 _PROB_TOL = 1e-6
 STREAMS = 16  # B=1 streams branch_outputs keeps; the least recently served goes first
-# Branch width from which branch_outputs runs the flow and obj forwards on two worker
-# threads while rgb runs on the caller. Below it every pass stays on the caller: each
-# worker thread takes its own malloc arena, which keeps freed numpy temporaries
-# resident: at 64 channels concurrent passes raised the desk pipeline's peak RSS from
-# 61 to 82 MB for no speed two pairs could resolve (at 1024, paper_batch's went from
-# 1021 to 1089 MB for a B=64 chunk in 256 ms, not 401). Medians of interleaved serial
-# and concurrent passes at one BLAS thread on a 2-CPU Xeon (serial -> concurrent):
-#   channels  B=64 cone        B=1 stream step
-#   128        14 ->  15 ms    0.8 -> 1.0 ms
-#   256        43 ->  45 ms    1.3 -> 1.5 ms
-#   384        73 ->  72 ms    2.1 -> 2.3 ms
-#   512       142 ->  76 ms    3.1 -> 2.9 ms
-#   1024      548 -> 286 ms   17.9 -> 12.0 ms
-CONCURRENT_CHANNELS = 512
-
-_workers = None  # the two worker threads, started by the first concurrent pass
-
-
-def _branch_workers():
-    global _workers
-    if _workers is None:
-        # imported here: concurrent.futures pulls in logging, which no cold import should pay
-        from concurrent.futures import ThreadPoolExecutor
-        _workers = ThreadPoolExecutor(2, thread_name_prefix="tcna-branch")
-    return _workers
-
-
-def _forget_workers() -> None:
-    """In a forked child, whose copy of the pool has no threads: start a new one on demand."""
-    global _workers
-    _workers = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
 
 
 @dataclass(frozen=True)
@@ -224,20 +188,14 @@ class FusionModel(Model):
 
     def _forwards(self, xs: list[Tensor], streams: list) -> dict[str, dict[str, Tensor]]:
         """Each branch's eval forward of its window, stepping its stream (None: the cone).
-        From ``CONCURRENT_CHANNELS`` on, flow and obj run on the two workers while rgb
-        runs here; every forward has finished before this returns or raises the first
+        From ``CONCURRENT_CHANNELS`` on, flow and obj run on the pool while rgb runs
+        here; every forward has finished before this returns or raises the first
         error in ``MODALITIES`` order."""
         calls = [partial(self.branches[mod].eval().forward, x, stream=stream)
                  for mod, x, stream in zip(MODALITIES, xs, streams)]
-        if self.config.channels < CONCURRENT_CHANNELS:
+        if not concurrent_at(self.config.channels):
             return {mod: call() for mod, call in zip(MODALITIES, calls)}
-        from concurrent.futures import wait
-        futures = [_branch_workers().submit(call) for call in calls[1:]]
-        try:
-            first = calls[0]()
-        finally:
-            wait(futures)
-        return dict(zip(MODALITIES, [first, *(f.result() for f in futures)]))
+        return dict(zip(MODALITIES, run_concurrently(calls)))
 
     # -- feature fusion (mutual / pairwise / mutual_pairwise) --------------------
 

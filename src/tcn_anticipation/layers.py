@@ -24,16 +24,133 @@ A model states its layers once, as a layout: name -> (layer class, constructor
 args), in build order, which is also the weight draw order. :class:`Model`
 derives parameters, state, loading and mode from the built layers, and
 :func:`layout_shapes` every slot's shape without building any.
+
+The package has one pool of two worker threads, started by the first call that
+uses it (a forked child starts its own), and one width from which work uses it,
+``CONCURRENT_CHANNELS``; numpy releases the GIL in its GEMMs, copies and ufuncs.
+From that width on, a train-mode conv computes the top half of its output
+channels on a worker while the caller computes the bottom half, and inside
+:class:`DeferredGrads` a conv backward leaves its weight and bias gradients to a
+worker while the caller computes the input gradient. Each GEMM and accumulation
+is the serial one, so at a fixed BLAS thread count the results are the serial
+ones bitwise. Eval forwards, narrower convs and work already on a worker stay
+serial: a worker that waited on the two-worker pool could deadlock it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, TypeAlias
+import os
+import threading
+from functools import partial
+from typing import Callable, Mapping, TypeAlias
 
 import numpy as np
 
 from .tensor import NonFiniteError, Rng, Tensor, TensorError, dtype_of
+
+# Width from which a train-mode conv and the fusion model's branch pass use the pool.
+# Below it all work stays on the caller: each worker thread takes its own malloc arena,
+# which keeps freed numpy temporaries resident: at 64 channels concurrent branch passes
+# raised the desk pipeline's peak RSS from 61 to 82 MB for no speed two pairs could
+# resolve (at 1024, paper_batch's went from 1021 to 1089 MB for a B=64 chunk in 256 ms,
+# not 401). Medians of interleaved serial and concurrent runs at one BLAS thread on a
+# 2-CPU Xeon (serial -> concurrent); a train step is zero_grad, forward, loss, backward
+# and SGD step of a default branch whose input is as wide as it, 20 steps a side:
+#   channels  B=64 cone        B=1 stream step    B=64 train step
+#   128        14 ->  15 ms    0.8 -> 1.0 ms
+#   256        43 ->  45 ms    1.3 -> 1.5 ms       53 ->  56 ms
+#   384        73 ->  72 ms    2.1 -> 2.3 ms      122 -> 103 ms
+#   512       142 ->  76 ms    3.1 -> 2.9 ms      218 -> 153 ms
+#   1024      548 -> 286 ms   17.9 -> 12.0 ms     778 -> 501 ms
+# Training gains from 384 channels on and eval from 512. One cutoff serves both: a second
+# would be a knob for the widths in between, which neither the desk (64) nor the paper
+# (1024) model has.
+CONCURRENT_CHANNELS = 512
+
+_workers = None  # the two worker threads, started by the first concurrent call
+_local = threading.local()  # per thread: whether it is a worker, and its open DeferredGrads
+
+
+def _mark_worker() -> None:
+    _local.worker = True
+
+
+def _pool():
+    global _workers
+    if _workers is None:
+        # imported here: concurrent.futures pulls in logging, which no cold import should pay
+        from concurrent.futures import ThreadPoolExecutor
+        _workers = ThreadPoolExecutor(2, thread_name_prefix="tcna-worker",
+                                      initializer=_mark_worker)
+    return _workers
+
+
+def _forget_workers() -> None:
+    """In a forked child, whose copy of the pool has no threads: start a new one on demand."""
+    global _workers
+    _workers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def concurrent_at(channels: int) -> bool:
+    """Whether work ``channels`` wide uses the pool: from ``CONCURRENT_CHANNELS`` on,
+    and never on a pool worker."""
+    return channels >= CONCURRENT_CHANNELS and not getattr(_local, "worker", False)
+
+
+def run_concurrently(calls: list[Callable]) -> list:
+    """The calls' results in order: the first runs on the caller, the others on the
+    pool. Every call has finished before this returns or raises the first error in
+    call order."""
+    futures = [_pool().submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        for future in futures:
+            future.exception()  # waits without raising; result() raises below
+    return [first, *(future.result() for future in futures)]
+
+
+class DeferredGrads:
+    """``with DeferredGrads():`` lets a conv backward on this thread that computes an
+    input gradient, and is wide enough for the pool, leave its parameter gradients to
+    one worker, which accumulates them in the order handed over while the caller goes
+    on. The ``grad_out`` handed over must not be written before the block ends. Leaving
+    the block waits for every one, then raises the first error any raised."""
+
+    def __enter__(self):
+        self._jobs = self._done = None
+        _local.grads = self
+        return self
+
+    def submit(self, job: Callable[[], None]) -> None:
+        if self._jobs is None:
+            from queue import SimpleQueue
+            self._jobs = SimpleQueue()
+            self._done = _pool().submit(_drain, self._jobs)
+        self._jobs.put(job)
+
+    def __exit__(self, *exc) -> None:
+        _local.grads = None
+        if self._jobs is not None:
+            self._jobs.put(None)
+            self._done.result()
+
+
+def _drain(jobs) -> None:
+    """Runs the jobs queued until None, every one, then raises the first error."""
+    error = None
+    while (job := jobs.get()) is not None:
+        try:
+            job()
+        except Exception as e:
+            error = error or e
+    if error is not None:
+        raise error
 
 
 class Parameter:
@@ -204,13 +321,21 @@ class Conv1d(Layer):
             raise TensorError(f"conv1d plan {plan} reads outside the {n} input columns")
         cols = self._im2col(_cm(x), plan)
         self._cache = (x.shape, cols) if self.training else None
-        out = self.weight.data.reshape(self.out_channels, -1) @ cols
+        w = self.weight.data.reshape(self.out_channels, -1)
+        if self.training and concurrent_at(self.out_channels):
+            out = np.empty((self.out_channels, cols.shape[1]), np.result_type(w, cols))
+            h = self.out_channels // 2
+            run_concurrently([partial(np.matmul, w[:h], cols, out=out[:h]),
+                              partial(np.matmul, w[h:], cols, out=out[h:])])
+        else:
+            out = w @ cols
         out += self.bias.data[:, None]
         return _bcn(out.reshape(self.out_channels, -1, b))
 
     def backward(self, grad_out: Tensor, input_grad: bool = True) -> Tensor | None:
-        """The gradient of the input, or None without ``input_grad`` (the parameter
-        gradients are accumulated either way)."""
+        """The gradient of the input, or None without ``input_grad``. The parameter
+        gradients are accumulated either way: before this returns, or inside an open
+        :class:`DeferredGrads` that computes an input gradient here, by its end."""
         if self._cache is None:
             raise TensorError("conv1d backward without a train-mode forward")
         x_shape, cols = self._cache
@@ -219,8 +344,11 @@ class Conv1d(Layer):
         if grad_out.shape[0] != b or n_out != self.out_length(n) or cols.shape[1] != b * n_out:
             raise TensorError("conv1d grad_out shape inconsistent with cached input")
         g2 = _cm(grad_out).reshape(self.out_channels, -1)
-        self.bias.grad += g2.sum(axis=1)
-        self.weight.grad += (g2 @ cols.T).reshape(self.weight.data.shape)
+        deferred = getattr(_local, "grads", None)
+        if deferred is not None and input_grad and concurrent_at(self.out_channels):
+            deferred.submit(partial(self._param_grads, g2, cols))
+        else:
+            self._param_grads(g2, cols)
         if not input_grad:
             return None
         gcols = (self.weight.data.reshape(self.out_channels, -1).T @ g2)
@@ -230,6 +358,10 @@ class Conv1d(Layer):
         for k in range(self.kernel_size):
             grad_x[:, k * d:k * d + n_out] += gcols[:, k]
         return _bcn(grad_x)
+
+    def _param_grads(self, g2: Tensor, cols: Tensor) -> None:
+        self.bias.grad += g2.sum(axis=1)
+        self.weight.grad += (g2 @ cols.T).reshape(self.weight.data.shape)
 
 
 class BatchNorm1d(Layer):

@@ -2,12 +2,63 @@
 
 Everything here is deliberately naive (explicit loops, no vectorized shortcuts
 shared with the library) so the implementations under test are checked against
-a second, independent route.
+a second, independent route. The concurrency tests also share two helpers:
+``assert_same`` compares a concurrent result with the serial one, and
+``exit_code_in_a_child`` runs a call in a forked process that a hang cannot
+keep alive.
 """
 
 from __future__ import annotations
 
+import os
+import time
+import warnings
+
 import numpy as np
+
+# GEMMs sum in an order that depends on the BLAS thread count, so a pass is bitwise
+# reproducible only at a fixed count; CI runs the concurrency oracles at one thread too.
+ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
+
+def assert_same(got, want, dtype, probabilities=False):
+    """Bitwise at one BLAS thread; otherwise within the eval tolerance, relative over
+    probabilities above 1e-6 or to the largest feature. Every row of k probabilities
+    holds one of at least 1/k, so a row with none above 1e-6 is no distribution."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if ONE_BLAS_THREAD:
+        assert got.tobytes() == want.tobytes()
+        return
+    tol = 1e-10 if dtype == "f64" else 1e-5
+    if probabilities:
+        keep = want > 1e-6
+        assert keep.any(axis=-1).all(), "no probability above 1e-6 to compare in a row"
+        assert np.all(np.abs(got - want)[keep] <= tol * want[keep])
+    else:
+        assert np.abs(got - want).max() <= tol * max(1.0, float(np.abs(want).max()))
+
+
+def exit_code_in_a_child(fn, seconds: float = 30) -> int | None:
+    """Forks a child that exits 0 if ``fn()`` returns true, 3 if false and 1 if it
+    raises; its exit code, or None if it had not exited within ``seconds`` (it is
+    then killed)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if fn() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + seconds
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if status[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        return None
+    return os.waitstatus_to_exitcode(status[1])
 
 
 def conv1d_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

@@ -1,4 +1,7 @@
 import contextlib
+import os
+import threading
+import time
 from collections import OrderedDict
 from unittest import mock
 
@@ -7,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcn_anticipation import layers
 from tcn_anticipation.branch import (HEADS, Branch, BranchConfig, _cone, _ResidualBlock,
                                      multitask_loss, required_input_length)
 from tcn_anticipation.fusion import MODALITIES, STREAMS, FusionConfig, FusionModel
 from tcn_anticipation.gradcheck import check_branch
-from tcn_anticipation.layers import (BatchNorm1d, Conv1d, ReLU, SoftmaxCrossEntropy,
-                                     SpatialDropout, layout_shapes)
+from tcn_anticipation.layers import (CONCURRENT_CHANNELS, BatchNorm1d, Conv1d, ReLU,
+                                     SoftmaxCrossEntropy, SpatialDropout, layout_shapes)
 from tcn_anticipation.tensor import Rng, TensorError
+from tcn_anticipation.training import SgdOptimizer
 
-from oracles import (branch_eval_loops, branch_train_loops, fusion_logits_unfolded,
-                     max_rel_prob_error)
+from oracles import (assert_same, branch_eval_loops, branch_train_loops,
+                     exit_code_in_a_child, fusion_logits_unfolded, max_rel_prob_error)
 
 
 def small_config(**overrides):
@@ -664,3 +669,153 @@ class TestLoss:
 class TestEndToEndGradcheck:
     def test_branch_gradients_match_finite_differences(self):
         assert check_branch(Rng(0), 3) < 1e-4
+
+
+def wide_case(dtype="f32", channels=CONCURRENT_CHANNELS):
+    """A two-block branch ``channels`` wide with every dropout on, a batch and its labels,
+    and the trainer's Rng."""
+    cfg = small_config(input_dim=3, channels=channels, input_dropout=0.2, block_dropout=0.3,
+                       head_dropout=0.4, dtype=dtype)
+    rng = Rng(0)
+    branch = Branch(cfg, rng)
+    x = rng.normal(0, 1, (4, 3, cfg.required_length + 1), dtype)
+    return branch, x, random_labels(rng, cfg, 4), rng
+
+
+def sgd_steps(branch, x, labels, rng, steps=3):
+    """SGD steps on one batch, taken as ``training._run_epochs`` takes them; their losses."""
+    opt = SgdOptimizer(branch.named_parameters())
+    losses = []
+    for _ in range(steps):
+        opt.zero_grad()
+        loss, grads = multitask_loss(branch.train().forward(x, rng), labels)
+        branch.backward(grads)
+        opt.step(0.05)
+        losses.append(loss)
+    return losses
+
+
+class TestConcurrentTrainStep:
+    """From ``CONCURRENT_CHANNELS`` wide, a train-mode conv computes the top half of its
+    output channels on a pool worker, and ``Branch.backward`` leaves each block conv's
+    weight and bias gradients to a worker while the caller goes on down the chain."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_equals_the_serial_steps(self, dtype, monkeypatch):
+        branch, *case = wide_case(dtype)
+        losses = sgd_steps(branch, *case)
+        monkeypatch.setattr(layers, "CONCURRENT_CHANNELS", CONCURRENT_CHANNELS + 1)
+        serial, *case = wide_case(dtype)
+        assert_same(np.array(losses), np.array(sgd_steps(serial, *case)), dtype)
+        for (_, got), (_, want) in zip(branch.named_parameters(), serial.named_parameters()):
+            assert_same(got.grad, want.grad, dtype)
+            assert_same(got.data, want.data, dtype)
+        for blk, want in zip(branch.blocks, serial.blocks):
+            assert_same(blk.bn.running_mean, want.bn.running_mean, dtype)
+            assert_same(blk.bn.running_var, want.bn.running_var, dtype)
+
+    @pytest.mark.parametrize("channels", [CONCURRENT_CHANNELS, CONCURRENT_CHANNELS - 1])
+    def test_the_gemms_leave_the_caller_from_the_cutoff(self, channels, monkeypatch):
+        grads, splits = [], []
+        param_grads, run = Conv1d._param_grads, layers.run_concurrently
+
+        def recording(self, *args):
+            grads.append((self, threading.get_ident()))
+            return param_grads(self, *args)
+
+        def split(calls):
+            splits.append(len(calls))
+            return run(calls)
+
+        monkeypatch.setattr(Conv1d, "_param_grads", recording)
+        monkeypatch.setattr(layers, "run_concurrently", split)
+        branch, *case = wide_case(channels=channels)
+        sgd_steps(branch, *case, steps=2)
+        here, convs = threading.get_ident(), 2 * (1 + len(branch.blocks))
+        assert len(grads) == convs
+        assert {t for conv, t in grads if conv is branch.embed} == {here}
+        blocks = {t for conv, t in grads if conv is not branch.embed}
+        if channels >= CONCURRENT_CHANNELS:
+            assert blocks and here not in blocks
+            assert splits == [2] * convs
+        else:
+            assert blocks == {here}
+            assert splits == []
+
+    def test_a_direct_conv_backward_accumulates_before_it_returns(self):
+        rng = Rng(0)
+        conv = Conv1d(3, CONCURRENT_CHANNELS, 2, 1, "f64", rng)
+        conv.training = True
+        out = conv.forward(rng.normal(0, 1, (2, 3, 4), "f64"))
+        conv.backward(np.ones_like(out))
+        assert np.all(conv.bias.grad == 6.0)
+        assert np.any(conv.weight.grad != 0)
+
+    def test_a_failing_gradient_is_raised_after_every_other_has_finished(self, monkeypatch):
+        """The last block's gradients are handed over first and fail at once; the other
+        block's, on the worker after them, and the embedding's, on the caller, finish
+        0.2 s later, and only then does the error reach the caller."""
+        branch, x, labels, rng = wide_case()
+        finished = []
+        param_grads = Conv1d._param_grads
+
+        def failing(self, *args):
+            if self is branch.blocks[-1].conv:
+                raise RuntimeError("injected")
+            time.sleep(0.2)
+            param_grads(self, *args)
+            finished.append(self)
+
+        monkeypatch.setattr(Conv1d, "_param_grads", failing)
+        _, grads = multitask_loss(branch.train().forward(x, rng), labels)
+        with pytest.raises(RuntimeError, match="injected"):
+            branch.backward(grads)
+        want = [blk.conv for blk in branch.blocks[:-1]] + [branch.embed]
+        assert sorted(map(id, finished)) == sorted(map(id, want))
+        monkeypatch.undo()
+        assert np.isfinite(sgd_steps(branch, x, labels, rng, steps=1)).all()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_train_steps_on_both_pool_workers_finish(self):
+        """A worker that waited on the two-worker pool could deadlock it: here both would
+        wait at once. The steps run in a forked child, whose hung pool cannot hang the
+        suite."""
+        def on_the_workers():
+            here = threading.get_ident()
+            grads = []
+            param_grads = Conv1d._param_grads
+
+            def recording(self, *args):
+                grads.append(threading.get_ident())
+                return param_grads(self, *args)
+
+            Conv1d._param_grads = recording  # the child's own class, gone with it
+            losses = layers.run_concurrently([lambda: None] + [
+                lambda: sgd_steps(*wide_case(), steps=1) for _ in range(2)])[1:]
+            return np.isfinite(losses).all() and grads and here not in grads
+
+        code = exit_code_in_a_child(on_the_workers)
+        assert code is not None, "train steps on the pool workers did not finish within 30 s"
+        assert code == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_takes_a_concurrent_train_step(self):
+        """The child inherits a pool whose threads did not survive the fork; it must
+        start its own rather than wait for them."""
+        branch, *case = wide_case()
+        sgd_steps(branch, *case, steps=1)
+        code = exit_code_in_a_child(lambda: np.isfinite(sgd_steps(branch, *case, steps=1)).all())
+        assert code is not None, "the forked child's train step did not finish within 30 s"
+        assert code == 0
+
+    def test_train_steps_and_fusion_passes_start_no_more_than_the_two_workers(self):
+        branch, x, labels, rng = wide_case()
+        cfg = branch.config
+        fusion = FusionModel({mod: Branch(cfg, rng) for mod in MODALITIES},
+                             FusionConfig(cfg.channels, cfg.num_actions, cfg.num_verbs,
+                                          cfg.num_nouns, embed_dim=8), rng)
+        before = threading.active_count()
+        for _ in range(10):
+            sgd_steps(branch, x, labels, rng, steps=1)
+            fusion.branch_outputs({mod: x for mod in MODALITIES})
+        assert threading.active_count() <= before + 2

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from tcn_anticipation.branch import Branch, BranchConfig, multitask_loss
-from tcn_anticipation.fusion import (CONCURRENT_CHANNELS, FEATURE_STRATEGIES, FusionConfig,
-                                     FusionModel, HEADS, MODALITIES, STRATEGIES, late_fusion)
+from tcn_anticipation.fusion import (FEATURE_STRATEGIES, HEADS, MODALITIES, STRATEGIES,
+                                     FusionConfig, FusionModel, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
-from tcn_anticipation.layers import layout_shapes, softmax
+from tcn_anticipation.layers import CONCURRENT_CHANNELS, layout_shapes, softmax
 from tcn_anticipation.tensor import DTYPES, Rng, TensorError
 from tcn_anticipation.training import SgdOptimizer
 
-from oracles import attention_grads_of_mixed_probs, fusion_logits_unfolded, max_rel_prob_error
+from oracles import (assert_same, attention_grads_of_mixed_probs, exit_code_in_a_child,
+                     fusion_logits_unfolded, max_rel_prob_error)
 
 
 def make_model(strategy="mutual_pairwise", channels=6, embed=10, rng_seed=0, dtype="f64"):
@@ -391,11 +392,6 @@ class TestOneInterface:
         assert sorted(id(p) for _, p in model.trainable_parameters()) == sorted(want)
 
 
-# GEMMs sum in an order that depends on the BLAS thread count, so a pass is bitwise
-# reproducible only at a fixed count; CI runs this file's oracles at one thread too.
-ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-
-
 def wide_model(strategy="mutual_pairwise", dtype="f32", channels=CONCURRENT_CHANNELS, seed=0):
     """Two-block branches as wide as the cutoff from which the branch pass is concurrent,
     and an attention layer away from uniform weights."""
@@ -408,23 +404,6 @@ def wide_model(strategy="mutual_pairwise", dtype="f32", channels=CONCURRENT_CHAN
     model = FusionModel({mod: Branch(bcfg, rng) for mod in MODALITIES}, fcfg, rng)
     model.attention_fc.weight.data = rng.normal(0, 0.1, (3, 3 * channels), dtype)
     return model.eval(), rng
-
-
-def assert_same(got, want, dtype, probabilities=False):
-    """Bitwise at one BLAS thread; otherwise within the eval tolerance, relative over
-    probabilities above 1e-6 or to the largest feature. Every row of k probabilities
-    holds one of at least 1/k, so a row with none above 1e-6 is no distribution."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    if ONE_BLAS_THREAD:
-        assert got.tobytes() == want.tobytes()
-        return
-    tol = 1e-10 if dtype == "f64" else 1e-5
-    if probabilities:
-        keep = want > 1e-6
-        assert keep.any(axis=-1).all(), "no probability above 1e-6 to compare in a row"
-        assert np.all(np.abs(got - want)[keep] <= tol * want[keep])
-    else:
-        assert np.abs(got - want).max() <= tol * max(1.0, float(np.abs(want).max()))
 
 
 def serial_probs(model, outs):
@@ -550,25 +529,15 @@ class TestConcurrentBranchPass:
         x = {mod: rng.normal(0, 1, (2, 3, model.branches["rgb"].config.required_length),
                              "f32") for mod in MODALITIES}
         want = model.branch_outputs(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                got = model.branch_outputs(x)
-                code = 0 if all(np.array_equal(got[mod]["feature"], want[mod]["feature"])
-                                for mod in MODALITIES) else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if status[0] == 0:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's branch pass did not finish within 30 s")
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+        def same_pass():
+            got = model.branch_outputs(x)
+            return all(np.array_equal(got[mod]["feature"], want[mod]["feature"])
+                       for mod in MODALITIES)
+
+        code = exit_code_in_a_child(same_pass)
+        assert code is not None, "the forked child's branch pass did not finish within 30 s"
+        assert code == 0
 
     def test_a_cold_import_loads_no_pool_machinery(self):
         """``concurrent.futures`` pulls in ``logging``; a cold ``import
