@@ -13,8 +13,9 @@ statistic is a median-of-means, which resists desk-machine jitter better than
 a plain mean. Nothing is pinned; the hardware note reports the BLAS thread
 variables, which fix the BLAS thread count when the process starts, and how
 many threads call BLAS in each timed step: from ``CONCURRENT_CHANNELS`` wide
-the branch's train step splits its conv GEMMs between the caller and a pool
-worker, while the LSTM's train step and both eval forwards stay on the caller.
+the branch's train step splits each conv forward GEMM between the caller and a
+pool worker, and runs each block conv's backward GEMMs side by side on the two,
+while the LSTM's train step and both eval forwards stay on the caller.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
     ]
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
                         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    callers = (f"2 ({CONCURRENT_CHANNELS}+ channels: conv GEMMs split with a pool worker)"
+    callers = (f"2 ({CONCURRENT_CHANNELS}+ channels: conv forward GEMMs split with a pool "
+               f"worker, backward GEMMs overlapped with it)"
                if concurrent_at(branch.config.channels) else "1")
     note = (f"{platform.machine()} {platform.system()}, {threads}, no CPU pinning, "
             f"dtype={dtype}, threads calling BLAS: branch train step {callers}, "

@@ -26,15 +26,18 @@ derives parameters, state, loading and mode from the built layers, and
 :func:`layout_shapes` every slot's shape without building any.
 
 The package has one pool of two worker threads, started by the first call that
-uses it (a forked child starts its own), and one width from which work uses it,
+uses it (a forked child starts its own) and entered only through
+:func:`run_concurrently`, and one width from which work uses it,
 ``CONCURRENT_CHANNELS``; numpy releases the GIL in its GEMMs, copies and ufuncs.
 From that width on, a train-mode conv computes the top half of its output
-channels on a worker while the caller computes the bottom half, and inside
-:class:`DeferredGrads` a conv backward leaves its weight and bias gradients to a
-worker while the caller computes the input gradient. Each GEMM and accumulation
-is the serial one, so at a fixed BLAS thread count the results are the serial
-ones bitwise. Eval forwards, narrower convs and work already on a worker stay
-serial: a worker that waited on the two-worker pool could deadlock it.
+channels on a worker while the caller computes the bottom half, and a backward
+that computes an input gradient computes it on the caller while a worker
+computes the weight and bias gradients. A backward GEMM is the whole serial one,
+so at a fixed BLAS thread count it gives the serial bits. A forward half does
+too, except at 8 or fewer output columns (a late block at B=2), where OpenBLAS
+runs the half-height GEMM with another kernel and the last bits may differ. Eval
+forwards, narrower convs and work already on a worker stay serial: a worker
+that waited on the two-worker pool could deadlock it.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .tensor import NonFiniteError, Rng, Tensor, TensorError, dtype_of
 CONCURRENT_CHANNELS = 512
 
 _workers = None  # the two worker threads, started by the first concurrent call
-_local = threading.local()  # per thread: whether it is a worker, and its open DeferredGrads
+_local = threading.local()  # per thread: whether it is a pool worker
 
 
 def _mark_worker() -> None:
@@ -113,44 +116,6 @@ def run_concurrently(calls: list[Callable]) -> list:
         for future in futures:
             future.exception()  # waits without raising; result() raises below
     return [first, *(future.result() for future in futures)]
-
-
-class DeferredGrads:
-    """``with DeferredGrads():`` lets a conv backward on this thread that computes an
-    input gradient, and is wide enough for the pool, leave its parameter gradients to
-    one worker, which accumulates them in the order handed over while the caller goes
-    on. The ``grad_out`` handed over must not be written before the block ends. Leaving
-    the block waits for every one, then raises the first error any raised."""
-
-    def __enter__(self):
-        self._jobs = self._done = None
-        _local.grads = self
-        return self
-
-    def submit(self, job: Callable[[], None]) -> None:
-        if self._jobs is None:
-            from queue import SimpleQueue
-            self._jobs = SimpleQueue()
-            self._done = _pool().submit(_drain, self._jobs)
-        self._jobs.put(job)
-
-    def __exit__(self, *exc) -> None:
-        _local.grads = None
-        if self._jobs is not None:
-            self._jobs.put(None)
-            self._done.result()
-
-
-def _drain(jobs) -> None:
-    """Runs the jobs queued until None, every one, then raises the first error."""
-    error = None
-    while (job := jobs.get()) is not None:
-        try:
-            job()
-        except Exception as e:
-            error = error or e
-    if error is not None:
-        raise error
 
 
 class Parameter:
@@ -334,8 +299,9 @@ class Conv1d(Layer):
 
     def backward(self, grad_out: Tensor, input_grad: bool = True) -> Tensor | None:
         """The gradient of the input, or None without ``input_grad``. The parameter
-        gradients are accumulated either way: before this returns, or inside an open
-        :class:`DeferredGrads` that computes an input gradient here, by its end."""
+        gradients have been accumulated before this returns or raises; from
+        ``CONCURRENT_CHANNELS`` wide a pool worker computes them while the caller
+        computes the input gradient."""
         if self._cache is None:
             raise TensorError("conv1d backward without a train-mode forward")
         x_shape, cols = self._cache
@@ -344,14 +310,15 @@ class Conv1d(Layer):
         if grad_out.shape[0] != b or n_out != self.out_length(n) or cols.shape[1] != b * n_out:
             raise TensorError("conv1d grad_out shape inconsistent with cached input")
         g2 = _cm(grad_out).reshape(self.out_channels, -1)
-        deferred = getattr(_local, "grads", None)
-        if deferred is not None and input_grad and concurrent_at(self.out_channels):
-            deferred.submit(partial(self._param_grads, g2, cols))
+        if not input_grad:
+            self._param_grads(g2, cols)
+            return None
+        input_gemm = partial(np.matmul, self.weight.data.reshape(self.out_channels, -1).T, g2)
+        if concurrent_at(self.out_channels):
+            gcols = run_concurrently([input_gemm, partial(self._param_grads, g2, cols)])[0]
         else:
             self._param_grads(g2, cols)
-        if not input_grad:
-            return None
-        gcols = (self.weight.data.reshape(self.out_channels, -1).T @ g2)
+            gcols = input_gemm()
         gcols = gcols.reshape(self.in_channels, self.kernel_size, n_out, b)
         grad_x = np.zeros((self.in_channels, n, b), dtype=grad_out.dtype)
         d = self.dilation

@@ -3,6 +3,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -671,15 +672,17 @@ class TestEndToEndGradcheck:
         assert check_branch(Rng(0), 3) < 1e-4
 
 
-def wide_case(dtype="f32", channels=CONCURRENT_CHANNELS):
-    """A two-block branch ``channels`` wide with every dropout on, a batch and its labels,
-    and the trainer's Rng."""
-    cfg = small_config(input_dim=3, channels=channels, input_dropout=0.2, block_dropout=0.3,
-                       head_dropout=0.4, dtype=dtype)
+def wide_case(dtype="f32", channels=CONCURRENT_CHANNELS, batch=4, snippets=None, **overrides):
+    """A branch ``channels`` wide (two blocks unless ``overrides`` say otherwise) with every
+    dropout on, a batch of ``snippets`` (one past the receptive field by default) and its
+    labels, and the trainer's Rng."""
+    cfg = small_config(**{"input_dim": 3, "channels": channels, "input_dropout": 0.2,
+                          "block_dropout": 0.3, "head_dropout": 0.4, "dtype": dtype,
+                          **overrides})
     rng = Rng(0)
     branch = Branch(cfg, rng)
-    x = rng.normal(0, 1, (4, 3, cfg.required_length + 1), dtype)
-    return branch, x, random_labels(rng, cfg, 4), rng
+    x = rng.normal(0, 1, (batch, cfg.input_dim, snippets or cfg.required_length + 1), dtype)
+    return branch, x, random_labels(rng, cfg, batch), rng
 
 
 def sgd_steps(branch, x, labels, rng, steps=3):
@@ -697,8 +700,8 @@ def sgd_steps(branch, x, labels, rng, steps=3):
 
 class TestConcurrentTrainStep:
     """From ``CONCURRENT_CHANNELS`` wide, a train-mode conv computes the top half of its
-    output channels on a pool worker, and ``Branch.backward`` leaves each block conv's
-    weight and bias gradients to a worker while the caller goes on down the chain."""
+    output channels on a pool worker, and a block conv's backward computes its input
+    gradient on the caller while a worker computes its weight and bias gradients."""
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_equals_the_serial_steps(self, dtype, monkeypatch):
@@ -714,33 +717,62 @@ class TestConcurrentTrainStep:
             assert_same(blk.bn.running_mean, want.bn.running_mean, dtype)
             assert_same(blk.bn.running_var, want.bn.running_var, dtype)
 
+    def test_a_forward_gemm_of_few_columns_stays_within_the_tolerance(self, monkeypatch):
+        """At 8 or fewer output columns OpenBLAS may compute a half-height GEMM with
+        another kernel, so the split forward need not give the serial bits. Here the last
+        block's conv has 2 (one position, B=2), as an epoch's last batch can."""
+        thin = dict(dtype="f64", batch=2, snippets=21, input_dim=CONCURRENT_CHANNELS,
+                    dilations=(1, 2, 3, 4))
+        branch, *case = wide_case(**thin)
+        losses = sgd_steps(branch, *case, steps=2)
+        monkeypatch.setattr(layers, "CONCURRENT_CHANNELS", CONCURRENT_CHANNELS + 1)
+        serial, *case = wide_case(**thin)
+        pairs = [(np.array(losses), np.array(sgd_steps(serial, *case, steps=2)))]
+        for (_, got), (_, want) in zip(branch.named_parameters(), serial.named_parameters()):
+            pairs += [(got.grad, want.grad), (got.data, want.data)]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, float(np.abs(want).max()))
+
     @pytest.mark.parametrize("channels", [CONCURRENT_CHANNELS, CONCURRENT_CHANNELS - 1])
     def test_the_gemms_leave_the_caller_from_the_cutoff(self, channels, monkeypatch):
-        grads, splits = [], []
+        """Each conv forward and each block conv's backward is one ``run_concurrently``
+        call: the forward's two halves, or the input gradient on the caller and the weight
+        and bias gradients on a worker. The embedding's gradients stay on the caller."""
+        grads, runs = [], []
         param_grads, run = Conv1d._param_grads, layers.run_concurrently
 
         def recording(self, *args):
             grads.append((self, threading.get_ident()))
             return param_grads(self, *args)
 
-        def split(calls):
-            splits.append(len(calls))
-            return run(calls)
+        def placing(calls):
+            threads = [None] * len(calls)
+
+            def placed(i, call):
+                threads[i] = threading.get_ident()
+                return call()
+
+            names = tuple(call.func.__name__ for call in calls)
+            results = run([partial(placed, i, call) for i, call in enumerate(calls)])
+            runs.append((names, *threads))
+            return results
 
         monkeypatch.setattr(Conv1d, "_param_grads", recording)
-        monkeypatch.setattr(layers, "run_concurrently", split)
+        monkeypatch.setattr(layers, "run_concurrently", placing)
         branch, *case = wide_case(channels=channels)
         sgd_steps(branch, *case, steps=2)
-        here, convs = threading.get_ident(), 2 * (1 + len(branch.blocks))
-        assert len(grads) == convs
+        here, blocks = threading.get_ident(), len(branch.blocks)
+        assert len(grads) == 2 * (1 + blocks)
         assert {t for conv, t in grads if conv is branch.embed} == {here}
-        blocks = {t for conv, t in grads if conv is not branch.embed}
+        on_blocks = {t for conv, t in grads if conv is not branch.embed}
         if channels >= CONCURRENT_CHANNELS:
-            assert blocks and here not in blocks
-            assert splits == [2] * convs
+            assert here not in on_blocks
+            fwd, bwd = ("matmul", "matmul"), ("matmul", "recording")
+            assert [names for names, *_ in runs] == ([fwd] * (1 + blocks) + [bwd] * blocks) * 2
+            assert all(caller == here and worker != here for _, caller, worker in runs)
         else:
-            assert blocks == {here}
-            assert splits == []
+            assert on_blocks == {here}
+            assert runs == []
 
     def test_a_direct_conv_backward_accumulates_before_it_returns(self):
         rng = Rng(0)
@@ -751,27 +783,59 @@ class TestConcurrentTrainStep:
         assert np.all(conv.bias.grad == 6.0)
         assert np.any(conv.weight.grad != 0)
 
-    def test_a_failing_gradient_is_raised_after_every_other_has_finished(self, monkeypatch):
-        """The last block's gradients are handed over first and fail at once; the other
-        block's, on the worker after them, and the embedding's, on the caller, finish
-        0.2 s later, and only then does the error reach the caller."""
+    def test_each_conv_has_its_gradients_when_its_backward_returns(self, monkeypatch):
+        """Inside ``Branch.backward`` too: a block conv's gradients, though computed on a
+        worker that takes 0.2 s, are accumulated before the chain goes on to the next."""
         branch, x, labels, rng = wide_case()
-        finished = []
-        param_grads = Conv1d._param_grads
+        events = []
+        param_grads, conv_backward = Conv1d._param_grads, Conv1d.backward
+
+        def slow(self, *args):
+            time.sleep(0.2)
+            param_grads(self, *args)
+            events.append(("gradients", self))
+
+        def backward(self, *args, **kwargs):
+            out = conv_backward(self, *args, **kwargs)
+            events.append(("returned", self))
+            return out
+
+        monkeypatch.setattr(Conv1d, "_param_grads", slow)
+        monkeypatch.setattr(Conv1d, "backward", backward)
+        _, grads = multitask_loss(branch.train().forward(x, rng), labels)
+        branch.backward(grads)
+        convs = [blk.conv for blk in reversed(branch.blocks)] + [branch.embed]
+        assert events == [(event, conv) for conv in convs for event in ("gradients", "returned")]
+
+    def test_a_failing_weight_gradient_is_raised_after_its_input_gradient(self, monkeypatch):
+        """The last block conv's weight gradient fails at once on the worker; the error
+        reaches the caller only after that conv's input gradient, 0.2 s slower, has
+        finished, and stops the chain there. The next step trains."""
+        branch, x, labels, rng = wide_case()
+        events = []
+        param_grads, run = Conv1d._param_grads, layers.run_concurrently
 
         def failing(self, *args):
             if self is branch.blocks[-1].conv:
+                events.append("weight gradient failed")
                 raise RuntimeError("injected")
-            time.sleep(0.2)
             param_grads(self, *args)
-            finished.append(self)
+            events.append("weight gradient")
 
-        monkeypatch.setattr(Conv1d, "_param_grads", failing)
+        def slow_input_gradient(calls):
+            def first():
+                time.sleep(0.2)
+                out = calls[0]()
+                events.append("input gradient")
+                return out
+            return run([first, *calls[1:]])
+
         _, grads = multitask_loss(branch.train().forward(x, rng), labels)
+        monkeypatch.setattr(Conv1d, "_param_grads", failing)
+        monkeypatch.setattr(layers, "run_concurrently", slow_input_gradient)
         with pytest.raises(RuntimeError, match="injected"):
             branch.backward(grads)
-        want = [blk.conv for blk in branch.blocks[:-1]] + [branch.embed]
-        assert sorted(map(id, finished)) == sorted(map(id, want))
+        assert events == ["weight gradient failed", "input gradient"]
         monkeypatch.undo()
         assert np.isfinite(sgd_steps(branch, x, labels, rng, steps=1)).all()
 
