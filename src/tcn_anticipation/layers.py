@@ -336,7 +336,9 @@ class BatchNorm1d(Layer):
 
     Train mode pools statistics over batch and time axes, one contiguous row per
     channel; eval mode uses the running estimates. Running stats are touched only
-    in train mode.
+    in train mode. Train mode centres the rows once and takes the variance from
+    them with ``np.var``'s own arithmetic (sum of squares over the count), so it
+    is bitwise ``rows.var`` without a second centring.
     """
 
     params = ("gamma", "beta")
@@ -364,15 +366,17 @@ class BatchNorm1d(Layer):
         rows = _cm(x).reshape(c, -1)
         if self.training:
             mean = rows.mean(axis=1)
-            var = rows.var(axis=1)
+            xhat = rows - mean[:, None]
+            var = (xhat * xhat).sum(axis=1)
+            var /= rows.shape[1]
             m = self.momentum
             self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
             self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
         else:
             mean = self.running_mean
             var = self.running_var
+            xhat = rows - mean[:, None]
         inv = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xhat = rows - mean[:, None]
         xhat *= inv[:, None]
         if not self.training:
             self._cache = None

@@ -26,7 +26,7 @@ from .data import Sample, stack_features
 from .fusion import MODALITIES, FusionConfig, FusionModel
 from .layers import Parameter
 from .metrics import top_k_accuracy
-from .tensor import NonFiniteError, Rng, Tensor, TensorError
+from .tensor import BLOCK, NonFiniteError, Rng, Tensor, TensorError, blocks
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,12 @@ class SgdOptimizer:
     Decay is added to the gradient before the momentum buffer and skipped for
     parameters flagged decay=False (BN gamma/beta). A non-finite gradient
     aborts the step before any parameter moves.
+
+    The step walks each flattened parameter in blocks of :data:`~.tensor.BLOCK`
+    values through one scratch buffer, so it allocates nothing the size of a
+    parameter. Every element sees the whole-array formula's operations in the
+    same order, so the result is bitwise the same. The velocity starts as
+    ``np.zeros``, whose pages stay untouched until the first step writes them.
     """
 
     def __init__(self, named_params: list[tuple[str, Parameter]],
@@ -71,7 +77,8 @@ class SgdOptimizer:
         self.named_params = named_params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for _, p in named_params]
+        self._velocity = [np.zeros(p.data.shape, p.data.dtype) for _, p in named_params]
+        self._scratch = np.empty(BLOCK, np.float64)  # viewed as f32, it holds a block too
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
@@ -79,15 +86,29 @@ class SgdOptimizer:
 
     def step(self, lr: float) -> None:
         for name, p in self.named_params:
-            if not np.all(np.isfinite(p.grad)):
+            if not p.data.flags.c_contiguous:
+                raise TensorError(f"parameter {name!r} is not C-contiguous; step aborted")
+            grad = p.grad.reshape(-1)
+            if not all(np.isfinite(grad[part]).all() for part in blocks(grad.size)):
                 raise NonFiniteError(f"non-finite gradient for {name!r}; step aborted")
         for v, (_, p) in zip(self._velocity, self.named_params):
-            g = p.grad
-            if self.weight_decay and p.decay:
-                g = g + p.data.dtype.type(self.weight_decay) * p.data
-            v *= p.data.dtype.type(self.momentum)
-            v += g
-            p.data -= p.data.dtype.type(lr) * v
+            dt = p.data.dtype.type
+            momentum, rate = dt(self.momentum), dt(lr)
+            decay = dt(self.weight_decay) if self.weight_decay and p.decay else None
+            data, grad, vel = p.data.reshape(-1), p.grad.reshape(-1), v.reshape(-1)
+            scratch = self._scratch.view(p.data.dtype)
+            for part in blocks(data.size):
+                d, g, u = data[part], grad[part], vel[part]
+                t = scratch[:d.size]
+                u *= momentum
+                if decay is not None:
+                    np.multiply(d, decay, out=t)
+                    t += g
+                    u += t
+                else:
+                    u += g
+                np.multiply(u, rate, out=t)
+                d -= t
 
 
 @dataclass

@@ -172,6 +172,32 @@ class TestBatchNorm:
         want = (x - bn.running_mean[None, :, None]) / np.sqrt(bn.running_var + 1e-5)[None, :, None]
         assert np.allclose(out, want)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 7), (16, 64, 38), (64, 64, 19),
+                                       (5, 17, 20001)])
+    def test_train_forward_equals_the_rows_var_formula(self, dtype, shape):
+        rng = Rng(2)
+        b, c, n = shape
+        x = rng.normal(0.3, 2.0, shape, dtype)
+        bn = BatchNorm1d(c, dtype=dtype)
+        bn.gamma.data = rng.uniform(0.5, 1.5, (c,), dtype)
+        bn.beta.data = rng.normal(0, 0.5, (c,), dtype)
+        rm, rv = rng.normal(0, 0.5, (c,), dtype), rng.uniform(0.5, 2.0, (c,), dtype)
+        bn.running_mean, bn.running_var = rm.copy(), rv.copy()
+        bn.training = True
+        out = bn.forward(x)
+        # the forward as it was, with numpy's own variance
+        rows = x.transpose(1, 2, 0).reshape(c, -1)
+        mean, var = rows.mean(axis=1), rows.var(axis=1)
+        want_mean = ((1 - 0.1) * rm + 0.1 * mean).astype(x.dtype)
+        want_var = ((1 - 0.1) * rv + 0.1 * var).astype(x.dtype)
+        xhat = rows - mean[:, None]
+        xhat *= (1.0 / np.sqrt(var + x.dtype.type(1e-5)))[:, None]
+        want = (bn.gamma.data[:, None] * xhat + bn.beta.data[:, None]).reshape(c, n, b)
+        assert out.tobytes() == want.transpose(2, 0, 1).tobytes()
+        assert bn.running_mean.tobytes() == want_mean.tobytes()
+        assert bn.running_var.tobytes() == want_var.tobytes()
+
 
 class TestSpatialDropout:
     def test_p_zero_is_identity(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tcn_anticipation.checkpoint import parameter_hash
 from tcn_anticipation.data import Sample
 from tcn_anticipation.fusion import FusionConfig, MODALITIES, STRATEGIES
 from tcn_anticipation.layers import Parameter
-from tcn_anticipation.tensor import NonFiniteError, Rng, TensorError
+from tcn_anticipation.tensor import BLOCK, NonFiniteError, Rng, TensorError
 from tcn_anticipation.training import (SgdConfig, SgdOptimizer, lr_at_epoch,
                                        train_branch, train_fusion)
 
@@ -94,6 +96,14 @@ class TestSgdStep:
             opt.step(0.1)
         assert named[0][1].data[0] == 1.0  # nothing moved
 
+    def test_a_non_contiguous_parameter_is_refused_before_moving(self):
+        named = params_of([np.array([1.0]), np.ones((3, 2)).T])
+        opt = SgdOptimizer(named, momentum=0.0, weight_decay=0.0)
+        named[0][1].grad[...] = 1.0
+        with pytest.raises(TensorError, match="p1"):
+            opt.step(0.1)
+        assert named[0][1].data[0] == 1.0
+
     def test_config_validation(self):
         with pytest.raises(TensorError):
             SgdConfig(lr0=0.0)
@@ -128,6 +138,73 @@ def tiny_branch_config(**overrides):
                 head_dropout=0.1)
     base.update(overrides)
     return BranchConfig(**base)
+
+
+def whole_array_steps(data, grads, lr, momentum, weight_decay):
+    """The step's formula on whole arrays: v <- m*v + (g + wd*p); p <- p - lr*v."""
+    dt = data.dtype.type
+    data, v = data.copy(), np.zeros_like(data)
+    for g in grads:
+        if weight_decay:
+            g = g + dt(weight_decay) * data
+        v *= dt(momentum)
+        v += g
+        data -= dt(lr) * v
+    return data, v
+
+
+class TestBlockedSgdStep:
+    SIZE = 3 * BLOCK + 5
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_three_steps_equal_the_whole_array_formula(self, dtype, weight_decay):
+        rng = Rng(4)
+        start = rng.normal(0, 1, (self.SIZE,), dtype)
+        grads = [rng.normal(0, 1, (self.SIZE,), dtype) for _ in range(3)]
+        named = params_of([start.copy()])
+        opt = SgdOptimizer(named, momentum=0.9, weight_decay=weight_decay)
+        for g in grads:
+            named[0][1].grad[...] = g
+            opt.step(0.0125)
+        want, want_v = whole_array_steps(start, grads, 0.0125, 0.9, weight_decay)
+        assert named[0][1].data.tobytes() == want.tobytes()
+        assert opt._velocity[0].tobytes() == want_v.tobytes()
+
+    def test_decay_off_for_a_flagged_parameter_matches_the_formula_without_it(self):
+        rng = Rng(6)
+        start, g = (rng.normal(0, 1, (BLOCK + 2, 3), "f32") for _ in range(2))
+        named = params_of([start.copy()], decay=False)
+        opt = SgdOptimizer(named, momentum=0.9, weight_decay=5e-4)
+        named[0][1].grad[...] = g
+        opt.step(0.5)
+        want, _ = whole_array_steps(start, [g], 0.5, 0.9, 0.0)
+        assert named[0][1].data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_velocity_starts_as_zeros_like_did(self, dtype):
+        data = np.arange(12, dtype=dtype).reshape(3, 4)
+        named = params_of([data.copy()])
+        opt = SgdOptimizer(named, momentum=0.9, weight_decay=5e-4)
+        v = opt._velocity[0]
+        want = np.zeros_like(data)
+        assert v.dtype == want.dtype and v.shape == want.shape and v.tobytes() == want.tobytes()
+        named[0][1].grad[...] = 1.0
+        opt.step(0.1)
+        _, want_v = whole_array_steps(data, [np.ones_like(data)], 0.1, 0.9, 5e-4)
+        assert opt._velocity[0].tobytes() == want_v.tobytes()
+
+    def test_a_step_allocates_nothing_the_size_of_its_parameter(self):
+        named = params_of([np.ones(3 << 20, np.float32)])  # 12 MiB
+        opt = SgdOptimizer(named, momentum=0.9, weight_decay=5e-4)
+        named[0][1].grad[...] = 0.25
+        tracemalloc.start()
+        try:
+            opt.step(0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak / (1 << 20)
 
 
 class TestTrainBranch:
