@@ -26,8 +26,13 @@ gives its runs of outputs and where each tap's columns start in its packed
 input; the residual reads the last tap's columns. Bias, BN with its running
 statistics, the residual and ReLU run on those columns in the train-mode order,
 so the cone gives the features of the full-window forward up to the GEMM's
-summation order. Eval-mode forwards keep no caches, so ``backward`` needs a
-train-mode forward.
+summation order. The cone runs ``EVAL_CHUNK`` windows at a time, each chunk
+writing its last column into one array for the batch, and the heads then run
+once, so a split's validation, fusion branch pass or evaluation holds one
+chunk's activations at any batch size. Up to ``EVAL_CHUNK`` windows the result
+is the one-batch pass's bits; above, BLAS sums in an order that depends on a
+GEMM's column count, so it matches that pass within rounding. Eval-mode
+forwards keep no caches, so ``backward`` needs a train-mode forward.
 
 An eval-mode forward given a ``stream``, a list the caller keeps, serves windows
 that slide one snippet at a time. An empty stream is started: every position is
@@ -51,6 +56,13 @@ from .data import HEADS
 from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, Plan, ReLU, SoftmaxCrossEntropy,
                      SpatialDropout)
 from .tensor import Rng, Tensor, TensorError
+
+# Windows an eval forward without a stream runs the cone for at once, so it holds
+# EVAL_CHUNK windows' activations (a paper-width chunk peaks at 11 MiB) at any batch.
+# At 1 BLAS thread on a 2-CPU Xeon VM a paper-width cone at B=64 took 132.8 ms as one
+# batch, 131.6 ms as two chunks of 32 and 141.2 ms as four of 16 (8 interleaved rounds);
+# a paper-scale B=64 fusion predict took 238 ms in chunks of 32, 236 ms in one (40 rounds).
+EVAL_CHUNK = 32
 
 
 def required_input_length(kernel: int, dilations) -> int:
@@ -210,7 +222,8 @@ class Branch(Model):
     def forward(self, x: Tensor, rng: Rng | None = None,
                 stream: list[Tensor] | None = None) -> dict[str, Tensor]:
         """The final feature vector under ``"feature"`` and each head's logits under its name;
-        an eval-mode forward starts an empty ``stream`` and steps a filled one."""
+        an eval-mode forward starts an empty ``stream`` and steps a filled one, and without
+        one runs the cone ``EVAL_CHUNK`` windows at a time."""
         c = self.config
         self.check_input(x)
         if self.training:
@@ -218,7 +231,10 @@ class Branch(Model):
         elif stream is not None:
             z = self._step(x, stream)
         else:
-            z = self._run(x, _cone(c.kernel, c.dilations, x.shape[2]), rng)
+            cone = _cone(c.kernel, c.dilations, x.shape[2])
+            z = np.empty((x.shape[0], c.channels, 1), np.result_type(self.embed.weight.data, x))
+            for s in range(0, x.shape[0], EVAL_CHUNK):
+                z[s:s + EVAL_CHUNK] = self._run(x[s:s + EVAL_CHUNK], cone, rng)[:, :, -1:]
         self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
         out = {"feature": feature}

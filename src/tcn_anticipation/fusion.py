@@ -33,6 +33,11 @@ windows' last n-1 snippets, dtypes and shapes; the least recently served goes
 first. ``train(True)`` and ``load_state`` drop them with the fold, so a weight
 edited in place, a branch's too, takes effect after ``train(); eval()``.
 
+Without a stream each branch's eval forward runs its cone ``EVAL_CHUNK``
+windows at a time (see :mod:`~tcn_anticipation.branch`), so ``branch_outputs``
+over a whole split, and with it ``predict_proba`` and ``tcna evaluate``, holds
+one chunk's activations per branch whatever the split's size.
+
 The three branches are independent until the fusion layers, so from
 :data:`~tcn_anticipation.layers.CONCURRENT_CHANNELS` wide (paper width
 included) ``branch_outputs`` runs the flow and obj forwards on the two workers

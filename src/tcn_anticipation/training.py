@@ -6,6 +6,10 @@ a parameter hash asserts at runtime that fusion training never mutates a
 branch tensor. Both stages share one epoch loop over the model's ``forward``
 and ``backward`` and the one loss, ``multitask_loss`` of the logits; it never
 looks at the fusion strategy and keeps the state of the best-validation epoch.
+A branch's validation and the fusion stage's branch pass forward a whole split;
+the branch's eval forward runs it ``EVAL_CHUNK`` windows at a time (see
+:mod:`~tcn_anticipation.branch`), so only the split's inputs and outputs grow
+with its size.
 A model with no trainable parameters (late fusion) gets one evaluation record.
 
 Per-epoch log records carry: epoch, lr, train_loss, val_top1_action,

@@ -1,7 +1,9 @@
 import contextlib
+import math
 import os
 import threading
 import time
+import tracemalloc
 from collections import OrderedDict
 from functools import partial
 from unittest import mock
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcn_anticipation import layers
-from tcn_anticipation.branch import (HEADS, Branch, BranchConfig, _cone, _ResidualBlock,
-                                     multitask_loss, required_input_length)
+from tcn_anticipation.branch import (EVAL_CHUNK, HEADS, Branch, BranchConfig, _cone,
+                                     _ResidualBlock, multitask_loss, required_input_length)
 from tcn_anticipation.fusion import MODALITIES, STREAMS, FusionConfig, FusionModel
 from tcn_anticipation.gradcheck import check_branch
 from tcn_anticipation.layers import (CONCURRENT_CHANNELS, BatchNorm1d, Conv1d, ReLU,
@@ -243,6 +245,123 @@ class TestLeanEval:
         assert held == []
         with pytest.raises(TensorError):
             branch.backward({head: np.ones_like(out[head]) for head in HEADS})
+
+
+def one_batch_pass(branch, x):
+    """The eval forward as one batch: the cone of every window at once, then the heads."""
+    c = branch.config
+    z = branch._run(x, _cone(c.kernel, c.dilations, x.shape[2]), None)
+    feature = np.ascontiguousarray(z[:, :, -1])
+    return {"feature": feature, **{head: branch.heads[head][1].forward(feature) for head in HEADS}}
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes numpy and Python held while it ran, its
+    result included."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def output_bytes(outs):
+    return sum(a.nbytes for out in outs for a in out.values())
+
+
+class TestChunkedEval:
+    """An eval forward without a stream runs the cone EVAL_CHUNK windows at a time, inside
+    the one forward call, so a whole split holds a chunk's activations."""
+
+    BATCHES = (1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 3 * EVAL_CHUNK + 5)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_matches_the_one_batch_pass(self, batch, dtype):
+        """Bitwise up to one chunk; above, within rounding of the one-batch GEMMs (a
+        ragged last chunk included), as contiguous (B, C) and (B, k) arrays."""
+        rng = Rng(batch)
+        cfg = small_config(input_dim=6, channels=24, dilations=(1, 2, 3), dtype=dtype)
+        branch = perturbed_branch(cfg, rng)
+        x = rng.normal(0, 1, (batch, 6, cfg.required_length + 2), dtype)
+        out, want = branch.forward(x), one_batch_pass(branch, x)
+        tol = 1e-10 if dtype == "f64" else 1e-5
+        for key in ("feature", *HEADS):
+            assert out[key].flags.c_contiguous
+            assert out[key].dtype == want[key].dtype and out[key].shape == want[key].shape
+            if batch <= EVAL_CHUNK:
+                assert out[key].tobytes() == want[key].tobytes(), key
+            else:
+                scale = max(1.0, float(np.abs(want[key]).max()))
+                assert np.abs(out[key] - want[key]).max() <= tol * scale, key
+
+    def test_each_chunk_is_one_run_of_the_cone(self):
+        """Each chunk is one ``_run`` of the next EVAL_CHUNK windows with the cone."""
+        rng = Rng(1)
+        cfg = small_config()
+        branch = perturbed_branch(cfg, rng)
+        x = rng.normal(0, 1, (3 * EVAL_CHUNK + 5, 4, cfg.required_length), "f64")
+        calls, run = [], Branch._run
+
+        def recording(self, xs, plan, rng, queues=None):
+            calls.append((xs.shape[0], np.shares_memory(xs, x), plan, queues))
+            return run(self, xs, plan, rng, queues)
+
+        with mock.patch.object(Branch, "_run", recording):
+            branch.forward(x)
+        plan = _cone(cfg.kernel, cfg.dilations, x.shape[2])
+        assert calls == [(n, True, plan, None) for n in (EVAL_CHUNK,) * 3 + (5,)]
+
+    def test_a_branch_forward_holds_one_chunk(self):
+        """At 64 channels a forward of 8 chunks peaks no higher than one of a chunk plus
+        its larger outputs (the one-batch pass held about 8 chunks' activations)."""
+        rng = Rng(2)
+        cfg = small_config(input_dim=32, channels=64, dilations=(1, 2, 3, 4), dtype="f32")
+        branch = perturbed_branch(cfg, rng)
+        x = rng.normal(0, 1, (8 * EVAL_CHUNK, 32, cfg.required_length), "f32")
+        branch.forward(x[:EVAL_CHUNK])  # the plans' cache
+        one, one_peak = traced_peak(lambda: branch.forward(x[:EVAL_CHUNK]))
+        eight, eight_peak = traced_peak(lambda: branch.forward(x))
+        assert eight_peak <= one_peak + output_bytes([eight]) - output_bytes([one]) + (64 << 10)
+
+    def test_a_fusion_branch_pass_holds_one_chunk_per_branch(self):
+        rng = Rng(3)
+        cfg = small_config(input_dim=32, channels=64, dilations=(1, 2, 3, 4), dtype="f32")
+        model = fusion_of({mod: perturbed_branch(cfg, rng) for mod in MODALITIES}, rng)
+        xs = {mod: rng.normal(0, 1, (8 * EVAL_CHUNK, 32, cfg.required_length), "f32")
+              for mod in MODALITIES}
+        first = {mod: x[:EVAL_CHUNK] for mod, x in xs.items()}
+        model.branch_outputs(first)
+        one, one_peak = traced_peak(lambda: model.branch_outputs(first))
+        eight, eight_peak = traced_peak(lambda: model.branch_outputs(xs))
+        grown = output_bytes(eight.values()) - output_bytes(one.values())
+        assert eight_peak <= one_peak + grown + (64 << 10)
+
+    def test_a_prediction_forwards_each_branch_once(self):
+        """One ``Branch.forward`` per branch, as the traced benchmark counts them, and
+        each conv's ``forward`` once per chunk."""
+        rng = Rng(4)
+        cfg = small_config()
+        branches = {mod: perturbed_branch(cfg, rng) for mod in MODALITIES}
+        model = fusion_of(branches, rng)
+        batch = 3 * EVAL_CHUNK + 5
+        xs = {mod: rng.normal(0, 1, (batch, 4, cfg.required_length), "f64") for mod in MODALITIES}
+        counts = {}
+
+        def counting(method):
+            def call(self, *args, **kwargs):
+                counts[id(self)] = counts.get(id(self), 0) + 1
+                return method(self, *args, **kwargs)
+            return call
+
+        with mock.patch.object(Branch, "forward", counting(Branch.forward)), \
+                mock.patch.object(Conv1d, "forward", counting(Conv1d.forward)):
+            model.predict_proba(xs)
+        convs = [blk.conv for b in branches.values() for blk in b.blocks]
+        convs += [b.embed for b in branches.values()]
+        assert counts == {**{id(b): 1 for b in branches.values()},
+                          **{id(conv): math.ceil(batch / EVAL_CHUNK) for conv in convs}}
 
 
 def random_labels(rng, cfg, batch):
