@@ -123,8 +123,8 @@ def _time_reps(fn, reps: int, warmup: int) -> list[float]:
     return times
 
 
-def _median_of_means(times: list[float], groups: int = 5) -> float:
-    size = max(1, len(times) // groups)
+def _median_of_means(times: list[float]) -> float:
+    size = max(1, len(times) // 5)  # five groups
     means = [statistics.fmean(times[i:i + size]) for i in range(0, len(times), size)]
     return statistics.median(means)
 

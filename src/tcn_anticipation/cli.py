@@ -28,7 +28,7 @@ from .gradcheck import run_standard_suite
 from .metrics import evaluate_predictions, format_table, report_csv
 from .synthetic import complementary_spec, generate_synthetic, learnable_spec, long_range_spec
 from .tensor import NonFiniteError, Rng, TensorError
-from .training import SgdConfig, train_branch, train_fusion
+from .training import SgdConfig, stack_modalities, train_branch, train_fusion
 
 PRESETS = {"learnable": learnable_spec, "complementary": complementary_spec,
            "long-range": long_range_spec}
@@ -179,14 +179,6 @@ def _sgd_from_args(args) -> SgdConfig:
     return SgdConfig(seed=args.seed, **_settings(args, _SGD_KEYS))
 
 
-def _history_csv(history) -> str:
-    lines = ["epoch,lr,train_loss,val_top1_action,val_top5_action,wall_seconds"]
-    for r in history:
-        lines.append(f"{r.epoch},{r.lr:.8g},{r.train_loss:.8g},"
-                     f"{r.val_top1_action:.6f},{r.val_top5_action:.6f},{r.wall_seconds:.3f}")
-    return "\n".join(lines) + "\n"
-
-
 def _save_best(out: Path, branch, modality: str, result) -> None:
     """Loads the best epoch's state into ``branch``, then saves it."""
     branch.load_state(result.best_state)
@@ -206,7 +198,7 @@ def cmd_train_branch(args) -> int:
     save_checkpoint(out / f"branch_{modality}.ckpt",
                     branch_checkpoint_tensors(branch, modality, sgd.epochs - 1))
     _save_best(out, branch, modality, result)
-    _write(out / f"train_log_{modality}.csv", _history_csv(result.history))
+    _write(out / f"train_log_{modality}.csv", result.history_csv())
     summary = (f"modality={modality} epochs={sgd.epochs} "
                f"best_epoch={result.best_epoch} best_val_top1={result.best_val_top1:.4f}\n")
     _write(out / "summary.txt", summary)
@@ -230,12 +222,11 @@ def cmd_train_fusion(args) -> int:
     val = _load_split(args, "val")
     fcfg = _fusion_config_from_args(args, branches, strategy)
     sgd = _sgd_from_args(args)
-    model, result = train_fusion(branches, train, val, fcfg, sgd, snippets=args.snippets,
-                                 log=print)
+    model, result = train_fusion(branches, train, val, fcfg, sgd, log=print)
     model.load_state(result.best_state)
     save_checkpoint(out / f"fusion_{strategy}.ckpt",
                     fusion_checkpoint_tensors(model, result.best_epoch))
-    _write(out / f"train_log_fusion_{strategy}.csv", _history_csv(result.history))
+    _write(out / f"train_log_fusion_{strategy}.csv", result.history_csv())
     summary = (f"strategy={strategy} best_epoch={result.best_epoch} "
                f"best_val_top1={result.best_val_top1:.4f}\n")
     _write(out / "summary.txt", summary)
@@ -250,18 +241,10 @@ def cmd_evaluate(args) -> int:
     val = _load_split(args, "val")
     kind, model, info = load_any_checkpoint(args.ckpt)
     if kind == "branch":
-        modality = info["modality"]
-        if args.modality not in (None, modality):
-            raise CliError(f"{args.ckpt} holds a {modality} branch, expected {args.modality}")
-        x, labels = stack_features(val, modality, args.snippets)
+        x, labels = stack_features(val, info["modality"])
         scores = model.eval().forward(x)
     else:
-        if args.modality is not None:
-            raise CliError(f"--modality {args.modality}: {args.ckpt} holds a fusion model, "
-                           "which reads every modality")
-        inputs = {}
-        for mod in MODALITIES:
-            inputs[mod], labels = stack_features(val, mod, args.snippets)
+        inputs, labels = stack_modalities(val)
         scores = model.predict_proba(inputs)  # distributions rank identically to logits
     report = evaluate_predictions(scores, labels)
     _write(out / "metrics.csv", report_csv(report))
@@ -359,11 +342,11 @@ COMMANDS = {
                      ("data", "out", "seed", "modality", "snippets", *_BRANCH_KEYS, *_SGD_KEYS),
                      {"modality": "rgb", "lr": 0.005}),
     "train-fusion": (cmd_train_fusion, "train fusion layers over frozen branches",
-                     ("data", "out", "seed", "strategy", "snippets", *_FUSION_KEYS, *_SGD_KEYS,
+                     ("data", "out", "seed", "strategy", *_FUSION_KEYS, *_SGD_KEYS,
                       *(f"{mod}_ckpt" for mod in MODALITIES)),
                      {"strategy": "mutual_pairwise", "lr": 0.0005}),
     "evaluate": (cmd_evaluate, "evaluate a checkpoint on the val split",
-                 ("data", "out", "modality", "snippets", "ckpt"), {}),
+                 ("data", "out", "ckpt"), {}),
     "gradcheck": (cmd_gradcheck, "finite-difference check of every layer in f64",
                   ("out", "seed"), {}),
     "bench": (cmd_bench, "speed study: conv branch vs recurrent baseline",

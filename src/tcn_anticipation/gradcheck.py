@@ -49,8 +49,8 @@ class GradcheckRow:
     configs: int
     max_rel_error: float
 
-    def passed(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_error < tol
+    def passed(self) -> bool:
+        return self.max_rel_error < 1e-4
 
 
 def _rand(rng: Rng, shape) -> np.ndarray:

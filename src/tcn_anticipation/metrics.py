@@ -22,11 +22,11 @@ def top_k_accuracy(logits: Tensor, labels, k: int) -> float:
     return float((topk == labels[:, None]).any(axis=1).mean())
 
 
-def class_mean_top5_recall(logits: Tensor, labels, k: int = 5) -> float:
-    """Per-class top-k recall averaged over classes present in the labels."""
-    labels = _checked(logits, labels, k)
-    topk = argsort_desc(logits, axis=1)[:, :k]
-    hit = (topk == labels[:, None]).any(axis=1)
+def class_mean_top5_recall(logits: Tensor, labels) -> float:
+    """Per-class top-5 recall averaged over classes present in the labels."""
+    labels = _checked(logits, labels, 5)
+    top5 = argsort_desc(logits, axis=1)[:, :5]
+    hit = (top5 == labels[:, None]).any(axis=1)
     recalls = [float(hit[labels == c].mean()) for c in np.unique(labels)]
     return float(np.mean(recalls))
 

@@ -12,15 +12,15 @@ the branch's eval forward runs it ``EVAL_CHUNK`` windows at a time (see
 with its size.
 A model with no trainable parameters (late fusion) gets one evaluation record.
 
-Per-epoch log records carry: epoch, lr, train_loss, val_top1_action,
-val_top5_action, wall_seconds.
+An ``EpochRecord`` gives both the log line and the CSV row of an epoch: epoch,
+lr, train_loss, val_top1_action, val_top5_action, wall_seconds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,11 +124,19 @@ class EpochRecord:
     val_top5_action: float
     wall_seconds: float
 
+    def _formatted(self) -> dict[str, str]:
+        specs = ("d", ".8g", ".8g", ".6f", ".6f", ".3f")  # in field order
+        return {f.name: format(getattr(self, f.name), s) for f, s in zip(fields(self), specs)}
+
     def line(self) -> str:
-        return (f"epoch={self.epoch} lr={self.lr:.8g} train_loss={self.train_loss:.8g} "
-                f"val_top1_action={self.val_top1_action:.6f} "
-                f"val_top5_action={self.val_top5_action:.6f} "
-                f"wall_seconds={self.wall_seconds:.3f}")
+        return " ".join(f"{name}={value}" for name, value in self._formatted().items())
+
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(f.name for f in fields(cls))
+
+    def csv_row(self) -> str:
+        return ",".join(self._formatted().values())
 
 
 @dataclass
@@ -137,6 +145,9 @@ class TrainResult:
     best_epoch: int
     best_val_top1: float
     best_state: dict[str, Tensor] = field(repr=False)
+
+    def history_csv(self) -> str:
+        return "\n".join([EpochRecord.csv_header(), *(r.csv_row() for r in self.history)]) + "\n"
 
 
 def train_branch(train_samples: list[Sample], val_samples: list[Sample],
@@ -160,25 +171,30 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
     return branch, result
 
 
-def _branch_pass(model: FusionModel, samples: list[Sample], snippets: int | None,
-                 ) -> tuple[dict[str, dict[str, Tensor]], dict[str, np.ndarray]]:
+def stack_modalities(samples: list[Sample]) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
+    """Each modality's (B, D, N) batch of whole windows, plus the label arrays."""
     inputs = {}
     for mod in MODALITIES:
-        inputs[mod], labels = stack_features(samples, mod, snippets)
+        inputs[mod], labels = stack_features(samples, mod)
+    return inputs, labels
+
+
+def _branch_pass(model: FusionModel, samples: list[Sample],
+                 ) -> tuple[dict[str, dict[str, Tensor]], dict[str, np.ndarray]]:
+    inputs, labels = stack_modalities(samples)
     return model.branch_outputs(inputs), labels
 
 
 def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
                  val_samples: list[Sample], fusion_config: FusionConfig, sgd: SgdConfig,
-                 snippets: int | None = None,
                  log=None) -> tuple[FusionModel, TrainResult]:
     """Stage-two training of ``fusion_config.strategy``: branches frozen, only fusion layers move.
 
-    Each branch runs once per split up front (the branches are frozen
-    eval-mode, so this is exact). The model's trainable parameters are the
-    layers its strategy trains; late fusion has none and yields a single
-    evaluation record. The model keeps its final weights; the result's best
-    state holds the fusion parameters of the best-validation epoch.
+    Each branch runs once per split up front, over the end of each window its receptive
+    field covers (the branches are frozen eval-mode, so this is exact). The model's
+    trainable parameters are the layers its strategy trains; late fusion has none and
+    yields a single evaluation record. The model keeps its final weights; the result's
+    best state holds the fusion parameters of the best-validation epoch.
     """
     if not train_samples or not val_samples:
         raise TensorError("empty dataset")
@@ -192,8 +208,8 @@ def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
     before = frozen_hash()
     result = _run_epochs(model, model.trainable_parameters(),
                          lambda: {name: p.data for name, p in model.named_parameters()},
-                         _branch_pass(model, train_samples, snippets),
-                         _branch_pass(model, val_samples, snippets), sgd, rng, log)
+                         _branch_pass(model, train_samples),
+                         _branch_pass(model, val_samples), sgd, rng, log)
     if frozen_hash() != before:
         raise TensorError("fusion training mutated a frozen branch tensor")
     return model, result

@@ -66,7 +66,7 @@ def test_criterion_1_gradient_suite():
     rows = run_standard_suite(seed=0)
     elapsed = time.perf_counter() - t0
     worst = max(r.max_rel_error for r in rows)
-    ok = all(r.passed(1e-4) for r in rows) and elapsed < 120
+    ok = all(r.passed() for r in rows) and elapsed < 120
     detail = f"max rel err {worst:.2e} over {len(rows)} layer groups in {elapsed:.1f}s"
     report(1, "gradient-suite", ok, detail)
 

@@ -19,7 +19,7 @@ from tcn_anticipation.synthetic import complementary_spec, generate_synthetic
 from tcn_anticipation.tensor import Rng
 from tcn_anticipation.training import SgdConfig, train_branch
 
-from test_checkpoint import BROKEN_CASES, small_fusion_tensors, write_broken_checkpoint
+from test_checkpoint import BROKEN_CASES, write_broken_checkpoint
 from test_data import (BAD_INDEX_ROWS, SPLIT_FILE_CORRUPTIONS, corrupt_split_file,
                        put_non_finite, write_bad_index_row)
 
@@ -31,9 +31,9 @@ _SGD = {"epochs", "lr", "batch"}
 FLAGS = {
     "synth-gen": {"out", "seed", "preset", "snippets"},
     "train-branch": {"data", "out", "seed", "modality", "snippets", *_BRANCH, *_SGD},
-    "train-fusion": {"data", "out", "seed", "strategy", "snippets", "embed-dim", *_SGD,
+    "train-fusion": {"data", "out", "seed", "strategy", "embed-dim", *_SGD,
                      "rgb-ckpt", "flow-ckpt", "obj-ckpt"},
-    "evaluate": {"data", "out", "modality", "snippets", "ckpt"},
+    "evaluate": {"data", "out", "ckpt"},
     "gradcheck": {"out", "seed"},
     "bench": {"out", "seed", "channels", "dtype", "snippets", "batch", "reps", "warmup"},
     "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD},
@@ -47,9 +47,9 @@ CONFIG_KEYS = {
                   "val_per_class"},
     "train-branch": {"data", "out", "seed", "modality", "snippets", *_BRANCH, *_SGD,
                      *_BRANCH_FILE, *_SGD_FILE},
-    "train-fusion": {"data", "out", "seed", "strategy", "snippets", "embed_dim", *_SGD,
+    "train-fusion": {"data", "out", "seed", "strategy", "embed_dim", *_SGD,
                      "fusion_dropout", *_SGD_FILE},
-    "evaluate": {"data", "out", "modality", "snippets"},
+    "evaluate": {"data", "out"},
     "gradcheck": {"out", "seed"},
     "bench": FLAGS["bench"],
     "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD, *_BRANCH_FILE,
@@ -217,36 +217,6 @@ class TestTrainEvaluate:
         lines = (eval_out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "head,top1,top5,mean_top5_recall" and len(lines) == 4
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_evaluate_rejects_another_modality(self, via, trained_branch, synth_dir, tmp_path):
-        """A flow checkpoint is not scored on rgb features, whether a flag or a
-        config file (one shared with train-branch, say) names rgb."""
-        tensors = load_checkpoint(trained_branch / "branch_rgb_best.ckpt")
-        tensors["meta.modality"] = np.array([1.0])  # flow
-        ckpt = tmp_path / "branch_flow.ckpt"
-        save_checkpoint(ckpt, tensors)
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("modality = rgb\n", encoding="utf-8")
-        rgb = ["--modality", "rgb"] if via == "flag" else ["--config", str(cfg)]
-        proc = run("evaluate", "--ckpt", str(ckpt), "--data", str(synth_dir),
-                   "--out", str(tmp_path / "eval"), *rgb, check=False)
-        assert proc.returncode == 2 and "holds a flow branch, expected rgb" in proc.stderr
-
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_evaluate_rejects_a_modality_for_a_fusion_checkpoint(self, via, synth_dir,
-                                                                 tmp_path):
-        """A fusion checkpoint reads every modality, so naming one is a usage error,
-        not a setting that is silently ignored."""
-        ckpt = tmp_path / "fusion_attention.ckpt"
-        save_checkpoint(ckpt, small_fusion_tensors())
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("modality = flow\n", encoding="utf-8")
-        flow = ["--modality", "flow"] if via == "flag" else ["--config", str(cfg)]
-        proc = run("evaluate", "--ckpt", str(ckpt), "--data", str(synth_dir),
-                   "--out", str(tmp_path / "eval"), *flow, check=False)
-        assert proc.returncode == 2 and "--modality flow" in proc.stderr
-        assert not (tmp_path / "eval" / "metrics.csv").exists()
-
     def test_train_fusion_saves_best_epoch(self, tmp_path):
         train, val = generate_synthetic(complementary_spec(train_per_class=40,
                                                            val_per_class=15), 2024)
@@ -377,14 +347,11 @@ class TestTrainEvaluate:
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
         assert str(bad) in proc.stderr
 
-    @pytest.mark.parametrize("command", ["evaluate", "ablate-obslen"])
-    def test_config_modality_outside_choices_exits_2(self, command, synth_dir, trained_branch,
-                                                      tmp_path):
+    @pytest.mark.parametrize("command", ["ablate-obslen"])
+    def test_config_modality_outside_choices_exits_2(self, command, synth_dir, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("modality = nope\n", encoding="utf-8")
-        ckpt = ["--ckpt", str(trained_branch / "branch_rgb_best.ckpt")] if command == "evaluate" \
-            else []
-        proc = run(command, *ckpt, "--data", str(synth_dir), "--out", str(tmp_path / "o"),
+        proc = run(command, "--data", str(synth_dir), "--out", str(tmp_path / "o"),
                    "--config", str(cfg), check=False)
         assert proc.returncode == 2 and "unknown modality 'nope'" in proc.stderr
 
@@ -579,7 +546,8 @@ class TestSettingsPerCommand:
         ["train-fusion", "--channels", "256"], ["train-fusion", "--dtype", "f64"],
         ["gradcheck", "--dtype", "f64"], ["evaluate", "--seed", "3"],
         ["synth-gen", "--data", "d"], ["bench", "--modality", "rgb"],
-        ["train-branch", "--embed-dim", "8"]], ids=" ".join)
+        ["train-branch", "--embed-dim", "8"], ["evaluate", "--modality", "rgb"],
+        ["evaluate", "--snippets", "13"], ["train-fusion", "--snippets", "13"]], ids=" ".join)
     def test_ignored_flag_is_a_usage_error_naming_it(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -6,10 +6,10 @@ import pytest
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import parameter_hash
 from tcn_anticipation.data import Sample
-from tcn_anticipation.fusion import FusionConfig, MODALITIES, STRATEGIES
+from tcn_anticipation.fusion import FusionConfig, FusionModel, MODALITIES, STRATEGIES
 from tcn_anticipation.layers import Parameter
 from tcn_anticipation.tensor import BLOCK, NonFiniteError, Rng, TensorError
-from tcn_anticipation.training import (SgdConfig, SgdOptimizer, lr_at_epoch,
+from tcn_anticipation.training import (SgdConfig, SgdOptimizer, lr_at_epoch, stack_modalities,
                                        train_branch, train_fusion)
 
 
@@ -302,3 +302,65 @@ class TestTrainFusion:
         _, r1 = train_fusion(branches, data, data, fcfg, fsgd)
         _, r2 = train_fusion(branches, data, data, fcfg, fsgd)
         assert [r.train_loss for r in r1.history] == [r.train_loss for r in r2.history]
+
+
+def last_snippets(samples, n):
+    """Copies of ``samples`` that keep only each window's last ``n`` snippets."""
+    return [Sample(s.sample_id, {mod: arr[-n:] for mod, arr in s.features.items()},
+                   s.action, s.verb, s.noun) for s in samples]
+
+
+class TestWindowInvariance:
+    """A frozen branch reads only the last ``required_length`` snippets of a window,
+    so fusion training and prediction over longer windows give the bits of windows
+    cut to that length: nothing needs to tell them the branches' window."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        rng = Rng(9)
+        train = tiny_dataset(rng, snippets=21)
+        val = tiny_dataset(rng, n_per_class=3, snippets=21)
+        bcfg = tiny_branch_config(dilations=(1, 2, 3, 4)).for_snippets(13)
+        assert bcfg.required_length == 13
+        sgd = SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=2)
+        branches = {mod: train_branch(train, val, mod, bcfg, sgd, snippets=13)[0]
+                    for mod in MODALITIES}
+        return branches, train, val
+
+    @staticmethod
+    def fusion_config(strategy):
+        return FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
+                            strategy=strategy, embed_dim=5, head_dropout=0.1)
+
+    @pytest.mark.parametrize("strategy", ["mutual_pairwise", "attention", "late"])
+    def test_whole_windows_train_and_predict_as_the_receptive_field(self, strategy, trained):
+        branches, train, val = trained
+        fcfg = self.fusion_config(strategy)
+        fsgd = SgdConfig(lr0=0.01, epochs=3, batch_size=4, seed=8)
+        model, full = train_fusion(branches, train, val, fcfg, fsgd)
+        _, cut = train_fusion(branches, last_snippets(train, 13), last_snippets(val, 13),
+                              fcfg, fsgd)
+
+        def scores(result):  # every field but the wall clock
+            return [(r.epoch, r.lr, r.train_loss, r.val_top1_action, r.val_top5_action)
+                    for r in result.history]
+
+        assert scores(full) == scores(cut) and full.best_epoch == cut.best_epoch
+        assert full.best_state.keys() == cut.best_state.keys()
+        for name, value in full.best_state.items():
+            assert value.tobytes() == cut.best_state[name].tobytes(), name
+        got = model.eval().predict_proba(stack_modalities(val)[0])
+        want = model.predict_proba(stack_modalities(last_snippets(val, 13))[0])
+        for head in got:
+            assert got[head].tobytes() == want[head].tobytes(), head
+
+    def test_a_window_shorter_than_the_receptive_field_is_an_error(self, trained):
+        branches, train, val = trained
+        short = last_snippets(val, 12)
+        with pytest.raises(TensorError, match="shorter than the receptive field 13"):
+            train_fusion(branches, last_snippets(train, 12), short,
+                         self.fusion_config("mutual_pairwise"),
+                         SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=8))
+        model = FusionModel(branches, self.fusion_config("late"), Rng(0))
+        with pytest.raises(TensorError, match="shorter than the receptive field 13"):
+            model.eval().predict_proba(stack_modalities(short)[0])
