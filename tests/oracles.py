@@ -232,6 +232,41 @@ def fusion_logits_unfolded(model, feats: dict[str, np.ndarray]) -> dict[str, np.
     return {head: affine(fc, h) for head, (_, fc) in model.heads.items()}
 
 
+def fold_whole_f64(model) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The eval-mode fold of the model's feature strategy as the package built it before
+    it converted weights block by block: each whole weight cast to f64, then one GEMM."""
+    modalities = ("rgb", "flow", "obj")
+    strategy = model.config.strategy
+    c, e = model.config.channels, model.config.embed_dim
+
+    def f64(a):
+        return a.astype(np.float64)
+
+    heads = np.concatenate([f64(fc.weight.data) for _, fc in model.heads.values()])
+    mat = np.zeros((heads.shape[0], 3 * c))
+    bias = np.concatenate([f64(fc.bias.data) for _, fc in model.heads.values()])
+    if strategy in ("pairwise", "mutual_pairwise"):
+        merged = heads @ f64(model.pairwise_merge.weight.data)
+        bias += heads @ f64(model.pairwise_merge.bias.data)
+        for i, ((a, b), fc) in enumerate(model.pairwise_fc.items()):
+            part = merged[:, i * e:(i + 1) * e]
+            w = part @ f64(fc.weight.data)
+            for mod, cols in ((a, w[:, :c]), (b, w[:, c:])):
+                j = modalities.index(mod) * c
+                mat[:, j:j + c] += cols
+            bias += part @ f64(fc.bias.data)
+    if strategy in ("mutual", "mutual_pairwise"):
+        mat += heads @ f64(model.mutual_fc.weight.data)
+        bias += heads @ f64(model.mutual_fc.bias.data)
+    dt = model.mutual_fc.weight.data.dtype
+    fold, row = {}, 0
+    for head, (_, fc) in model.heads.items():
+        k = fc.out_features
+        fold[head] = (mat[row:row + k].astype(dt), bias[row:row + k].astype(dt))
+        row += k
+    return fold
+
+
 def max_rel_prob_error(logits: np.ndarray, want_logits: np.ndarray, floor: float = 1e-6) -> float:
     """Largest relative error of softmax(logits) against softmax(want_logits), over
     the reference probabilities above ``floor``."""

@@ -332,3 +332,23 @@ class TestEvalKeepsNothing:
         layer.forward(x)
         with pytest.raises(TensorError, match="train-mode forward"):
             layer.backward(np.ones_like(out))
+
+
+class TestBackwardDropsItsCache:
+    """A conv's window matrix, BN's normalised rows and ReLU's mask go with the backward
+    that reads them, so a second backward after one forward is an error."""
+
+    @pytest.mark.parametrize("make, shape, cache", [
+        (lambda rng: Conv1d(2, 3, 3, dtype="f64", rng=rng), (2, 2, 7), "_cache"),
+        (lambda rng: BatchNorm1d(2, dtype="f64"), (2, 2, 7), "_cache"),
+        (lambda rng: ReLU(), (2, 3), "_mask"),
+    ], ids=["conv1d", "batchnorm", "relu"])
+    def test_a_second_backward_after_one_forward_raises(self, make, shape, cache):
+        rng = Rng(0)
+        layer = make(rng)
+        layer.training = True
+        out = layer.forward(rng.normal(0, 1, shape, "f64"))
+        layer.backward(np.ones_like(out))
+        assert getattr(layer, cache) is None
+        with pytest.raises(TensorError, match="train-mode forward"):
+            layer.backward(np.ones_like(out))
