@@ -40,11 +40,8 @@ computed and each block's last (K-1)*d+1 input columns are queued. A filled one
 is stepped, the window's first n-1 snippets being the last n-1 of the one before:
 the embedding conv reads the newest snippet, and each block's valid conv runs
 once over its queue, which drops its oldest column and takes the newest. The
-step is a generator that yields each conv's GEMM to whoever drives it:
-``forward`` computes them in turn, and the fusion model level by level for its
-three branches at once. The features are the full-window ones up to the GEMM's
-summation order. A branch holds nothing between eval forwards; the fusion model
-keeps B=1 requests' streams.
+features are the full-window ones up to the GEMM's summation order. A branch
+holds nothing between eval forwards; the fusion model keeps B=1 requests' streams.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import numpy as np
 
 from .data import HEADS
 from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, Plan, ReLU, SoftmaxCrossEntropy,
-                     SpatialDropout, Steps, drive)
+                     SpatialDropout)
 from .tensor import Rng, Tensor, TensorError
 
 # Windows an eval forward without a stream runs the cone for at once, so it holds
@@ -188,15 +185,7 @@ class _ResidualBlock:
     def forward(self, z: Tensor, rng: Rng | None, plan: Plan | None = None) -> Tensor:
         """The block's outputs in ``plan``, packed (by default every output of ``z``,
         whose residual is the last ``y.shape[2]`` columns)."""
-        return self._after_conv(z, self.conv.forward(z, plan), rng, plan)
-
-    def steps(self, z: Tensor) -> Steps:
-        """The eval-mode ``forward`` of every output as a generator of the conv's GEMM
-        (see :meth:`~tcn_anticipation.layers.Conv1d.steps`)."""
-        return self._after_conv(z, (yield from self.conv.steps(z)), None, None)
-
-    def _after_conv(self, z: Tensor, y: Tensor, rng: Rng | None, plan: Plan | None) -> Tensor:
-        y = self.drop.forward(self.bn.forward(y), rng)
+        y = self.drop.forward(self.bn.forward(self.conv.forward(z, plan)), rng)
         yc, zc = y.transpose(1, 2, 0), z.transpose(1, 2, 0)
         j = 0
         for length, starts in plan or ((y.shape[2], (z.shape[2] - y.shape[2],)),):
@@ -236,20 +225,16 @@ class Branch(Model):
         an eval-mode forward starts an empty ``stream`` and steps a filled one, and without
         one runs the cone ``EVAL_CHUNK`` windows at a time."""
         c = self.config
-        if stream is not None and not self.training:
-            return self._outputs(drive(self._step(x, stream)), rng)
         self.check_input(x)
         if self.training:
             z = self._run(x, None, rng)
+        elif stream is not None:
+            z = self._step(x, stream)
         else:
             cone = _cone(c.kernel, c.dilations, x.shape[2])
             z = np.empty((x.shape[0], c.channels, 1), np.result_type(self.embed.weight.data, x))
             for s in range(0, x.shape[0], EVAL_CHUNK):
                 z[s:s + EVAL_CHUNK] = self._run(x[s:s + EVAL_CHUNK], cone, rng)[:, :, -1:]
-        return self._outputs(z, rng)
-
-    def _outputs(self, z: Tensor, rng: Rng | None = None) -> dict[str, Tensor]:
-        """``forward``'s result from the last block's output ``z``."""
         self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
         out = {"feature": feature}
@@ -281,13 +266,8 @@ class Branch(Model):
             z = blk.forward(z, rng, conv_plan)
         return z
 
-    def _step(self, x: Tensor, stream: list[Tensor]) -> Steps:
-        """The last block's output for an eval window continuing ``stream``, which an empty
-        one starts. A filled one steps as a generator of each conv's GEMM in turn (see
-        :meth:`~tcn_anticipation.layers.Conv1d.steps`), so ``forward`` drives it alone and
-        the fusion model level by level beside the other branches. The window and the
-        stream are checked before the first GEMM, and the stream moves after it."""
-        self.check_input(x)
+    def _step(self, x: Tensor, stream: list[Tensor]) -> Tensor:
+        """The last block's output for an eval window continuing ``stream``."""
         if not stream:
             return self._run(x, None, None, stream)
         want = [(x.shape[0], self.config.channels, blk.span) for blk in self.blocks]
@@ -296,10 +276,10 @@ class Branch(Model):
             raise TensorError(
                 f"a stream of {stream[0].dtype} queues {[q.shape for q in stream]} cannot step "
                 f"a {x.dtype} window of shape {x.shape}: this branch needs {dtype} {want}")
-        z = yield from self.embed.steps(x[:, :, -1:])
+        z = self.embed.forward(x[:, :, -1:])
         for i, blk in enumerate(self.blocks):
             stream[i] = np.concatenate((stream[i][:, :, 1:], z), axis=2)
-            z = yield from blk.steps(stream[i])
+            z = blk.forward(stream[i], None)
         return z
 
     def backward(self, grad_logits: dict[str, Tensor]) -> None:

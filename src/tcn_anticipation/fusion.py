@@ -26,14 +26,13 @@ The feature strategies have no nonlinearity between the fusion layers and the
 heads, so in eval mode each head is one affine map of ``[f_rgb; f_flow; f_obj]``.
 The first eval-mode ``fuse_forward`` folds the layers into one (k_head, 3C)
 matrix and bias per head, heads first and accumulated in f64, converting each
-fusion weight to f64 in column blocks of at most ``tensor.BLOCK`` values rather
-than whole, and keeps the fold until ``train(True)``, ``load_state`` or a change
-of ``config.strategy`` drops it; ``eval()`` never does. ``branch_outputs`` steps
-B=1 windows as streams (see :mod:`~tcn_anticipation.branch`), up to ``STREAMS``,
-keyed on the three windows' last n-1 snippets, dtypes and shapes; the least
-recently served goes first. ``train(True)`` and ``load_state`` drop them with the
-fold, so a weight edited in place, a branch's too, takes effect after ``train();
-eval()``.
+fusion weight to f64 in column blocks (see ``_f64_product``) rather than whole,
+and keeps the fold until ``train(True)``, ``load_state`` or a change of
+``config.strategy`` drops it; ``eval()`` never does. ``branch_outputs`` steps B=1 windows as streams
+(see :mod:`~tcn_anticipation.branch`), up to ``STREAMS``, keyed on the three
+windows' last n-1 snippets, dtypes and shapes; the least recently served goes
+first. ``train(True)`` and ``load_state`` drop them with the fold, so a weight
+edited in place, a branch's too, takes effect after ``train(); eval()``.
 
 Without a stream each branch's eval forward runs its cone ``EVAL_CHUNK``
 windows at a time (see :mod:`~tcn_anticipation.branch`), so ``branch_outputs``
@@ -42,15 +41,11 @@ one chunk's activations per branch whatever the split's size.
 
 The three branches are independent until the fusion layers, so from
 :data:`~tcn_anticipation.layers.CONCURRENT_CHANNELS` wide (paper width
-included) ``branch_outputs`` uses the package's pool (see
-:mod:`~tcn_anticipation.layers`). When all three B=1 windows continue their
-streams, the branches step level by level, the embedding conv and then each
-block: each level's three conv GEMMs are split by output rows between the
-caller and one pool worker, so the two cores share each level's weight reads
-evenly. Any other pass runs the flow and obj forwards on the two workers while
-the caller runs rgb's. Each branch runs the arithmetic it runs serially, so the
-outputs are the serial ones bitwise at a fixed BLAS thread count; with more than
-one BLAS thread the callers share the cores.
+included) ``branch_outputs`` runs the flow and obj forwards on the two workers
+of the package's pool (see :mod:`~tcn_anticipation.layers`) while the caller
+runs rgb's. Each branch runs the arithmetic it runs serially, so the outputs
+are the serial ones bitwise at a fixed BLAS thread count; with more than one
+BLAS thread the three callers share the cores.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ import numpy as np
 from .branch import Branch
 from .data import HEADS, MODALITIES
 from .layers import (Layout, Linear, Model, Parameter, SpatialDropout, concurrent_at,
-                     drive_split, run_concurrently, softmax)
+                     run_concurrently, softmax)
 from .tensor import BLOCK, Rng, Tensor, TensorError
 
 PAIRS = (("rgb", "flow"), ("rgb", "obj"), ("flow", "obj"))
@@ -127,13 +122,25 @@ def _window_key(xs: list[Tensor], snippets: slice) -> tuple:
     return tuple((x.dtype.str, x.shape, x[:, :, snippets].tobytes()) for x in xs)
 
 
+# A column block of _f64_product is a multiple of FOLD_PANEL columns, at least
+# FOLD_MIN_COLUMNS, and more than FOLD_MIN_MACS multiply-adds; the last block takes the
+# remainder. With all three, every block's f64 GEMM gave the whole GEMM's bits in 620 of
+# 620 shapes tried (OpenBLAS, 1 thread, 3-99 rows, 32-1199 deep, 32-3199 wide). Without
+# the least width, blocks of 128 + 3 columns differed in their last 3 columns; without
+# the least size, blocks under OpenBLAS's small-matrix cutoff (1e6) differed in any.
+FOLD_PANEL, FOLD_MIN_COLUMNS, FOLD_MIN_MACS = 64, 256, 10**6
+
+
 def _f64_product(left: Tensor, weight: Tensor) -> Tensor:
-    """``left @ weight.astype(np.float64)``, converting ``weight`` in column blocks of at
-    most ``BLOCK`` values rather than whole."""
-    out = np.empty((left.shape[0], weight.shape[1]))
-    width = max(1, BLOCK // weight.shape[0])
-    for j in range(0, weight.shape[1], width):
-        out[:, j:j + width] = left @ weight[:, j:j + width].astype(np.float64)
+    """``left @ weight.astype(np.float64)``, converting ``weight`` to f64 one column
+    block at a time (``BLOCK`` values, widened as above) rather than whole."""
+    rows, (depth, n) = left.shape[0], weight.shape
+    width = max(BLOCK // depth, FOLD_MIN_COLUMNS, FOLD_MIN_MACS // (rows * depth) + 1)
+    width = -(-width // FOLD_PANEL) * FOLD_PANEL
+    cuts = list(range(0, n - width + 1, width)) or [0]
+    out = np.empty((rows, n))
+    for start, stop in zip(cuts, cuts[1:] + [n]):
+        out[:, start:stop] = left @ weight[:, start:stop].astype(np.float64)
     return out
 
 
@@ -209,20 +216,14 @@ class FusionModel(Model):
 
     def _forwards(self, xs: list[Tensor], streams: list) -> dict[str, dict[str, Tensor]]:
         """Each branch's eval forward of its window, stepping its stream (None: the cone).
-        From ``CONCURRENT_CHANNELS`` on, three filled streams step level by level, each
-        level's GEMMs split by rows between this thread and a pool worker, after every
-        window and stream has been checked; otherwise flow and obj run on the pool while
-        rgb runs here. Every forward has finished before this returns or raises the
-        first error in ``MODALITIES`` order."""
-        branches = [self.branches[mod].eval() for mod in MODALITIES]
+        From ``CONCURRENT_CHANNELS`` on, flow and obj run on the pool while rgb runs
+        here; every forward has finished before this returns or raises the first
+        error in ``MODALITIES`` order."""
+        calls = [partial(self.branches[mod].eval().forward, x, stream=stream)
+                 for mod, x, stream in zip(MODALITIES, xs, streams)]
         if not concurrent_at(self.config.channels):
-            return {mod: b.forward(x, stream=stream)
-                    for mod, b, x, stream in zip(MODALITIES, branches, xs, streams)}
-        if all(streams):
-            zs = drive_split([b._step(x, stream) for b, x, stream in zip(branches, xs, streams)])
-            return {mod: b._outputs(z) for mod, b, z in zip(MODALITIES, branches, zs)}
-        return dict(zip(MODALITIES, run_concurrently(
-            [partial(b.forward, x, stream=stream) for b, x, stream in zip(branches, xs, streams)])))
+            return {mod: call() for mod, call in zip(MODALITIES, calls)}
+        return dict(zip(MODALITIES, run_concurrently(calls)))
 
     # -- feature fusion (mutual / pairwise / mutual_pairwise) --------------------
 

@@ -3,9 +3,9 @@
 There is no autograd graph: in train mode each layer caches what its backward
 needs and accumulates parameter gradients until the optimizer zeroes them. A
 conv's, BN's and ReLU's backward drops the activations it read (window matrix,
-normalised rows, mask), so they do not outlive the step, and a second one after
-one forward raises TensorError. Eval-mode forwards keep nothing, so a backward
-after one raises TensorError.
+normalised rows, mask) once it has checked its gradient, so they do not outlive
+the step, and a second one after one forward raises TensorError. Eval-mode
+forwards keep nothing, so a backward after one raises TensorError.
 Convolutions use the cross-correlation convention and valid (unpadded)
 windows, so the temporal axis shrinks by (K-1)*dilation per layer. By default a
 conv computes every output of its input; given a plan it computes runs of
@@ -28,13 +28,6 @@ args), in build order, which is also the weight draw order. :class:`Model`
 derives parameters, state, loading and mode from the built layers, and
 :func:`layout_shapes` every slot's shape without building any.
 
-A conv's forward is also a generator, :meth:`Conv1d.steps`, that yields its one
-GEMM's operands and is sent their product; :func:`drive` runs such a generator
-with a GEMM of the caller's choice, and ``forward`` is ``steps`` driven by the
-conv's own GEMM. So a stack of layers written as generators (a branch's stream
-step) runs alone under :func:`drive`, or beside others, level by level, under
-:func:`drive_split`.
-
 The package has one pool of two worker threads, started by the first call that
 uses it (a forked child starts its own) and entered only through
 :func:`run_concurrently`, and one width from which work uses it,
@@ -42,15 +35,12 @@ uses it (a forked child starts its own) and entered only through
 From that width on, a train-mode conv computes the top half of its output
 channels on a worker while the caller computes the bottom half, and a backward
 that computes an input gradient computes it on the caller while a worker
-computes the weight and bias gradients. :func:`drive_split` splits each level's
-GEMMs by rows between the caller and one worker. A backward GEMM is the whole
-serial one, so at a fixed BLAS thread count it gives the serial bits. A forward
-half does too, except at 8 or fewer output columns (a late block at B=2), where
-OpenBLAS runs the half-height GEMM with another kernel and the last bits may
-differ; a level's one-column GEMMs split at a multiple of 64 rows, which gives
-the serial bits. Eval forwards other than a split level, narrower convs and work
-already on a worker stay serial: a worker that waited on the two-worker pool
-could deadlock it.
+computes the weight and bias gradients. A backward GEMM is the whole serial one,
+so at a fixed BLAS thread count it gives the serial bits. A forward half does
+too, except at 8 or fewer output columns (a late block at B=2), where OpenBLAS
+runs the half-height GEMM with another kernel and the last bits may differ. Eval
+forwards, narrower convs and work already on a worker stay serial: a worker
+that waited on the two-worker pool could deadlock it.
 """
 
 from __future__ import annotations
@@ -59,7 +49,7 @@ import math
 import os
 import threading
 from functools import partial
-from typing import Callable, Generator, Mapping, TypeAlias
+from typing import Callable, Mapping, TypeAlias
 
 import numpy as np
 
@@ -129,61 +119,6 @@ def run_concurrently(calls: list[Callable]) -> list:
         for future in futures:
             future.exception()  # waits without raising; result() raises below
     return [first, *(future.result() for future in futures)]
-
-
-# what a layer written as a generator yields: the operands (a, b) of its next GEMM,
-# and is sent a @ b; its return value is its output
-Steps: TypeAlias = Generator[tuple[Tensor, Tensor], Tensor, Tensor]
-
-
-def drive(steps: Steps, gemm: Callable[[Tensor, Tensor], Tensor] = np.matmul) -> Tensor:
-    """The return value of ``steps``, each GEMM computed by ``gemm``."""
-    product = None
-    try:
-        while True:
-            product = gemm(*steps.send(product))
-    except StopIteration as stop:
-        return stop.value
-
-
-# A GEMM that drive_split splits is cut at a multiple of this many rows. One-column
-# GEMMs of either dtype cut at a multiple of 4 gave the whole GEMM's bits in every shape
-# tried (OpenBLAS, 1 thread), and cut at an odd row (257 of 515) other last bits.
-SPLIT_ROWS = 64
-
-
-def drive_split(steps: list[Steps]) -> list[Tensor]:
-    """The return values of ``steps``, run in lockstep. Each one's first GEMM is asked
-    for in order, so the first to raise does before any GEMM runs. Then each level's
-    GEMMs, one per generator still running, are one :func:`run_concurrently` of two
-    calls: the caller computes each product's first rows, up to the largest multiple
-    of ``SPLIT_ROWS`` at most half its height, and a pool worker the rest."""
-    results: list = [None] * len(steps)
-    level: dict[int, tuple[Tensor, Tensor]] = {}
-
-    def send(i: int, product: Tensor | None) -> None:
-        try:
-            level[i] = steps[i].send(product)
-        except StopIteration as stop:
-            level.pop(i, None)
-            results[i] = stop.value
-
-    for i in range(len(steps)):
-        send(i, None)
-    while level:
-        gemms = [(a, b, np.empty((a.shape[0], b.shape[1]), np.result_type(a, b)))
-                 for a, b in level.values()]
-
-        def rows(top: bool) -> None:
-            for a, b, out in gemms:
-                cut = a.shape[0] // (2 * SPLIT_ROWS) * SPLIT_ROWS
-                part = slice(None, cut) if top else slice(cut, None)
-                np.matmul(a[part], b, out=out[part])
-
-        run_concurrently([partial(rows, True), partial(rows, False)])
-        for i, (_, _, out) in zip(list(level), gemms):
-            send(i, out)
-    return results
 
 
 class Parameter:
@@ -340,11 +275,6 @@ class Conv1d(Layer):
 
     def forward(self, x: Tensor, plan: Plan | None = None) -> Tensor:
         """The outputs in ``plan``, packed in order; by default every output of ``x``."""
-        return drive(self.steps(x, plan), self._gemm)
-
-    def steps(self, x: Tensor, plan: Plan | None = None) -> Steps:
-        """``forward`` as a generator: it yields the (O, I*K) weight matrix and the window
-        matrix, is sent their product and returns the output."""
         b, c_in, n = x.shape
         if c_in != self.in_channels:
             raise TensorError(f"conv1d expected {self.in_channels} input channels, got {c_in}")
@@ -359,18 +289,16 @@ class Conv1d(Layer):
             raise TensorError(f"conv1d plan {plan} reads outside the {n} input columns")
         cols = self._im2col(_cm(x), plan)
         self._cache = (x.shape, cols) if self.training else None
-        out = yield self.weight.data.reshape(self.out_channels, -1), cols
+        w = self.weight.data.reshape(self.out_channels, -1)
+        if self.training and concurrent_at(self.out_channels):
+            out = np.empty((self.out_channels, cols.shape[1]), np.result_type(w, cols))
+            h = self.out_channels // 2
+            run_concurrently([partial(np.matmul, w[:h], cols, out=out[:h]),
+                              partial(np.matmul, w[h:], cols, out=out[h:])])
+        else:
+            out = w @ cols
         out += self.bias.data[:, None]
         return _bcn(out.reshape(self.out_channels, -1, b))
-
-    def _gemm(self, w: Tensor, cols: Tensor) -> Tensor:
-        if not (self.training and concurrent_at(self.out_channels)):
-            return w @ cols
-        out = np.empty((self.out_channels, cols.shape[1]), np.result_type(w, cols))
-        h = self.out_channels // 2
-        run_concurrently([partial(np.matmul, w[:h], cols, out=out[:h]),
-                          partial(np.matmul, w[h:], cols, out=out[h:])])
-        return out
 
     def backward(self, grad_out: Tensor, input_grad: bool = True) -> Tensor | None:
         """The gradient of the input, or None without ``input_grad``. The parameter
@@ -379,11 +307,12 @@ class Conv1d(Layer):
         computes the input gradient."""
         if self._cache is None:
             raise TensorError("conv1d backward without a train-mode forward")
-        (x_shape, cols), self._cache = self._cache, None
+        x_shape, cols = self._cache
         b, _, n = x_shape
         n_out = grad_out.shape[2]
         if grad_out.shape[0] != b or n_out != self.out_length(n) or cols.shape[1] != b * n_out:
             raise TensorError("conv1d grad_out shape inconsistent with cached input")
+        self._cache = None
         g2 = _cm(grad_out).reshape(self.out_channels, -1)
         if not input_grad:
             self._param_grads(g2, cols)
@@ -464,7 +393,7 @@ class BatchNorm1d(Layer):
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._cache is None:
             raise TensorError("batchnorm backward without a train-mode forward")
-        (xhat, inv, (b, c, n)), self._cache = self._cache, None
+        xhat, inv, (b, c, n) = self._cache
         m = xhat.shape[1]
         g = _cm(grad_out).reshape(c, -1)
         self.gamma.grad += (g * xhat).sum(axis=1)
@@ -473,6 +402,7 @@ class BatchNorm1d(Layer):
         sum_dxhat = dxhat.sum(axis=1, keepdims=True)
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=1, keepdims=True)
         grad_x = (inv[:, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        self._cache = None
         return _bcn(grad_x.reshape(c, n, b))
 
 
@@ -564,8 +494,9 @@ class ReLU(Layer):
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._mask is None:
             raise TensorError("relu backward without a train-mode forward")
-        mask, self._mask = self._mask, None
-        return grad_out * mask
+        grad_x = grad_out * self._mask
+        self._mask = None
+        return grad_x
 
 
 def softmax(logits: Tensor) -> Tensor:

@@ -10,13 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tcn_anticipation import fusion, layers
 from tcn_anticipation.branch import Branch, BranchConfig, multitask_loss
-from tcn_anticipation.fusion import (FEATURE_STRATEGIES, HEADS, MODALITIES, STRATEGIES,
-                                     FusionConfig, FusionModel, late_fusion)
+from tcn_anticipation.fusion import (FEATURE_STRATEGIES, FOLD_MIN_COLUMNS, HEADS, MODALITIES,
+                                     STRATEGIES, FusionConfig, FusionModel, late_fusion)
 from tcn_anticipation.gradcheck import check_fusion
 from tcn_anticipation.layers import CONCURRENT_CHANNELS, layout_shapes, softmax
-from tcn_anticipation.tensor import BLOCK, DTYPES, Rng, TensorError
+from tcn_anticipation.tensor import DTYPES, Rng, TensorError
 from tcn_anticipation.training import SgdOptimizer
 
 from oracles import (assert_same, attention_grads_of_mixed_probs, exit_code_in_a_child,
@@ -185,11 +184,15 @@ class TestFold:
         assert_matches_unfolded(model, feats)
 
 
-def paper_heads_model(strategy, dtype):
-    """Fusion layers 512 wide with the synthetic data's 12/6/8 classes, every parameter
+# action/verb/noun classes: the synthetic data's (26 head rows) and a small head (9 rows)
+HEAD_CLASSES = {"26rows": (12, 6, 8), "9rows": (4, 2, 3)}
+
+
+def paper_heads_model(strategy, dtype, classes=HEAD_CLASSES["26rows"]):
+    """Fusion layers 512 wide with ``classes`` action/verb/noun classes, every parameter
     away from its initial value; the branches are one pointwise conv."""
     rng = Rng(0)
-    classes = dict(num_actions=12, num_verbs=6, num_nouns=8)
+    classes = dict(zip(("num_actions", "num_verbs", "num_nouns"), classes))
     bcfg = BranchConfig(input_dim=3, channels=512, kernel=1, dilations=(1,), dtype=dtype,
                         **classes)
     fcfg = FusionConfig(channels=512, embed_dim=512, strategy=strategy, **classes)
@@ -200,28 +203,30 @@ def paper_heads_model(strategy, dtype):
 
 
 class TestBlockedFold:
-    """The fold converts each fusion weight to f64 ``BLOCK`` values at a time, not whole.
-    At one BLAS thread that is the whole-weight fold's bits when each block's GEMM runs
-    the same OpenBLAS kernel as the whole one, as at these 26 head rows from 512 wide. With
-    9 head rows 512 wide, a block falls under OpenBLAS's small-matrix cutoff (1e6 MACs)
-    and an f64 fold differs from the whole-weight one in its last bits."""
+    """The fold converts each fusion weight to f64 in column blocks, not whole. A block is
+    wide enough that its GEMM gives the whole GEMM's bits at one BLAS thread: with 9 head
+    rows, blocks of ``BLOCK`` values (128 columns of 512) fell under OpenBLAS's
+    small-matrix cutoff and an f64 fold differed from the whole-weight one in its last
+    bits."""
 
+    @pytest.mark.parametrize("classes", HEAD_CLASSES.values(), ids=HEAD_CLASSES.keys())
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("strategy", FEATURE_STRATEGIES)
-    def test_equals_the_whole_weight_fold(self, strategy, dtype):
-        model = paper_heads_model(strategy, dtype)
+    def test_equals_the_whole_weight_fold(self, strategy, dtype, classes):
+        model = paper_heads_model(strategy, dtype, classes)
         got, want = model._folded(), fold_whole_f64(model)
         for head in HEADS:
             for g, w in zip(got[head], want[head]):
                 assert_same(g, w, dtype)
 
     def test_building_it_holds_no_whole_f64_weight(self):
-        """Peak traced memory of one build at 512 wide: one f64 block, the f64 products
-        (26 rows of 3C, 3E and 2C, and a 3C product being added) and the fold itself. A
-        512 x 1536 weight's f64 copy is 6 MiB."""
+        """Peak traced memory of one build at 512 wide: one f64 block (256 of a weight's
+        512-deep columns here), the f64 products (26 rows of 3C, 3E and 2C, and a 3C
+        product being added) and the fold itself. A 512 x 1536 weight's f64 copy is 6 MiB."""
         model = paper_heads_model("mutual_pairwise", "f32")
         rows, c = 26, 512
-        bound = 8 * BLOCK + 8 * rows * (3 * c + 3 * c + 3 * c + 2 * c) + 4 * rows * 3 * c
+        bound = (8 * c * FOLD_MIN_COLUMNS + 8 * rows * (3 * c + 3 * c + 3 * c + 2 * c)
+                 + 4 * rows * 3 * c)
         tracemalloc.start()
         try:
             model._folded()
@@ -460,9 +465,8 @@ def serial_probs(model, outs):
 
 
 class TestConcurrentBranchPass:
-    """From ``CONCURRENT_CHANNELS`` wide, a batch or a B=1 request that starts its
-    streams runs rgb's forward on the caller while flow's and obj's run on two worker
-    threads; a B=1 request that continues them steps level by level (TestLevelSplit)."""
+    """From ``CONCURRENT_CHANNELS`` wide, rgb's forward runs on the caller while flow's
+    and obj's run on two worker threads."""
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -597,109 +601,3 @@ class TestConcurrentBranchPass:
                               check=True)
         assert proc.stdout.strip() == "[]"
 
-
-class TestLevelSplit:
-    """From ``CONCURRENT_CHANNELS`` wide, a B=1 request whose three windows continue
-    their streams steps the branches level by level, each level's conv GEMMs split by
-    rows between the caller and one pool worker."""
-
-    @pytest.mark.parametrize("channels", [CONCURRENT_CHANNELS, CONCURRENT_CHANNELS + 3])
-    @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_equals_three_branches_stepping_their_own_streams(self, dtype, channels):
-        """Two sequences served in turn: each one's first window a miss, the rest hits.
-        At 515 channels the split row is 256, not the half (257)."""
-        model, rng = wide_model(dtype=dtype, channels=channels)
-        branches = model.branches
-        n = branches["rgb"].config.required_length
-        seqs = [{mod: rng.normal(0, 1, (1, 3, n + 5), dtype) for mod in MODALITIES}
-                for _ in range(2)]
-        held = [[[] for _ in MODALITIES] for _ in seqs]
-        for p in range(6):
-            for seq, streams in zip(seqs, held):
-                x = {mod: np.ascontiguousarray(seq[mod][:, :, p:p + n]) for mod in MODALITIES}
-                got = model.branch_outputs(x)
-                for mod, stream in zip(MODALITIES, streams):
-                    want = branches[mod].forward(x[mod], stream=stream)
-                    assert got[mod].keys() == want.keys()
-                    for key in want:
-                        assert_same(got[mod][key], want[key], dtype)
-
-    @staticmethod
-    def record_pool_calls(monkeypatch):
-        """The call count of every ``run_concurrently``, whether the level split's or
-        the three-way branch pass's."""
-        counts = []
-        run = layers.run_concurrently
-
-        def recording(calls):
-            counts.append(len(calls))
-            return run(calls)
-
-        monkeypatch.setattr(layers, "run_concurrently", recording)
-        monkeypatch.setattr(fusion, "run_concurrently", recording)
-        return counts
-
-    def test_a_hit_splits_each_level_and_a_miss_or_batch_runs_the_branch_pass(self,
-                                                                              monkeypatch):
-        model, rng = wide_model()
-        levels = 1 + len(model.branches["rgb"].config.dilations)
-        n = model.branches["rgb"].config.required_length
-        seq = {mod: rng.normal(0, 1, (1, 3, n + 2), "f32") for mod in MODALITIES}
-        counts = self.record_pool_calls(monkeypatch)
-        for p, want in ((0, [3]), (1, [2] * levels), (2, [2] * levels)):
-            model.branch_outputs({mod: np.ascontiguousarray(seq[mod][:, :, p:p + n])
-                                  for mod in MODALITIES})
-            assert counts == want
-            counts.clear()
-        model.branch_outputs({mod: rng.normal(0, 1, (3, 3, n), "f32") for mod in MODALITIES})
-        assert counts == [3]
-
-    def test_narrower_models_step_serially(self, monkeypatch):
-        model, rng = wide_model(channels=CONCURRENT_CHANNELS - 1)
-        n = model.branches["rgb"].config.required_length
-        seq = {mod: rng.normal(0, 1, (1, 3, n + 1), "f32") for mod in MODALITIES}
-        counts = self.record_pool_calls(monkeypatch)
-        for p in (0, 1):
-            model.branch_outputs({mod: np.ascontiguousarray(seq[mod][:, :, p:p + n])
-                                  for mod in MODALITIES})
-        assert counts == []
-
-    @pytest.mark.parametrize("failing", MODALITIES)
-    @pytest.mark.parametrize("fault", ["window", "stream"])
-    def test_a_bad_window_raises_the_first_error_before_any_stream_moves(self, failing, fault):
-        """``failing`` has a window of the wrong width or a stream of the wrong dtype, and
-        obj a window of another wrong width: the first error in modality order is
-        raised, every stream keeps its queues, and the next good windows step them."""
-        model, rng = wide_model()
-        branches = model.branches
-        n = branches["rgb"].config.required_length
-        seq = {mod: rng.normal(0, 1, (1, 3, n + 1), "f32") for mod in MODALITIES}
-        windows = [{mod: np.ascontiguousarray(seq[mod][:, :, p:p + n]) for mod in MODALITIES}
-                   for p in (0, 1)]
-        streams = [[] for _ in MODALITIES]
-        model._forwards([windows[0][mod] for mod in MODALITIES], streams)
-        bad = dict(windows[1])
-        if fault == "window":
-            bad[failing] = rng.normal(0, 1, (1, 5, n), "f32")
-            match = r"branch expected \(B, 3, N\), got \(1, 5, "
-        else:
-            i = MODALITIES.index(failing)
-            streams[i] = [q.astype(np.float64) for q in streams[i]]
-            match = r"a stream of float64 queues"
-        if failing != "obj":
-            bad["obj"] = rng.normal(0, 1, (1, 6, n), "f32")
-        before = [[q.copy() for q in stream] for stream in streams]
-        with pytest.raises(TensorError, match=match):
-            model._forwards([bad[mod] for mod in MODALITIES], streams)
-        for stream, kept in zip(streams, before):
-            assert len(stream) == len(kept)
-            assert all(q.tobytes() == k.tobytes() for q, k in zip(stream, kept))
-        if fault == "stream":
-            i = MODALITIES.index(failing)
-            streams[i] = [q.astype(np.float32) for q in streams[i]]
-        held = [[q.copy() for q in stream] for stream in streams]
-        got = model._forwards([windows[1][mod] for mod in MODALITIES], streams)
-        for mod, stream in zip(MODALITIES, held):
-            want = branches[mod].forward(windows[1][mod], stream=stream)
-            for key in want:
-                assert_same(got[mod][key], want[key], "f32")

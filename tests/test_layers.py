@@ -352,3 +352,14 @@ class TestBackwardDropsItsCache:
         assert getattr(layer, cache) is None
         with pytest.raises(TensorError, match="train-mode forward"):
             layer.backward(np.ones_like(out))
+
+    def test_a_rejected_conv_backward_keeps_its_cache(self):
+        """A grad_out of the wrong shape is refused before the window matrix goes, so
+        the backward can be retried with the right one."""
+        rng = Rng(0)
+        conv = Conv1d(2, 3, 3, dtype="f64", rng=rng)
+        conv.training = True
+        out = conv.forward(rng.normal(0, 1, (2, 2, 7), "f64"))
+        with pytest.raises(TensorError, match="grad_out shape"):
+            conv.backward(np.ones((2, 3, 4)))
+        assert conv.backward(np.ones_like(out)).shape == (2, 2, 7)
