@@ -1,8 +1,8 @@
 """Recurrent encoder-decoder baseline for the speed study.
 
 Structural stand-in for an LSTM anticipation model: a standard 4-gate cell
-rolls over the N observed snippets, a second cell unrolls for a fixed number
-of anticipation steps, and a linear head classifies the final state. The
+rolls over the N observed snippets, a second cell unrolls for ``DECODER_STEPS``
+anticipation steps, and a linear head classifies the final state. The
 decoder consumes the encoder's final hidden state as its input at every step
 and inherits the encoder's final (h, c). Hidden width matches the conv
 branch's channel count so the comparison is width-for-width fair.
@@ -20,6 +20,8 @@ import numpy as np
 from .layers import Layer, Layout, Linear, Model, Parameter, _init_uniform
 from .tensor import Rng, Tensor, TensorError, dtype_of
 
+DECODER_STEPS = 8
+
 
 def _sigmoid(x: Tensor) -> Tensor:
     out = np.empty_like(x)
@@ -36,11 +38,10 @@ class LstmConfig:
     hidden: int
     num_actions: int
     encoder_steps: int = 21
-    decoder_steps: int = 8
     dtype: str = "f32"
 
     def __post_init__(self):
-        for name in ("input_dim", "hidden", "num_actions", "encoder_steps", "decoder_steps"):
+        for name in ("input_dim", "hidden", "num_actions", "encoder_steps"):
             if getattr(self, name) < 1:
                 raise TensorError(f"{name} must be positive")
 
@@ -125,7 +126,7 @@ class LstmEncoderDecoder(Model):
             h, c = self.encoder.step(np.ascontiguousarray(x[:, :, t]), h, c, enc_cache)
         h_enc = h
         dec_cache: list | None = [] if self.training else None
-        for _ in range(cfg.decoder_steps):
+        for _ in range(DECODER_STEPS):
             h, c = self.decoder.step(h_enc, h, c, dec_cache)
         if self.training:
             self._cache = (enc_cache, dec_cache)

@@ -8,14 +8,15 @@ batch-invariant, and cover the full window: an eval-mode branch forward
 computes only the positions its last output column depends on, at every batch
 size, so it does fewer MACs than the count.
 
-Wall-clock runs warm up, then record per-repetition times; the headline
-statistic is a median-of-means, which resists desk-machine jitter better than
-a plain mean. Nothing is pinned; the hardware note reports the BLAS thread
-variables, which fix the BLAS thread count when the process starts, and how
-many threads call BLAS in each timed step: from ``CONCURRENT_CHANNELS`` wide
-the branch's train step splits each conv forward GEMM between the caller and a
-pool worker, and runs each block conv's backward GEMMs side by side on the two,
-while the LSTM's train step and both eval forwards stay on the caller.
+Wall-clock runs warm up for ``WARMUP`` repetitions, then record the times of
+``REPS`` more; the headline statistic is a median-of-means, which resists
+desk-machine jitter better than a plain mean. Nothing is pinned; the hardware
+note reports the BLAS thread variables, which fix the BLAS thread count when
+the process starts, and how many threads call BLAS in each timed step: from
+``CONCURRENT_CHANNELS`` wide the branch's train step splits each conv forward
+GEMM between the caller and a pool worker, and runs each block conv's backward
+GEMMs side by side on the two, while the LSTM's train step and both eval
+forwards stay on the caller.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import LstmConfig, LstmEncoderDecoder
+from .baseline import DECODER_STEPS, LstmConfig, LstmEncoderDecoder
 from .branch import Branch, BranchConfig, multitask_loss
 from .layers import CONCURRENT_CHANNELS, SoftmaxCrossEntropy, concurrent_at
 from .tensor import Rng, TensorError
 from .training import SgdOptimizer
+
+REPS = 30
+WARMUP = 5
 
 
 def conv_macs(in_channels: int, out_channels: int, kernel: int, n_out: int) -> int:
@@ -55,7 +59,7 @@ def lstm_macs(config: LstmConfig) -> int:
     """Gate matmul MACs: 4 gates x (input proj + recurrent proj) per step."""
     h, d = config.hidden, config.input_dim
     enc = config.encoder_steps * 4 * (h * d + h * h)
-    dec = config.decoder_steps * 4 * (h * h + h * h)  # decoder input is h_enc
+    dec = DECODER_STEPS * 4 * (h * h + h * h)  # decoder input is h_enc
     return enc + dec
 
 
@@ -75,8 +79,6 @@ class ModelTiming:
 class BenchReport:
     models: list[ModelTiming]
     batch_size: int
-    repetitions: int
-    warmup: int
     hardware_note: str
     inference_speedup: float  # baseline time / branch time
     train_speedup: float
@@ -92,7 +94,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
-        lines = [f"batch={self.batch_size} reps={self.repetitions} warmup={self.warmup}",
+        lines = [f"batch={self.batch_size} reps={REPS} warmup={WARMUP}",
                  f"hardware: {self.hardware_note}"]
         for m in self.models:
             lines.append(f"{m.name}: {m.mac_count} MACs/sample, "
@@ -103,11 +105,11 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _time_reps(fn, reps: int, warmup: int) -> list[float]:
+def _time_reps(fn) -> list[float]:
     """Per-repetition seconds; inner-loop count grows if the timer is too coarse."""
     resolution = time.get_clock_info("perf_counter").resolution
     inner = 1
-    for _ in range(max(warmup, 1)):
+    for _ in range(WARMUP):
         fn()
     t0 = time.perf_counter()
     fn()
@@ -115,7 +117,7 @@ def _time_reps(fn, reps: int, warmup: int) -> list[float]:
     while single * inner < 1000 * resolution and inner < 1 << 20:
         inner *= 2
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
@@ -130,20 +132,14 @@ def _median_of_means(times: list[float]) -> float:
 
 
 def _stats(times: list[float]) -> tuple[float, float, float]:
-    return (statistics.fmean(times),
-            statistics.stdev(times) if len(times) > 1 else 0.0,
-            _median_of_means(times))
+    return statistics.fmean(times), statistics.stdev(times), _median_of_means(times)
 
 
 def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
-                 reps: int = 30, warmup: int = 5, seed: int = 0) -> BenchReport:
+                 seed: int = 0) -> BenchReport:
     """Time eval-mode forwards and full optimizer steps (at lr 1e-3) for both models."""
     if batch < 1:
         raise TensorError(f"benchmark needs a batch of at least 1, got {batch}")
-    if reps < 30:
-        raise TensorError("benchmark needs at least 30 repetitions")
-    if warmup < 5:
-        raise TensorError("benchmark needs at least 5 warm-up iterations")
     rng = Rng(seed)
     n = branch.config.required_length
     if baseline.config.encoder_steps != n:
@@ -156,7 +152,7 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
               for head, k in branch.config.class_counts.items()}
 
     branch.eval()
-    branch_inf = _time_reps(lambda: branch.forward(x), reps, warmup)
+    branch_inf = _time_reps(lambda: branch.forward(x))
 
     opt_b = SgdOptimizer(branch.named_parameters())
 
@@ -168,10 +164,10 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
         branch.backward(grads)
         opt_b.step(1e-3)
 
-    branch_train = _time_reps(branch_step, reps, warmup)
+    branch_train = _time_reps(branch_step)
 
     baseline.eval()
-    lstm_inf = _time_reps(lambda: baseline.forward(x), reps, warmup)
+    lstm_inf = _time_reps(lambda: baseline.forward(x))
 
     opt_l = SgdOptimizer(baseline.named_parameters())
     ce = SoftmaxCrossEntropy()
@@ -184,7 +180,7 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
         baseline.backward(ce.backward())
         opt_l.step(1e-3)
 
-    lstm_train = _time_reps(lstm_step, reps, warmup)
+    lstm_train = _time_reps(lstm_step)
 
     rows = [
         ModelTiming("tcn_branch", branch_macs(branch.config, n),
@@ -200,6 +196,6 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
     note = (f"{platform.machine()} {platform.system()}, {threads}, no CPU pinning, "
             f"dtype={dtype}, threads calling BLAS: branch train step {callers}, "
             f"LSTM train step 1, eval forwards 1")
-    return BenchReport(rows, batch, reps, warmup, note,
+    return BenchReport(rows, batch, note,
                        rows[1].inference_mom / rows[0].inference_mom,
                        rows[1].train_step_mom / rows[0].train_step_mom)

@@ -4,15 +4,14 @@
 settings it reads and its built-in defaults, and accepts exactly those, as
 flags and as config keys: any other flag or key is a usage error. A
 ``key = value`` config file (``--config``) replaces the defaults, checked as
-flags are, and flags win over both. ``--seed`` falls back to the TCNA_SEED
-environment variable, then 0. Commands exit 0 on success and 2 on a usage or
-input error, and write CSV artifacts plus a plain-text summary into ``--out``.
+flags are, and flags win over both. ``--seed`` defaults to 0. Commands exit 0
+on success and 2 on a usage or input error, and write CSV artifacts plus a
+plain-text summary into ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -44,7 +43,7 @@ class Setting(NamedTuple):
 SETTINGS = {
     "data": Setting(str, "dataset directory (train/ and val/ splits)"),
     "out": Setting(str, "output directory for artifacts"),
-    "seed": Setting(int, "RNG seed (fallback: TCNA_SEED, then 0)"),
+    "seed": Setting(int, "RNG seed (default 0)"),
     "preset": Setting(str, "synthetic dataset preset", tuple(sorted(PRESETS))),
     "modality": Setting(str, "branch modality", MODALITIES),
     "strategy": Setting(str, "fusion strategy", STRATEGIES),
@@ -55,15 +54,12 @@ SETTINGS = {
     "lr": Setting(float, "initial learning rate"),
     "batch": Setting(int, "batch size"),
     "embed_dim": Setting(int, "fusion embedding width"),
-    "reps": Setting(int, "timed repetitions"),
-    "warmup": Setting(int, "untimed repetitions before them"),
     "ckpt": Setting(str, "branch or fusion checkpoint", config=False),
     **{f"{mod}_ckpt": Setting(str, f"checkpoint of the pre-trained {mod} branch", config=False)
        for mod in MODALITIES},
-    **{key: Setting(int, None) for key in ("kernel", "train_per_class", "val_per_class")},
-    **{key: Setting(float, None) for key in ("sigma", "input_dropout", "block_dropout",
-                                             "head_dropout", "fusion_dropout", "momentum",
-                                             "weight_decay", "power")},
+    **{key: Setting(int, None) for key in ("train_per_class", "val_per_class")},
+    **{key: Setting(float, None) for key in ("input_dropout", "block_dropout", "head_dropout",
+                                             "fusion_dropout")},
 }
 
 
@@ -144,13 +140,12 @@ def cmd_synth_gen(args) -> int:
 _DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1, "head_dropout": 0.1}
 
 # flag or config key -> config field
-_SPEC_KEYS = {"sigma": "sigma", "snippets": "num_snippets", "train_per_class": "train_per_class",
+_SPEC_KEYS = {"snippets": "num_snippets", "train_per_class": "train_per_class",
               "val_per_class": "val_per_class"}
-_BRANCH_KEYS = {key: key for key in ("channels", "kernel", "dtype", "input_dropout",
-                                     "block_dropout", "head_dropout")}
+_BRANCH_KEYS = {key: key for key in ("channels", "dtype", "input_dropout", "block_dropout",
+                                     "head_dropout")}
 _FUSION_KEYS = {"embed_dim": "embed_dim", "fusion_dropout": "head_dropout"}
-_SGD_KEYS = {"lr": "lr0", "epochs": "epochs", "batch": "batch_size", "momentum": "momentum",
-             "weight_decay": "weight_decay", "power": "power"}
+_SGD_KEYS = {"lr": "lr0", "epochs": "epochs", "batch": "batch_size"}
 
 
 def _settings(args, keys: dict[str, str]) -> dict:
@@ -280,7 +275,7 @@ def cmd_bench(args) -> int:
     lcfg = LstmConfig(input_dim=channels, hidden=channels, num_actions=100,
                       encoder_steps=bcfg.required_length, dtype=dtype)
     baseline = LstmEncoderDecoder(lcfg, rng)
-    report = bench_models(branch, baseline, args.batch, args.reps, args.warmup, args.seed)
+    report = bench_models(branch, baseline, args.batch, args.seed)
     _write(out / "bench.csv", report.csv())
     _write(out / "bench_summary.txt", report.summary())
     print(report.summary(), end="")
@@ -350,9 +345,8 @@ COMMANDS = {
     "gradcheck": (cmd_gradcheck, "finite-difference check of every layer in f64",
                   ("out", "seed"), {}),
     "bench": (cmd_bench, "speed study: conv branch vs recurrent baseline",
-              ("out", "seed", "channels", "dtype", "snippets", "batch", "reps", "warmup"),
-              {"channels": 1024, "snippets": 21, "batch": 4, "reps": 30, "warmup": 5,
-               "dtype": "f32"}),
+              ("out", "seed", "channels", "dtype", "snippets", "batch"),
+              {"channels": 1024, "snippets": 21, "batch": 4, "dtype": "f32"}),
     "ablate-obslen": (cmd_ablate_obslen, "observation-length study",
                       ("data", "out", "seed", "modality", *_BRANCH_KEYS, *_SGD_KEYS),
                       {"lr": 0.02, "epochs": 25, "batch": 32, "modality": "rgb", **_DESK_BRANCH}),
@@ -376,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
             if setting.help is not None:
                 p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=setting.type,
                                choices=setting.choices, help=setting.help)
-        if "seed" in keys:  # a string default, so argparse checks it as it checks --seed
-            defaults = {"seed": os.environ.get("TCNA_SEED") or 0, **defaults}
+        if "seed" in keys:
+            defaults = {"seed": 0, **defaults}
         p.set_defaults(func=func, parser=p, **defaults)
     return parser
 

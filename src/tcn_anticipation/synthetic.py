@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import MODALITIES, Sample
-from .tensor import Rng, Tensor, TensorError
+from .tensor import Rng, TensorError
 
 EARLY_CUTOFF = 8  # snippets that carry the component telling partner actions apart
 RAMP_START = 0.5  # emission scale of the first snippet; the last is at 1

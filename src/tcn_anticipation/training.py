@@ -33,37 +33,36 @@ from .metrics import top_k_accuracy
 from .tensor import BLOCK, NonFiniteError, Rng, Tensor, TensorError, blocks
 
 
+# the paper's recipe for every branch and fusion head
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+LR_POWER = 0.99
+
+
 @dataclass(frozen=True)
 class SgdConfig:
     lr0: float
     epochs: int = 80
     batch_size: int = 64
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    power: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.lr0) and self.lr0 > 0):
             raise TensorError(f"lr0 must be finite and positive, got {self.lr0}")
-        for name, value in (("weight_decay", self.weight_decay), ("power", self.power)):
-            if not (math.isfinite(value) and value >= 0):
-                raise TensorError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise TensorError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
             raise TensorError("epochs and batch_size must be positive")
 
 
-def lr_at_epoch(lr0: float, epoch: int, total_epochs: int, power: float = 0.99) -> float:
-    """lr0 * (1 - e/E)^power, applied at the start of epoch e."""
+def lr_at_epoch(lr0: float, epoch: int, total_epochs: int) -> float:
+    """lr0 * (1 - e/E)^LR_POWER, applied at the start of epoch e."""
     if not 0 <= epoch < total_epochs:
         raise TensorError(f"epoch {epoch} outside [0, {total_epochs})")
-    return lr0 * (1.0 - epoch / total_epochs) ** power
+    return lr0 * (1.0 - epoch / total_epochs) ** LR_POWER
 
 
 class SgdOptimizer:
-    """Classical momentum: v <- m*v + (g + wd*p); p <- p - lr*v.
+    """Classical momentum: v <- m*v + (g + wd*p); p <- p - lr*v, with m
+    ``MOMENTUM`` and wd ``WEIGHT_DECAY``.
 
     Decay is added to the gradient before the momentum buffer and skipped for
     parameters flagged decay=False (BN gamma/beta). A non-finite gradient
@@ -76,11 +75,8 @@ class SgdOptimizer:
     ``np.zeros``, whose pages stay untouched until the first step writes them.
     """
 
-    def __init__(self, named_params: list[tuple[str, Parameter]],
-                 momentum: float = 0.9, weight_decay: float = 5e-4):
+    def __init__(self, named_params: list[tuple[str, Parameter]]):
         self.named_params = named_params
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros(p.data.shape, p.data.dtype) for _, p in named_params]
         self._scratch = np.empty(BLOCK, np.float64)  # viewed as f32, it holds a block too
 
@@ -97,8 +93,8 @@ class SgdOptimizer:
                 raise NonFiniteError(f"non-finite gradient for {name!r}; step aborted")
         for v, (_, p) in zip(self._velocity, self.named_params):
             dt = p.data.dtype.type
-            momentum, rate = dt(self.momentum), dt(lr)
-            decay = dt(self.weight_decay) if self.weight_decay and p.decay else None
+            momentum, rate = dt(MOMENTUM), dt(lr)
+            decay = dt(WEIGHT_DECAY) if p.decay else None
             data, grad, vel = p.data.reshape(-1), p.grad.reshape(-1), v.reshape(-1)
             scratch = self._scratch.view(p.data.dtype)
             for part in blocks(data.size):
@@ -234,7 +230,7 @@ def _run_epochs(model, params, state, train, val, sgd, rng, log) -> TrainResult:
     whenever validation top-1 improves.
     """
     (x_train, y_train), (x_val, y_val) = train, val
-    opt = SgdOptimizer(params, sgd.momentum, sgd.weight_decay)
+    opt = SgdOptimizer(params)
     n = len(y_train["action"])
     history: list[EpochRecord] = []
     best_epoch, best_top1 = -1, -1.0
@@ -243,7 +239,7 @@ def _run_epochs(model, params, state, train, val, sgd, rng, log) -> TrainResult:
         t0 = time.perf_counter()
         lr, total = 0.0, 0.0
         if params:
-            lr = lr_at_epoch(sgd.lr0, epoch, sgd.epochs, sgd.power)
+            lr = lr_at_epoch(sgd.lr0, epoch, sgd.epochs)
             order = rng.permutation(n)
             for start in range(0, n, sgd.batch_size):
                 idx = order[start:start + sgd.batch_size]

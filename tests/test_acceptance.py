@@ -103,7 +103,6 @@ def run_studies(lines: tuple[str, ...], workdir, monkeypatch) -> None:
     """Runs README "Studies" lines through ``cli.main`` in ``workdir``, their
     per-model lines kept out of the test's output."""
     monkeypatch.chdir(workdir)
-    monkeypatch.delenv("TCNA_SEED", raising=False)
     with contextlib.redirect_stdout(io.StringIO()):
         for line in lines:
             assert cli.main(shlex.split(line)[1:]) == 0, line

@@ -17,8 +17,7 @@ class TestCellMath:
 
     def test_forward_shapes(self):
         rng = Rng(0)
-        cfg = LstmConfig(input_dim=5, hidden=7, num_actions=4, encoder_steps=6,
-                         decoder_steps=2)
+        cfg = LstmConfig(input_dim=5, hidden=7, num_actions=4, encoder_steps=6)
         model = LstmEncoderDecoder(cfg, rng)
         x = rng.normal(0, 1, (3, 5, 6))
         assert model.forward(x).shape == (3, 4)
@@ -45,8 +44,7 @@ class TestCellMath:
 class TestBptt:
     def test_gradients_match_finite_differences(self):
         rng = Rng(3)
-        cfg = LstmConfig(input_dim=3, hidden=4, num_actions=3, encoder_steps=5,
-                         decoder_steps=2, dtype="f64")
+        cfg = LstmConfig(input_dim=3, hidden=4, num_actions=3, encoder_steps=5, dtype="f64")
         model = LstmEncoderDecoder(cfg, rng).train()
         x = rng.normal(0, 1, (2, 3, 5), "f64")
         y = np.array([0, 2])

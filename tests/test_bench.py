@@ -20,10 +20,8 @@ class TestAnalyticCounts:
         assert 3 * 1024 * 1024 * (19 + 15 + 9 + 1) == 138_412_032
 
     def test_full_width_lstm_count(self):
-        cfg = LstmConfig(input_dim=1024, hidden=1024, num_actions=10,
-                         encoder_steps=21, decoder_steps=8)
+        cfg = LstmConfig(input_dim=1024, hidden=1024, num_actions=10, encoder_steps=21)
         assert lstm_macs(cfg) == 243_269_632
-        enc_only = LstmConfig(1024, 1024, 10, encoder_steps=21, decoder_steps=8)
         assert 21 * 4 * (1024 * 1024 + 1024 * 1024) == 176_160_768
 
     def test_single_mac_case(self):
@@ -38,7 +36,7 @@ class TestAnalyticCounts:
     def test_branch_beats_lstm_at_reference_width(self):
         bcfg = BranchConfig(input_dim=1024, num_actions=10, num_verbs=5, num_nouns=5,
                             channels=1024)
-        lcfg = LstmConfig(1024, 1024, 10, encoder_steps=21, decoder_steps=8)
+        lcfg = LstmConfig(1024, 1024, 10, encoder_steps=21)
         assert branch_macs(bcfg, 21) < lstm_macs(lcfg)
 
     def test_below_receptive_field_rejected(self):
@@ -79,14 +77,14 @@ class TestBenchRun:
                             channels=channels, dilations=(1, 2), input_dropout=0.0,
                             block_dropout=0.0, head_dropout=0.0)
         branch = Branch(bcfg, rng)
-        lcfg = LstmConfig(channels, channels, 5, encoder_steps=snippets, decoder_steps=2)
+        lcfg = LstmConfig(channels, channels, 5, encoder_steps=snippets)
         return branch, LstmEncoderDecoder(lcfg, rng)
 
     def test_report_structure(self):
         branch, baseline = self.make_models()
-        report = bench_models(branch, baseline, batch=2, reps=30, warmup=5)
+        report = bench_models(branch, baseline, batch=2)
         assert isinstance(report, BenchReport)
-        assert report.repetitions == 30 and report.warmup == 5
+        assert report.summary().startswith("batch=2 reps=30 warmup=5\n")
         names = [m.name for m in report.models]
         assert names == ["tcn_branch", "lstm_baseline"]
         for m in report.models:
@@ -97,12 +95,8 @@ class TestBenchRun:
         assert len(csv.splitlines()) == 3
         assert "speedup" in report.summary()
 
-    def test_too_few_reps_rejected(self):
+    def test_batch_below_one_rejected(self):
         branch, baseline = self.make_models()
-        with pytest.raises(TensorError):
-            bench_models(branch, baseline, batch=1, reps=10, warmup=5)
-        with pytest.raises(TensorError):
-            bench_models(branch, baseline, batch=1, reps=30, warmup=2)
         for batch in (0, -2):
             with pytest.raises(TensorError, match=f"got {batch}"):
                 bench_models(branch, baseline, batch=batch)
@@ -113,8 +107,8 @@ class TestBenchRun:
         branch, _ = self.make_models()
         branch.eval()
         x = Rng(1).normal(0, 1, (2, 8, 7))
-        a = _median_of_means(_time_reps(lambda: branch.forward(x), 30, 5))
-        b = _median_of_means(_time_reps(lambda: branch.forward(x), 30, 5))
+        a = _median_of_means(_time_reps(lambda: branch.forward(x)))
+        b = _median_of_means(_time_reps(lambda: branch.forward(x)))
         assert 0.5 < a / b < 2.0
 
     def test_mismatched_windows_rejected(self):
@@ -122,4 +116,4 @@ class TestBenchRun:
         rng = Rng(2)
         wrong = LstmEncoderDecoder(LstmConfig(8, 8, 5, encoder_steps=9), rng)
         with pytest.raises(TensorError):
-            bench_models(branch, wrong, batch=1, reps=30, warmup=5)
+            bench_models(branch, wrong, batch=1)

@@ -43,16 +43,12 @@ def params_of(arrays, decay=True):
 
 
 class TestSgdStep:
-    def test_plain_sgd_without_momentum(self):
-        named = params_of([np.array([1.0, 2.0])])
-        opt = SgdOptimizer(named, momentum=0.0, weight_decay=0.0)
-        named[0][1].grad[...] = np.array([0.5, -0.5])
-        opt.step(0.1)
-        assert np.allclose(named[0][1].data, [0.95, 2.05])
+    """The step at the paper's momentum 0.9 and weight decay 5e-4; a decay=False
+    parameter isolates the momentum."""
 
     def test_zero_grads_decaying_velocity(self):
-        named = params_of([np.array([1.0])])
-        opt = SgdOptimizer(named, momentum=0.9, weight_decay=0.0)
+        named = params_of([np.array([1.0])], decay=False)
+        opt = SgdOptimizer(named)
         named[0][1].grad[...] = 1.0
         opt.step(0.0)  # builds velocity 1 without moving params (lr 0)
         v0 = opt._velocity[0].copy()
@@ -63,8 +59,8 @@ class TestSgdStep:
 
     def test_two_steps_constant_gradient(self):
         # hand-unrolled: v1 = g, v2 = 1.9 g, total update = lr*g*(1 + 1.9)
-        named = params_of([np.array([0.0])])
-        opt = SgdOptimizer(named, momentum=0.9, weight_decay=0.0)
+        named = params_of([np.array([0.0])], decay=False)
+        opt = SgdOptimizer(named)
         for _ in range(2):
             named[0][1].grad[...] = 2.0
             opt.step(0.1)
@@ -72,7 +68,7 @@ class TestSgdStep:
 
     def test_weight_decay_shrinks_params_monotonically(self):
         named = params_of([np.array([5.0])])
-        opt = SgdOptimizer(named, momentum=0.0, weight_decay=0.1)
+        opt = SgdOptimizer(named)
         norms = [abs(named[0][1].data[0])]
         for _ in range(5):
             named[0][1].grad[...] = 0.0
@@ -82,14 +78,14 @@ class TestSgdStep:
 
     def test_decay_excluded_for_flagged_params(self):
         named = params_of([np.array([5.0])], decay=False)
-        opt = SgdOptimizer(named, momentum=0.0, weight_decay=0.1)
+        opt = SgdOptimizer(named)
         named[0][1].grad[...] = 0.0
         opt.step(0.1)
         assert named[0][1].data[0] == 5.0
 
     def test_non_finite_gradient_aborts_before_moving(self):
         named = params_of([np.array([1.0]), np.array([2.0])])
-        opt = SgdOptimizer(named, momentum=0.0, weight_decay=0.0)
+        opt = SgdOptimizer(named)
         named[0][1].grad[...] = 1.0
         named[1][1].grad[...] = np.nan
         with pytest.raises(NonFiniteError, match="p1"):
@@ -98,26 +94,17 @@ class TestSgdStep:
 
     def test_a_non_contiguous_parameter_is_refused_before_moving(self):
         named = params_of([np.array([1.0]), np.ones((3, 2)).T])
-        opt = SgdOptimizer(named, momentum=0.0, weight_decay=0.0)
+        opt = SgdOptimizer(named)
         named[0][1].grad[...] = 1.0
         with pytest.raises(TensorError, match="p1"):
             opt.step(0.1)
         assert named[0][1].data[0] == 1.0
 
     def test_config_validation(self):
-        with pytest.raises(TensorError):
-            SgdConfig(lr0=0.0)
-        with pytest.raises(TensorError):
-            SgdConfig(lr0=0.1, momentum=1.0)
         # NaN and inf pass a bare sign check, and train to NaN weights
-        for field, value in [("lr0", float("nan")), ("lr0", float("inf")),
-                             ("weight_decay", -3.0), ("weight_decay", float("nan")),
-                             ("weight_decay", float("inf")), ("power", -1.0),
-                             ("power", float("nan")), ("power", float("inf")),
-                             ("momentum", float("nan"))]:
-            with pytest.raises(TensorError, match=field):
-                SgdConfig(**{"lr0": 0.1, field: value})
-        SgdConfig(lr0=0.1, weight_decay=0.0, power=0.0)  # zero is a valid decay and power
+        for lr0 in (0.0, float("nan"), float("inf")):
+            with pytest.raises(TensorError, match="lr0"):
+                SgdConfig(lr0=lr0)
 
 
 def tiny_dataset(rng, n_per_class=6, num_actions=2, dim=4, snippets=7):
@@ -157,17 +144,17 @@ class TestBlockedSgdStep:
     SIZE = 3 * BLOCK + 5
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-    def test_three_steps_equal_the_whole_array_formula(self, dtype, weight_decay):
+    @pytest.mark.parametrize("decay", [True, False], ids=["decayed", "decay_off"])
+    def test_three_steps_equal_the_whole_array_formula(self, dtype, decay):
         rng = Rng(4)
         start = rng.normal(0, 1, (self.SIZE,), dtype)
         grads = [rng.normal(0, 1, (self.SIZE,), dtype) for _ in range(3)]
-        named = params_of([start.copy()])
-        opt = SgdOptimizer(named, momentum=0.9, weight_decay=weight_decay)
+        named = params_of([start.copy()], decay=decay)
+        opt = SgdOptimizer(named)
         for g in grads:
             named[0][1].grad[...] = g
             opt.step(0.0125)
-        want, want_v = whole_array_steps(start, grads, 0.0125, 0.9, weight_decay)
+        want, want_v = whole_array_steps(start, grads, 0.0125, 0.9, 5e-4 if decay else 0.0)
         assert named[0][1].data.tobytes() == want.tobytes()
         assert opt._velocity[0].tobytes() == want_v.tobytes()
 
@@ -175,7 +162,7 @@ class TestBlockedSgdStep:
         rng = Rng(6)
         start, g = (rng.normal(0, 1, (BLOCK + 2, 3), "f32") for _ in range(2))
         named = params_of([start.copy()], decay=False)
-        opt = SgdOptimizer(named, momentum=0.9, weight_decay=5e-4)
+        opt = SgdOptimizer(named)
         named[0][1].grad[...] = g
         opt.step(0.5)
         want, _ = whole_array_steps(start, [g], 0.5, 0.9, 0.0)
@@ -185,7 +172,7 @@ class TestBlockedSgdStep:
     def test_the_velocity_starts_as_zeros_like_did(self, dtype):
         data = np.arange(12, dtype=dtype).reshape(3, 4)
         named = params_of([data.copy()])
-        opt = SgdOptimizer(named, momentum=0.9, weight_decay=5e-4)
+        opt = SgdOptimizer(named)
         v = opt._velocity[0]
         want = np.zeros_like(data)
         assert v.dtype == want.dtype and v.shape == want.shape and v.tobytes() == want.tobytes()
@@ -196,7 +183,7 @@ class TestBlockedSgdStep:
 
     def test_a_step_allocates_nothing_the_size_of_its_parameter(self):
         named = params_of([np.ones(3 << 20, np.float32)])  # 12 MiB
-        opt = SgdOptimizer(named, momentum=0.9, weight_decay=5e-4)
+        opt = SgdOptimizer(named)
         named[0][1].grad[...] = 0.25
         tracemalloc.start()
         try:
