@@ -29,10 +29,13 @@ so the cone gives the features of the full-window forward up to the GEMM's
 summation order. The cone runs ``EVAL_CHUNK`` windows at a time, each chunk
 writing its last column into one array for the batch, and the heads then run
 once, so a split's validation, fusion branch pass or evaluation holds one
-chunk's activations at any batch size. Up to ``EVAL_CHUNK`` windows the result
-is the one-batch pass's bits; above, BLAS sums in an order that depends on a
-GEMM's column count, so it matches that pass within rounding. Eval-mode
-forwards keep no caches, so ``backward`` needs a train-mode forward.
+chunk's activations at any batch size. A batch may be a read-only view of a
+split (see :mod:`~tcn_anticipation.data`), so each chunk, like each train batch,
+is copied to a C-contiguous array before the embedding conv: the im2col of the
+view was slower than the copy and the im2col together. Up to ``EVAL_CHUNK``
+windows the result is the one-batch pass's bits; above, BLAS sums in an order
+that depends on a GEMM's column count, so it matches that pass within rounding.
+Eval-mode forwards keep no caches, so ``backward`` needs a train-mode forward.
 
 An eval-mode forward given a ``stream``, a list the caller keeps, serves windows
 that slide one snippet at a time. An empty stream is started: every position is
@@ -227,14 +230,15 @@ class Branch(Model):
         c = self.config
         self.check_input(x)
         if self.training:
-            z = self._run(x, None, rng)
+            z = self._run(np.ascontiguousarray(x), None, rng)
         elif stream is not None:
             z = self._step(x, stream)
         else:
             cone = _cone(c.kernel, c.dilations, x.shape[2])
             z = np.empty((x.shape[0], c.channels, 1), np.result_type(self.embed.weight.data, x))
             for s in range(0, x.shape[0], EVAL_CHUNK):
-                z[s:s + EVAL_CHUNK] = self._run(x[s:s + EVAL_CHUNK], cone, rng)[:, :, -1:]
+                chunk = np.ascontiguousarray(x[s:s + EVAL_CHUNK])
+                z[s:s + EVAL_CHUNK] = self._run(chunk, cone, rng)[:, :, -1:]
         self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
         out = {"feature": feature}

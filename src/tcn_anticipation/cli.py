@@ -154,11 +154,12 @@ def _settings(args, keys: dict[str, str]) -> dict:
             if getattr(args, key, None) is not None}
 
 
-def _branch_config_from_args(args, samples, modality: str,
+def _branch_config_from_args(args, splits, modality: str,
                              snippets: int | None = None) -> BranchConfig:
-    """Class counts from the labels; adapted to ``snippets`` if given."""
-    counts = {f"num_{head}s": max(s.labels[head] for s in samples) + 1 for head in HEADS}
-    base = BranchConfig(input_dim=samples[0].features[modality].shape[1], **counts,
+    """Class counts from the splits' labels; adapted to ``snippets`` if given."""
+    counts = {f"num_{head}s": max(int(s.labels[head].max()) for s in splits) + 1
+              for head in HEADS}
+    base = BranchConfig(input_dim=splits[0].features[modality].shape[2], **counts,
                         **_settings(args, _BRANCH_KEYS))
     return base if snippets is None else base.for_snippets(snippets)
 
@@ -186,7 +187,7 @@ def cmd_train_branch(args) -> int:
     modality = args.modality
     train = _load_split(args, "train")
     val = _load_split(args, "val")
-    bcfg = _branch_config_from_args(args, train + val, modality, args.snippets)
+    bcfg = _branch_config_from_args(args, (train, val), modality, args.snippets)
     sgd = _sgd_from_args(args)
     branch, result = train_branch(train, val, modality, bcfg, sgd,
                                   snippets=args.snippets, log=print)
@@ -291,9 +292,9 @@ def cmd_ablate_obslen(args) -> int:
     results = {}
     sgd = _sgd_from_args(args)
     for n in (3, 7, 13, 21):
-        if n > train[0].num_snippets:
+        if n > train.num_snippets:
             continue
-        base = _branch_config_from_args(args, train + val, modality, n)
+        base = _branch_config_from_args(args, (train, val), modality, n)
         _, result = train_branch(train, val, modality, base, sgd, snippets=n)
         results[n] = result.best_val_top1
         rows.append(f"{n},{n * 0.25:.2f},{result.best_val_top1:.6f}")
@@ -311,7 +312,7 @@ def cmd_ablate_fusion(args) -> int:
     branches = {}
     rows = ["model,val_top1_action"]
     for mod in MODALITIES:
-        bcfg = _branch_config_from_args(args, train + val, mod)
+        bcfg = _branch_config_from_args(args, (train, val), mod)
         branch, result = train_branch(train, val, mod, bcfg, sgd)
         _save_best(out, branch, mod, result)  # the scored branch is the one fused
         branches[mod] = branch

@@ -1,4 +1,4 @@
-"""Samples and the on-disk dataset layout.
+"""Splits, samples and the on-disk dataset layout.
 
 A sample is one observed window: per-modality matrices of N snippet feature
 vectors plus action/verb/noun labels. A split of W windows is a directory of
@@ -9,6 +9,14 @@ labels in [0, 2**63), and one FSEQ file per modality (``rgb.fseq``,
     magic "FSEQ" | u16 version (2) | u8 modality code | u32 W | u32 N | u32 D
     | W*N*D float32 little-endian row-major | trailing u32 CRC32 of everything
     after the magic
+
+In memory a :class:`Split` holds the same columns: the ids, one int64 label array
+per head and one (W, N, D) array per modality, which ``read_dataset`` views in the
+buffers it reads the files into. Slicing a split gives a split of views and
+indexing one a :class:`Sample` view, and ``stack_features`` returns read-only
+(B, D, N) views of it, so no batch copies the split; the branch copies only the
+batch or chunk it computes on. A list of samples built by hand is packed into a
+split, by ``as_split``, wherever a split is expected.
 
 Adapters for external feature dumps are out of scope: to import data, write
 each modality's (W, N, D) array, rows in index order, with
@@ -49,12 +57,6 @@ class Sample:
     verb: int
     noun: int
 
-    def __post_init__(self):
-        lengths = {mod: arr.shape[0] for mod, arr in self.features.items()}
-        if len(set(lengths.values())) > 1:
-            raise DatasetError(
-                f"sample {self.sample_id!r}: modalities disagree on snippet count {lengths}")
-
     @property
     def num_snippets(self) -> int:
         return next(iter(self.features.values())).shape[0]
@@ -62,6 +64,61 @@ class Sample:
     @property
     def labels(self) -> dict[str, int]:
         return {"action": self.action, "verb": self.verb, "noun": self.noun}
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """W windows: their ids, one (W,) int64 label array per head and one (W, N, D) array
+    per modality, whose rows the k-th window owns. ``split[a:b]`` and ``split[::k]`` are
+    splits of views, ``split[i]`` a sample whose features are views. ``name`` says
+    where the split came from, for errors."""
+
+    name: str
+    ids: list[str] = field(repr=False)
+    labels: dict[str, np.ndarray] = field(repr=False)
+    features: dict[str, Tensor] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Split(self.name, self.ids[key],
+                         {head: arr[key] for head, arr in self.labels.items()},
+                         {mod: arr[key] for mod, arr in self.features.items()})
+        return Sample(self.ids[key], {mod: arr[key] for mod, arr in self.features.items()},
+                      *(int(self.labels[head][key]) for head in HEADS))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def num_snippets(self) -> int:
+        return next(iter(self.features.values())).shape[1]
+
+
+def as_split(samples: Split | list[Sample]) -> Split:
+    """A split as it is; a list of samples packed into one, each modality's rows stacked.
+    Samples whose features differ in shape, or a sample whose modalities differ in
+    snippet count, are a ``DatasetError`` naming them."""
+    if isinstance(samples, Split):
+        return samples
+    features = {}
+    for mod in samples[0].features if samples else MODALITIES:
+        rows = [s.features[mod] for s in samples]
+        for s, arr in zip(samples, rows):
+            if arr.shape != rows[0].shape:
+                raise DatasetError(
+                    f"sample {s.sample_id!r} has {mod} features of shape {arr.shape}, "
+                    f"sample {samples[0].sample_id!r} has {rows[0].shape}")
+        features[mod] = np.stack(rows) if rows else np.empty((0, 0, 0), np.float32)
+    lengths = {mod: arr.shape[1] for mod, arr in features.items()}
+    if len(set(lengths.values())) > 1:
+        raise DatasetError(f"sample {samples[0].sample_id!r}: modalities disagree on "
+                           f"snippet count {lengths}")
+    labels = {head: np.array([s.labels[head] for s in samples], dtype=np.int64)
+              for head in HEADS}
+    return Split("samples", [s.sample_id for s in samples], labels, features)
 
 
 def write_feature_file(path, modality: str, features: Tensor) -> None:
@@ -114,23 +171,22 @@ def read_feature_file(path) -> tuple[str, Tensor]:
     return MODALITIES[code], features
 
 
-def write_dataset(samples: list[Sample], out_dir) -> Path:
-    """Writes the CSV index and one FSEQ file per modality, rows in sample order."""
+def write_dataset(samples: Split | list[Sample], out_dir) -> Path:
+    """Writes the CSV index and one FSEQ file per modality, rows in split order."""
+    split = as_split(samples)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for mod in MODALITIES:
-        rows = _rows(samples, mod)
-        write_feature_file(out_dir / f"{mod}.fseq", mod,
-                           np.stack(rows) if rows else np.empty((0, 0, 0)))
+        write_feature_file(out_dir / f"{mod}.fseq", mod, split.features[mod])
     index_path = out_dir / "index.csv"
     with open(index_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([INDEX_HEADER, *([s.sample_id, s.action, s.verb, s.noun]
-                                                  for s in samples)])
+        csv.writer(fh).writerows([INDEX_HEADER, *zip(split.ids, *(split.labels[head].tolist()
+                                                                for head in HEADS))])
     return index_path
 
 
-def read_dataset(index_path) -> list[Sample]:
-    """A split's samples, each one's features a row of its modality's file."""
+def read_dataset(index_path) -> Split:
+    """A split whose (W, N, D) arrays are views of the buffers its files are read into."""
     index_path = Path(index_path)
     if not index_path.is_file():
         raise DatasetError(f"index file {index_path} is missing or not a file")
@@ -151,7 +207,7 @@ def read_dataset(index_path) -> list[Sample]:
         if max(labels[-1]) > LABEL_MAX:
             raise DatasetError(f"{index_path}: row {row} has a label above {LABEL_MAX}, "
                                "the largest int64")
-    features = {}
+    features, first = {}, index_path.parent / f"{MODALITIES[0]}.fseq"
     for mod in MODALITIES:
         path = index_path.parent / f"{mod}.fseq"
         file_mod, features[mod] = read_feature_file(path)
@@ -160,34 +216,32 @@ def read_dataset(index_path) -> list[Sample]:
         if len(features[mod]) != len(rows):
             raise DatasetError(
                 f"{path} holds {len(features[mod])} windows, {index_path} has {len(rows)} rows")
-    return [Sample(row[0], {mod: features[mod][i] for mod in MODALITIES}, *row_labels)
-            for i, (row, row_labels) in enumerate(zip(rows, labels))]
+        n, n0 = features[mod].shape[1], features[MODALITIES[0]].shape[1]
+        if rows and n != n0:
+            raise DatasetError(f"{path} holds {n} snippets per window, {first} holds {n0}")
+    return Split(str(index_path), [row[0] for row in rows],
+                 {head: np.array([row[j] for row in labels], np.int64)
+                  for j, head in enumerate(HEADS)}, features)
 
 
-def _rows(samples: list[Sample], modality: str, last_n: int | None = None) -> list[Tensor]:
-    """Each sample's (N, D) features of one modality, the most recent ``last_n`` kept."""
-    rows = []
-    for s in samples:
-        arr = s.features[modality]
-        if last_n is not None:
-            if last_n > arr.shape[0]:
-                raise DatasetError(
-                    f"sample {s.sample_id!r} has {arr.shape[0]} snippets, need {last_n}")
-            arr = arr[arr.shape[0] - last_n:]
-        if rows and arr.shape != rows[0].shape:
-            raise DatasetError(
-                f"sample {s.sample_id!r} has {modality} features of shape {arr.shape}, "
-                f"sample {samples[0].sample_id!r} has {rows[0].shape}")
-        rows.append(arr)
-    return rows
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
-def stack_features(samples: list[Sample], modality: str,
+def stack_features(samples: Split | list[Sample], modality: str,
                    last_n: int | None = None) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """(B, D, N) batch of one modality plus label arrays, most recent N kept."""
-    if not samples:
+    """(B, D, N) batch of one modality plus the label arrays, the most recent ``last_n``
+    snippets kept: read-only views of the split, so writing into them is a ValueError."""
+    split = as_split(samples)
+    if not len(split):
         raise DatasetError("empty dataset")
-    x = np.ascontiguousarray(np.stack([arr.T for arr in _rows(samples, modality, last_n)]))
-    labels = {head: np.array([s.labels[head] for s in samples], dtype=np.int64)
-              for head in HEADS}
-    return x, labels
+    x = split.features[modality]
+    if last_n is not None:
+        n = x.shape[1]
+        if last_n > n:
+            raise DatasetError(f"split {split.name} has {n} snippets per window, need {last_n}")
+        x = x[:, n - last_n:]
+    return (_read_only(x.transpose(0, 2, 1)),
+            {head: _read_only(split.labels[head]) for head in HEADS})

@@ -53,7 +53,7 @@ from typing import Callable, Mapping, TypeAlias
 
 import numpy as np
 
-from .tensor import NonFiniteError, Rng, Tensor, TensorError, dtype_of
+from .tensor import BLOCK, NonFiniteError, Rng, Tensor, TensorError, dtype_of
 
 # Width from which a train-mode conv and the fusion model's branch pass use the pool.
 # Below it all work stays on the caller: each worker thread takes its own malloc arena,
@@ -342,7 +342,10 @@ class BatchNorm1d(Layer):
     channel; eval mode uses the running estimates. Running stats are touched only
     in train mode. Train mode centres the rows once and takes the variance from
     them with ``np.var``'s own arithmetic (sum of squares over the count), so it
-    is bitwise ``rows.var`` without a second centring.
+    is bitwise ``rows.var`` without a second centring. Backward runs the
+    whole-array formula over blocks of channel rows of about
+    :data:`~.tensor.BLOCK` values, so it holds one block's temporaries; every row
+    sees the same sums and steps, so the result is bitwise the same.
     """
 
     params = ("gamma", "beta")
@@ -396,12 +399,17 @@ class BatchNorm1d(Layer):
         xhat, inv, (b, c, n) = self._cache
         m = xhat.shape[1]
         g = _cm(grad_out).reshape(c, -1)
-        self.gamma.grad += (g * xhat).sum(axis=1)
-        self.beta.grad += g.sum(axis=1)
-        dxhat = g * self.gamma.data[:, None]
-        sum_dxhat = dxhat.sum(axis=1, keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=1, keepdims=True)
-        grad_x = (inv[:, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        grad_x = np.empty((c, m), np.result_type(g, xhat, self.gamma.data))
+        rows = max(1, BLOCK // m)  # each block's temporaries hold about BLOCK values
+        for r in (slice(i, i + rows) for i in range(0, c, rows)):
+            gr, xr, gamma = g[r], xhat[r], self.gamma.data[r, None]
+            self.gamma.grad[r] += (gr * xr).sum(axis=1)
+            self.beta.grad[r] += gr.sum(axis=1)
+            dxhat = gr * gamma
+            sum_dxhat = dxhat.sum(axis=1, keepdims=True)
+            sum_dxhat_xhat = (dxhat * xr).sum(axis=1, keepdims=True)
+            np.multiply(inv[r, None] / m, m * dxhat - sum_dxhat - xr * sum_dxhat_xhat,
+                        out=grad_x[r])
         self._cache = None
         return _bcn(grad_x.reshape(c, n, b))
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MODALITIES, Sample
+from .data import HEADS, MODALITIES, Split
 from .tensor import Rng, TensorError
 
 EARLY_CUTOFF = 8  # snippets that carry the component telling partner actions apart
@@ -144,24 +144,22 @@ def class_templates(spec: SyntheticSpec, seed: int, modality: str) -> np.ndarray
     return np.stack([protos.sequence(a, modality) for a in range(spec.num_actions)])
 
 
-def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Sample], list[Sample]]:
-    """Seeded train/val sample lists; identical seeds give identical datasets."""
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[Split, Split]:
+    """Seeded train/val splits; identical seeds give identical datasets."""
     actions = action_table(spec)
     rng = Rng(seed + 1)  # emission noise stream, separate from prototypes
     templates = {mod: class_templates(spec, seed, mod) for mod in MODALITIES}
 
-    def emit(split: str, per_class: int) -> list[Sample]:
-        samples = []
-        for action in range(spec.num_actions):
-            verb, noun = actions[action]
-            for i in range(per_class):
-                feats = {}
-                for mod in MODALITIES:
-                    base = templates[mod][action]
-                    noise = rng.normal(0.0, spec.sigma, base.shape, "f64")
-                    feats[mod] = (base + noise).astype(np.float32)
-                samples.append(Sample(f"{split}-{action:03d}-{i:05d}", feats,
-                                      action, verb, noun))
-        return samples
+    def emit(split: str, per_class: int) -> Split:
+        windows = [(a, i) for a in range(spec.num_actions) for i in range(per_class)]
+        features = {mod: np.empty((len(windows), *templates[mod].shape[1:]), np.float32)
+                    for mod in MODALITIES}
+        for w, (action, _) in enumerate(windows):
+            for mod in MODALITIES:
+                base = templates[mod][action]
+                features[mod][w] = base + rng.normal(0.0, spec.sigma, base.shape, "f64")
+        labels = {head: np.array([(a, *actions[a])[j] for a, _ in windows], np.int64)
+                  for j, head in enumerate(HEADS)}
+        return Split(split, [f"{split}-{a:03d}-{i:05d}" for a, i in windows], labels, features)
 
     return emit("train", spec.train_per_class), emit("val", spec.val_per_class)

@@ -6,9 +6,11 @@ a parameter hash asserts at runtime that fusion training never mutates a
 branch tensor. Both stages share one epoch loop over the model's ``forward``
 and ``backward`` and the one loss, ``multitask_loss`` of the logits; it never
 looks at the fusion strategy and keeps the state of the best-validation epoch.
-A branch's validation and the fusion stage's branch pass forward a whole split;
-the branch's eval forward runs it ``EVAL_CHUNK`` windows at a time (see
-:mod:`~tcn_anticipation.branch`), so only the split's inputs and outputs grow
+A split's batches are read-only views of its arrays (``stack_features``), and
+each training batch gathers its rows from them. A branch's validation and the
+fusion stage's branch pass forward a whole split; the branch's eval forward
+copies and runs it ``EVAL_CHUNK`` windows at a time (see
+:mod:`~tcn_anticipation.branch`), so only the split itself and the outputs grow
 with its size.
 A model with no trainable parameters (late fusion) gets one evaluation record.
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .branch import Branch, BranchConfig, multitask_loss
 from .checkpoint import parameter_hash
-from .data import Sample, stack_features
+from .data import Sample, Split, as_split, stack_features
 from .fusion import MODALITIES, FusionConfig, FusionModel
 from .layers import Parameter
 from .metrics import top_k_accuracy
@@ -146,7 +148,7 @@ class TrainResult:
         return "\n".join([EpochRecord.csv_header(), *(r.csv_row() for r in self.history)]) + "\n"
 
 
-def train_branch(train_samples: list[Sample], val_samples: list[Sample],
+def train_branch(train_samples: Split | list[Sample], val_samples: Split | list[Sample],
                  modality: str, branch_config: BranchConfig, sgd: SgdConfig,
                  snippets: int | None = None,
                  log=None) -> tuple[Branch, TrainResult]:
@@ -167,22 +169,25 @@ def train_branch(train_samples: list[Sample], val_samples: list[Sample],
     return branch, result
 
 
-def stack_modalities(samples: list[Sample]) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
-    """Each modality's (B, D, N) batch of whole windows, plus the label arrays."""
+def stack_modalities(samples: Split | list[Sample],
+                     ) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
+    """Each modality's (B, D, N) batch of whole windows, plus the label arrays: read-only
+    views of the split."""
+    split = as_split(samples)
     inputs = {}
     for mod in MODALITIES:
-        inputs[mod], labels = stack_features(samples, mod)
+        inputs[mod], labels = stack_features(split, mod)
     return inputs, labels
 
 
-def _branch_pass(model: FusionModel, samples: list[Sample],
+def _branch_pass(model: FusionModel, samples: Split | list[Sample],
                  ) -> tuple[dict[str, dict[str, Tensor]], dict[str, np.ndarray]]:
     inputs, labels = stack_modalities(samples)
     return model.branch_outputs(inputs), labels
 
 
-def train_fusion(branches: dict[str, Branch], train_samples: list[Sample],
-                 val_samples: list[Sample], fusion_config: FusionConfig, sgd: SgdConfig,
+def train_fusion(branches: dict[str, Branch], train_samples: Split | list[Sample],
+                 val_samples: Split | list[Sample], fusion_config: FusionConfig, sgd: SgdConfig,
                  log=None) -> tuple[FusionModel, TrainResult]:
     """Stage-two training of ``fusion_config.strategy``: branches frozen, only fusion layers move.
 

@@ -181,6 +181,18 @@ def batchnorm_train_loops(y: np.ndarray, bn) -> tuple[np.ndarray, np.ndarray, np
     return out, running_mean, running_var
 
 
+def batchnorm_backward_whole(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                             gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BN backward as the package computed it on whole (C, N*B) arrays before it ran in
+    blocks of rows: the gamma and beta gradients and the (C, N*B) input gradient."""
+    m = xhat.shape[1]
+    dgamma, dbeta = (g * xhat).sum(axis=1), g.sum(axis=1)
+    dxhat = g * gamma[:, None]
+    sum_dxhat = dxhat.sum(axis=1, keepdims=True)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=1, keepdims=True)
+    return dgamma, dbeta, (inv[:, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+
+
 def cross_entropy_loops(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-softmax of each row's label, one row at a time."""
     total = 0.0

@@ -1,16 +1,18 @@
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from tcn_anticipation import data
-from tcn_anticipation.data import (MODALITIES, DatasetError, Sample, read_dataset,
-                                   read_feature_file, stack_features, write_dataset,
-                                   write_feature_file)
+from tcn_anticipation.data import (HEADS, MODALITIES, DatasetError, Sample, Split, as_split,
+                                   read_dataset, read_feature_file, stack_features,
+                                   write_dataset, write_feature_file)
 from tcn_anticipation.synthetic import complementary_spec, generate_synthetic, learnable_spec
 from tcn_anticipation.tensor import Rng
+from tcn_anticipation.training import stack_modalities
 
 
 BAD_INDEX_ROWS = {"non_integer_label": b"s0,x,1,2", "non_utf8_index": b"s\xff0,1,1,2",
@@ -182,7 +184,7 @@ class TestDatasetRoundTrip:
                     assert np.array_equal(got_labels[head], want_labels[head])
 
     def test_empty_split_round_trips(self, tmp_path):
-        assert read_dataset(write_dataset([], tmp_path)) == []
+        assert len(read_dataset(write_dataset([], tmp_path))) == 0
         assert read_feature_file(tmp_path / "rgb.fseq")[1].shape[0] == 0
 
     def test_reads_one_file_per_modality(self, tmp_path, monkeypatch):
@@ -272,12 +274,13 @@ class TestDatasetRoundTrip:
             read_dataset(index)
 
     def test_snippet_disagreement_rejected(self):
+        """A sample is checked where a list of them is packed into a split."""
         rng = Rng(8)
         feats = {"rgb": rng.normal(0, 1, (5, 4), "f32"),
                  "flow": rng.normal(0, 1, (6, 4), "f32"),
                  "obj": rng.normal(0, 1, (5, 4), "f32")}
-        with pytest.raises(DatasetError, match="disagree"):
-            Sample("bad", feats, 0, 0, 0)
+        with pytest.raises(DatasetError, match="'bad': modalities disagree"):
+            stack_features([Sample("bad", feats, 0, 0, 0)], "rgb")
 
 
 class TestStackFeatures:
@@ -302,10 +305,115 @@ class TestStackFeatures:
 
     @pytest.mark.parametrize("last_n", [None, 3])
     def test_unequal_shapes_name_the_sample_and_both_shapes(self, last_n):
+        """A list is packed whole before its last snippets are taken, so the shapes are
+        the samples' own."""
         rng = Rng(12)
         samples = [random_sample(rng, f"s{i}") for i in range(3)]
         samples[2].features["rgb"] = rng.normal(0, 1, (5, 6), "f32")
-        n = 5 if last_n is None else last_n
-        with pytest.raises(DatasetError, match=rf"'s2' has rgb features of shape \({n}, 6\), "
-                                               rf"sample 's0' has \({n}, 4\)"):
+        with pytest.raises(DatasetError, match=r"'s2' has rgb features of shape \(5, 6\), "
+                                               r"sample 's0' has \(5, 4\)"):
             stack_features(samples, "rgb", last_n)
+
+
+def random_split(tmp_path, windows=10, n=6, dims=(4, 3, 2)):
+    """A split of random samples as ``read_dataset`` gives it back."""
+    rng = Rng(14)
+    return read_dataset(write_dataset([random_sample(rng, f"s{i}", n, dims)
+                                       for i in range(windows)], tmp_path))
+
+
+class TestSplitViews:
+    """Stacking, slicing and indexing a split views its arrays; nothing copies it."""
+
+    def test_stacked_arrays_share_memory_with_the_split(self, tmp_path):
+        split = random_split(tmp_path)
+        for mod in MODALITIES:
+            x, labels = stack_features(split, mod)
+            assert np.shares_memory(x, split.features[mod])
+            assert x.tobytes() == split.features[mod].transpose(0, 2, 1).tobytes()
+            for head in HEADS:
+                assert np.shares_memory(labels[head], split.labels[head])
+        inputs, labels = stack_modalities(split[2:8])
+        for mod in MODALITIES:
+            assert np.shares_memory(inputs[mod], split.features[mod])
+        assert labels["action"].tolist() == split.labels["action"][2:8].tolist()
+
+    def test_a_synthetic_split_is_viewed_too(self):
+        train, _ = generate_synthetic(learnable_spec(train_per_class=2, val_per_class=0), 3)
+        x, labels = stack_features(train[::5], "flow", last_n=9)
+        assert np.shares_memory(x, train.features["flow"])
+        assert np.shares_memory(labels["noun"], train.labels["noun"])
+
+    def test_slices_and_items_hold_the_right_rows(self, tmp_path):
+        split = random_split(tmp_path)
+        samples = list(split)
+        for key in (slice(3, 7), slice(None, None, 3), slice(1, None, 4), slice(8, 2, -2)):
+            part = split[key]
+            assert isinstance(part, Split) and part.ids == [s.sample_id for s in samples[key]]
+            for mod in MODALITIES:
+                assert np.shares_memory(part.features[mod], split.features[mod])
+                assert np.array_equal(part.features[mod], split.features[mod][key])
+            for head in HEADS:
+                assert part.labels[head].tolist() == [s.labels[head] for s in samples[key]]
+        for i in (0, 4, -1):
+            s = split[i]
+            assert s.sample_id == split.ids[i]
+            assert s.labels == {head: int(split.labels[head][i]) for head in HEADS}
+            for mod in MODALITIES:
+                assert np.shares_memory(s.features[mod], split.features[mod])
+                assert s.features[mod].tobytes() == split.features[mod][i].tobytes()
+
+    def test_last_n_is_a_view_of_the_last_snippets(self, tmp_path):
+        split = random_split(tmp_path, n=8)
+        x, _ = stack_features(split, "rgb", last_n=5)
+        assert x.shape == (10, 4, 5) and np.shares_memory(x, split.features["rgb"])
+        assert x.tobytes() == split.features["rgb"][:, 3:].transpose(0, 2, 1).tobytes()
+
+    def test_stacking_a_1000_window_split_allocates_under_1_mib(self):
+        train, _ = generate_synthetic(learnable_spec(train_per_class=84, val_per_class=0), 2)
+        assert len(train) == 1008 and train.features["rgb"].nbytes > 2 << 20
+        tracemalloc.start()
+        try:
+            batches = [stack_features(train, mod) for mod in MODALITIES]
+            batches.append(stack_features(train, "rgb", last_n=13))
+            batches.append(stack_modalities(train[::2]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak / (1 << 20)
+
+
+class TestSplitErrors:
+    def test_writing_into_a_stacked_batch_raises(self, tmp_path):
+        split = random_split(tmp_path)
+        x, labels = stack_features(split, "obj", last_n=4)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            labels["verb"][:] = 0
+        inputs, _ = stack_modalities(split)
+        with pytest.raises(ValueError, match="read-only"):
+            inputs["rgb"] += 1.0
+
+    def test_modality_files_that_disagree_in_snippet_count_name_both(self, tmp_path):
+        index = write_dataset([random_sample(Rng(15), f"s{i}") for i in range(3)], tmp_path)
+        write_feature_file(tmp_path / "obj.fseq", "obj", Rng(16).normal(0, 1, (3, 7, 2), "f32"))
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{tmp_path / 'obj.fseq'} holds 7 snippets per window, "
+                f"{tmp_path / 'rgb.fseq'} holds 5")):
+            read_dataset(index)
+
+    def test_last_n_beyond_the_window_names_the_split_and_both_counts(self, tmp_path):
+        split = random_split(tmp_path, n=6)
+        for part in (split, split[2:5]):
+            with pytest.raises(DatasetError, match=re.escape(
+                    f"split {tmp_path / 'index.csv'} has 6 snippets per window, need 9")):
+                stack_features(part, "flow", last_n=9)
+
+    def test_packing_samples_of_unequal_shapes_names_both(self):
+        rng = Rng(17)
+        samples = [random_sample(rng, "a"), random_sample(rng, "b"),
+                   random_sample(rng, "c", dims=(4, 3, 5))]
+        with pytest.raises(DatasetError, match=re.escape(
+                "sample 'c' has obj features of shape (5, 5), sample 'a' has (5, 2)")):
+            as_split(samples)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from tcn_anticipation.gradcheck import (check_batchnorm, check_conv1d, check_lin
                                         max_rel_error)
 from tcn_anticipation.layers import (BatchNorm1d, Conv1d, Linear, ReLU,
                                      SoftmaxCrossEntropy, SpatialDropout, softmax)
-from tcn_anticipation.tensor import Rng, TensorError
+from tcn_anticipation.tensor import BLOCK, Rng, TensorError
 
-from oracles import conv1d_loops
+from oracles import batchnorm_backward_whole, conv1d_loops
 
 GRADCHECK_TOL = 1e-4
 
@@ -198,6 +200,52 @@ class TestBatchNorm:
         assert bn.running_mean.tobytes() == want_mean.tobytes()
         assert bn.running_var.tobytes() == want_var.tobytes()
 
+
+class TestBlockedBatchNormBackward:
+    """Backward runs over blocks of channel rows; the oracle is the whole-array formula."""
+
+    @staticmethod
+    def forward_backward(c, dtype, b=64, n=19, seed=4):
+        """A train forward and backward at paper width's first block (N*B = 1216), with
+        gamma and the incoming gradient drawn; the layer and the gradient it returned."""
+        rng = Rng(seed)
+        bn = BatchNorm1d(c, dtype=dtype)
+        bn.training = True
+        bn.gamma.data = rng.uniform(0.5, 1.5, (c,), dtype)
+        bn.forward(rng.normal(0.3, 2.0, (b, c, n), dtype))
+        grad_out = rng.normal(0, 1, (b, c, n), dtype)
+        xhat, inv, _ = bn._cache
+        want = batchnorm_backward_whole(grad_out.transpose(1, 2, 0).reshape(c, -1), xhat, inv,
+                                        bn.gamma.data)
+        return bn, bn.backward(grad_out), want
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("c", [1024, 515], ids=["c1024", "ragged_c515"])
+    def test_bitwise_the_whole_array_formula(self, dtype, c):
+        assert c > BLOCK // 1216  # more than one block of rows
+        bn, got, (dgamma, dbeta, grad_x) = self.forward_backward(c, dtype)
+        assert got.dtype == grad_x.dtype
+        assert got.transpose(1, 2, 0).reshape(c, -1).tobytes() == grad_x.tobytes()
+        assert bn.gamma.grad.tobytes() == dgamma.tobytes()
+        assert bn.beta.grad.tobytes() == dbeta.tobytes()
+
+    def test_holds_one_block_of_temporaries(self):
+        """Beside its (C, N*B) result, a backward allocates about a block per temporary,
+        where the whole-array formula made five arrays the result's size. The gradient
+        comes in channel-major, as the layer after BN hands it on."""
+        rng = Rng(5)
+        c, b, n = 1024, 64, 19
+        bn = BatchNorm1d(c)
+        bn.training = True
+        bn.forward(rng.normal(0, 1, (b, c, n), "f32"))
+        grad_out = rng.normal(0, 1, (c, n, b), "f32").transpose(2, 0, 1)
+        tracemalloc.start()
+        try:
+            got = bn.backward(grad_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + (2 << 20), peak / (1 << 20)
 
 class TestSpatialDropout:
     def test_p_zero_is_identity(self):

@@ -109,7 +109,7 @@ class TestDeterminismAndShape:
         spec = noiseless_spec(sigma=0.7)
         t1, v1 = generate_synthetic(spec, 5)
         t2, v2 = generate_synthetic(spec, 5)
-        for a, b in zip(t1 + v1, t2 + v2):
+        for a, b in zip([*t1, *v1], [*t2, *v2]):
             assert a.sample_id == b.sample_id and a.labels == b.labels
             for mod in ("rgb", "flow", "obj"):
                 assert a.features[mod].tobytes() == b.features[mod].tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import parameter_hash
-from tcn_anticipation.data import Sample
+from tcn_anticipation.data import Sample, read_dataset, write_dataset
 from tcn_anticipation.fusion import FusionConfig, FusionModel, MODALITIES, STRATEGIES
 from tcn_anticipation.layers import Parameter
 from tcn_anticipation.tensor import BLOCK, NonFiniteError, Rng, TensorError
@@ -351,3 +351,35 @@ class TestWindowInvariance:
         model = FusionModel(branches, self.fusion_config("late"), Rng(0))
         with pytest.raises(TensorError, match="shorter than the receptive field 13"):
             model.eval().predict_proba(stack_modalities(short)[0])
+
+
+class TestSplitAndPackedSamples:
+    """A split read from disk, whose batches are views of the file buffers, trains and
+    predicts with the bits of the same windows passed as a list of samples."""
+
+    def test_train_branch_and_predict_proba_bitwise(self, tmp_path):
+        rng = Rng(10)
+        samples = tiny_dataset(rng, n_per_class=20)  # 40 windows: two eval chunks
+        split = read_dataset(write_dataset(samples, tmp_path))
+        sgd = SgdConfig(lr0=0.01, epochs=2, batch_size=8, seed=4)
+        branches, results = {}, {}
+        for name, train, val in (("split", split, split[::2]), ("samples", samples, samples[::2])):
+            branches[name], results[name] = train_branch(train, val, "rgb",
+                                                         tiny_branch_config(), sgd)
+
+        def scores(result):  # every field but the wall clock
+            return [(r.epoch, r.lr, r.train_loss, r.val_top1_action, r.val_top5_action)
+                    for r in result.history]
+
+        got, want = results["split"], results["samples"]
+        assert scores(got) == scores(want) and got.best_epoch == want.best_epoch
+        assert got.best_state.keys() == want.best_state.keys()
+        for name, value in got.best_state.items():
+            assert value.tobytes() == want.best_state[name].tobytes(), name
+        fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
+                            strategy="mutual_pairwise", embed_dim=5, head_dropout=0.1)
+        model = FusionModel({mod: branches["split"] for mod in MODALITIES}, fcfg, Rng(3))
+        probs = [model.eval().predict_proba(stack_modalities(windows)[0])
+                 for windows in (split, samples)]
+        for head in probs[0]:
+            assert probs[0][head].tobytes() == probs[1][head].tobytes(), head
