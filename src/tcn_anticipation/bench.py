@@ -106,22 +106,14 @@ class BenchReport:
 
 
 def _time_reps(fn) -> list[float]:
-    """Per-repetition seconds; inner-loop count grows if the timer is too coarse."""
-    resolution = time.get_clock_info("perf_counter").resolution
-    inner = 1
+    """Seconds of each of ``REPS`` calls after ``WARMUP`` untimed ones."""
     for _ in range(WARMUP):
         fn()
-    t0 = time.perf_counter()
-    fn()
-    single = time.perf_counter() - t0
-    while single * inner < 1000 * resolution and inner < 1 << 20:
-        inner *= 2
     times = []
     for _ in range(REPS):
         t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        times.append((time.perf_counter() - t0) / inner)
+        fn()
+        times.append(time.perf_counter() - t0)
     return times
 
 

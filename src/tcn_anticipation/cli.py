@@ -49,7 +49,6 @@ SETTINGS = {
     "strategy": Setting(str, "fusion strategy", STRATEGIES),
     "snippets": Setting(int, "observed window length in snippets"),
     "channels": Setting(int, "branch width"),
-    "dtype": Setting(str, "floating-point precision", ("f32", "f64")),
     "epochs": Setting(int, "training epochs"),
     "lr": Setting(float, "initial learning rate"),
     "batch": Setting(int, "batch size"),
@@ -142,8 +141,7 @@ _DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1, "hea
 # flag or config key -> config field
 _SPEC_KEYS = {"snippets": "num_snippets", "train_per_class": "train_per_class",
               "val_per_class": "val_per_class"}
-_BRANCH_KEYS = {key: key for key in ("channels", "dtype", "input_dropout", "block_dropout",
-                                     "head_dropout")}
+_BRANCH_KEYS = {key: key for key in ("channels", "input_dropout", "block_dropout", "head_dropout")}
 _FUSION_KEYS = {"embed_dim": "embed_dim", "fusion_dropout": "head_dropout"}
 _SGD_KEYS = {"lr": "lr0", "epochs": "epochs", "batch": "batch_size"}
 
@@ -268,13 +266,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     out = _out_dir(args)
-    channels, dtype, rng = args.channels, args.dtype, Rng(args.seed)
+    channels, rng = args.channels, Rng(args.seed)
     bcfg = BranchConfig(input_dim=channels, num_actions=100, num_verbs=20, num_nouns=30,
                         channels=channels, input_dropout=0.0, block_dropout=0.0,
-                        head_dropout=0.0, dtype=dtype).for_snippets(args.snippets)
+                        head_dropout=0.0).for_snippets(args.snippets)
     branch = Branch(bcfg, rng)
     lcfg = LstmConfig(input_dim=channels, hidden=channels, num_actions=100,
-                      encoder_steps=bcfg.required_length, dtype=dtype)
+                      encoder_steps=bcfg.required_length)
     baseline = LstmEncoderDecoder(lcfg, rng)
     report = bench_models(branch, baseline, args.batch, args.seed)
     _write(out / "bench.csv", report.csv())
@@ -346,8 +344,8 @@ COMMANDS = {
     "gradcheck": (cmd_gradcheck, "finite-difference check of every layer in f64",
                   ("out", "seed"), {}),
     "bench": (cmd_bench, "speed study: conv branch vs recurrent baseline",
-              ("out", "seed", "channels", "dtype", "snippets", "batch"),
-              {"channels": 1024, "snippets": 21, "batch": 4, "dtype": "f32"}),
+              ("out", "seed", "channels", "snippets", "batch"),
+              {"channels": 1024, "snippets": 21, "batch": 4}),
     "ablate-obslen": (cmd_ablate_obslen, "observation-length study",
                       ("data", "out", "seed", "modality", *_BRANCH_KEYS, *_SGD_KEYS),
                       {"lr": 0.02, "epochs": 25, "batch": 32, "modality": "rgb", **_DESK_BRANCH}),

@@ -15,8 +15,7 @@ per head and one (W, N, D) array per modality, which ``read_dataset`` views in t
 buffers it reads the files into. Slicing a split gives a split of views and
 indexing one a :class:`Sample` view, and ``stack_features`` returns read-only
 (B, D, N) views of it, so no batch copies the split; the branch copies only the
-batch or chunk it computes on. A list of samples built by hand is packed into a
-split, by ``as_split``, wherever a split is expected.
+batch or chunk it computes on.
 
 Adapters for external feature dumps are out of scope: to import data, write
 each modality's (W, N, D) array, rows in index order, with
@@ -46,7 +45,7 @@ LABEL_MAX = 2**63 - 1  # labels are stacked as int64
 
 
 class DatasetError(ValueError):
-    """Malformed dataset file or inconsistent sample."""
+    """Malformed dataset file, or a batch the split cannot give."""
 
 
 @dataclass
@@ -56,14 +55,6 @@ class Sample:
     action: int
     verb: int
     noun: int
-
-    @property
-    def num_snippets(self) -> int:
-        return next(iter(self.features.values())).shape[0]
-
-    @property
-    def labels(self) -> dict[str, int]:
-        return {"action": self.action, "verb": self.verb, "noun": self.noun}
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,30 +86,6 @@ class Split:
     @property
     def num_snippets(self) -> int:
         return next(iter(self.features.values())).shape[1]
-
-
-def as_split(samples: Split | list[Sample]) -> Split:
-    """A split as it is; a list of samples packed into one, each modality's rows stacked.
-    Samples whose features differ in shape, or a sample whose modalities differ in
-    snippet count, are a ``DatasetError`` naming them."""
-    if isinstance(samples, Split):
-        return samples
-    features = {}
-    for mod in samples[0].features if samples else MODALITIES:
-        rows = [s.features[mod] for s in samples]
-        for s, arr in zip(samples, rows):
-            if arr.shape != rows[0].shape:
-                raise DatasetError(
-                    f"sample {s.sample_id!r} has {mod} features of shape {arr.shape}, "
-                    f"sample {samples[0].sample_id!r} has {rows[0].shape}")
-        features[mod] = np.stack(rows) if rows else np.empty((0, 0, 0), np.float32)
-    lengths = {mod: arr.shape[1] for mod, arr in features.items()}
-    if len(set(lengths.values())) > 1:
-        raise DatasetError(f"sample {samples[0].sample_id!r}: modalities disagree on "
-                           f"snippet count {lengths}")
-    labels = {head: np.array([s.labels[head] for s in samples], dtype=np.int64)
-              for head in HEADS}
-    return Split("samples", [s.sample_id for s in samples], labels, features)
 
 
 def write_feature_file(path, modality: str, features: Tensor) -> None:
@@ -171,9 +138,8 @@ def read_feature_file(path) -> tuple[str, Tensor]:
     return MODALITIES[code], features
 
 
-def write_dataset(samples: Split | list[Sample], out_dir) -> Path:
+def write_dataset(split: Split, out_dir) -> Path:
     """Writes the CSV index and one FSEQ file per modality, rows in split order."""
-    split = as_split(samples)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for mod in MODALITIES:
@@ -230,11 +196,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def stack_features(samples: Split | list[Sample], modality: str,
+def stack_features(split: Split, modality: str,
                    last_n: int | None = None) -> tuple[Tensor, dict[str, np.ndarray]]:
     """(B, D, N) batch of one modality plus the label arrays, the most recent ``last_n``
     snippets kept: read-only views of the split, so writing into them is a ValueError."""
-    split = as_split(samples)
     if not len(split):
         raise DatasetError("empty dataset")
     x = split.features[modality]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .branch import Branch, BranchConfig, multitask_loss
 from .checkpoint import parameter_hash
-from .data import Sample, Split, as_split, stack_features
+from .data import Split, stack_features
 from .fusion import MODALITIES, FusionConfig, FusionModel
 from .layers import Parameter
 from .metrics import top_k_accuracy
@@ -148,20 +148,19 @@ class TrainResult:
         return "\n".join([EpochRecord.csv_header(), *(r.csv_row() for r in self.history)]) + "\n"
 
 
-def train_branch(train_samples: Split | list[Sample], val_samples: Split | list[Sample],
-                 modality: str, branch_config: BranchConfig, sgd: SgdConfig,
-                 snippets: int | None = None,
+def train_branch(train_split: Split, val_split: Split, modality: str,
+                 branch_config: BranchConfig, sgd: SgdConfig, snippets: int | None = None,
                  log=None) -> tuple[Branch, TrainResult]:
     """Stage-one training of one uni-modal branch; returns the trained branch.
 
     The branch keeps its final weights; the best-validation state (top-1
     action) is returned separately in the result.
     """
-    if not train_samples or not val_samples:
+    if not train_split or not val_split:
         raise TensorError("empty dataset")
     rng = Rng(sgd.seed)
     branch = Branch(branch_config, rng)
-    train, val = (stack_features(s, modality, snippets) for s in (train_samples, val_samples))
+    train, val = (stack_features(s, modality, snippets) for s in (train_split, val_split))
     for x, _ in (train, val):  # val is first forwarded after a whole epoch of steps
         branch.check_input(x)
     result = _run_epochs(branch, branch.named_parameters(), branch.named_state, train, val,
@@ -169,25 +168,23 @@ def train_branch(train_samples: Split | list[Sample], val_samples: Split | list[
     return branch, result
 
 
-def stack_modalities(samples: Split | list[Sample],
-                     ) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
+def stack_modalities(split: Split) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
     """Each modality's (B, D, N) batch of whole windows, plus the label arrays: read-only
     views of the split."""
-    split = as_split(samples)
     inputs = {}
     for mod in MODALITIES:
         inputs[mod], labels = stack_features(split, mod)
     return inputs, labels
 
 
-def _branch_pass(model: FusionModel, samples: Split | list[Sample],
+def _branch_pass(model: FusionModel, split: Split,
                  ) -> tuple[dict[str, dict[str, Tensor]], dict[str, np.ndarray]]:
-    inputs, labels = stack_modalities(samples)
+    inputs, labels = stack_modalities(split)
     return model.branch_outputs(inputs), labels
 
 
-def train_fusion(branches: dict[str, Branch], train_samples: Split | list[Sample],
-                 val_samples: Split | list[Sample], fusion_config: FusionConfig, sgd: SgdConfig,
+def train_fusion(branches: dict[str, Branch], train_split: Split, val_split: Split,
+                 fusion_config: FusionConfig, sgd: SgdConfig,
                  log=None) -> tuple[FusionModel, TrainResult]:
     """Stage-two training of ``fusion_config.strategy``: branches frozen, only fusion layers move.
 
@@ -197,7 +194,7 @@ def train_fusion(branches: dict[str, Branch], train_samples: Split | list[Sample
     yields a single evaluation record. The model keeps its final weights; the result's
     best state holds the fusion parameters of the best-validation epoch.
     """
-    if not train_samples or not val_samples:
+    if not train_split or not val_split:
         raise TensorError("empty dataset")
     rng = Rng(sgd.seed)
     model = FusionModel(branches, fusion_config, rng)
@@ -209,8 +206,8 @@ def train_fusion(branches: dict[str, Branch], train_samples: Split | list[Sample
     before = frozen_hash()
     result = _run_epochs(model, model.trainable_parameters(),
                          lambda: {name: p.data for name, p in model.named_parameters()},
-                         _branch_pass(model, train_samples),
-                         _branch_pass(model, val_samples), sgd, rng, log)
+                         _branch_pass(model, train_split),
+                         _branch_pass(model, val_split), sgd, rng, log)
     if frozen_hash() != before:
         raise TensorError("fusion training mutated a frozen branch tensor")
     return model, result

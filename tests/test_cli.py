@@ -24,7 +24,7 @@ from test_data import (BAD_INDEX_ROWS, SPLIT_FILE_CORRUPTIONS, corrupt_split_fil
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
 
-_BRANCH = {"channels", "dtype"}
+_BRANCH = {"channels"}
 _SGD = {"epochs", "lr", "batch"}
 # each command's flags: the settings it reads, less those only a config file sets
 FLAGS = {
@@ -34,7 +34,7 @@ FLAGS = {
                      "rgb-ckpt", "flow-ckpt", "obj-ckpt"},
     "evaluate": {"data", "out", "ckpt"},
     "gradcheck": {"out", "seed"},
-    "bench": {"out", "seed", "channels", "dtype", "snippets", "batch"},
+    "bench": {"out", "seed", "channels", "snippets", "batch"},
     "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD},
     "ablate-fusion": {"data", "out", "seed", "embed-dim", *_BRANCH, *_SGD},
 }
@@ -339,8 +339,10 @@ class TestTrainEvaluate:
         """Labels that never reach the last action do not shrink the fused heads."""
         data = tmp_path / "data"
         for split in ("train", "val"):
-            samples = read_dataset(synth_dir / split / "index.csv")
-            write_dataset([s for s in samples if s.action != 11], data / split)
+            windows = read_dataset(synth_dir / split / "index.csv")
+            kept = windows[:int((windows.labels["action"] != 11).sum())]  # ordered by action
+            assert kept.labels["action"].max() == 10
+            write_dataset(kept, data / split)
         bcfg = BranchConfig(input_dim=32, num_actions=12, num_verbs=6, num_nouns=8, channels=8)
         ckpts = []
         for mod in MODALITIES:
@@ -523,7 +525,8 @@ class TestSettingsPerCommand:
         ["synth-gen", "--data", "d"], ["bench", "--modality", "rgb"],
         ["train-branch", "--embed-dim", "8"], ["evaluate", "--modality", "rgb"],
         ["evaluate", "--snippets", "13"], ["train-fusion", "--snippets", "13"],
-        ["bench", "--reps", "30"], ["bench", "--warmup", "5"]], ids=" ".join)
+        ["bench", "--reps", "30"], ["bench", "--warmup", "5"],
+        ["train-branch", "--dtype", "f64"]], ids=" ".join)
     def test_ignored_flag_is_a_usage_error_naming_it(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -546,7 +549,6 @@ class TestSettingsPerCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,line,error", [
-        ("bench", "dtype = f16", "unknown dtype 'f16'"),
         ("train-fusion", "strategy = best", "unknown strategy 'best'"),
         ("synth-gen", "preset = nope", "unknown preset 'nope'"),
         ("train-branch", "epochs = 2.5", "bad value for 'epochs'")])

@@ -2,14 +2,15 @@ import re
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tcn_anticipation import data
-from tcn_anticipation.data import (HEADS, MODALITIES, DatasetError, Sample, Split, as_split,
-                                   read_dataset, read_feature_file, stack_features,
-                                   write_dataset, write_feature_file)
+from tcn_anticipation.data import (HEADS, MODALITIES, DatasetError, Split, read_dataset,
+                                   read_feature_file, stack_features, write_dataset,
+                                   write_feature_file)
 from tcn_anticipation.synthetic import complementary_spec, generate_synthetic, learnable_spec
 from tcn_anticipation.tensor import Rng
 from tcn_anticipation.training import stack_modalities
@@ -27,10 +28,21 @@ def write_bad_index_row(index, case: str) -> None:
     index.write_bytes(b"\n".join([header, BAD_INDEX_ROWS[case], *rows]) + b"\n")
 
 
-def random_sample(rng, sid, n=5, dims=(4, 3, 2)):
-    feats = {mod: rng.normal(0, 1, (n, d), "f32")
-             for mod, d in zip(("rgb", "flow", "obj"), dims)}
-    return Sample(sid, feats, int(rng.uniform(0, 4, ())), 1, 2)
+def random_split(rng, windows, n=5, dims=(4, 3, 2)):
+    """Windows "s0", "s1", ... with random (W, N, D) features per modality, random actions
+    in [0, 4), verb 1 and noun 2."""
+    features = {mod: rng.normal(0, 1, (windows, n, d), "f32") for mod, d in zip(MODALITIES, dims)}
+    labels = {"action": rng.uniform(0, 4, (windows,), "f64").astype(np.int64),
+              "verb": np.full(windows, 1, np.int64), "noun": np.full(windows, 2, np.int64)}
+    return Split("random", [f"s{i}" for i in range(windows)], labels, features)
+
+
+def assert_same_windows(got, want):
+    assert got.ids == want.ids
+    for head in HEADS:
+        assert np.array_equal(got.labels[head], want.labels[head])
+    for mod in MODALITIES:
+        assert got.features[mod].tobytes() == want.features[mod].tobytes()
 
 
 def write_version_1_file(path, modality, arr):
@@ -140,55 +152,45 @@ class TestFeatureFiles:
 
 class TestDatasetRoundTrip:
     def test_ten_random_samples_identical(self, tmp_path):
-        rng = Rng(5)
-        samples = [random_sample(rng, f"s{i:03d}") for i in range(10)]
-        index = write_dataset(samples, tmp_path)
-        loaded = read_dataset(index)
+        split = random_split(Rng(5), 10)
+        loaded = read_dataset(write_dataset(split, tmp_path))
         assert len(loaded) == 10
-        for a, b in zip(samples, loaded):
-            assert a.sample_id == b.sample_id and a.labels == b.labels
-            for mod in ("rgb", "flow", "obj"):
-                assert a.features[mod].tobytes() == b.features[mod].tobytes()
+        assert_same_windows(loaded, split)
 
     def test_a_split_is_an_index_and_one_file_per_modality(self, tmp_path):
-        write_dataset([random_sample(Rng(5), f"s{i}") for i in range(4)], tmp_path)
+        write_dataset(random_split(Rng(5), 4), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["flow.fseq", "index.csv", "obj.fseq", "rgb.fseq"]
         assert (tmp_path / "index.csv").read_text().splitlines()[0] == "id,action,verb,noun"
 
     def test_a_row_not_its_id_names_the_features(self, tmp_path):
         """Ids that repeat, hold a path separator or a comma each keep their own window."""
-        rng = Rng(13)
-        samples = [random_sample(rng, sid) for sid in ("a", "a", "x/y", "../e", "p,q")]
-        for verb, s in enumerate(samples):
-            s.verb = verb
-        loaded = read_dataset(write_dataset(samples, tmp_path / "split"))
-        assert [s.sample_id for s in loaded] == ["a", "a", "x/y", "../e", "p,q"]
-        for a, b in zip(samples, loaded):
-            assert a.labels == b.labels
-            for mod in MODALITIES:
-                assert a.features[mod].tobytes() == b.features[mod].tobytes()
+        split = replace(random_split(Rng(13), 5), ids=["a", "a", "x/y", "../e", "p,q"])
+        split.labels["verb"][:] = np.arange(5)
+        loaded = read_dataset(write_dataset(split, tmp_path / "split"))
+        assert loaded.ids == ["a", "a", "x/y", "../e", "p,q"]
+        assert_same_windows(loaded, split)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["split"]
 
     @pytest.mark.parametrize("spec", [learnable_spec, complementary_spec])
     def test_stacked_splits_equal_the_samples_written(self, spec, tmp_path):
         """The oracle: every split and modality batches to the bytes generated."""
         splits = generate_synthetic(spec(train_per_class=3, val_per_class=2), 21)
-        for name, samples in zip(("train", "val"), splits):
-            loaded = read_dataset(write_dataset(samples, tmp_path / name))
+        for name, split in zip(("train", "val"), splits):
+            loaded = read_dataset(write_dataset(split, tmp_path / name))
             for mod in MODALITIES:
-                want, want_labels = stack_features(samples, mod)
+                want, want_labels = stack_features(split, mod)
                 got, got_labels = stack_features(loaded, mod)
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape
                 for head in want_labels:
                     assert np.array_equal(got_labels[head], want_labels[head])
 
     def test_empty_split_round_trips(self, tmp_path):
-        assert len(read_dataset(write_dataset([], tmp_path))) == 0
+        assert len(read_dataset(write_dataset(random_split(Rng(0), 0), tmp_path))) == 0
         assert read_feature_file(tmp_path / "rgb.fseq")[1].shape[0] == 0
 
     def test_reads_one_file_per_modality(self, tmp_path, monkeypatch):
-        index = write_dataset([random_sample(Rng(5), f"s{i}") for i in range(7)], tmp_path)
+        index = write_dataset(random_split(Rng(5), 7), tmp_path)
         reads = []
         real = data.read_feature_file
         monkeypatch.setattr(data, "read_feature_file",
@@ -196,21 +198,14 @@ class TestDatasetRoundTrip:
         assert len(read_dataset(index)) == 7
         assert reads == [tmp_path / f"{mod}.fseq" for mod in MODALITIES]
 
-    def test_unequal_shapes_rejected_naming_both_samples(self, tmp_path):
-        rng = Rng(12)
-        samples = [random_sample(rng, "s0"), random_sample(rng, "s1", dims=(4, 5, 2))]
-        with pytest.raises(DatasetError, match=r"'s1' has flow features of shape \(5, 5\), "
-                                               r"sample 's0' has \(5, 3\)"):
-            write_dataset(samples, tmp_path)
-
     def test_missing_modality_file_names_it(self, tmp_path):
-        index = write_dataset([random_sample(Rng(6), "lost")], tmp_path)
+        index = write_dataset(random_split(Rng(6), 1), tmp_path)
         (tmp_path / "flow.fseq").unlink()
         with pytest.raises(DatasetError, match=re.escape(str(tmp_path / "flow.fseq"))):
             read_dataset(index)
 
     def test_feature_path_that_is_a_directory_names_it(self, tmp_path):
-        index = write_dataset([random_sample(Rng(6), "hollow")], tmp_path)
+        index = write_dataset(random_split(Rng(6), 1), tmp_path)
         path = tmp_path / "obj.fseq"
         path.unlink()
         path.mkdir()
@@ -232,15 +227,13 @@ class TestDatasetRoundTrip:
 
     @pytest.mark.parametrize("case", BAD_INDEX_ROWS)
     def test_bad_index_row_is_dataset_error(self, tmp_path, case):
-        rng = Rng(11)
-        index = write_dataset([random_sample(rng, "s0"), random_sample(rng, "s1")], tmp_path)
+        index = write_dataset(random_split(Rng(11), 2), tmp_path)
         write_bad_index_row(index, case)
         with pytest.raises(DatasetError, match=re.escape(f"{index}: ")):
             read_dataset(index)
 
     def test_a_label_beyond_int64_names_the_row_and_the_largest_fits(self, tmp_path):
-        rng = Rng(12)
-        index = write_dataset([random_sample(rng, "s0"), random_sample(rng, "s1")], tmp_path)
+        index = write_dataset(random_split(Rng(12), 2), tmp_path)
         write_bad_index_row(index, "label_beyond_int64")
         with pytest.raises(DatasetError, match=re.escape(
                 f"{index}: row ['s0', '1', '9223372036854775808', '2'] has a label above "
@@ -253,14 +246,14 @@ class TestDatasetRoundTrip:
 
     def test_modality_mismatch_detected(self, tmp_path):
         rng = Rng(7)
-        index = write_dataset([random_sample(rng, "swap")], tmp_path)
+        index = write_dataset(random_split(rng, 1), tmp_path)
         write_feature_file(tmp_path / "rgb.fseq", "obj", rng.normal(0, 1, (1, 5, 4), "f32"))
         with pytest.raises(DatasetError, match=re.escape(f"{tmp_path / 'rgb.fseq'} holds obj")):
             read_dataset(index)
 
     def test_window_count_unequal_to_index_rows_names_the_file(self, tmp_path):
         rng = Rng(7)
-        index = write_dataset([random_sample(rng, f"s{i}") for i in range(3)], tmp_path)
+        index = write_dataset(random_split(rng, 3), tmp_path)
         write_feature_file(tmp_path / "obj.fseq", "obj", rng.normal(0, 1, (2, 5, 2), "f32"))
         with pytest.raises(DatasetError, match=re.escape(
                 f"{tmp_path / 'obj.fseq'} holds 2 windows, {index} has 3 rows")):
@@ -268,65 +261,40 @@ class TestDatasetRoundTrip:
 
     @pytest.mark.parametrize("case", SPLIT_FILE_CORRUPTIONS)
     def test_corrupt_split_file_names_it(self, case, tmp_path):
-        index = write_dataset([random_sample(Rng(4), f"s{i}") for i in range(2)], tmp_path)
+        index = write_dataset(random_split(Rng(4), 2), tmp_path)
         corrupt_split_file(tmp_path / "flow.fseq", case)
         with pytest.raises(DatasetError, match=re.escape(str(tmp_path / "flow.fseq"))):
             read_dataset(index)
 
-    def test_snippet_disagreement_rejected(self):
-        """A sample is checked where a list of them is packed into a split."""
-        rng = Rng(8)
-        feats = {"rgb": rng.normal(0, 1, (5, 4), "f32"),
-                 "flow": rng.normal(0, 1, (6, 4), "f32"),
-                 "obj": rng.normal(0, 1, (5, 4), "f32")}
-        with pytest.raises(DatasetError, match="'bad': modalities disagree"):
-            stack_features([Sample("bad", feats, 0, 0, 0)], "rgb")
-
 
 class TestStackFeatures:
     def test_shapes_and_truncation(self):
-        rng = Rng(9)
-        samples = [random_sample(rng, f"s{i}", n=8) for i in range(3)]
-        x, labels = stack_features(samples, "rgb", last_n=5)
+        split = random_split(Rng(9), 3, n=8)
+        x, labels = stack_features(split, "rgb", last_n=5)
         assert x.shape == (3, 4, 5)
-        full, _ = stack_features(samples, "rgb")
+        full, _ = stack_features(split, "rgb")
         assert np.array_equal(x, full[:, :, -5:])
         assert labels["verb"].tolist() == [1, 1, 1]
 
     def test_too_short_rejected(self):
-        rng = Rng(10)
-        samples = [random_sample(rng, "s", n=4)]
         with pytest.raises(DatasetError):
-            stack_features(samples, "rgb", last_n=9)
+            stack_features(random_split(Rng(10), 1, n=4), "rgb", last_n=9)
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
-            stack_features([], "rgb")
-
-    @pytest.mark.parametrize("last_n", [None, 3])
-    def test_unequal_shapes_name_the_sample_and_both_shapes(self, last_n):
-        """A list is packed whole before its last snippets are taken, so the shapes are
-        the samples' own."""
-        rng = Rng(12)
-        samples = [random_sample(rng, f"s{i}") for i in range(3)]
-        samples[2].features["rgb"] = rng.normal(0, 1, (5, 6), "f32")
-        with pytest.raises(DatasetError, match=r"'s2' has rgb features of shape \(5, 6\), "
-                                               r"sample 's0' has \(5, 4\)"):
-            stack_features(samples, "rgb", last_n)
+            stack_features(random_split(Rng(0), 0), "rgb")
 
 
-def random_split(tmp_path, windows=10, n=6, dims=(4, 3, 2)):
-    """A split of random samples as ``read_dataset`` gives it back."""
-    rng = Rng(14)
-    return read_dataset(write_dataset([random_sample(rng, f"s{i}", n, dims)
-                                       for i in range(windows)], tmp_path))
+def split_on_disk(tmp_path, windows=10, n=6, dims=(4, 3, 2)):
+    """A random split as ``read_dataset`` gives it back."""
+    return read_dataset(write_dataset(random_split(Rng(14), windows, n, dims), tmp_path))
 
 
 class TestSplitViews:
     """Stacking, slicing and indexing a split views its arrays; nothing copies it."""
 
     def test_stacked_arrays_share_memory_with_the_split(self, tmp_path):
-        split = random_split(tmp_path)
+        split = split_on_disk(tmp_path)
         for mod in MODALITIES:
             x, labels = stack_features(split, mod)
             assert np.shares_memory(x, split.features[mod])
@@ -345,7 +313,7 @@ class TestSplitViews:
         assert np.shares_memory(labels["noun"], train.labels["noun"])
 
     def test_slices_and_items_hold_the_right_rows(self, tmp_path):
-        split = random_split(tmp_path)
+        split = split_on_disk(tmp_path)
         samples = list(split)
         for key in (slice(3, 7), slice(None, None, 3), slice(1, None, 4), slice(8, 2, -2)):
             part = split[key]
@@ -354,17 +322,18 @@ class TestSplitViews:
                 assert np.shares_memory(part.features[mod], split.features[mod])
                 assert np.array_equal(part.features[mod], split.features[mod][key])
             for head in HEADS:
-                assert part.labels[head].tolist() == [s.labels[head] for s in samples[key]]
+                assert part.labels[head].tolist() == [getattr(s, head) for s in samples[key]]
         for i in (0, 4, -1):
             s = split[i]
             assert s.sample_id == split.ids[i]
-            assert s.labels == {head: int(split.labels[head][i]) for head in HEADS}
+            for head in HEADS:
+                assert getattr(s, head) == split.labels[head][i]
             for mod in MODALITIES:
                 assert np.shares_memory(s.features[mod], split.features[mod])
                 assert s.features[mod].tobytes() == split.features[mod][i].tobytes()
 
     def test_last_n_is_a_view_of_the_last_snippets(self, tmp_path):
-        split = random_split(tmp_path, n=8)
+        split = split_on_disk(tmp_path, n=8)
         x, _ = stack_features(split, "rgb", last_n=5)
         assert x.shape == (10, 4, 5) and np.shares_memory(x, split.features["rgb"])
         assert x.tobytes() == split.features["rgb"][:, 3:].transpose(0, 2, 1).tobytes()
@@ -385,7 +354,7 @@ class TestSplitViews:
 
 class TestSplitErrors:
     def test_writing_into_a_stacked_batch_raises(self, tmp_path):
-        split = random_split(tmp_path)
+        split = split_on_disk(tmp_path)
         x, labels = stack_features(split, "obj", last_n=4)
         with pytest.raises(ValueError, match="read-only"):
             x[0, 0, 0] = 1.0
@@ -396,7 +365,7 @@ class TestSplitErrors:
             inputs["rgb"] += 1.0
 
     def test_modality_files_that_disagree_in_snippet_count_name_both(self, tmp_path):
-        index = write_dataset([random_sample(Rng(15), f"s{i}") for i in range(3)], tmp_path)
+        index = write_dataset(random_split(Rng(15), 3), tmp_path)
         write_feature_file(tmp_path / "obj.fseq", "obj", Rng(16).normal(0, 1, (3, 7, 2), "f32"))
         with pytest.raises(DatasetError, match=re.escape(
                 f"{tmp_path / 'obj.fseq'} holds 7 snippets per window, "
@@ -404,16 +373,8 @@ class TestSplitErrors:
             read_dataset(index)
 
     def test_last_n_beyond_the_window_names_the_split_and_both_counts(self, tmp_path):
-        split = random_split(tmp_path, n=6)
+        split = split_on_disk(tmp_path, n=6)
         for part in (split, split[2:5]):
             with pytest.raises(DatasetError, match=re.escape(
                     f"split {tmp_path / 'index.csv'} has 6 snippets per window, need 9")):
                 stack_features(part, "flow", last_n=9)
-
-    def test_packing_samples_of_unequal_shapes_names_both(self):
-        rng = Rng(17)
-        samples = [random_sample(rng, "a"), random_sample(rng, "b"),
-                   random_sample(rng, "c", dims=(4, 3, 5))]
-        with pytest.raises(DatasetError, match=re.escape(
-                "sample 'c' has obj features of shape (5, 5), sample 'a' has (5, 2)")):
-            as_split(samples)

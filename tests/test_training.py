@@ -1,11 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import parameter_hash
-from tcn_anticipation.data import Sample, read_dataset, write_dataset
+from tcn_anticipation.data import Split, read_dataset, write_dataset
 from tcn_anticipation.fusion import FusionConfig, FusionModel, MODALITIES, STRATEGIES
 from tcn_anticipation.layers import Parameter
 from tcn_anticipation.tensor import BLOCK, NonFiniteError, Rng, TensorError
@@ -107,16 +108,20 @@ class TestSgdStep:
                 SgdConfig(lr0=lr0)
 
 
-def tiny_dataset(rng, n_per_class=6, num_actions=2, dim=4, snippets=7):
-    samples = []
+def tiny_split(rng, n_per_class=6, num_actions=2, dim=4, snippets=7):
+    """``n_per_class`` windows per action, in action order; each modality's rows are the
+    action's prototype plus noise, drawn window by window."""
+    features = {mod: np.empty((num_actions * n_per_class, snippets, dim), np.float32)
+                for mod in MODALITIES}
     for action in range(num_actions):
         proto = rng.normal(0, 1, (snippets, dim), "f64")
         for i in range(n_per_class):
-            feats = {mod: (proto + rng.normal(0, 0.3, (snippets, dim), "f64")
-                           ).astype(np.float32)
-                     for mod in MODALITIES}
-            samples.append(Sample(f"s{action}-{i}", feats, action, action % 2, action % 2))
-    return samples
+            for mod in MODALITIES:
+                features[mod][action * n_per_class + i] = \
+                    proto + rng.normal(0, 0.3, (snippets, dim), "f64")
+    actions = np.repeat(np.arange(num_actions), n_per_class)
+    return Split("tiny", [f"s{a}-{i}" for a in range(num_actions) for i in range(n_per_class)],
+                 {"action": actions, "verb": actions % 2, "noun": actions % 2}, features)
 
 
 def tiny_branch_config(**overrides):
@@ -197,14 +202,14 @@ class TestBlockedSgdStep:
 class TestTrainBranch:
     def test_loss_decreases_on_toy_problem(self):
         rng = Rng(0)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         sgd = SgdConfig(lr0=0.01, epochs=3, batch_size=4, seed=1)
         _, result = train_branch(data, data, "rgb", tiny_branch_config(), sgd)
         assert result.history[-1].train_loss < result.history[0].train_loss
 
     def test_fixed_seed_bitwise_identical_loss_curves(self):
         rng = Rng(3)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         sgd = SgdConfig(lr0=0.01, epochs=2, batch_size=4, seed=9)
         _, r1 = train_branch(data, data, "rgb", tiny_branch_config(), sgd)
         _, r2 = train_branch(data, data, "rgb", tiny_branch_config(), sgd)
@@ -212,12 +217,13 @@ class TestTrainBranch:
         assert [r.val_top1_action for r in r1.history] == [r.val_top1_action for r in r2.history]
 
     def test_empty_dataset_rejected(self):
+        empty = tiny_split(Rng(0), n_per_class=0)
         with pytest.raises(TensorError):
-            train_branch([], [], "rgb", tiny_branch_config(), SgdConfig(lr0=0.1, epochs=1))
+            train_branch(empty, empty, "rgb", tiny_branch_config(), SgdConfig(lr0=0.1, epochs=1))
 
     def test_wrong_feature_dim_rejected(self):
         rng = Rng(0)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         cfg = tiny_branch_config(input_dim=9)
         with pytest.raises(TensorError):
             train_branch(data, data, "rgb", cfg, SgdConfig(lr0=0.1, epochs=1))
@@ -225,7 +231,7 @@ class TestTrainBranch:
     def test_a_val_split_of_another_width_is_rejected_before_any_step(self, monkeypatch):
         """Val is first forwarded after a whole epoch, so its width is checked up front."""
         rng = Rng(2)
-        train, val = tiny_dataset(rng, dim=32), tiny_dataset(rng, dim=40)
+        train, val = tiny_split(rng, dim=32), tiny_split(rng, dim=40)
         monkeypatch.setattr(SgdOptimizer, "step", lambda *args: pytest.fail("an SGD step ran"))
         with pytest.raises(TensorError, match=r"branch expected \(B, 32, N\), got \(12, 40, 7\)"):
             train_branch(train, val, "rgb", tiny_branch_config(input_dim=32),
@@ -233,7 +239,7 @@ class TestTrainBranch:
 
     def test_log_records_have_expected_fields(self):
         rng = Rng(1)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         lines = []
         sgd = SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=0)
         train_branch(data, data, "rgb", tiny_branch_config(), sgd, log=lines.append)
@@ -255,7 +261,7 @@ class TestTrainFusion:
                                           "mutual_pairwise"])
     def test_branch_hash_unchanged_by_fusion_training(self, strategy):
         rng = Rng(5)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         sgd = SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=2)
         branches = self.make_branches(data, sgd)
         before = {mod: parameter_hash(branches[mod].named_state()) for mod in MODALITIES}
@@ -269,7 +275,7 @@ class TestTrainFusion:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_each_branch_forwarded_once_per_split(self, strategy, branch_forwards):
         rng = Rng(5)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         branches = self.make_branches(data, SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=2))
         branch_forwards.clear()
         fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
@@ -280,7 +286,7 @@ class TestTrainFusion:
 
     def test_fusion_deterministic(self):
         rng = Rng(6)
-        data = tiny_dataset(rng)
+        data = tiny_split(rng)
         sgd = SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=2)
         branches = self.make_branches(data, sgd)
         fcfg = FusionConfig(channels=6, num_actions=2, num_verbs=2, num_nouns=2,
@@ -291,10 +297,9 @@ class TestTrainFusion:
         assert [r.train_loss for r in r1.history] == [r.train_loss for r in r2.history]
 
 
-def last_snippets(samples, n):
-    """Copies of ``samples`` that keep only each window's last ``n`` snippets."""
-    return [Sample(s.sample_id, {mod: arr[-n:] for mod, arr in s.features.items()},
-                   s.action, s.verb, s.noun) for s in samples]
+def last_snippets(split, n):
+    """``split`` with only each window's last ``n`` snippets: views of its arrays."""
+    return replace(split, features={mod: arr[:, -n:] for mod, arr in split.features.items()})
 
 
 class TestWindowInvariance:
@@ -305,8 +310,8 @@ class TestWindowInvariance:
     @pytest.fixture(scope="class")
     def trained(self):
         rng = Rng(9)
-        train = tiny_dataset(rng, snippets=21)
-        val = tiny_dataset(rng, n_per_class=3, snippets=21)
+        train = tiny_split(rng, snippets=21)
+        val = tiny_split(rng, n_per_class=3, snippets=21)
         bcfg = tiny_branch_config(dilations=(1, 2, 3, 4)).for_snippets(13)
         assert bcfg.required_length == 13
         sgd = SgdConfig(lr0=0.01, epochs=1, batch_size=4, seed=2)
@@ -353,17 +358,26 @@ class TestWindowInvariance:
             model.eval().predict_proba(stack_modalities(short)[0])
 
 
-class TestSplitAndPackedSamples:
+def contiguous_copy(split):
+    """``split`` with C-contiguous copies of its arrays."""
+    return replace(split, labels={head: arr.copy() for head, arr in split.labels.items()},
+                   features={mod: arr.copy() for mod, arr in split.features.items()})
+
+
+class TestFileViewsAndContiguousCopies:
     """A split read from disk, whose batches are views of the file buffers, trains and
-    predicts with the bits of the same windows passed as a list of samples."""
+    predicts with the bits of a split that holds C-contiguous copies of the same windows."""
 
     def test_train_branch_and_predict_proba_bitwise(self, tmp_path):
-        rng = Rng(10)
-        samples = tiny_dataset(rng, n_per_class=20)  # 40 windows: two eval chunks
-        split = read_dataset(write_dataset(samples, tmp_path))
+        windows = tiny_split(Rng(10), n_per_class=20)  # 40 windows: two eval chunks
+        split = read_dataset(write_dataset(windows, tmp_path))
+        copies = contiguous_copy(split), contiguous_copy(split[::2])
+        for part in copies:
+            for mod, arr in part.features.items():
+                assert arr.flags.c_contiguous and not np.shares_memory(arr, split.features[mod])
         sgd = SgdConfig(lr0=0.01, epochs=2, batch_size=8, seed=4)
         branches, results = {}, {}
-        for name, train, val in (("split", split, split[::2]), ("samples", samples, samples[::2])):
+        for name, train, val in (("split", split, split[::2]), ("copies", *copies)):
             branches[name], results[name] = train_branch(train, val, "rgb",
                                                          tiny_branch_config(), sgd)
 
@@ -371,7 +385,7 @@ class TestSplitAndPackedSamples:
             return [(r.epoch, r.lr, r.train_loss, r.val_top1_action, r.val_top5_action)
                     for r in result.history]
 
-        got, want = results["split"], results["samples"]
+        got, want = results["split"], results["copies"]
         assert scores(got) == scores(want) and got.best_epoch == want.best_epoch
         assert got.best_state.keys() == want.best_state.keys()
         for name, value in got.best_state.items():
@@ -380,6 +394,6 @@ class TestSplitAndPackedSamples:
                             strategy="mutual_pairwise", embed_dim=5, head_dropout=0.1)
         model = FusionModel({mod: branches["split"] for mod in MODALITIES}, fcfg, Rng(3))
         probs = [model.eval().predict_proba(stack_modalities(windows)[0])
-                 for windows in (split, samples)]
+                 for windows in (split, copies[0])]
         for head in probs[0]:
             assert probs[0][head].tobytes() == probs[1][head].tobytes(), head
