@@ -69,6 +69,30 @@ class Split:
     labels: dict[str, np.ndarray] = field(repr=False)
     features: dict[str, Tensor] = field(repr=False)
 
+    def __post_init__(self):
+        """A split whose columns disagree is a ``DatasetError`` where it is made, not
+        when its files are read back."""
+        w = len(self.ids)
+        for kind, have, want in (("modalities", self.features, MODALITIES),
+                                 ("label heads", self.labels, HEADS)):
+            if sorted(have) != sorted(want):
+                raise DatasetError(f"split {self.name} has {kind} {sorted(have)}, "
+                                   f"expected {sorted(want)}")
+        for head in HEADS:
+            if np.shape(self.labels[head]) != (w,):
+                raise DatasetError(f"split {self.name} has {head} labels of shape "
+                                   f"{np.shape(self.labels[head])}, {w} ids")
+        first = MODALITIES[0]
+        for mod in MODALITIES:
+            shape = np.shape(self.features[mod])
+            if len(shape) != 3 or shape[0] != w:
+                raise DatasetError(f"split {self.name} has {mod} features of shape {shape}, "
+                                   f"expected (W, N, D) with W = {w} ids")
+            n, n0 = shape[1], np.shape(self.features[first])[1]
+            if n != n0:
+                raise DatasetError(f"split {self.name} has {n} {mod} snippets per window, "
+                                   f"{n0} {first}")
+
     def __len__(self) -> int:
         return len(self.ids)
 

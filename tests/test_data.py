@@ -198,6 +198,16 @@ class TestDatasetRoundTrip:
         assert len(read_dataset(index)) == 7
         assert reads == [tmp_path / f"{mod}.fseq" for mod in MODALITIES]
 
+    def test_snippet_disagreement_rejected(self, tmp_path):
+        """A hand-built split whose modalities disagree in snippet count fails where it is
+        made, so it is never written."""
+        split = random_split(Rng(8), 2)
+        features = {**split.features, "flow": Rng(9).normal(0, 1, (2, 6, 3), "f32")}
+        with pytest.raises(DatasetError, match=re.escape(
+                "split random has 6 flow snippets per window, 5 rgb")):
+            replace(split, features=features)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_modality_file_names_it(self, tmp_path):
         index = write_dataset(random_split(Rng(6), 1), tmp_path)
         (tmp_path / "flow.fseq").unlink()
@@ -378,3 +388,43 @@ class TestSplitErrors:
             with pytest.raises(DatasetError, match=re.escape(
                     f"split {tmp_path / 'index.csv'} has 6 snippets per window, need 9")):
                 stack_features(part, "flow", last_n=9)
+
+    @pytest.mark.parametrize("mod", MODALITIES)
+    def test_features_that_disagree_with_the_ids_in_window_count_are_rejected(self, mod):
+        split = random_split(Rng(17), 2)
+        features = {**split.features, mod: Rng(18).normal(0, 1, (3, 5, 2), "f32")}
+        with pytest.raises(DatasetError, match=re.escape(
+                f"split random has {mod} features of shape (3, 5, 2), "
+                "expected (W, N, D) with W = 2 ids")):
+            replace(split, features=features)
+
+    def test_features_that_are_not_w_n_d_are_rejected(self):
+        split = random_split(Rng(19), 2)
+        with pytest.raises(DatasetError, match=re.escape(
+                "split random has obj features of shape (2, 10), expected (W, N, D)")):
+            replace(split, features={**split.features, "obj": np.zeros((2, 10), np.float32)})
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_labels_that_disagree_with_the_ids_in_length_are_rejected(self, head):
+        split = random_split(Rng(20), 4)
+        labels = {**split.labels, head: split.labels[head][:3]}
+        with pytest.raises(DatasetError, match=re.escape(
+                f"split random has {head} labels of shape (3,), 4 ids")):
+            replace(split, labels=labels)
+
+    def test_a_missing_modality_or_head_is_named(self):
+        split = random_split(Rng(21), 2)
+        with pytest.raises(DatasetError, match=re.escape(
+                "split random has modalities ['flow', 'rgb'], expected ['flow', 'obj', 'rgb']")):
+            replace(split, features={m: split.features[m] for m in ("rgb", "flow")})
+        with pytest.raises(DatasetError, match=re.escape(
+                "split random has label heads ['action', 'noun'], "
+                "expected ['action', 'noun', 'verb']")):
+            replace(split, labels={h: split.labels[h] for h in ("action", "noun")})
+
+    def test_every_slice_of_a_valid_split_is_valid(self, tmp_path):
+        split = split_on_disk(tmp_path)
+        for key in (slice(None), slice(1, 3), slice(None, None, 2), slice(3, 1), slice(-1, None)):
+            part = split[key]
+            assert part.ids == split.ids[key]
+            assert all(len(part.features[mod]) == len(part) for mod in MODALITIES)
