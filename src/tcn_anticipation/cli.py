@@ -1,8 +1,9 @@
 """Command-line interface: data generation, training, evaluation, studies.
 
 ``SETTINGS`` states every setting once. Each command in ``COMMANDS`` lists the
-settings it reads and its built-in defaults, and accepts exactly those, as
-flags and as config keys: any other flag or key is a usage error. A
+settings it reads and its built-in defaults, and accepts exactly those settings,
+as flags and as config keys: any other flag or key is a usage error. A default
+with no setting of the command (a study's learning rate, say) is fixed. A
 ``key = value`` config file (``--config``) replaces the defaults, checked as
 flags are, and flags win over both. ``--seed`` defaults to 0. Commands exit 0
 on success and 2 on a usage or input error, and write CSV artifacts plus a
@@ -47,7 +48,6 @@ SETTINGS = {
     "preset": Setting(str, "synthetic dataset preset", tuple(sorted(PRESETS))),
     "modality": Setting(str, "branch modality", MODALITIES),
     "strategy": Setting(str, "fusion strategy", STRATEGIES),
-    "snippets": Setting(int, "observed window length in snippets"),
     "channels": Setting(int, "branch width"),
     "epochs": Setting(int, "training epochs"),
     "lr": Setting(float, "initial learning rate"),
@@ -57,8 +57,7 @@ SETTINGS = {
     **{f"{mod}_ckpt": Setting(str, f"checkpoint of the pre-trained {mod} branch", config=False)
        for mod in MODALITIES},
     **{key: Setting(int, None) for key in ("train_per_class", "val_per_class")},
-    **{key: Setting(float, None) for key in ("input_dropout", "block_dropout", "head_dropout",
-                                             "fusion_dropout")},
+    **{key: Setting(float, None) for key in ("input_dropout", "block_dropout", "head_dropout")},
 }
 
 
@@ -137,10 +136,12 @@ def cmd_synth_gen(args) -> int:
 
 # desk-scale branch settings for the ablation studies
 _DESK_BRANCH = {"channels": 64, "input_dropout": 0.1, "block_dropout": 0.1, "head_dropout": 0.1}
+# the studies are fixed experiments; these settings only size them
+_STUDY_KEYS = ("data", "out", "seed", "channels", "epochs", "batch")
+_OBSLEN_WINDOWS = (3, 7, 13, 21)  # the windows, in snippets, that ablate-obslen trains on
 
-# flag or config key -> config field
-_SPEC_KEYS = {"snippets": "num_snippets", "train_per_class": "train_per_class",
-              "val_per_class": "val_per_class"}
+# setting, or a built-in default no setting replaces -> config field
+_SPEC_KEYS = {key: key for key in ("train_per_class", "val_per_class")}
 _BRANCH_KEYS = {key: key for key in ("channels", "input_dropout", "block_dropout", "head_dropout")}
 _FUSION_KEYS = {"embed_dim": "embed_dim", "fusion_dropout": "head_dropout"}
 _SGD_KEYS = {"lr": "lr0", "epochs": "epochs", "batch": "batch_size"}
@@ -185,10 +186,9 @@ def cmd_train_branch(args) -> int:
     modality = args.modality
     train = _load_split(args, "train")
     val = _load_split(args, "val")
-    bcfg = _branch_config_from_args(args, (train, val), modality, args.snippets)
+    bcfg = _branch_config_from_args(args, (train, val), modality)
     sgd = _sgd_from_args(args)
-    branch, result = train_branch(train, val, modality, bcfg, sgd,
-                                  snippets=args.snippets, log=print)
+    branch, result = train_branch(train, val, modality, bcfg, sgd, log=print)
     save_checkpoint(out / f"branch_{modality}.ckpt",
                     branch_checkpoint_tensors(branch, modality, sgd.epochs - 1))
     _save_best(out, branch, modality, result)
@@ -269,7 +269,7 @@ def cmd_bench(args) -> int:
     channels, rng = args.channels, Rng(args.seed)
     bcfg = BranchConfig(input_dim=channels, num_actions=100, num_verbs=20, num_nouns=30,
                         channels=channels, input_dropout=0.0, block_dropout=0.0,
-                        head_dropout=0.0).for_snippets(args.snippets)
+                        head_dropout=0.0)
     branch = Branch(bcfg, rng)
     lcfg = LstmConfig(input_dim=channels, hidden=channels, num_actions=100,
                       encoder_steps=bcfg.required_length)
@@ -285,11 +285,14 @@ def cmd_ablate_obslen(args) -> int:
     out = _out_dir(args)
     train = _load_split(args, "train")
     val = _load_split(args, "val")
+    if train.num_snippets < _OBSLEN_WINDOWS[0]:
+        raise CliError(f"{train.name}: {train.num_snippets} snippets per window, fewer than "
+                       f"the {_OBSLEN_WINDOWS[0]} of the shortest window the study trains on")
     modality = args.modality
     rows = ["snippets,obs_seconds,val_top1_action"]
     results = {}
     sgd = _sgd_from_args(args)
-    for n in (3, 7, 13, 21):
+    for n in _OBSLEN_WINDOWS:
         if n > train.num_snippets:
             continue
         base = _branch_config_from_args(args, (train, val), modality, n)
@@ -333,10 +336,10 @@ COMMANDS = {
     "synth-gen": (cmd_synth_gen, "generate a synthetic multi-modal dataset",
                   ("out", "seed", "preset", *_SPEC_KEYS), {"preset": "learnable"}),
     "train-branch": (cmd_train_branch, "train one uni-modal branch",
-                     ("data", "out", "seed", "modality", "snippets", *_BRANCH_KEYS, *_SGD_KEYS),
+                     ("data", "out", "seed", "modality", *_BRANCH_KEYS, *_SGD_KEYS),
                      {"modality": "rgb", "lr": 0.005}),
     "train-fusion": (cmd_train_fusion, "train fusion layers over frozen branches",
-                     ("data", "out", "seed", "strategy", *_FUSION_KEYS, *_SGD_KEYS,
+                     ("data", "out", "seed", "strategy", "embed_dim", *_SGD_KEYS,
                       *(f"{mod}_ckpt" for mod in MODALITIES)),
                      {"strategy": "mutual_pairwise", "lr": 0.0005}),
     "evaluate": (cmd_evaluate, "evaluate a checkpoint on the val split",
@@ -344,13 +347,10 @@ COMMANDS = {
     "gradcheck": (cmd_gradcheck, "finite-difference check of every layer in f64",
                   ("out", "seed"), {}),
     "bench": (cmd_bench, "speed study: conv branch vs recurrent baseline",
-              ("out", "seed", "channels", "snippets", "batch"),
-              {"channels": 1024, "snippets": 21, "batch": 4}),
-    "ablate-obslen": (cmd_ablate_obslen, "observation-length study",
-                      ("data", "out", "seed", "modality", *_BRANCH_KEYS, *_SGD_KEYS),
+              ("out", "seed", "channels", "batch"), {"channels": 1024, "batch": 4}),
+    "ablate-obslen": (cmd_ablate_obslen, "observation-length study", _STUDY_KEYS,
                       {"lr": 0.02, "epochs": 25, "batch": 32, "modality": "rgb", **_DESK_BRANCH}),
-    "ablate-fusion": (cmd_ablate_fusion, "uni-modal vs fusion-strategy study",
-                      ("data", "out", "seed", *_BRANCH_KEYS, *_FUSION_KEYS, *_SGD_KEYS),
+    "ablate-fusion": (cmd_ablate_fusion, "uni-modal vs fusion-strategy study", _STUDY_KEYS,
                       {"lr": 0.02, "epochs": 15, "batch": 32, "embed_dim": 64,
                        "fusion_dropout": 0.1, **_DESK_BRANCH}),
 }

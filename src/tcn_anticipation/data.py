@@ -79,9 +79,16 @@ class Split:
                 raise DatasetError(f"split {self.name} has {kind} {sorted(have)}, "
                                    f"expected {sorted(want)}")
         for head in HEADS:
-            if np.shape(self.labels[head]) != (w,):
+            labels = np.asarray(self.labels[head])
+            if labels.shape != (w,):
                 raise DatasetError(f"split {self.name} has {head} labels of shape "
-                                   f"{np.shape(self.labels[head])}, {w} ids")
+                                   f"{labels.shape}, {w} ids")
+            integral = np.issubdtype(labels.dtype, np.integer)
+            if w and not (integral and 0 <= labels.min() and labels.max() <= LABEL_MAX):
+                bad = labels[(labels < 0) | (labels > LABEL_MAX)] if integral else labels
+                raise DatasetError(f"split {self.name} has {head} label {bad[0]} "
+                                   f"({labels.dtype}); index.csv holds integers in "
+                                   f"[0, {LABEL_MAX}]")
         first = MODALITIES[0]
         for mod in MODALITIES:
             shape = np.shape(self.features[mod])

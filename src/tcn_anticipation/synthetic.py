@@ -1,7 +1,10 @@
 """Synthetic multi-modal datasets with controllable structure.
 
-Actions are (verb, noun) pairs. Information is split across modalities so
-that fusing them is genuinely necessary:
+Actions are (verb, noun) pairs: 12 actions over 6 verbs and 8 nouns, the
+constants NUM_ACTIONS, NUM_VERBS and NUM_NOUNS. A ``SyntheticSpec`` sets the
+rest: feature widths, window length, noise, rgb's member scale and the
+windows per class. Information is split across modalities so that fusing them
+is genuinely necessary:
 
 * flow features carry the verb prototype,
 * obj features carry the noun prototype,
@@ -38,13 +41,11 @@ from .tensor import Rng, TensorError
 
 EARLY_CUTOFF = 8  # snippets that carry the component telling partner actions apart
 RAMP_START = 0.5  # emission scale of the first snippet; the last is at 1
+NUM_VERBS, NUM_NOUNS, NUM_ACTIONS = 6, 8, 12
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_verbs: int = 6
-    num_nouns: int = 8
-    num_actions: int = 12
     rgb_dim: int = 32
     flow_dim: int = 32
     obj_dim: int = 32
@@ -55,16 +56,6 @@ class SyntheticSpec:
     val_per_class: int = 50
 
     def __post_init__(self):
-        if self.num_verbs < 2 or self.num_verbs % 2:
-            raise TensorError("num_verbs must be even and >= 2")
-        if self.num_nouns < 2 or self.num_nouns % 2:
-            raise TensorError("num_nouns must be even and >= 2")
-        if self.num_actions < 2 or self.num_actions % 2:
-            raise TensorError("num_actions must be even and >= 2")
-        if self.num_actions // 2 > (self.num_verbs // 2) * (self.num_nouns // 2):
-            raise TensorError(
-                f"{self.num_actions} actions are not coverable by a "
-                f"{self.num_verbs} x {self.num_nouns} verb/noun grid of pairs")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise TensorError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.num_snippets < EARLY_CUTOFF:
@@ -91,16 +82,13 @@ def long_range_spec(**overrides) -> SyntheticSpec:
     return replace(SyntheticSpec(sigma=6.0, val_per_class=100), **overrides)
 
 
-def action_table(spec: SyntheticSpec) -> list[tuple[int, int]]:
+def action_table() -> list[tuple[int, int]]:
     """(verb, noun) per action id; actions 2i and 2i+1 are confusable partners.
 
-    Action pairs take verb/noun pair (j, k) first along the diagonal
-    (i % vp, i % np_), i < lcm(vp, np_), then the unused (j, k) in row-major order."""
-    vp, np_ = spec.num_verbs // 2, spec.num_nouns // 2
-    combos = [(i % vp, i % np_) for i in range(math.lcm(vp, np_))]
-    diagonal = set(combos)
-    combos += [(j, k) for j in range(vp) for k in range(np_) if (j, k) not in diagonal]
-    return [(2 * j + m, 2 * k + m) for j, k in combos[:spec.num_actions // 2] for m in (0, 1)]
+    Action pair i takes verb pair i % 3 and noun pair i % 4, so the six pairs
+    use six distinct (verb pair, noun pair) combinations and every verb."""
+    return [(2 * (i % (NUM_VERBS // 2)) + m, 2 * (i % (NUM_NOUNS // 2)) + m)
+            for i in range(NUM_ACTIONS // 2) for m in (0, 1)]
 
 
 class _Prototypes:
@@ -109,14 +97,13 @@ class _Prototypes:
     def __init__(self, spec: SyntheticSpec, seed: int):
         rng = Rng(seed)
         self.spec = spec
-        self.actions = action_table(spec)
-        vp, np_, ap = spec.num_verbs // 2, spec.num_nouns // 2, spec.num_actions // 2
-        self.late_verb = rng.normal(0, 1, (vp, spec.flow_dim), "f64")
-        self.early_verb = rng.normal(0, 1, (spec.num_verbs, spec.flow_dim), "f64")
-        self.late_noun = rng.normal(0, 1, (np_, spec.obj_dim), "f64")
-        self.early_noun = rng.normal(0, 1, (spec.num_nouns, spec.obj_dim), "f64")
-        self.late_action = rng.normal(0, 1, (ap, spec.rgb_dim), "f64")
-        self.early_action = rng.normal(0, 1, (spec.num_actions, spec.rgb_dim), "f64")
+        self.actions = action_table()
+        self.late_verb = rng.normal(0, 1, (NUM_VERBS // 2, spec.flow_dim), "f64")
+        self.early_verb = rng.normal(0, 1, (NUM_VERBS, spec.flow_dim), "f64")
+        self.late_noun = rng.normal(0, 1, (NUM_NOUNS // 2, spec.obj_dim), "f64")
+        self.early_noun = rng.normal(0, 1, (NUM_NOUNS, spec.obj_dim), "f64")
+        self.late_action = rng.normal(0, 1, (NUM_ACTIONS // 2, spec.rgb_dim), "f64")
+        self.early_action = rng.normal(0, 1, (NUM_ACTIONS, spec.rgb_dim), "f64")
 
     def sequence(self, action: int, modality: str) -> np.ndarray:
         """Noise-free (N, D) expected feature sequence for one class."""
@@ -139,19 +126,19 @@ class _Prototypes:
 
 
 def class_templates(spec: SyntheticSpec, seed: int, modality: str) -> np.ndarray:
-    """(num_actions, N, D) noise-free expected sequences; oracle support."""
+    """(NUM_ACTIONS, N, D) noise-free expected sequences; oracle support."""
     protos = _Prototypes(spec, seed)
-    return np.stack([protos.sequence(a, modality) for a in range(spec.num_actions)])
+    return np.stack([protos.sequence(a, modality) for a in range(NUM_ACTIONS)])
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[Split, Split]:
     """Seeded train/val splits; identical seeds give identical datasets."""
-    actions = action_table(spec)
+    actions = action_table()
     rng = Rng(seed + 1)  # emission noise stream, separate from prototypes
     templates = {mod: class_templates(spec, seed, mod) for mod in MODALITIES}
 
     def emit(split: str, per_class: int) -> Split:
-        windows = [(a, i) for a in range(spec.num_actions) for i in range(per_class)]
+        windows = [(a, i) for a in range(NUM_ACTIONS) for i in range(per_class)]
         features = {mod: np.empty((len(windows), *templates[mod].shape[1:]), np.float32)
                     for mod in MODALITIES}
         for w, (action, _) in enumerate(windows):

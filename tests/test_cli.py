@@ -24,33 +24,31 @@ from test_data import (BAD_INDEX_ROWS, SPLIT_FILE_CORRUPTIONS, corrupt_split_fil
 
 CLI = [sys.executable, "-m", "tcn_anticipation"]
 
-_BRANCH = {"channels"}
 _SGD = {"epochs", "lr", "batch"}
+_STUDY = {"data", "out", "seed", "channels", "epochs", "batch"}
 # each command's flags: the settings it reads, less those only a config file sets
 FLAGS = {
-    "synth-gen": {"out", "seed", "preset", "snippets"},
-    "train-branch": {"data", "out", "seed", "modality", "snippets", *_BRANCH, *_SGD},
+    "synth-gen": {"out", "seed", "preset"},
+    "train-branch": {"data", "out", "seed", "modality", "channels", *_SGD},
     "train-fusion": {"data", "out", "seed", "strategy", "embed-dim", *_SGD,
                      "rgb-ckpt", "flow-ckpt", "obj-ckpt"},
     "evaluate": {"data", "out", "ckpt"},
     "gradcheck": {"out", "seed"},
-    "bench": {"out", "seed", "channels", "snippets", "batch"},
-    "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD},
-    "ablate-fusion": {"data", "out", "seed", "embed-dim", *_BRANCH, *_SGD},
+    "bench": {"out", "seed", "channels", "batch"},
+    "ablate-obslen": _STUDY,
+    "ablate-fusion": _STUDY,
 }
-_BRANCH_FILE = {"input_dropout", "block_dropout", "head_dropout"}
 # each command's config keys: the settings it reads, less the checkpoint paths
 CONFIG_KEYS = {
-    "synth-gen": {"out", "seed", "preset", "snippets", "train_per_class", "val_per_class"},
-    "train-branch": {"data", "out", "seed", "modality", "snippets", *_BRANCH, *_SGD,
-                     *_BRANCH_FILE},
-    "train-fusion": {"data", "out", "seed", "strategy", "embed_dim", *_SGD, "fusion_dropout"},
+    "synth-gen": {"out", "seed", "preset", "train_per_class", "val_per_class"},
+    "train-branch": {"data", "out", "seed", "modality", "channels", *_SGD,
+                     "input_dropout", "block_dropout", "head_dropout"},
+    "train-fusion": {"data", "out", "seed", "strategy", "embed_dim", *_SGD},
     "evaluate": {"data", "out"},
     "gradcheck": {"out", "seed"},
     "bench": FLAGS["bench"],
-    "ablate-obslen": {"data", "out", "seed", "modality", *_BRANCH, *_SGD, *_BRANCH_FILE},
-    "ablate-fusion": {"data", "out", "seed", "embed_dim", *_BRANCH, *_SGD, *_BRANCH_FILE,
-                      "fusion_dropout"},
+    "ablate-obslen": _STUDY,
+    "ablate-fusion": _STUDY,
 }
 
 
@@ -327,7 +325,7 @@ class TestTrainEvaluate:
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
         assert str(bad) in proc.stderr
 
-    @pytest.mark.parametrize("command", ["ablate-obslen"])
+    @pytest.mark.parametrize("command", ["train-branch"])
     def test_config_modality_outside_choices_exits_2(self, command, synth_dir, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("modality = nope\n", encoding="utf-8")
@@ -477,8 +475,8 @@ class TestStudies:
             assert metrics[1].split(",")[:2] == ["action", rows[mod]]
         assert min(epochs) < 3  # some branch scored best before the final epoch
 
-    def test_bench_window_beyond_receptive_field(self, tmp_path):
-        proc = run("bench", "--out", str(tmp_path), "--channels", "8", "--snippets", "25")
+    def test_bench_smoke(self, tmp_path):
+        proc = run("bench", "--out", str(tmp_path), "--channels", "8")
         assert "speedup" in proc.stdout
         assert (tmp_path / "bench.csv").read_text().startswith("model,mac_count")
 
@@ -492,6 +490,23 @@ class TestStudies:
         rows = (out / "obslen.csv").read_text().strip().splitlines()
         assert rows[0] == "snippets,obs_seconds,val_top1_action"
         assert [r.split(",")[0] for r in rows[1:]] == ["3", "7", "13", "21"]
+
+    def test_ablate_obslen_on_windows_shorter_than_every_study_window_exits_2(
+            self, synth_dir, tmp_path, capsys):
+        """An error, not a header-only CSV: no window of the study fits in 2 snippets."""
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        for split in ("train", "val"):
+            for mod in MODALITIES:
+                path = data / split / f"{mod}.fseq"
+                write_feature_file(path, mod, read_feature_file(path)[1][:, -2:])
+        out = tmp_path / "o"
+        assert cli.main(["ablate-obslen", "--data", str(data), "--out", str(out),
+                         "--epochs", "1", "--channels", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(data / "train" / "index.csv") in err
+        assert "2 snippets per window, fewer than the 3 of the shortest window" in err
+        assert not any(out.iterdir())  # no obslen.csv, no summary
 
 
 class TestSettingsPerCommand:
@@ -520,6 +535,9 @@ class TestSettingsPerCommand:
 
     @pytest.mark.parametrize("argv", [
         ["ablate-fusion", "--snippets", "13"], ["ablate-obslen", "--snippets", "7"],
+        ["synth-gen", "--snippets", "21"], ["train-branch", "--snippets", "13"],
+        ["bench", "--snippets", "25"], ["ablate-obslen", "--modality", "flow"],
+        ["ablate-fusion", "--embed-dim", "32"],
         ["train-fusion", "--channels", "256"], ["train-fusion", "--dtype", "f64"],
         ["gradcheck", "--dtype", "f64"], ["evaluate", "--seed", "3"],
         ["synth-gen", "--data", "d"], ["bench", "--modality", "rgb"],
@@ -538,7 +556,10 @@ class TestSettingsPerCommand:
         ("train-fusion", "rgb_ckpt = a.ckpt"), ("train-branch", "fusion_dropout = 0.1"),
         ("train-branch", "momentum = 0.9"), ("train-branch", "weight_decay = 5e-4"),
         ("train-branch", "power = 0.99"), ("train-branch", "kernel = 3"),
-        ("synth-gen", "sigma = 0.5")])
+        ("synth-gen", "sigma = 0.5"),
+        ("train-fusion", "fusion_dropout = 0.5"), ("ablate-fusion", "fusion_dropout = 0.5"),
+        ("ablate-obslen", "lr = 0.1"), ("ablate-fusion", "lr = 0.1"),
+        ("ablate-obslen", "input_dropout = 0.2"), ("ablate-fusion", "input_dropout = 0.2")])
     def test_unread_config_key_is_a_usage_error_naming_it(self, command, line, tmp_path,
                                                           capsys):
         cfg = tmp_path / "c.txt"

@@ -422,6 +422,23 @@ class TestSplitErrors:
                 "expected ['action', 'noun', 'verb']")):
             replace(split, labels={h: split.labels[h] for h in ("action", "noun")})
 
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("bad,first", [
+        (np.array([0.0, 1.0]), "0.0 (float64)"), (np.array([0, -1], np.int64), "-1 (int64)"),
+        (np.array([0, 2**63], np.uint64), "9223372036854775808 (uint64)")],
+        ids=["float", "negative", "above_int64"])
+    def test_labels_the_index_cannot_hold_are_rejected_naming_the_first(self, head, bad, first):
+        """Rejected where the split is made, since ``read_dataset`` rejects an index
+        that holds them."""
+        split = random_split(Rng(22), 2)
+        with pytest.raises(DatasetError, match=re.escape(
+                f"split random has {head} label {first}; index.csv holds integers")):
+            replace(split, labels={**split.labels, head: bad})
+
+    def test_an_empty_split_is_valid(self):
+        split = random_split(Rng(23), 0)
+        assert len(split) == 0 and len(split[1:]) == 0
+
     def test_every_slice_of_a_valid_split_is_valid(self, tmp_path):
         split = split_on_disk(tmp_path)
         for key in (slice(None), slice(1, 3), slice(None, None, 2), slice(3, 1), slice(-1, None)):
