@@ -12,11 +12,13 @@ Wall-clock runs warm up for ``WARMUP`` repetitions, then record the times of
 ``REPS`` more; the headline statistic is a median-of-means, which resists
 desk-machine jitter better than a plain mean. Nothing is pinned; the hardware
 note reports the BLAS thread variables, which fix the BLAS thread count when
-the process starts, and how many threads call BLAS in each timed step: from
+the process starts, and how many threads each timed step runs on: from
 ``CONCURRENT_CHANNELS`` wide the branch's train step splits each conv forward
-GEMM between the caller and a pool worker, and runs each block conv's backward
-GEMMs side by side on the two, while the LSTM's train step and both eval
-forwards stay on the caller.
+GEMM, its per-channel work and the SGD passes between the caller and a pool
+worker and runs each block conv's backward GEMMs side by side on the two, and
+its eval forward shares chunks with a worker above ``EVAL_CHUNK`` windows. The
+LSTM's GEMMs stay on the caller; its SGD passes split too once a gate weight
+has ``CONCURRENT_CHANNELS`` rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import DECODER_STEPS, LstmConfig, LstmEncoderDecoder
-from .branch import Branch, BranchConfig, multitask_loss
+from .branch import EVAL_CHUNK, Branch, BranchConfig, multitask_loss
 from .layers import CONCURRENT_CHANNELS, SoftmaxCrossEntropy, concurrent_at
 from .tensor import Rng, TensorError
 from .training import SgdOptimizer
@@ -182,12 +184,16 @@ def bench_models(branch: Branch, baseline: LstmEncoderDecoder, batch: int,
     ]
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
                         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    callers = (f"2 ({CONCURRENT_CHANNELS}+ channels: conv forward GEMMs split with a pool "
-               f"worker, backward GEMMs overlapped with it)"
-               if concurrent_at(branch.config.channels) else "1")
+    wide = concurrent_at(branch.config.channels)
+    callers = (f"2 ({CONCURRENT_CHANNELS}+ channels: the caller and a pool worker split each "
+               f"conv forward GEMM, the per-channel work and the SGD passes and run each "
+               f"block conv's backward GEMMs side by side)" if wide else "1")
+    lstm = "2 (SGD passes only)" if opt_l.split else "1"
+    eval_callers = ("2 (eval chunks shared with a pool worker)"
+                    if wide and batch > EVAL_CHUNK else "1")
     note = (f"{platform.machine()} {platform.system()}, {threads}, no CPU pinning, "
-            f"dtype={dtype}, threads calling BLAS: branch train step {callers}, "
-            f"LSTM train step 1, eval forwards 1")
+            f"dtype={dtype}, threads per step: branch train step {callers}, LSTM train "
+            f"step {lstm}, branch eval forward {eval_callers}, LSTM eval forward 1")
     return BenchReport(rows, batch, note,
                        rows[1].inference_mom / rows[0].inference_mom,
                        rows[1].train_step_mom / rows[0].train_step_mom)

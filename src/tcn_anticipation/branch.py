@@ -27,15 +27,24 @@ input; the residual reads the last tap's columns. Bias, BN with its running
 statistics, the residual and ReLU run on those columns in the train-mode order,
 so the cone gives the features of the full-window forward up to the GEMM's
 summation order. The cone runs ``EVAL_CHUNK`` windows at a time, each chunk
-writing its last column into one array for the batch, and the heads then run
-once, so a split's validation, fusion branch pass or evaluation holds one
-chunk's activations at any batch size. A batch may be a read-only view of a
-split (see :mod:`~tcn_anticipation.data`), so each chunk, like each train batch,
-is copied to a C-contiguous array before the embedding conv: the im2col of the
-view was slower than the copy and the im2col together. Up to ``EVAL_CHUNK``
-windows the result is the one-batch pass's bits; above, BLAS sums in an order
-that depends on a GEMM's column count, so it matches that pass within rounding.
-Eval-mode forwards keep no caches, so ``backward`` needs a train-mode forward.
+writing its last column into one array for the batch, allocated before any chunk
+runs, and the heads then run once, so a split's validation, fusion branch pass or
+evaluation holds one chunk's activations per thread at any batch size. From
+``CONCURRENT_CHANNELS`` wide, a batch of more than one chunk is shared between
+the caller and a pool worker, each taking the next chunk from one iterator; a
+chunk's arithmetic does not depend on the thread, so the bits are the serial
+pass's. A batch may be a read-only view of a split (see
+:mod:`~tcn_anticipation.data`), so each chunk is copied to a C-contiguous array
+before the embedding conv: the im2col of the view was slower than the copy and
+the im2col together. (A train batch arrives gathered in C order, see
+:mod:`~tcn_anticipation.training`.) Up to ``EVAL_CHUNK`` windows the result is
+the one-batch pass's bits; above, BLAS sums in an order that depends on a GEMM's
+column count, so it matches that pass within rounding. Eval-mode forwards keep
+no caches, so ``backward`` needs a train-mode forward.
+
+In train mode from ``CONCURRENT_CHANNELS`` wide, a block's residual add and its
+gradient run in two halves of channel rows, as the layers' per-channel work does
+(see :mod:`~tcn_anticipation.layers`).
 
 An eval-mode forward given a ``stream``, a list the caller keeps, serves windows
 that slide one snippet at a time. An empty stream is started: every position is
@@ -57,7 +66,7 @@ import numpy as np
 
 from .data import HEADS
 from .layers import (BatchNorm1d, Conv1d, Layout, Linear, Model, Plan, ReLU, SoftmaxCrossEntropy,
-                     SpatialDropout)
+                     SpatialDropout, concurrent_at, in_halves, run_concurrently)
 from .tensor import Rng, Tensor, TensorError
 
 # Windows an eval forward without a stream runs the cone for at once, so it holds
@@ -187,20 +196,31 @@ class _ResidualBlock:
 
     def forward(self, z: Tensor, rng: Rng | None, plan: Plan | None = None) -> Tensor:
         """The block's outputs in ``plan``, packed (by default every output of ``z``,
-        whose residual is the last ``y.shape[2]`` columns)."""
+        whose residual is the last ``y.shape[2]`` columns). In train mode the residual
+        add runs in two channel-row halves from ``CONCURRENT_CHANNELS`` on."""
         y = self.drop.forward(self.bn.forward(self.conv.forward(z, plan)), rng)
         yc, zc = y.transpose(1, 2, 0), z.transpose(1, 2, 0)
-        j = 0
-        for length, starts in plan or ((y.shape[2], (z.shape[2] - y.shape[2],)),):
-            yc[:, j:j + length] += zc[:, starts[-1]:starts[-1] + length]
-            j += length
+        runs = plan or ((y.shape[2], (z.shape[2] - y.shape[2],)),)
+
+        def add(r: slice) -> None:
+            j = 0
+            for length, starts in runs:
+                yc[r, j:j + length] += zc[r, starts[-1]:starts[-1] + length]
+                j += length
+
+        in_halves(add, yc.shape[0], self.conv.training)
         return self.relu.forward(y)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         g = self.relu.backward(grad_out)
         grad_z = self.conv.backward(self.bn.backward(self.drop.backward(g)))
         gzc, gc = grad_z.transpose(1, 2, 0), g.transpose(1, 2, 0)
-        gzc[:, gzc.shape[1] - gc.shape[1]:] += gc
+        tail = gzc.shape[1] - gc.shape[1]
+
+        def add(r: slice) -> None:
+            gzc[r, tail:] += gc[r]
+
+        in_halves(add, gzc.shape[0])
         return grad_z
 
 
@@ -236,9 +256,17 @@ class Branch(Model):
         else:
             cone = _cone(c.kernel, c.dilations, x.shape[2])
             z = np.empty((x.shape[0], c.channels, 1), np.result_type(self.embed.weight.data, x))
-            for s in range(0, x.shape[0], EVAL_CHUNK):
-                chunk = np.ascontiguousarray(x[s:s + EVAL_CHUNK])
-                z[s:s + EVAL_CHUNK] = self._run(chunk, cone, rng)[:, :, -1:]
+            starts = iter(range(0, x.shape[0], EVAL_CHUNK))  # shared: each caller takes the next
+
+            def run_chunks() -> None:
+                for s in starts:
+                    chunk = np.ascontiguousarray(x[s:s + EVAL_CHUNK])
+                    z[s:s + EVAL_CHUNK] = self._run(chunk, cone, rng)[:, :, -1:]
+
+            if x.shape[0] > EVAL_CHUNK and concurrent_at(c.channels):
+                run_concurrently([run_chunks, run_chunks])
+            else:
+                run_chunks()
         self._final_shape = z.shape if self.training else None
         feature = np.ascontiguousarray(z[:, :, -1])
         out = {"feature": feature}

@@ -37,15 +37,18 @@ edited in place, a branch's too, takes effect after ``train(); eval()``.
 Without a stream each branch's eval forward runs its cone ``EVAL_CHUNK``
 windows at a time (see :mod:`~tcn_anticipation.branch`), so ``branch_outputs``
 over a whole split, and with it ``predict_proba`` and ``tcna evaluate``, holds
-one chunk's activations per branch whatever the split's size.
+one chunk's activations per branch and thread whatever the split's size.
 
 The three branches are independent until the fusion layers, so from
 :data:`~tcn_anticipation.layers.CONCURRENT_CHANNELS` wide (paper width
-included) ``branch_outputs`` runs the flow and obj forwards on the two workers
-of the package's pool (see :mod:`~tcn_anticipation.layers`) while the caller
-runs rgb's. Each branch runs the arithmetic it runs serially, so the outputs
-are the serial ones bitwise at a fixed BLAS thread count; with more than one
-BLAS thread the three callers share the cores.
+included) ``branch_outputs`` offers the flow and obj forwards to the two
+workers of the package's pool (see :mod:`~tcn_anticipation.layers`) while the
+caller runs rgb's. A forward of more than one chunk also offers the pool a
+second taker of its chunks. An offer that no worker has started when its maker
+gets to it runs on its maker (the pool's rule), and a worker that finishes its
+branch early may take another branch's offer. Each chunk runs the arithmetic it
+runs serially, so the outputs are the serial ones bitwise at a fixed BLAS
+thread count; with more than one BLAS thread the callers share the cores.
 """
 
 from __future__ import annotations
@@ -216,8 +219,8 @@ class FusionModel(Model):
 
     def _forwards(self, xs: list[Tensor], streams: list) -> dict[str, dict[str, Tensor]]:
         """Each branch's eval forward of its window, stepping its stream (None: the cone).
-        From ``CONCURRENT_CHANNELS`` on, flow and obj run on the pool while rgb runs
-        here; every forward has finished before this returns or raises the first
+        From ``CONCURRENT_CHANNELS`` on, flow and obj are offered to the pool while rgb
+        runs here; every forward has finished before this returns or raises the first
         error in ``MODALITIES`` order."""
         calls = [partial(self.branches[mod].eval().forward, x, stream=stream)
                  for mod, x, stream in zip(MODALITIES, xs, streams)]

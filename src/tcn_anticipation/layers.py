@@ -32,22 +32,36 @@ The package has one pool of two worker threads, started by the first call that
 uses it (a forked child starts its own) and entered only through
 :func:`run_concurrently`, and one width from which work uses it,
 ``CONCURRENT_CHANNELS``; numpy releases the GIL in its GEMMs, copies and ufuncs.
-From that width on, a train-mode conv computes the top half of its output
-channels on a worker while the caller computes the bottom half, and a backward
-that computes an input gradient computes it on the caller while a worker
-computes the weight and bias gradients. A backward GEMM is the whole serial one,
-so at a fixed BLAS thread count it gives the serial bits. A forward half does
-too, except at 8 or fewer output columns (a late block at B=2), where OpenBLAS
-runs the half-height GEMM with another kernel and the last bits may differ. Eval
-forwards, narrower convs and work already on a worker stay serial: a worker
-that waited on the two-worker pool could deadlock it.
+The caller runs every call that no worker has started by the time it gets to it
+(help-while-waiting, as in work stealing), so a thread only ever waits on a call
+that is running: any call, a worker's too, may split, and nesting cannot
+deadlock the two workers. From that width on:
+
+* a train-mode conv computes the top half of its output channels on a worker
+  while the caller computes the bottom half;
+* a backward that computes an input gradient computes it on the caller while a
+  worker computes the weight and bias gradients, and one that does not (the
+  embedding's) computes them in two halves of output rows when its weight
+  gradient is that wide both ways;
+* in train mode the per-channel work runs in two halves of channel rows, each
+  writing its rows of an array allocated before the split: BN forward and
+  backward, 3-D dropout, ReLU, and a conv backward's scatter into the input
+  gradient (:mod:`~tcn_anticipation.branch` splits the residual add, the eval
+  cone's chunks and the fusion pass's branches, :mod:`~tcn_anticipation.training`
+  the optimizer's passes).
+
+Each half does the serial arithmetic on its rows, so the result is the serial
+one bitwise at a fixed BLAS thread count, with two exceptions where OpenBLAS
+runs a half-height GEMM with another kernel and the last bits may differ: a
+forward half at 8 or fewer output columns (a late block at B=2), and a weight
+gradient half a few columns wide, which is why narrower ones stay whole. Eval
+forwards and narrower work stay serial.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from functools import partial
 from typing import Callable, Mapping, TypeAlias
 
@@ -55,12 +69,12 @@ import numpy as np
 
 from .tensor import BLOCK, NonFiniteError, Rng, Tensor, TensorError, dtype_of
 
-# Width from which a train-mode conv and the fusion model's branch pass use the pool.
-# Below it all work stays on the caller: each worker thread takes its own malloc arena,
-# which keeps freed numpy temporaries resident: at 64 channels concurrent branch passes
-# raised the desk pipeline's peak RSS from 61 to 82 MB for no speed two pairs could
-# resolve (at 1024, paper_batch's went from 1021 to 1089 MB for a B=64 chunk in 256 ms,
-# not 401). Medians of interleaved serial and concurrent runs at one BLAS thread on a
+# Width from which train-mode layers, eval cones of more than one chunk, the optimizer and
+# the fusion model's branch pass use the pool. Below it all work stays on the caller: each
+# worker thread takes its own malloc arena, which keeps freed numpy temporaries resident:
+# at 64 channels concurrent branch passes raised the desk pipeline's peak RSS from 61 to
+# 82 MB for no speed two pairs could resolve (at 1024, paper_batch's went from 1021 to
+# 1089 MB for a B=64 chunk in 256 ms, not 401). Medians of interleaved serial and concurrent runs at one BLAS thread on a
 # 2-CPU Xeon (serial -> concurrent); a train step is zero_grad, forward, loss, backward
 # and SGD step of a default branch whose input is as wide as it, 20 steps a side:
 #   channels  B=64 cone        B=1 stream step    B=64 train step
@@ -75,11 +89,6 @@ from .tensor import BLOCK, NonFiniteError, Rng, Tensor, TensorError, dtype_of
 CONCURRENT_CHANNELS = 512
 
 _workers = None  # the two worker threads, started by the first concurrent call
-_local = threading.local()  # per thread: whether it is a pool worker
-
-
-def _mark_worker() -> None:
-    _local.worker = True
 
 
 def _pool():
@@ -87,8 +96,7 @@ def _pool():
     if _workers is None:
         # imported here: concurrent.futures pulls in logging, which no cold import should pay
         from concurrent.futures import ThreadPoolExecutor
-        _workers = ThreadPoolExecutor(2, thread_name_prefix="tcna-worker",
-                                      initializer=_mark_worker)
+        _workers = ThreadPoolExecutor(2, thread_name_prefix="tcna-worker")
     return _workers
 
 
@@ -103,22 +111,36 @@ if hasattr(os, "register_at_fork"):
 
 
 def concurrent_at(channels: int) -> bool:
-    """Whether work ``channels`` wide uses the pool: from ``CONCURRENT_CHANNELS`` on,
-    and never on a pool worker."""
-    return channels >= CONCURRENT_CHANNELS and not getattr(_local, "worker", False)
+    """Whether work ``channels`` wide uses the pool: from ``CONCURRENT_CHANNELS`` on."""
+    return channels >= CONCURRENT_CHANNELS
 
 
 def run_concurrently(calls: list[Callable]) -> list:
-    """The calls' results in order: the first runs on the caller, the others on the
-    pool. Every call has finished before this returns or raises the first error in
-    call order."""
+    """The calls' results in order: the first runs on the caller, the others are offered
+    to the pool, and each that no worker has started when the caller reaches it runs on
+    the caller too (help-while-waiting). So a thread only ever waits on a call that is
+    running, and a call may itself run calls concurrently without a deadlock. Every
+    call has finished before this returns or raises the first error in call order."""
     futures = [_pool().submit(call) for call in calls[1:]]
-    try:
-        first = calls[0]()
-    finally:
-        for future in futures:
-            future.exception()  # waits without raising; result() raises below
-    return [first, *(future.result() for future in futures)]
+    results, errors = [], []
+    for call, future in zip(calls, [None, *futures]):
+        try:
+            results.append(call() if future is None or future.cancel() else future.result())
+        except BaseException as error:  # raised below, once every call has finished
+            errors.append(error)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def in_halves(fn: Callable[[slice], object], rows: int, split: bool = True) -> None:
+    """``fn`` over the rows ``range(rows)``, given as one slice: with ``split``, from
+    ``CONCURRENT_CHANNELS`` rows on, as two halves run concurrently."""
+    if not (split and concurrent_at(rows)):
+        fn(slice(0, rows))
+        return
+    h = rows // 2
+    run_concurrently([partial(fn, slice(0, h)), partial(fn, slice(h, rows))])
 
 
 class Parameter:
@@ -232,6 +254,12 @@ def _bcn(y: Tensor) -> Tensor:
     return y.transpose(2, 0, 1)
 
 
+def _split_sequence(x: Tensor) -> bool:
+    """Whether elementwise work on ``x`` runs in two channel-row halves: a (B, C, N)
+    sequence from ``CONCURRENT_CHANNELS`` channels on."""
+    return x.ndim == 3 and concurrent_at(x.shape[1])
+
+
 class Conv1d(Layer):
     """Dilated 1-D convolution over (batch, channels, time), valid windows.
 
@@ -315,24 +343,43 @@ class Conv1d(Layer):
         self._cache = None
         g2 = _cm(grad_out).reshape(self.out_channels, -1)
         if not input_grad:
-            self._param_grads(g2, cols)
+            self._param_grads(g2, cols, True)
             return None
-        input_gemm = partial(np.matmul, self.weight.data.reshape(self.out_channels, -1).T, g2)
+        grad_x = np.zeros((self.in_channels, n, b), dtype=grad_out.dtype)
+        input_grad_call = partial(self._input_grad, g2, grad_x)
         if concurrent_at(self.out_channels):
-            gcols = run_concurrently([input_gemm, partial(self._param_grads, g2, cols)])[0]
+            run_concurrently([input_grad_call, partial(self._param_grads, g2, cols)])
         else:
             self._param_grads(g2, cols)
-            gcols = input_gemm()
-        gcols = gcols.reshape(self.in_channels, self.kernel_size, n_out, b)
-        grad_x = np.zeros((self.in_channels, n, b), dtype=grad_out.dtype)
-        d = self.dilation
-        for k in range(self.kernel_size):
-            grad_x[:, k * d:k * d + n_out] += gcols[:, k]
+            input_grad_call()
         return _bcn(grad_x)
 
-    def _param_grads(self, g2: Tensor, cols: Tensor) -> None:
-        self.bias.grad += g2.sum(axis=1)
-        self.weight.grad += (g2 @ cols.T).reshape(self.weight.data.shape)
+    def _input_grad(self, g2: Tensor, grad_x: Tensor) -> None:
+        """Adds into the (I, N, B) ``grad_x`` each tap's columns of the input GEMM, in
+        two channel-row halves from ``CONCURRENT_CHANNELS`` input channels on."""
+        gcols = self.weight.data.reshape(self.out_channels, -1).T @ g2
+        gcols = gcols.reshape(self.in_channels, self.kernel_size, -1, grad_x.shape[2])
+        n_out, d = gcols.shape[2], self.dilation
+
+        def scatter(r: slice) -> None:
+            for k in range(self.kernel_size):
+                grad_x[r, k * d:k * d + n_out] += gcols[r, k]
+
+        in_halves(scatter, self.in_channels)
+
+    def _param_grads(self, g2: Tensor, cols: Tensor, split: bool = False) -> None:
+        """Accumulates the bias and weight gradients; with ``split``, in two halves of
+        output rows when the (O, I*K) weight gradient is ``CONCURRENT_CHANNELS`` wide
+        both ways. The product lands in an array allocated here, before any split."""
+        grad_w = self.weight.grad.reshape(self.out_channels, -1)
+        product = np.empty(grad_w.shape, np.result_type(g2, cols))
+
+        def rows(r: slice) -> None:
+            self.bias.grad[r] += g2[r].sum(axis=1)
+            np.matmul(g2[r], cols.T, out=product[r])
+            grad_w[r] += product[r]
+
+        in_halves(rows, self.out_channels, split and concurrent_at(grad_w.shape[1]))
 
 
 class BatchNorm1d(Layer):
@@ -345,7 +392,9 @@ class BatchNorm1d(Layer):
     is bitwise ``rows.var`` without a second centring. Backward runs the
     whole-array formula over blocks of channel rows of about
     :data:`~.tensor.BLOCK` values, so it holds one block's temporaries; every row
-    sees the same sums and steps, so the result is bitwise the same.
+    sees the same sums and steps, so the result is bitwise the same. For the same
+    reason train mode runs both passes in two halves of channel rows from
+    ``CONCURRENT_CHANNELS`` on, the forward writing arrays allocated before the split.
     """
 
     params = ("gamma", "beta")
@@ -371,27 +420,36 @@ class BatchNorm1d(Layer):
             raise TensorError(f"batchnorm expected (B, {self.channels}, N), got {x.shape}")
         b, c, n = x.shape
         rows = _cm(x).reshape(c, -1)
-        if self.training:
-            mean = rows.mean(axis=1)
-            xhat = rows - mean[:, None]
-            var = (xhat * xhat).sum(axis=1)
-            var /= rows.shape[1]
-            m = self.momentum
-            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
-            self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-            xhat = rows - mean[:, None]
-        inv = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xhat *= inv[:, None]
+        eps = x.dtype.type(self.eps)
         if not self.training:
             self._cache = None
+            xhat = rows - self.running_mean[:, None]
+            xhat *= (1.0 / np.sqrt(self.running_var + eps))[:, None]
             xhat *= self.gamma.data[:, None]
             xhat += self.beta.data[:, None]
             return _bcn(xhat.reshape(c, n, b))
+        xhat = np.empty(rows.shape, rows.dtype)
+        out = np.empty(rows.shape, np.result_type(self.gamma.data, xhat, self.beta.data))
+        mean, var, inv = (np.empty(c, rows.dtype) for _ in range(3))
+
+        def normalise(r: slice) -> None:
+            mean[r] = rows[r].mean(axis=1)
+            xr = np.subtract(rows[r], mean[r, None], out=xhat[r])
+            # out's rows hold the squares until the output replaces them
+            squares = np.multiply(xr, xr, out=out[r] if out.dtype == xr.dtype else None)
+            var[r] = squares.sum(axis=1)
+            var[r] /= rows.shape[1]
+            inv[r] = 1.0 / np.sqrt(var[r] + eps)
+            xr *= inv[r, None]
+            np.multiply(self.gamma.data[r, None], xr, out=out[r])
+            out[r] += self.beta.data[r, None]
+
+        in_halves(normalise, c)
+        m = self.momentum
+        self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
+        self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
         self._cache = (xhat, inv, x.shape)
-        return _bcn((self.gamma.data[:, None] * xhat + self.beta.data[:, None]).reshape(c, n, b))
+        return _bcn(out.reshape(c, n, b))
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._cache is None:
@@ -400,16 +458,21 @@ class BatchNorm1d(Layer):
         m = xhat.shape[1]
         g = _cm(grad_out).reshape(c, -1)
         grad_x = np.empty((c, m), np.result_type(g, xhat, self.gamma.data))
-        rows = max(1, BLOCK // m)  # each block's temporaries hold about BLOCK values
-        for r in (slice(i, i + rows) for i in range(0, c, rows)):
-            gr, xr, gamma = g[r], xhat[r], self.gamma.data[r, None]
-            self.gamma.grad[r] += (gr * xr).sum(axis=1)
-            self.beta.grad[r] += gr.sum(axis=1)
-            dxhat = gr * gamma
-            sum_dxhat = dxhat.sum(axis=1, keepdims=True)
-            sum_dxhat_xhat = (dxhat * xr).sum(axis=1, keepdims=True)
-            np.multiply(inv[r, None] / m, m * dxhat - sum_dxhat - xr * sum_dxhat_xhat,
-                        out=grad_x[r])
+        step = max(1, BLOCK // m)  # each block's temporaries hold about BLOCK values
+
+        def grad_rows(half: slice) -> None:
+            for i in range(half.start, half.stop, step):
+                r = slice(i, min(i + step, half.stop))
+                gr, xr, gamma = g[r], xhat[r], self.gamma.data[r, None]
+                self.gamma.grad[r] += (gr * xr).sum(axis=1)
+                self.beta.grad[r] += gr.sum(axis=1)
+                dxhat = gr * gamma
+                sum_dxhat = dxhat.sum(axis=1, keepdims=True)
+                sum_dxhat_xhat = (dxhat * xr).sum(axis=1, keepdims=True)
+                np.multiply(inv[r, None] / m, m * dxhat - sum_dxhat - xr * sum_dxhat_xhat,
+                            out=grad_x[r])
+
+        in_halves(grad_rows, c)
         self._cache = None
         return _bcn(grad_x.reshape(c, n, b))
 
@@ -420,7 +483,8 @@ class SpatialDropout(Layer):
     Survivors are scaled by 1/(1-p) at train time so eval is the identity.
     Accepts (B, C, N) sequences or (B, C) vectors; for vectors spatial and
     plain dropout coincide. The (B, C) mask scales a sequence's (C, N, B) view
-    as ``mask.T[:, None, :]``.
+    as ``mask.T[:, None, :]``, in two halves of channel rows from
+    ``CONCURRENT_CHANNELS`` on; the caller draws the mask first, in the serial order.
     """
 
     def __init__(self, p: float):
@@ -448,7 +512,12 @@ class SpatialDropout(Layer):
     def _scale(self, x: Tensor) -> Tensor:
         if x.ndim == 2:
             return x * self._mask
-        return _bcn(_cm(x) * self._mask.T[:, None, :])
+        xc, mask = _cm(x), self._mask.T[:, None, :]
+        if not concurrent_at(x.shape[1]):
+            return _bcn(xc * mask)
+        out = np.empty(xc.shape, np.result_type(xc, mask))
+        in_halves(lambda r: np.multiply(xc[r], mask[r], out=out[r]), x.shape[1])
+        return _bcn(out)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._mask is None:
@@ -490,21 +559,37 @@ class Linear(Layer):
 
 class ReLU(Layer):
     """max(x, 0). Elementwise over operands in one memory order, so a channel-major
-    sequence stays channel-major."""
+    sequence stays channel-major. A train-mode sequence from ``CONCURRENT_CHANNELS``
+    channels on runs in two halves of channel rows and comes out channel-major."""
 
     def __init__(self):
         self._mask: Tensor | None = None
 
     def forward(self, x: Tensor) -> Tensor:
-        self._mask = x > 0 if self.training else None
-        return np.maximum(x, 0)
+        if not (self.training and _split_sequence(x)):
+            self._mask = x > 0 if self.training else None
+            return np.maximum(x, 0)
+        xc = _cm(x)
+        mask, out = np.empty(xc.shape, bool), np.empty(xc.shape, x.dtype)
+
+        def rows(r: slice) -> None:
+            np.greater(xc[r], 0, out=mask[r])
+            np.maximum(xc[r], 0, out=out[r])
+
+        in_halves(rows, x.shape[1])
+        self._mask = _bcn(mask)
+        return _bcn(out)
 
     def backward(self, grad_out: Tensor) -> Tensor:
         if self._mask is None:
             raise TensorError("relu backward without a train-mode forward")
-        grad_x = grad_out * self._mask
-        self._mask = None
-        return grad_x
+        mask, self._mask = self._mask, None
+        if not _split_sequence(grad_out):
+            return grad_out * mask
+        gc, mc = _cm(grad_out), _cm(mask)
+        grad_x = np.empty(gc.shape, np.result_type(grad_out, mask))
+        in_halves(lambda r: np.multiply(gc[r], mc[r], out=grad_x[r]), gc.shape[0])
+        return _bcn(grad_x)
 
 
 def softmax(logits: Tensor) -> Tensor:

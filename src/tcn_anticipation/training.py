@@ -7,11 +7,13 @@ branch tensor. Both stages share one epoch loop over the model's ``forward``
 and ``backward`` and the one loss, ``multitask_loss`` of the logits; it never
 looks at the fusion strategy and keeps the state of the best-validation epoch.
 A split's batches are read-only views of its arrays (``stack_features``), and
-each training batch gathers its rows from them. A branch's validation and the
-fusion stage's branch pass forward a whole split; the branch's eval forward
-copies and runs it ``EVAL_CHUNK`` windows at a time (see
-:mod:`~tcn_anticipation.branch`), so only the split itself and the outputs grow
-with its size.
+each training batch gathers its rows from them in one copy, straight into the
+C-contiguous (B, D, N) order the branch's embedding conv reads. A branch's
+validation and the fusion stage's branch pass forward a whole split; the
+branch's eval forward copies and runs it ``EVAL_CHUNK`` windows at a time, from
+``CONCURRENT_CHANNELS`` wide its chunks shared between the caller and a pool
+worker (see :mod:`~tcn_anticipation.branch`), so only the split itself and the
+outputs grow with its size.
 A model with no trainable parameters (late fusion) gets one evaluation record.
 
 An ``EpochRecord`` gives both the log line and the CSV row of an epoch: epoch,
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .branch import Branch, BranchConfig, multitask_loss
 from .checkpoint import parameter_hash
 from .data import Split, stack_features
 from .fusion import MODALITIES, FusionConfig, FusionModel
-from .layers import Parameter
+from .layers import Parameter, concurrent_at, run_concurrently
 from .metrics import top_k_accuracy
 from .tensor import BLOCK, NonFiniteError, Rng, Tensor, TensorError, blocks
 
@@ -71,36 +74,65 @@ class SgdOptimizer:
     aborts the step before any parameter moves.
 
     The step walks each flattened parameter in blocks of :data:`~.tensor.BLOCK`
-    values through one scratch buffer, so it allocates nothing the size of a
+    values through a scratch buffer, so it allocates nothing the size of a
     parameter. Every element sees the whole-array formula's operations in the
     same order, so the result is bitwise the same. The velocity starts as
     ``np.zeros``, whose pages stay untouched until the first step writes them.
+
+    When a parameter is ``CONCURRENT_CHANNELS`` wide (its first axis), the passes
+    over the whole set (``zero_grad``, the step's finite check and its update) run
+    in two halves of the parameters' values laid end to end, cut at the middle and
+    each with its own scratch buffer; the pool runs them (see
+    :mod:`~tcn_anticipation.layers`). Both halves finish the check before either
+    starts the update, so a non-finite gradient still moves nothing.
     """
 
     def __init__(self, named_params: list[tuple[str, Parameter]]):
         self.named_params = named_params
         self._velocity = [np.zeros(p.data.shape, p.data.dtype) for _, p in named_params]
-        self._scratch = np.empty(BLOCK, np.float64)  # viewed as f32, it holds a block too
+        total = sum(p.data.size for _, p in named_params)
+        # whether the passes run in two halves: a parameter is CONCURRENT_CHANNELS wide
+        self.split = concurrent_at(max((p.data.shape[0] for _, p in named_params
+                                        if p.data.ndim), default=0))
+        cuts = [0, total // 2, total] if self.split else [0, total]
+        self._halves = [_shares(named_params, self._velocity, lo, hi)
+                        for lo, hi in zip(cuts, cuts[1:])]
+        # one scratch block per half; viewed as f32, it holds a block too
+        self._scratch = [np.empty(BLOCK, np.float64) for _ in self._halves]
+
+    def _each_half(self, fn) -> None:
+        """``fn(h)`` for each half ``h``; two halves run concurrently, one on the caller."""
+        run_concurrently([partial(fn, h) for h in range(len(self._halves))])
 
     def zero_grad(self) -> None:
-        for _, p in self.named_params:
-            p.zero_grad()
+        self._each_half(self._zero)
+
+    def _zero(self, h: int) -> None:
+        for p, _, part, _ in self._halves[h]:
+            p.grad.reshape(-1)[part] = 0
 
     def step(self, lr: float) -> None:
         for name, p in self.named_params:
             if not p.data.flags.c_contiguous:
                 raise TensorError(f"parameter {name!r} is not C-contiguous; step aborted")
-            grad = p.grad.reshape(-1)
-            if not all(np.isfinite(grad[part]).all() for part in blocks(grad.size)):
+        self._each_half(self._check)  # both halves check before either moves a parameter
+        self._each_half(partial(self._update, lr))
+
+    def _check(self, h: int) -> None:
+        for p, name, part, _ in self._halves[h]:
+            grad = p.grad.reshape(-1)[part]
+            if not all(np.isfinite(grad[b]).all() for b in blocks(grad.size)):
                 raise NonFiniteError(f"non-finite gradient for {name!r}; step aborted")
-        for v, (_, p) in zip(self._velocity, self.named_params):
+
+    def _update(self, lr: float, h: int) -> None:
+        for p, _, part, vel in self._halves[h]:
             dt = p.data.dtype.type
             momentum, rate = dt(MOMENTUM), dt(lr)
             decay = dt(WEIGHT_DECAY) if p.decay else None
-            data, grad, vel = p.data.reshape(-1), p.grad.reshape(-1), v.reshape(-1)
-            scratch = self._scratch.view(p.data.dtype)
-            for part in blocks(data.size):
-                d, g, u = data[part], grad[part], vel[part]
+            data, grad = p.data.reshape(-1)[part], p.grad.reshape(-1)[part]
+            scratch = self._scratch[h].view(p.data.dtype)
+            for b in blocks(data.size):
+                d, g, u = data[b], grad[b], vel[b]
                 t = scratch[:d.size]
                 u *= momentum
                 if decay is not None:
@@ -111,6 +143,22 @@ class SgdOptimizer:
                     u += g
                 np.multiply(u, rate, out=t)
                 d -= t
+
+
+def _shares(named_params: list[tuple[str, Parameter]], velocity: list[Tensor], start: int,
+            stop: int) -> list[tuple[Parameter, str, slice, Tensor]]:
+    """(parameter, name, slice of its flat values, that slice of its flat velocity) for
+    each parameter's share of the values ``[start, stop)`` of all of them laid end to end.
+    The velocity views hold: the optimizer owns the velocities and never replaces them,
+    whereas ``load_state`` may replace a parameter's array."""
+    shares, offset = [], 0
+    for (name, p), v in zip(named_params, velocity):
+        lo, hi = max(start, offset), min(stop, offset + p.data.size)
+        if lo < hi:
+            part = slice(lo - offset, hi - offset)
+            shares.append((p, name, part, v.reshape(-1)[part]))
+        offset += p.data.size
+    return shares
 
 
 @dataclass
@@ -214,10 +262,15 @@ def train_fusion(branches: dict[str, Branch], train_split: Split, val_split: Spl
 
 
 def _rows(x, idx):
-    """Rows ``idx`` of an array, or of every array in a (nested) mapping."""
+    """Rows ``idx`` of an array, or of every array in a (nested) mapping. A (B, D, N)
+    view of a split is gathered straight into C order, the order the embedding conv
+    reads, in one copy."""
     if isinstance(x, dict):
         return {key: _rows(value, idx) for key, value in x.items()}
-    return x[idx]
+    if x.ndim != 3:
+        return x[idx]
+    return np.concatenate([x[i:i + 1] for i in idx.tolist()],
+                          out=np.empty((len(idx), *x.shape[1:]), x.dtype))
 
 
 def _run_epochs(model, params, state, train, val, sgd, rng, log) -> TrainResult:

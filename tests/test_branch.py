@@ -4,8 +4,7 @@ import os
 import threading
 import time
 import tracemalloc
-from collections import OrderedDict
-from functools import partial
+from collections import Counter, OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -13,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcn_anticipation import layers
+from tcn_anticipation import branch as branch_module
+from tcn_anticipation import layers, training
 from tcn_anticipation.branch import (EVAL_CHUNK, HEADS, Branch, BranchConfig, _cone,
                                      _ResidualBlock, multitask_loss, required_input_length)
 from tcn_anticipation.fusion import MODALITIES, STREAMS, FusionConfig, FusionModel
 from tcn_anticipation.gradcheck import check_branch
 from tcn_anticipation.layers import (CONCURRENT_CHANNELS, BatchNorm1d, Conv1d, ReLU,
                                      SoftmaxCrossEntropy, SpatialDropout, layout_shapes)
-from tcn_anticipation.tensor import Rng, TensorError
+from tcn_anticipation.tensor import NonFiniteError, Rng, TensorError
 from tcn_anticipation.training import SgdOptimizer
 
 from oracles import (assert_same, branch_eval_loops, branch_train_loops,
@@ -804,9 +804,24 @@ def wide_case(dtype="f32", channels=CONCURRENT_CHANNELS, batch=4, snippets=None,
     return branch, x, random_labels(rng, cfg, batch), rng
 
 
-def sgd_steps(branch, x, labels, rng, steps=3):
+def recorded_runs(monkeypatch) -> list[tuple[str, ...]]:
+    """Each later ``run_concurrently`` call of the package that splits (runs more than one
+    call), as the qualified names of what its calls run, in the order they were made."""
+    runs, run = [], layers.run_concurrently
+
+    def recording(calls):
+        if len(calls) > 1:
+            runs.append(tuple(getattr(call, "func", call).__qualname__ for call in calls))
+        return run(calls)
+
+    for module in (layers, branch_module, training):
+        monkeypatch.setattr(module, "run_concurrently", recording)
+    return runs
+
+
+def sgd_steps(branch, x, labels, rng, steps=3, opt=None):
     """SGD steps on one batch, taken as ``training._run_epochs`` takes them; their losses."""
-    opt = SgdOptimizer(branch.named_parameters())
+    opt = opt or SgdOptimizer(branch.named_parameters())
     losses = []
     for _ in range(steps):
         opt.zero_grad()
@@ -853,45 +868,29 @@ class TestConcurrentTrainStep:
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, float(np.abs(want).max()))
 
     @pytest.mark.parametrize("channels", [CONCURRENT_CHANNELS, CONCURRENT_CHANNELS - 1])
-    def test_the_gemms_leave_the_caller_from_the_cutoff(self, channels, monkeypatch):
-        """Each conv forward and each block conv's backward is one ``run_concurrently``
-        call: the forward's two halves, or the input gradient on the caller and the weight
-        and bias gradients on a worker. The embedding's gradients stay on the caller."""
-        grads, runs = [], []
-        param_grads, run = Conv1d._param_grads, layers.run_concurrently
-
-        def recording(self, *args):
-            grads.append((self, threading.get_ident()))
-            return param_grads(self, *args)
-
-        def placing(calls):
-            threads = [None] * len(calls)
-
-            def placed(i, call):
-                threads[i] = threading.get_ident()
-                return call()
-
-            names = tuple(call.func.__name__ for call in calls)
-            results = run([partial(placed, i, call) for i, call in enumerate(calls)])
-            runs.append((names, *threads))
-            return results
-
-        monkeypatch.setattr(Conv1d, "_param_grads", recording)
-        monkeypatch.setattr(layers, "run_concurrently", placing)
+    def test_each_split_site_runs_from_the_cutoff(self, channels, monkeypatch):
+        """From the cutoff a train step runs every split below through ``run_concurrently``,
+        named by what each of its calls runs; below it, none. The input here is 3 wide, so
+        the input dropout and the embedding's weight gradient stay whole."""
+        runs = recorded_runs(monkeypatch)
         branch, *case = wide_case(channels=channels)
         sgd_steps(branch, *case, steps=2)
-        here, blocks = threading.get_ident(), len(branch.blocks)
-        assert len(grads) == 2 * (1 + blocks)
-        assert {t for conv, t in grads if conv is branch.embed} == {here}
-        on_blocks = {t for conv, t in grads if conv is not branch.embed}
-        if channels >= CONCURRENT_CHANNELS:
-            assert here not in on_blocks
-            fwd, bwd = ("matmul", "matmul"), ("matmul", "recording")
-            assert [names for names, *_ in runs] == ([fwd] * (1 + blocks) + [bwd] * blocks) * 2
-            assert all(caller == here and worker != here for _, caller, worker in runs)
-        else:
-            assert on_blocks == {here}
-            assert runs == []
+        blocks = len(branch.blocks)
+        per_step = {("matmul", "matmul"): 1 + blocks,  # each conv forward's output halves
+                    ("BatchNorm1d.forward.<locals>.normalise",) * 2: blocks,
+                    ("BatchNorm1d.backward.<locals>.grad_rows",) * 2: blocks,
+                    ("SpatialDropout._scale.<locals>.<lambda>",) * 2: 2 * blocks,
+                    ("_ResidualBlock.forward.<locals>.add",) * 2: blocks,
+                    ("_ResidualBlock.backward.<locals>.add",) * 2: blocks,
+                    ("ReLU.forward.<locals>.rows",) * 2: blocks,
+                    ("ReLU.backward.<locals>.<lambda>",) * 2: blocks,
+                    ("Conv1d._input_grad", "Conv1d._param_grads"): blocks,
+                    ("Conv1d._input_grad.<locals>.scatter",) * 2: blocks,
+                    ("SgdOptimizer._zero",) * 2: 1,
+                    ("SgdOptimizer._check",) * 2: 1,
+                    ("SgdOptimizer._update",) * 2: 1}
+        want = {names: 2 * count for names, count in per_step.items()}
+        assert Counter(runs) == (want if channels >= CONCURRENT_CHANNELS else {})
 
     def test_a_direct_conv_backward_accumulates_before_it_returns(self):
         rng = Rng(0)
@@ -932,7 +931,7 @@ class TestConcurrentTrainStep:
         finished, and stops the chain there. The next step trains."""
         branch, x, labels, rng = wide_case()
         events = []
-        param_grads, run = Conv1d._param_grads, layers.run_concurrently
+        param_grads, input_grad = Conv1d._param_grads, Conv1d._input_grad
 
         def failing(self, *args):
             if self is branch.blocks[-1].conv:
@@ -941,17 +940,14 @@ class TestConcurrentTrainStep:
             param_grads(self, *args)
             events.append("weight gradient")
 
-        def slow_input_gradient(calls):
-            def first():
-                time.sleep(0.2)
-                out = calls[0]()
-                events.append("input gradient")
-                return out
-            return run([first, *calls[1:]])
+        def slow_input_gradient(self, *args):
+            time.sleep(0.2)
+            input_grad(self, *args)
+            events.append("input gradient")
 
         _, grads = multitask_loss(branch.train().forward(x, rng), labels)
         monkeypatch.setattr(Conv1d, "_param_grads", failing)
-        monkeypatch.setattr(layers, "run_concurrently", slow_input_gradient)
+        monkeypatch.setattr(Conv1d, "_input_grad", slow_input_gradient)
         with pytest.raises(RuntimeError, match="injected"):
             branch.backward(grads)
         assert events == ["weight gradient failed", "input gradient"]
@@ -1002,3 +998,137 @@ class TestConcurrentTrainStep:
             sgd_steps(branch, x, labels, rng, steps=1)
             fusion.branch_outputs({mod: x for mod in MODALITIES})
         assert threading.active_count() <= before + 2
+
+
+def serial(monkeypatch) -> None:
+    """Every later pass runs serially: the cutoff is raised past the widths used here."""
+    monkeypatch.setattr(layers, "CONCURRENT_CHANNELS", CONCURRENT_CHANNELS + 8)
+
+
+class TestConcurrentSplits:
+    """Each split the pool runs gives the serial run's bits at one BLAS thread: a wide eval
+    cone's chunks, a block's per-channel work in channel-row halves, the embedding's weight
+    gradient in output-row halves and the optimizer's passes in two halves."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("batch", [EVAL_CHUNK + 1, 2 * EVAL_CHUNK, 3 * EVAL_CHUNK + 5])
+    def test_an_eval_cone_shares_its_chunks_with_a_worker(self, batch, dtype, monkeypatch):
+        rng = Rng(batch)
+        cfg = small_config(input_dim=6, channels=CONCURRENT_CHANNELS, dtype=dtype)
+        branch = perturbed_branch(cfg, rng)
+        x = rng.normal(0, 1, (batch, 6, cfg.required_length + 2), dtype)
+        runs = recorded_runs(monkeypatch)
+        got = branch.forward(x)
+        assert runs == [("Branch.forward.<locals>.run_chunks",) * 2]
+        serial(monkeypatch)
+        want = branch.forward(x)
+        assert len(runs) == 1
+        for key in want:
+            assert_same(got[key], want[key], dtype)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_a_fusion_prediction_shares_each_branchs_chunks(self, dtype, monkeypatch):
+        """Chunk splits nested in the three-branch pass: each branch's second taker runs
+        on whichever thread gets to it first."""
+        rng = Rng(11)
+        cfg = small_config(input_dim=6, channels=CONCURRENT_CHANNELS, dtype=dtype)
+        model = fusion_of({mod: perturbed_branch(cfg, rng) for mod in MODALITIES}, rng)
+        xs = {mod: rng.normal(0, 1, (2 * EVAL_CHUNK, 6, cfg.required_length), dtype)
+              for mod in MODALITIES}
+        runs = recorded_runs(monkeypatch)
+        got = model.predict_proba(xs)
+        assert runs.count(("Branch.forward.<locals>.run_chunks",) * 2) == len(MODALITIES)
+        serial(monkeypatch)
+        want = model.predict_proba(xs)
+        for head in HEADS:
+            assert_same(got[head], want[head], dtype, probabilities=True)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_a_blocks_per_channel_work_runs_in_channel_halves(self, dtype, monkeypatch):
+        """BN, dropout, the residual add, ReLU and the conv's input-gradient scatter of one
+        train-mode block, 3 channels past the cutoff so the halves are ragged; the dropout
+        masks come from the Rng in the serial order, so the next draw is the same too."""
+        c = CONCURRENT_CHANNELS + 3
+
+        def forward_backward():
+            rng = Rng(6)
+            branch = Branch(small_config(input_dim=3, channels=c, block_dropout=0.3,
+                                         dtype=dtype), rng).train()
+            blk = branch.blocks[0]
+            z = channel_major(rng.normal(0, 1, (4, c, 9), dtype))
+            y = blk.forward(z, rng)
+            grad_z = blk.backward(channel_major(rng.normal(0, 1, y.shape, dtype)))
+            return [y, grad_z, blk.drop._mask, blk.bn.running_mean, blk.bn.running_var,
+                    blk.bn.gamma.grad, blk.bn.beta.grad, blk.conv.weight.grad,
+                    blk.conv.bias.grad, rng.uniform(0, 1, (3,), dtype)]
+
+        runs = recorded_runs(monkeypatch)
+        got = forward_backward()
+        assert ("Conv1d._input_grad.<locals>.scatter",) * 2 in runs
+        serial(monkeypatch)
+        for g, w in zip(got, forward_backward(), strict=True):
+            assert_same(g, w, dtype)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_the_embeddings_weight_gradient_runs_in_output_row_halves(self, dtype,
+                                                                       monkeypatch):
+        """Accumulated onto gradients already held, as across a step's convs."""
+        def weight_gradient():
+            rng = Rng(8)
+            conv = Conv1d(CONCURRENT_CHANNELS, CONCURRENT_CHANNELS + 3, 1, 1, dtype, rng)
+            conv.training = True
+            conv.weight.grad[...] = rng.normal(0, 1, conv.weight.grad.shape, dtype)
+            conv.bias.grad[...] = rng.normal(0, 1, conv.bias.grad.shape, dtype)
+            out = conv.forward(rng.normal(0, 1, (4, CONCURRENT_CHANNELS, 21), dtype))
+            assert conv.backward(rng.normal(0, 1, out.shape, dtype), input_grad=False) is None
+            return conv.weight.grad, conv.bias.grad
+
+        runs = recorded_runs(monkeypatch)
+        got = weight_gradient()
+        assert runs[-1] == ("Conv1d._param_grads.<locals>.rows",) * 2
+        serial(monkeypatch)
+        for g, w in zip(got, weight_gradient(), strict=True):
+            assert_same(g, w, dtype)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_three_sgd_steps_in_halves(self, dtype, monkeypatch):
+        """Every gradient, parameter, velocity and BN running statistic, and each loss."""
+        def steps():
+            branch, *case = wide_case(dtype)
+            opt = SgdOptimizer(branch.named_parameters())
+            losses = np.array(sgd_steps(branch, *case, opt=opt))
+            state = [losses, *opt._velocity]
+            for _, p in branch.named_parameters():
+                state += [p.grad, p.data]
+            for blk in branch.blocks:
+                state += [blk.bn.running_mean, blk.bn.running_var]
+            return state
+
+        runs = recorded_runs(monkeypatch)
+        got = steps()
+        assert runs.count(("SgdOptimizer._update",) * 2) == 3
+        serial(monkeypatch)
+        for g, w in zip(got, steps(), strict=True):
+            assert_same(g, w, dtype)
+
+    @pytest.mark.parametrize("halves", [(0,), (1,), (0, 1)])
+    def test_a_non_finite_gradient_in_either_half_moves_no_parameter(self, halves):
+        """A NaN in the first parameter's first value (first half) or the last one's last
+        value (second half): the step raises, naming the first half's parameter when both
+        hold one, and no parameter or velocity has moved."""
+        branch, x, labels, rng = wide_case("f64")
+        opt = SgdOptimizer(branch.named_parameters())
+        sgd_steps(branch, x, labels, rng, steps=1, opt=opt)  # velocities away from zero
+        opt.zero_grad()
+        _, grads = multitask_loss(branch.train().forward(x, rng), labels)
+        branch.backward(grads)
+        named = branch.named_parameters()
+        for half in halves:
+            name, p = named[0] if half == 0 else named[-1]
+            p.grad.reshape(-1)[0 if half == 0 else -1] = np.nan
+        before = [a.copy() for a in (*opt._velocity, *(p.data for _, p in named))]
+        name = named[0 if halves[0] == 0 else -1][0]
+        with pytest.raises(NonFiniteError, match=f"non-finite gradient for '{name}'"):
+            opt.step(0.05)
+        after = [*opt._velocity, *(p.data for _, p in named)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before, strict=True))

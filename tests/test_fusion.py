@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tcn_anticipation import fusion
 from tcn_anticipation.branch import Branch, BranchConfig, multitask_loss
 from tcn_anticipation.fusion import (FEATURE_STRATEGIES, FOLD_MIN_COLUMNS, HEADS, MODALITIES,
                                      STRATEGIES, FusionConfig, FusionModel, late_fusion)
@@ -466,7 +467,7 @@ def serial_probs(model, outs):
 
 class TestConcurrentBranchPass:
     """From ``CONCURRENT_CHANNELS`` wide, rgb's forward runs on the caller while flow's
-    and obj's run on two worker threads."""
+    and obj's are offered to the two pool workers."""
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -500,27 +501,24 @@ class TestConcurrentBranchPass:
             assert_same(got[head], want[head], dtype, probabilities=True)
 
     @pytest.mark.parametrize("channels", [CONCURRENT_CHANNELS, CONCURRENT_CHANNELS - 1])
-    def test_flow_and_obj_leave_the_calling_thread_from_the_cutoff(self, channels,
-                                                                    monkeypatch):
+    def test_the_three_forwards_are_one_concurrent_call_from_the_cutoff(self, channels,
+                                                                        monkeypatch):
+        """rgb's forward first, so the caller runs it; which thread runs flow's and obj's
+        depends on which worker is free when the caller gets to them."""
         model, rng = wide_model(channels=channels)
-        threads = {mod: set() for mod in MODALITIES}
-        mods = {id(model.branches[mod]): mod for mod in MODALITIES}
-        forward = Branch.forward
+        runs, run = [], fusion.run_concurrently
 
-        def recording(self, *args, **kwargs):
-            threads[mods[id(self)]].add(threading.get_ident())
-            return forward(self, *args, **kwargs)
+        def recording(calls):
+            runs.append([call.func.__self__ for call in calls])
+            return run(calls)
 
-        monkeypatch.setattr(Branch, "forward", recording)
+        monkeypatch.setattr(fusion, "run_concurrently", recording)
         n = model.branches["rgb"].config.required_length
         for batch in (1, 3, 1):
             model.branch_outputs({mod: rng.normal(0, 1, (batch, 3, n), "f32")
                                   for mod in MODALITIES})
-        here = threading.get_ident()
-        concurrent = channels >= CONCURRENT_CHANNELS
-        assert threads["rgb"] == {here}
-        for mod in ("flow", "obj"):
-            assert threads[mod] and (here in threads[mod]) != concurrent
+        branches = [model.branches[mod] for mod in MODALITIES]
+        assert runs == ([branches] * 3 if channels >= CONCURRENT_CHANNELS else [])
 
     @pytest.mark.parametrize("failing", ["rgb", "flow"])
     def test_an_error_is_raised_after_every_forward_has_finished(self, failing, monkeypatch):

@@ -1,10 +1,16 @@
+import contextlib
+import os
+import threading
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcn_anticipation import layers
 from tcn_anticipation.gradcheck import (check_batchnorm, check_conv1d, check_linear,
                                         check_relu, check_softmax_ce,
                                         check_spatial_dropout, finite_difference_grad,
@@ -13,7 +19,7 @@ from tcn_anticipation.layers import (BatchNorm1d, Conv1d, Linear, ReLU,
                                      SoftmaxCrossEntropy, SpatialDropout, softmax)
 from tcn_anticipation.tensor import BLOCK, Rng, TensorError
 
-from oracles import batchnorm_backward_whole, conv1d_loops
+from oracles import batchnorm_backward_whole, conv1d_loops, exit_code_in_a_child
 
 GRADCHECK_TOL = 1e-4
 
@@ -411,3 +417,93 @@ class TestBackwardDropsItsCache:
         with pytest.raises(TensorError, match="grad_out shape"):
             conv.backward(np.ones((2, 3, 4)))
         assert conv.backward(np.ones_like(out)).shape == (2, 2, 7)
+
+
+@contextlib.contextmanager
+def busy_workers():
+    """Both pool workers held, each by a call that waits until the block is left."""
+    started, release = threading.Semaphore(0), threading.Event()
+
+    def hold():
+        started.release()
+        release.wait(30)
+
+    held = [layers._pool().submit(hold) for _ in range(2)]
+    try:
+        assert all(started.acquire(timeout=30) for _ in held), "a worker never started"
+        yield
+    finally:
+        release.set()
+        for future in held:
+            future.result(timeout=30)
+
+
+class TestRunConcurrently:
+    """The pool's rule: the caller runs each call that no worker has started by the time
+    the caller gets to it, so a thread only ever waits on a call that is running."""
+
+    def test_results_come_in_call_order(self):
+        assert layers.run_concurrently([partial(time.sleep, 0.1), lambda: 2, lambda: 3]) \
+            == [None, 2, 3]
+
+    def test_a_call_no_worker_has_started_runs_on_the_caller(self):
+        with busy_workers():
+            threads = layers.run_concurrently([threading.get_ident] * 3)
+        assert threads == [threading.get_ident()] * 3
+
+    def test_a_started_call_runs_on_its_worker(self):
+        """Each call waits until all three are running, so two run on the workers."""
+        meet = threading.Barrier(3, timeout=30)
+
+        def met():
+            meet.wait()
+            return threading.get_ident()
+
+        threads = layers.run_concurrently([met] * 3)
+        assert threads[0] == threading.get_ident() and len(set(threads)) == 3
+
+    @pytest.mark.parametrize("workers", ["idle", "busy"])
+    def test_every_call_finishes_before_the_first_error_in_call_order(self, workers):
+        """The first call fails after 0.1 s, the third at once and the second, which
+        succeeds, takes 0.3 s: the first call's error is raised once all three have
+        finished, on the workers or, while both are busy, on the caller in call order."""
+        finished = []
+
+        def fail(message, delay):
+            time.sleep(delay)
+            finished.append(message)
+            raise ValueError(message)
+
+        def slow():
+            time.sleep(0.3)
+            finished.append("slow")
+
+        calls = [partial(fail, "first", 0.1), slow, partial(fail, "third", 0)]
+        with busy_workers() if workers == "busy" else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="^first$"):
+                layers.run_concurrently(calls)
+        if workers == "busy":
+            assert finished == ["first", "slow", "third"]
+        else:
+            assert sorted(finished) == ["first", "slow", "third"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_splits_started_on_both_workers_finish(self):
+        """Both workers split while both are busy, so neither half they offer can start
+        on another worker; a worker that waited for one would hang. The child's main
+        thread only waits, so no half runs on it. In a forked child, whose hung pool
+        cannot hang the suite."""
+        def split_on_both_workers():
+            here = threading.get_ident()
+            meet = threading.Barrier(3, timeout=10)
+
+            def split():
+                meet.wait()  # both workers are busy before either splits
+                return layers.run_concurrently([threading.get_ident] * 2)
+
+            halves = layers.run_concurrently([meet.wait, split, split])[1:]
+            return all(here not in threads for threads in halves)
+
+        code = exit_code_in_a_child(split_on_both_workers)
+        assert code is not None, "the splits on the pool workers did not finish within 30 s"
+        assert code == 0

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tcn_anticipation import training
 from tcn_anticipation.branch import Branch, BranchConfig
 from tcn_anticipation.checkpoint import parameter_hash
 from tcn_anticipation.data import Split, read_dataset, write_dataset
 from tcn_anticipation.fusion import FusionConfig, FusionModel, MODALITIES, STRATEGIES
-from tcn_anticipation.layers import Parameter
+from tcn_anticipation.layers import Conv1d, Parameter
 from tcn_anticipation.tensor import BLOCK, NonFiniteError, Rng, TensorError
 from tcn_anticipation.training import (SgdConfig, SgdOptimizer, lr_at_epoch, stack_modalities,
                                        train_branch, train_fusion)
@@ -397,3 +398,34 @@ class TestFileViewsAndContiguousCopies:
                  for windows in (split, copies[0])]
         for head in probs[0]:
             assert probs[0][head].tobytes() == probs[1][head].tobytes(), head
+
+
+class TestTrainBatchOrder:
+    def test_each_batch_reaches_the_embedding_conv_gathered_in_c_order(self, tmp_path,
+                                                                       monkeypatch):
+        """From a split read from disk (views of the file buffers, in (W, N, D) memory),
+        each training batch is gathered in one copy into the C-contiguous (B, D, N) array
+        the embedding conv reads, with the bits of the old gather and second copy."""
+        split = read_dataset(write_dataset(tiny_split(Rng(10), n_per_class=20), tmp_path))
+        gathered, reached = [], []
+        rows, forward = training._rows, Conv1d.forward
+
+        def gathering(x, idx):
+            out = rows(x, idx)
+            if isinstance(x, np.ndarray) and x.ndim == 3:
+                gathered.append((out, np.ascontiguousarray(x[idx])))
+            return out
+
+        def conv_forward(self, x, plan=None):
+            if self.training and self.kernel_size == 1:
+                reached.append(x)
+            return forward(self, x, plan)
+
+        monkeypatch.setattr(training, "_rows", gathering)
+        monkeypatch.setattr(Conv1d, "forward", conv_forward)
+        sgd = SgdConfig(lr0=0.01, epochs=2, batch_size=8, seed=4)
+        train_branch(split, split[::2], "rgb", tiny_branch_config(input_dropout=0.0), sgd)
+        assert len(reached) == len(gathered) == 2 * 40 // 8
+        for x, (batch, want) in zip(reached, gathered):
+            assert np.shares_memory(x, batch) and x.flags.c_contiguous  # no second copy
+            assert x.tobytes() == want.tobytes()
